@@ -47,10 +47,11 @@ def main() -> int:
         harness.write_records(report.records, stem.with_suffix(".records.jsonl"))
         stem.with_suffix(".summary.json").write_text(
             harness.dump_record(report.summary) + "\n")
-        print(f"{name}: coverage_two_sided={report.coverage_two_sided:.3f} "
-              f"coverage_oracle={report.coverage_oracle:.3f} "
-              f"coverage_erm={report.coverage_erm:.3f} "
-              f"mean_slack={report.mean_slack:.4g}")
+        summary = report.summary
+        print(f"{name}: coverage_two_sided={summary['coverage_two_sided']:.3f} "
+              f"coverage_oracle={summary['coverage_oracle']:.3f} "
+              f"coverage_erm={summary['coverage_erm']:.3f} "
+              f"mean_slack={summary['mean_slack']:.4g}")
 
     sweep_base = harness.load_config(ROOT / "configs" / "coverage_iid_t5.yaml")
     sweep_base = dataclasses.replace(sweep_base, replications=50, probes=0,

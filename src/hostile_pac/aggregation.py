@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import PhiP, f_divergence
+from .divergence import power_divergence_plus_one
 from .moments import MomentBound
 from .param_space import DiscreteDistribution, expectation
 
@@ -90,19 +90,6 @@ class BoundReport:
     oracle_empirical: float | None = None
     oracle_population: float | None = None
 
-    def to_record(self) -> dict:
-        """Flat key/value form for line-oriented output."""
-        return {
-            "rn_integral": self.rn_integral,
-            "margin": self.margin,
-            "upper": self.upper,
-            "lower": self.lower,
-            "divergence_plus_one": self.divergence_plus_one,
-            "rbar": self.rbar,
-            "oracle_empirical": self.oracle_empirical,
-            "oracle_population": self.oracle_population,
-        }
-
 
 @dataclass(frozen=True)
 class ComplexityEstimate:
@@ -121,13 +108,12 @@ class ComplexityEstimate:
     satisfied: bool
 
 
-def pac_margin(cfg: BoundConfig, div_plus_one: float) -> float:
-    """(M / delta)**(1/q) * (D + 1)**(1/p); infinity propagates."""
-    if math.isinf(div_plus_one):
-        return math.inf
-    if div_plus_one < 1.0 - CONJUGACY_TOL:
+def pac_margin(cfg: BoundConfig, div_plus_one: float | np.ndarray) -> float | np.ndarray:
+    """(M / delta)**(1/q) * (D + 1)**(1/p), elementwise; infinity propagates."""
+    div_plus_one = np.asarray(div_plus_one, dtype=float)
+    if (div_plus_one < 1.0 - CONJUGACY_TOL).any():
         raise ValueError("divergence-plus-one must be at least 1")
-    return cfg.budget ** (1.0 / cfg.q) * max(div_plus_one, 1.0) ** (1.0 / cfg.p)
+    return cfg.budget ** (1.0 / cfg.q) * np.maximum(div_plus_one, 1.0) ** (1.0 / cfg.p)
 
 
 def evaluate_bound(rho: DiscreteDistribution, pi: DiscreteDistribution,
@@ -136,7 +122,7 @@ def evaluate_bound(rho: DiscreteDistribution, pi: DiscreteDistribution,
     rn = np.asarray(rn, dtype=float)
     if len(rho) != len(pi) or rn.shape[0] != len(pi):
         raise ValueError("rho, pi and the risk vector must share one atom set")
-    div_plus_one = f_divergence(rho, pi, PhiP(cfg.p)) + 1.0
+    div_plus_one = float(power_divergence_plus_one(rho.weights, pi.weights, cfg.p))
     margin = pac_margin(cfg, div_plus_one)
     rn_integral = expectation(rho, rn)
     return BoundReport(

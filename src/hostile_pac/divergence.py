@@ -4,7 +4,8 @@ Supported generators: the power family f(x) = x**p - 1 for p > 1, KL
 (f = x log x, natural log), and chi-square (f = x**2 - 1, identical to the
 power family at p = 2). Non-absolute-continuity returns ``inf`` rather than
 raising: a bound evaluated at an infinite divergence is vacuously true and
-downstream code propagates the infinity.
+downstream code propagates the infinity. The power family is computed in one
+place, :func:`power_divergence_plus_one`, in the D + 1 form the certificates use.
 """
 
 from __future__ import annotations
@@ -52,16 +53,26 @@ def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution,
         raise ValueError("distributions live on different atom sets")
     r = rho.weights
     w = pi.weights
-    null = w == 0.0
-    if np.any(r[null] > 0.0):
+    if np.any(r[w == 0.0] > 0.0):
         return math.inf
-    r = r[~null]
-    w = w[~null]
     if isinstance(kind, KL):
         pos = r > 0.0
         return float(np.sum(r[pos] * np.log(r[pos] / w[pos])))
     p = 2.0 if isinstance(kind, ChiSquare) else kind.p
-    return float(np.sum(w * ((r / w) ** p - 1.0)))
+    return float(power_divergence_plus_one(r, w, p)) - 1.0
+
+
+def power_divergence_plus_one(rows: np.ndarray, pi_weights: np.ndarray,
+                              p: float) -> np.ndarray:
+    """D + 1 = sum_j rho_j**p * pi_j**(1-p) of the power family, per row.
+
+    ``rows`` is one distribution (1-D) or a stack of them (2-D), aligned with
+    ``pi_weights``; rows that put mass where pi has none get +inf.
+    """
+    rows = np.asarray(rows, dtype=float)
+    support = pi_weights > 0
+    vals = np.sum(rows[..., support] ** p * pi_weights[support] ** (1.0 - p), axis=-1)
+    return np.where(rows[..., ~support].sum(axis=-1) > 0, np.inf, vals)
 
 
 def divergence_plus_one_uniform(rho: DiscreteDistribution, size: int, p: float) -> float:

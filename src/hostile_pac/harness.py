@@ -3,8 +3,15 @@
 A single YAML file with four sections (``experiment``, ``generator``,
 ``prior``, ``regime``) describes a full experiment; the CLI in
 :mod:`hostile_pac.cli` maps subcommands onto the ``run_*`` functions here.
-Replications are seeded through spawned seed sequences keyed by replication
-index, so results are identical at any worker count and any scheduling.
+The file is read into the spec dataclasses: their fields are the allowed
+keys, their defaults the defaults and their annotations the accepted values,
+and every error names the offending ``section.key``.
+
+``bound``, ``aggregate`` and each coverage replication share one path:
+``_setup`` builds the prior and the moment constant of a configuration, and
+``_fit`` turns dataset ``index`` into r_n, rbar and rho_hat. Dataset
+``index`` draws from the seed sequence ``[seed, 0, index]`` (coverage probes
+from ``[seed, 1, index]``), so results are identical at any worker count.
 
 All regime constants entering a bound are analytic (closed forms from the
 generator spec and prior); nothing is estimated from the data that the bound
@@ -20,22 +27,25 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
+from types import UnionType
+from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from . import datagen
-from .aggregation import (BoundConfig, BoundReport, SolverError, catoni_pi_gamma,
-                          erm_index, evaluate_bound, optimal_gamma,
-                          oracle_bound_empirical, oracle_bound_population,
-                          rho_hat, solve_rbar, verify_complexity)
+from .aggregation import (BoundConfig, BoundReport, catoni_pi_gamma, erm_index,
+                          evaluate_bound, optimal_gamma, oracle_bound_empirical,
+                          oracle_bound_population, pac_margin, rho_hat, solve_rbar,
+                          verify_complexity)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
                       NoClosedFormError, StudentTNoise, UniformBoxX)
-from .moments import (MixingUnbounded, MomentBound, geometric_alpha_sum,
-                      kappa_quadratic, moment_iid_variance, moment_mixing_bounded,
+from .divergence import power_divergence_plus_one
+from .moments import (MixingUnbounded, geometric_alpha_sum, kappa_quadratic,
+                      moment_iid_variance, moment_mixing_bounded,
                       moment_mixing_unbounded, moment_subgaussian, optimal_q_finite)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior, build_prior,
@@ -52,6 +62,9 @@ class AssumptionError(RuntimeError):
     """A required prior-mass assumption failed to certify (CLI exit code 3)."""
 
 
+RegimeKind = Literal["variance", "subgaussian", "mixing_bounded", "mixing_unbounded"]
+
+
 @dataclass(frozen=True)
 class RegimeConfig:
     """Which moment route to use and the constants it needs.
@@ -62,54 +75,58 @@ class RegimeConfig:
     finite-class optimized exponent, overriding ``p``.
     """
 
-    kind: str
-    s2: float | str = "kappa"
+    kind: RegimeKind
+    s2: float | Literal["kappa", "exact"] = "kappa"
     sigma2: float | None = None
     q: float | None = None
     optimize_q: bool = False
     r: float = 3.0
     s: float = 3.0
     davydov_factor: float = 8.0
-    alpha_sum: float | str = "envelope"
-    moment_integral: float | str = "analytic"
+    alpha_sum: float | Literal["envelope"] = "envelope"
+    moment_integral: float | Literal["analytic"] = "analytic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """One experiment; the config file's ``experiment`` section plus the
+    ``generator``, ``prior`` and ``regime`` sections. Defaults here are the
+    config file's defaults."""
+
     generator: GeneratorSpec
     prior: PriorSpec
     loss: LossKind
-    p: float
+    p: float = 2.0
     delta: float
     regime: RegimeConfig
     n: int
-    replications: int
-    seed: int
-    gamma_grid: tuple[float, ...]
+    replications: int = 100
+    seed: int = 0
+    gamma_grid: tuple[float, ...] = tuple(np.linspace(0.05, 0.9, 10).tolist())
     probes: int = 100
     workers: int = 1
     require_complexity: bool = False
 
     def __post_init__(self) -> None:
         if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+            raise ConfigError("experiment.seed must be nonnegative")
         if self.n < 1:
-            raise ConfigError("n must be positive")
+            raise ConfigError("experiment.n must be positive")
         if self.probes < 0:
-            raise ConfigError("probes must be nonnegative")
+            raise ConfigError("experiment.probes must be nonnegative")
         if self.workers < 1:
-            raise ConfigError("workers must be positive")
+            raise ConfigError("experiment.workers must be positive")
         if not 0 < self.delta < 1:
-            raise ConfigError("delta must lie in (0, 1)")
+            raise ConfigError("experiment.delta must lie in (0, 1)")
         if not self.p > 1:
-            raise ConfigError("p must exceed 1")
+            raise ConfigError("experiment.p must exceed 1")
         _validate_cross_fields(self)
 
 
 def _validate_cross_fields(cfg: ExperimentConfig) -> None:
     kind = cfg.regime.kind
-    if kind not in ("variance", "subgaussian", "mixing_bounded", "mixing_unbounded"):
-        raise ConfigError(f"unknown regime kind {kind!r}")
+    if kind not in get_args(RegimeKind):
+        raise ConfigError(f"regime.kind must be one of {get_args(RegimeKind)}, got {kind!r}")
     is_ar1 = isinstance(cfg.generator, AR1)
     if kind in ("mixing_bounded", "mixing_unbounded"):
         if not is_ar1:
@@ -130,183 +147,143 @@ def _validate_cross_fields(cfg: ExperimentConfig) -> None:
                 "supply a numeric s2 otherwise"
             )
     if kind == "subgaussian" and cfg.regime.sigma2 is None:
-        raise ConfigError("the subgaussian regime needs an explicit sigma2")
+        raise ConfigError("regime.sigma2 is required by the subgaussian regime")
     if isinstance(cfg.generator, AR1) and cfg.n < 2:
-        raise ConfigError("AR(1) needs n >= 2")
+        raise ConfigError("experiment.n must be at least 2 for AR(1)")
     for g in cfg.gamma_grid:
         if not 0 < g < 1:
-            raise ConfigError("gamma grid values must lie strictly inside (0, 1)")
+            raise ConfigError("experiment.gamma_grid values must lie strictly inside (0, 1)")
     if not cfg.gamma_grid:
-        raise ConfigError("gamma grid must be nonempty")
+        raise ConfigError("experiment.gamma_grid must be nonempty")
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing
+# Config file parsing: keys, defaults and types come from the dataclasses
 # ---------------------------------------------------------------------------
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in section {where!r}")
-    return section[key]
+_KINDS = {
+    GeneratorSpec: {"iid_regression": IidLinearRegression, "ar1": AR1,
+                    "classification": BoundedClassification},
+    datagen.NoiseLaw: {"gaussian": GaussianNoise, "student_t": StudentTNoise},
+    datagen.XLaw: {"gaussian": IsotropicGaussianX, "uniform": UniformBoxX},
+    PriorSpec: {"uniform_grid": UniformGridPrior, "iid_sample": IidSamplePrior,
+                "explicit": ExplicitPrior},
+    LossKind: {"squared": SquaredLoss, "absolute": AbsoluteLoss, "zero_one": ZeroOneLoss},
+}
+_SECTIONS = ("generator", "prior", "regime")
+_hints = cache(get_type_hints)  # resolves string annotations once per class
+# YAML value types accepted for each scalar annotation; no truncation, no truthiness.
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+@dataclass(frozen=True)
+class _GammaRange:
+    """The ``gamma_grid: {lo, hi, points}`` form of an evenly spaced grid."""
+
+    lo: float
+    hi: float
+    points: int = 10
+
+    def __post_init__(self) -> None:
+        if self.points < 1 or not self.lo < self.hi:
+            raise ValueError("gamma grid needs lo < hi and at least one point")
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
+def _coerce(value, hint, where: str):
+    """``value`` read from YAML at key ``where``, checked against the annotation ``hint``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _KINDS:
+        kind = _mapping(value, where).get("kind")
+        if not isinstance(kind, str) or kind not in _KINDS[hint]:
+            raise ConfigError(f"{where}.kind must be one of {list(_KINDS[hint])}, got {kind!r}")
+        return _build(_KINDS[hint][kind], {k: v for k, v in value.items() if k != "kind"}, where)
+    if origin in (Union, UnionType):
+        options = [a for a in args if a is not type(None)]
+        if value is None and len(options) < len(args):
+            return None
+        if len(options) == 1:
+            return _coerce(value, options[0], where)
+        for option in options:
+            try:
+                return _coerce(value, option, where)
+            except ConfigError:
+                pass
+    elif origin is Literal:
+        if isinstance(value, str) and value in args:
+            return value
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            if args[-1] is Ellipsis:
+                args = args[:1] * len(value)
+            if len(value) == len(args):
+                return tuple(_coerce(v, a, f"{where}[{i}]")
+                             for i, (v, a) in enumerate(zip(value, args)))
+    elif dataclasses.is_dataclass(hint):
+        return _build(hint, value, where)
+    elif hint is np.ndarray:
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    else:
+        if hint is float and isinstance(value, str):  # PyYAML reads 1e-3 (no dot) as a string
+            try:
+                value = float(value)
+            except ValueError:
+                pass
+        if hint is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) in _ACCEPTS[hint]:
+            return hint(value)
+    expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+
+
+def _build(cls, raw, where: str, **built):
+    """Instance of the dataclass ``cls`` from the mapping ``raw`` at key ``where``.
+
+    Keys are the fields of ``cls`` not given in ``built``; fields without a
+    default are required.
+    """
+    hints = _hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in built]
+    unknown = set(_mapping(raw, where)) - {f.name for f in fields}
     if unknown:
-        raise ConfigError(f"unknown keys in section {where!r}: {sorted(unknown)}")
-
-
-def _parse_noise(raw: dict) -> datagen.NoiseLaw:
-    kind = _require(raw, "kind", "generator.noise")
-    if kind == "gaussian":
-        _check_keys(raw, {"kind", "variance"}, "generator.noise")
-        return GaussianNoise(variance=float(raw.get("variance", 1.0)))
-    if kind == "student_t":
-        _check_keys(raw, {"kind", "dof", "scale"}, "generator.noise")
-        return StudentTNoise(dof=float(_require(raw, "dof", "generator.noise")),
-                             scale=float(raw.get("scale", 1.0)))
-    raise ConfigError(f"unknown noise kind {kind!r}")
-
-
-def _parse_x_law(raw: dict) -> datagen.XLaw:
-    kind = _require(raw, "kind", "generator.x_law")
-    if kind == "gaussian":
-        _check_keys(raw, {"kind", "scale"}, "generator.x_law")
-        return IsotropicGaussianX(scale=float(raw.get("scale", 1.0)))
-    if kind == "uniform":
-        _check_keys(raw, {"kind", "halfwidth"}, "generator.x_law")
-        return UniformBoxX(halfwidth=float(raw.get("halfwidth", 1.0)))
-    raise ConfigError(f"unknown x law kind {kind!r}")
-
-
-def _parse_generator(raw: dict) -> GeneratorSpec:
-    kind = _require(raw, "kind", "generator")
-    if kind == "iid_regression":
-        _check_keys(raw, {"kind", "theta_star", "x_law", "noise"}, "generator")
-        return IidLinearRegression(
-            theta_star=tuple(_require(raw, "theta_star", "generator")),
-            x_law=_parse_x_law(_require(raw, "x_law", "generator")),
-            noise=_parse_noise(_require(raw, "noise", "generator")),
-        )
-    if kind == "ar1":
-        _check_keys(raw, {"kind", "a", "noise", "mixing"}, "generator")
-        mixing = None
-        if "mixing" in raw and raw["mixing"] is not None:
-            m = raw["mixing"]
-            _check_keys(m, {"c1", "c2"}, "generator.mixing")
-            mixing = MixingBoundSpec(c1=float(_require(m, "c1", "generator.mixing")),
-                                     c2=float(_require(m, "c2", "generator.mixing")))
-        return AR1(a=float(_require(raw, "a", "generator")),
-                   noise=_parse_noise(_require(raw, "noise", "generator")),
-                   mixing=mixing)
-    if kind == "classification":
-        _check_keys(raw, {"kind", "theta_star", "x_law", "flip_prob"}, "generator")
-        return BoundedClassification(
-            theta_star=tuple(_require(raw, "theta_star", "generator")),
-            x_law=_parse_x_law(_require(raw, "x_law", "generator")),
-            flip_prob=float(raw.get("flip_prob", 0.0)),
-        )
-    raise ConfigError(f"unknown generator kind {kind!r}")
-
-
-def _parse_prior(raw: dict) -> PriorSpec:
-    kind = _require(raw, "kind", "prior")
-    if kind == "uniform_grid":
-        _check_keys(raw, {"kind", "bounds", "points_per_axis"}, "prior")
-        bounds = tuple((float(lo), float(hi)) for lo, hi in _require(raw, "bounds", "prior"))
-        ppa = _require(raw, "points_per_axis", "prior")
-        return UniformGridPrior(bounds=bounds,
-                                points_per_axis=ppa if isinstance(ppa, int) else tuple(ppa))
-    if kind == "iid_sample":
-        _check_keys(raw, {"kind", "count", "dim", "law", "scale", "bounds", "seed"}, "prior")
-        bounds = raw.get("bounds")
-        if bounds is not None:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        return IidSamplePrior(count=int(_require(raw, "count", "prior")),
-                              dim=int(_require(raw, "dim", "prior")),
-                              law=raw.get("law", "gaussian"),
-                              scale=float(raw.get("scale", 1.0)),
-                              bounds=bounds,
-                              seed=raw.get("seed"))
-    if kind == "explicit":
-        _check_keys(raw, {"kind", "atoms", "weights"}, "prior")
-        return ExplicitPrior(atoms=np.asarray(_require(raw, "atoms", "prior"), dtype=float),
-                             weights=np.asarray(_require(raw, "weights", "prior"), dtype=float))
-    raise ConfigError(f"unknown prior kind {kind!r}")
-
-
-def _parse_loss(raw: dict) -> LossKind:
-    kind = _require(raw, "kind", "loss") if isinstance(raw, dict) else raw
-    if kind == "squared":
-        return SquaredLoss()
-    if kind == "absolute":
-        return AbsoluteLoss()
-    if kind == "zero_one":
-        threshold = raw.get("threshold", 0.0) if isinstance(raw, dict) else 0.0
-        return ZeroOneLoss(threshold=float(threshold))
-    raise ConfigError(f"unknown loss kind {kind!r}")
-
-
-def _parse_regime(raw: dict) -> RegimeConfig:
-    allowed = {"kind", "s2", "sigma2", "q", "optimize_q", "r", "s",
-               "davydov_factor", "alpha_sum", "moment_integral"}
-    _check_keys(raw, allowed, "regime")
-    kind = _require(raw, "kind", "regime")
-    return RegimeConfig(
-        kind=kind,
-        s2=raw.get("s2", "kappa"),
-        sigma2=None if raw.get("sigma2") is None else float(raw["sigma2"]),
-        q=None if raw.get("q") is None else float(raw["q"]),
-        optimize_q=bool(raw.get("optimize_q", False)),
-        r=float(raw.get("r", 3.0)),
-        s=float(raw.get("s", 3.0)),
-        davydov_factor=float(raw.get("davydov_factor", 8.0)),
-        alpha_sum=raw.get("alpha_sum", "envelope"),
-        moment_integral=raw.get("moment_integral", "analytic"),
-    )
-
-
-def _parse_gamma_grid(raw) -> tuple[float, ...]:
-    if isinstance(raw, dict):
-        _check_keys(raw, {"lo", "hi", "points"}, "experiment.gamma_grid")
-        lo = float(_require(raw, "lo", "experiment.gamma_grid"))
-        hi = float(_require(raw, "hi", "experiment.gamma_grid"))
-        points = int(raw.get("points", 10))
-        if points < 1 or not lo < hi:
-            raise ConfigError("gamma grid needs lo < hi and at least one point")
-        return tuple(np.linspace(lo, hi, points).tolist())
-    return tuple(float(g) for g in raw)
+        raise ConfigError("unknown keys: " + ", ".join(sorted(f"{where}.{k}" for k in unknown)))
+    kwargs = dict(built)
+    for f in fields:
+        if f.name in raw:
+            kwargs[f.name] = _coerce(raw[f.name], hints[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing key {where}.{f.name}")
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate an :class:`ExperimentConfig` from parsed YAML."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(raw, {"experiment", "generator", "prior", "regime"}, "<root>")
-    exp = _require(raw, "experiment", "<root>")
-    allowed = {"seed", "n", "replications", "p", "delta", "loss", "probes",
-               "workers", "gamma_grid", "require_complexity"}
-    _check_keys(exp, allowed, "experiment")
-    try:
-        return ExperimentConfig(
-            generator=_parse_generator(_require(raw, "generator", "<root>")),
-            prior=_parse_prior(_require(raw, "prior", "<root>")),
-            loss=_parse_loss(_require(exp, "loss", "experiment")),
-            p=float(exp.get("p", 2.0)),
-            delta=float(_require(exp, "delta", "experiment")),
-            regime=_parse_regime(_require(raw, "regime", "<root>")),
-            n=int(_require(exp, "n", "experiment")),
-            replications=int(exp.get("replications", 100)),
-            seed=int(exp.get("seed", 0)),
-            gamma_grid=_parse_gamma_grid(exp.get("gamma_grid", {"lo": 0.05, "hi": 0.9, "points": 10})),
-            probes=int(exp.get("probes", 100)),
-            workers=int(exp.get("workers", 1)),
-            require_complexity=bool(exp.get("require_complexity", False)),
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    unknown = set(_mapping(raw, "config root")) - {"experiment", *_SECTIONS}
+    if unknown:
+        raise ConfigError(f"unknown sections: {sorted(map(str, unknown))}")
+    exp = dict(_mapping(raw.get("experiment"), "experiment"))
+    if isinstance(exp.get("loss"), str):
+        exp["loss"] = {"kind": exp["loss"]}
+    if isinstance(exp.get("gamma_grid"), dict):
+        grid = _build(_GammaRange, exp["gamma_grid"], "experiment.gamma_grid")
+        exp["gamma_grid"] = np.linspace(grid.lo, grid.hi, grid.points).tolist()
+    hints = _hints(ExperimentConfig)
+    sections = {s: _coerce(raw.get(s), hints[s], s) for s in _SECTIONS}
+    return _build(ExperimentConfig, exp, "experiment", **sections)
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -316,13 +293,11 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, _, value = item.partition("=")
-        node = out
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"cannot descend into {dotted!r}")
-        node[parts[-1]] = yaml.safe_load(value)
+        *path, key = dotted.split(".")
+        node = _mapping(out, "config root")
+        for depth, part in enumerate(path):
+            node = _mapping(node.setdefault(part, {}), ".".join(path[:depth + 1]))
+        node[key] = yaml.safe_load(value)
     return out
 
 
@@ -355,6 +330,12 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
         envelope = datagen.mixing_spec_for(spec)
         constants["c1"] = envelope.c1
         constants["c2"] = envelope.c2
+        # Sum of alpha_j**(1/power) over the envelope: power 1 when bounded, r otherwise.
+        power = 1.0 if regime.kind == "mixing_bounded" else regime.r
+        if regime.alpha_sum == "envelope":
+            alpha_sum = geometric_alpha_sum(envelope.c1, envelope.c2, power)
+        else:
+            alpha_sum = float(regime.alpha_sum)
 
     if regime.kind == "variance":
         if regime.s2 == "kappa":
@@ -388,19 +369,11 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
         return BoundConfig.from_q(q, config.delta, bound), constants
 
     if regime.kind == "mixing_bounded":
-        if regime.alpha_sum == "envelope":
-            alpha_sum = geometric_alpha_sum(constants["c1"], constants["c2"], 1.0)
-        else:
-            alpha_sum = float(regime.alpha_sum)
         constants["alpha_sum"] = alpha_sum
         bound = moment_mixing_bounded(alpha_sum, n)
         return BoundConfig(p=2.0, delta=config.delta, moment=bound), constants
 
     # mixing_unbounded
-    if regime.alpha_sum == "envelope":
-        alpha_frac_sum = geometric_alpha_sum(constants["c1"], constants["c2"], regime.r)
-    else:
-        alpha_frac_sum = float(regime.alpha_sum)
     if regime.moment_integral == "analytic":
         if abs(regime.s - 3.0) > 1e-12 or not isinstance(config.loss, SquaredLoss):
             raise ConfigError(
@@ -411,35 +384,53 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
         moment_integral = float(pi.weights @ third ** (2.0 / 3.0))
     else:
         moment_integral = float(regime.moment_integral)
-    constants.update(r=regime.r, s=regime.s, alpha_frac_sum=alpha_frac_sum,
+    constants.update(r=regime.r, s=regime.s, alpha_frac_sum=alpha_sum,
                      moment_integral=moment_integral,
                      davydov_factor=regime.davydov_factor)
     unbounded = MixingUnbounded(r=regime.r, s=regime.s,
                                 moment_integral=moment_integral,
-                                alpha_frac_sum=alpha_frac_sum,
+                                alpha_frac_sum=alpha_sum,
                                 davydov_factor=regime.davydov_factor)
     bound = moment_mixing_unbounded(unbounded, n)
     return BoundConfig(p=2.0, delta=config.delta, moment=bound), constants
 
 
 # ---------------------------------------------------------------------------
-# Single-dataset bound evaluation
+# Per-dataset fit, shared by bound, aggregate and coverage
 # ---------------------------------------------------------------------------
 
-def _data_seed(config: ExperimentConfig, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([config.seed, 0, index])
+class _Setup(NamedTuple):
+    """What every dataset of one configuration shares."""
+
+    atoms: AtomSet
+    pi: DiscreteDistribution
+    cfg: BoundConfig
+    constants: dict  # echoed into every output record
 
 
-def _probe_seed(config_seed: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([config_seed, 1, index])
+def _setup(config: ExperimentConfig) -> _Setup:
+    atoms, pi = build_prior(config.prior, config.seed)
+    cfg, regime_constants = resolve_moment(config, atoms, pi)
+    constants = {"n": config.n, "p": cfg.p, "q": cfg.q, "delta": cfg.delta,
+                 "moment_bound": cfg.moment.value, "seed": config.seed}
+    constants.update(regime_constants)
+    return _Setup(atoms, pi, cfg, constants)
 
 
-def _base_record(config: ExperimentConfig, cfg: BoundConfig, constants: dict) -> dict:
-    rec = {"n": config.n, "p": cfg.p, "q": cfg.q, "delta": cfg.delta,
-           "moment_bound": cfg.moment.value, "seed": config.seed}
-    rec.update(constants)
-    return rec
+def _fit(config: ExperimentConfig, setup: _Setup,
+         index: int) -> tuple[np.ndarray, float, DiscreteDistribution]:
+    """Empirical risks r_n of dataset ``index``, the level rbar and rho_hat."""
+    seed = np.random.SeedSequence([config.seed, 0, index])
+    data = datagen.generate(config.generator, config.n, seed)
+    rn = empirical_risk(compute_loss_table(data, setup.atoms, config.loss))
+    cfg = setup.cfg
+    rbar = solve_rbar(rn, setup.pi, cfg.q, cfg.moment.value, cfg.delta)
+    return rn, rbar, rho_hat(rn, setup.pi, cfg.p, rbar)
 
+
+# ---------------------------------------------------------------------------
+# Single-dataset bound evaluation
+# ---------------------------------------------------------------------------
 
 @dataclass
 class BoundRunResult:
@@ -457,13 +448,9 @@ def run_bound(config: ExperimentConfig) -> BoundRunResult:
     itself. The optimal weights always achieve the smallest upper
     certificate of the four.
     """
-    atoms, pi = build_prior(config.prior, config.seed)
-    data = datagen.generate(config.generator, config.n, _data_seed(config, 0))
-    rn = empirical_risk(compute_loss_table(data, atoms, config.loss))
-    cfg, constants = resolve_moment(config, atoms, pi)
-
-    rbar = solve_rbar(rn, pi, cfg.q, cfg.moment.value, cfg.delta)
-    rho = rho_hat(rn, pi, cfg.p, rbar)
+    setup = _setup(config)
+    pi, cfg = setup.pi, setup.cfg
+    rn, rbar, rho = _fit(config, setup, 0)
     erm = erm_index(rn)
     complexity = verify_complexity(rn, pi, np.asarray(config.gamma_grid))
     if config.require_complexity and not complexity.satisfied:
@@ -485,12 +472,8 @@ def run_bound(config: ExperimentConfig) -> BoundRunResult:
         gamma_star = optimal_gamma(complexity.d, cfg.p, cfg.moment.value, cfg.delta)
         reports["pi_gamma"] = evaluate_bound(catoni_pi_gamma(rn, pi, gamma_star), pi, rn, cfg)
 
-    records = []
-    for name, report in reports.items():
-        rec = {"type": "bound", "rho": name}
-        rec.update(report.to_record())
-        rec.update(_base_record(config, cfg, constants))
-        records.append(rec)
+    records = [{"type": "bound", "rho": name, **dataclasses.asdict(report), **setup.constants}
+               for name, report in reports.items()]
     summary = {
         "type": "summary", "command": "bound",
         "erm_index": erm, "rbar": rbar,
@@ -498,24 +481,20 @@ def run_bound(config: ExperimentConfig) -> BoundRunResult:
         "gamma_star": gamma_star,
         "timestamp": _timestamp(),
     }
-    summary.update(_base_record(config, cfg, constants))
+    summary.update(setup.constants)
     return BoundRunResult(reports=reports, records=records, summary=summary)
 
 
 def run_aggregate(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Optimal aggregation weights for one dataset, one record per atom."""
-    atoms, pi = build_prior(config.prior, config.seed)
-    data = datagen.generate(config.generator, config.n, _data_seed(config, 0))
-    rn = empirical_risk(compute_loss_table(data, atoms, config.loss))
-    cfg, constants = resolve_moment(config, atoms, pi)
-    rbar = solve_rbar(rn, pi, cfg.q, cfg.moment.value, cfg.delta)
-    rho = rho_hat(rn, pi, cfg.p, rbar)
+    setup = _setup(config)
+    rn, rbar, rho = _fit(config, setup, 0)
     records = []
-    for j in range(len(atoms)):
+    for j in range(len(setup.atoms)):
         records.append({
             "type": "atom", "index": j,
-            "coords": [float(c) for c in atoms.atom(j)],
-            "prior_weight": float(pi.weights[j]),
+            "coords": [float(c) for c in setup.atoms.atom(j)],
+            "prior_weight": float(setup.pi.weights[j]),
             "rho_hat_weight": float(rho.weights[j]),
             "rn": float(rn[j]),
         })
@@ -523,7 +502,7 @@ def run_aggregate(config: ExperimentConfig) -> tuple[list[dict], dict]:
                "rbar": rbar, "erm_index": erm_index(rn),
                "rn_integral_rho_hat": expectation(rho, rn),
                "timestamp": _timestamp()}
-    summary.update(_base_record(config, cfg, constants))
+    summary.update(setup.constants)
     return records, summary
 
 
@@ -531,74 +510,37 @@ def run_aggregate(config: ExperimentConfig) -> tuple[list[dict], dict]:
 # Coverage experiments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _CoverageTask:
-    """Everything a replication worker needs, picklable and immutable."""
+def _replication_record(config: ExperimentConfig, setup: _Setup,
+                        true_values: np.ndarray, index: int) -> dict:
+    rn, rbar, rho = _fit(config, setup, index)
+    pi, cfg = setup.pi, setup.cfg
+    margin_prior = pac_margin(cfg, 1.0)
 
-    generator: GeneratorSpec
-    loss: LossKind
-    atoms: AtomSet
-    pi: DiscreteDistribution
-    true_values: np.ndarray
-    p: float
-    q: float
-    delta: float
-    moment_value: float
-    n: int
-    seed: int
-    probes: int
-    gamma_grid: tuple[float, ...]
-
-
-def _power_divergence_plus_one_rows(rows: np.ndarray, pi_weights: np.ndarray,
-                                    p: float) -> np.ndarray:
-    """D + 1 for each distribution row against pi, +inf without domination."""
-    support = pi_weights > 0
-    out = np.empty(rows.shape[0])
-    off_support = rows[:, ~support].sum(axis=1) > 0
-    vals = np.sum(rows[:, support] ** p * pi_weights[support] ** (1.0 - p), axis=1)
-    out[:] = vals
-    out[off_support] = np.inf
-    return out
-
-
-def _replication_record(task: _CoverageTask, index: int) -> dict:
-    data = datagen.generate(task.generator, task.n,
-                            np.random.SeedSequence([task.seed, 0, index]))
-    rn = empirical_risk(compute_loss_table(data, task.atoms, task.loss))
-    budget = task.moment_value / task.delta
-    margin_prior = budget ** (1.0 / task.q)
-
-    rbar = solve_rbar(rn, task.pi, task.q, task.moment_value, task.delta)
-    rho = rho_hat(rn, task.pi, task.p, rbar)
-    true_values = task.true_values
     rho_true = expectation(rho, true_values)
     rho_emp = expectation(rho, rn)
-    div_rho = _power_divergence_plus_one_rows(rho.weights[None, :], task.pi.weights, task.p)[0]
-    margin_rho = margin_prior * div_rho ** (1.0 / task.p)
+    div_rho = power_divergence_plus_one(rho.weights, pi.weights, cfg.p)
+    margin_rho = pac_margin(cfg, div_rho)
     dev_rho = abs(rho_true - rho_emp)
     hit_rho = dev_rho <= margin_rho
 
     hit_probes = True
     max_probe_violation = 0.0
-    if task.probes > 0:
-        probe_rng = np.random.default_rng(_probe_seed(task.seed, index))
-        rows = probe_rng.dirichlet(np.ones(len(task.pi)), size=task.probes)
-        div_rows = _power_divergence_plus_one_rows(rows, task.pi.weights, task.p)
-        margins = margin_prior * div_rows ** (1.0 / task.p)
+    if config.probes > 0:
+        probe_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, index]))
+        rows = probe_rng.dirichlet(np.ones(len(pi)), size=config.probes)
+        margins = pac_margin(cfg, power_divergence_plus_one(rows, pi.weights, cfg.p))
         devs = np.abs(rows @ (true_values - rn))
         hit_probes = bool(np.all(devs <= margins))
         with np.errstate(invalid="ignore"):
             max_probe_violation = float(np.max(np.where(np.isinf(margins), 0.0, devs - margins)))
 
     erm = erm_index(rn)
-    margin_erm = margin_prior * float(
-        _power_divergence_plus_one_rows(
-            np.eye(len(task.pi))[erm][None, :], task.pi.weights, task.p)[0]
-    ) ** (1.0 / task.p)
+    # D + 1 of the point mass at erm is pi_erm**(1 - p); +inf off the support.
+    pi_erm = pi.weights[erm]
+    margin_erm = pac_margin(cfg, pi_erm ** (1.0 - cfg.p) if pi_erm > 0 else math.inf)
     hit_erm = true_values[erm] <= rn[erm] + margin_erm
 
-    complexity = verify_complexity(rn, task.pi, np.asarray(task.gamma_grid))
+    complexity = verify_complexity(rn, pi, np.asarray(config.gamma_grid))
     proof_point = (rbar - float(rn.min())) / 2.0
     certified = bool(
         complexity.satisfied
@@ -608,8 +550,8 @@ def _replication_record(task: _CoverageTask, index: int) -> dict:
     oracle_dim_bound = None
     hit_oracle = hit_oracle_level
     if certified:
-        oracle_dim_bound = oracle_bound_empirical(float(rn.min()), task.moment_value,
-                                                  task.delta, task.q, complexity.d)
+        oracle_dim_bound = oracle_bound_empirical(float(rn.min()), cfg.moment.value,
+                                                  cfg.delta, cfg.q, complexity.d)
         hit_oracle = hit_oracle_level and rho_true <= oracle_dim_bound
 
     return {
@@ -636,18 +578,14 @@ def _replication_record(task: _CoverageTask, index: int) -> dict:
         "oracle_dim_bound": oracle_dim_bound,
         "hit_oracle_level": bool(hit_oracle_level),
         "hit_oracle": bool(hit_oracle),
+        **setup.constants,
     }
 
 
 @dataclass
 class CoverageReport:
-    """Aggregated replication outcomes for one configuration."""
+    """Per-replication records and the aggregated summary of one configuration."""
 
-    replications: int
-    coverage_two_sided: float
-    coverage_oracle: float
-    coverage_erm: float
-    mean_slack: float
     records: list[dict]
     summary: dict
 
@@ -663,34 +601,21 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
     """
     if config.replications < 50:
         raise ConfigError("coverage runs need at least 50 replications")
-    atoms, pi = build_prior(config.prior, config.seed)
+    setup = _setup(config)
+    pi, cfg = setup.pi, setup.cfg
     try:
-        true_values = datagen.true_risk_closed_form(config.generator, atoms, config.loss)
+        true_values = datagen.true_risk_closed_form(config.generator, setup.atoms, config.loss)
     except NoClosedFormError as exc:
         raise ConfigError(f"coverage requires a closed-form true risk: {exc}") from exc
-    cfg, constants = resolve_moment(config, atoms, pi)
-    task = _CoverageTask(
-        generator=config.generator, loss=config.loss, atoms=atoms, pi=pi,
-        true_values=true_values, p=cfg.p, q=cfg.q, delta=cfg.delta,
-        moment_value=cfg.moment.value, n=config.n, seed=config.seed,
-        probes=config.probes, gamma_grid=config.gamma_grid,
-    )
+    replicate = partial(_replication_record, config, setup, true_values)
     indices = range(config.replications)
     if config.workers > 1:
         chunk = max(1, config.replications // (config.workers * 4))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(partial(_replication_record, task), indices,
-                                    chunksize=chunk))
+            records = list(pool.map(replicate, indices, chunksize=chunk))
     else:
-        records = [_replication_record(task, i) for i in indices]
+        records = [replicate(i) for i in indices]
 
-    base = _base_record(config, cfg, constants)
-    for rec in records:
-        rec.update(base)
-
-    hits = np.array([r["hit_two_sided"] for r in records])
-    oracle_hits = np.array([r["hit_oracle"] for r in records])
-    erm_hits = np.array([r["hit_erm"] for r in records])
     slack = np.array([r["slack_rho_hat"] for r in records])
     finite_slack = slack[np.isfinite(slack)]
 
@@ -706,9 +631,9 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
     summary = {
         "type": "summary", "command": "coverage",
         "replications": config.replications,
-        "coverage_two_sided": float(hits.mean()),
-        "coverage_oracle": float(oracle_hits.mean()),
-        "coverage_erm": float(erm_hits.mean()),
+        "coverage_two_sided": float(np.mean([r["hit_two_sided"] for r in records])),
+        "coverage_oracle": float(np.mean([r["hit_oracle"] for r in records])),
+        "coverage_erm": float(np.mean([r["hit_erm"] for r in records])),
         "mean_slack": float(finite_slack.mean()) if finite_slack.size else math.inf,
         "certified_fraction": float(np.mean([r["complexity_certified"] for r in records])),
         "population_complexity_d": pop_complexity.d,
@@ -718,16 +643,8 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
         "probes": config.probes,
         "timestamp": _timestamp(),
     }
-    summary.update(base)
-    return CoverageReport(
-        replications=config.replications,
-        coverage_two_sided=float(hits.mean()),
-        coverage_oracle=float(oracle_hits.mean()),
-        coverage_erm=float(erm_hits.mean()),
-        mean_slack=float(finite_slack.mean()) if finite_slack.size else math.inf,
-        records=records,
-        summary=summary,
-    )
+    summary.update(setup.constants)
+    return CoverageReport(records=records, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -743,20 +660,11 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list) -> list[dict]:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    hint = _hints(ExperimentConfig)[axis]
     rows = []
     for value in values:
-        if axis == "n":
-            if int(value) != value or value < 1:
-                raise ConfigError("n values must be positive integers")
-            cfg_v = dataclasses.replace(config, n=int(value))
-        elif axis == "delta":
-            if not 0 < value < 1:
-                raise ConfigError("delta values must lie in (0, 1)")
-            cfg_v = dataclasses.replace(config, delta=float(value))
-        else:
-            if value <= 1:
-                raise ConfigError("p values must exceed 1")
-            cfg_v = dataclasses.replace(config, p=float(value))
+        # replace() reruns the config validation on the swept value.
+        cfg_v = dataclasses.replace(config, **{axis: _coerce(value, hint, f"sweep {axis}")})
         report = run_coverage(cfg_v)
         margins_prior = [r["margin_prior"] for r in report.records]
         margins_rho = [r["margin_rho_hat"] for r in report.records]
@@ -766,11 +674,11 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list) -> list[dict]:
             "n": cfg_v.n,
             "delta": cfg_v.delta,
             "p": cfg_v.p,
-            "coverage_two_sided": report.coverage_two_sided,
-            "coverage_oracle": report.coverage_oracle,
+            "coverage_two_sided": report.summary["coverage_two_sided"],
+            "coverage_oracle": report.summary["coverage_oracle"],
             "median_margin": float(np.median(margins_prior)),
             "median_margin_rho_hat": float(np.median(margins_rho)),
-            "mean_slack": report.mean_slack,
+            "mean_slack": report.summary["mean_slack"],
             "moment_bound": report.summary["moment_bound"],
         })
     return rows

@@ -10,6 +10,7 @@ empirical-risk minimizer) are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class IidSamplePrior:
 
     count: int
     dim: int
-    law: str = "gaussian"
+    law: Literal["gaussian", "uniform"] = "gaussian"
     scale: float = 1.0
     bounds: tuple[tuple[float, float], ...] | None = None
     seed: int | None = None

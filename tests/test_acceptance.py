@@ -167,9 +167,10 @@ def test_criterion_06_coverage_iid_heavy_tailed():
     start = time.perf_counter()
     report = run_coverage(CRIT6_CONFIG)
     elapsed = time.perf_counter() - start
-    ok = report.coverage_two_sided >= 0.90 and elapsed < 300.0
+    ok = report.summary["coverage_two_sided"] >= 0.90 and elapsed < 300.0
     _report(6, "coverage on heavy-tailed i.i.d. regression", ok,
-            f"coverage {report.coverage_two_sided:.3f} over {report.replications} "
+            f"coverage {report.summary['coverage_two_sided']:.3f} over "
+            f"{report.summary['replications']} "
             f"replications, {elapsed:.1f}s")
 
 
@@ -193,9 +194,10 @@ def test_criterion_07_coverage_dependent():
     start = time.perf_counter()
     report = run_coverage(CRIT7_CONFIG)
     elapsed = time.perf_counter() - start
-    ok = report.coverage_two_sided >= 0.90 and elapsed < 300.0
+    ok = report.summary["coverage_two_sided"] >= 0.90 and elapsed < 300.0
     _report(7, "coverage on dependent heavy-tailed autoregression", ok,
-            f"coverage {report.coverage_two_sided:.3f} over {report.replications} "
+            f"coverage {report.summary['coverage_two_sided']:.3f} over "
+            f"{report.summary['replications']} "
             f"replications, {elapsed:.1f}s")
 
 
@@ -323,7 +325,7 @@ def test_criterion_11_finite_class_subgaussian_path():
     pipeline_margin = report.records[0]["margin_erm"]
     pipeline_err = abs(pipeline_margin - oracle)
     ok = (formula_err <= 1e-10 and pipeline_err <= 1e-10
-          and report.coverage_erm >= 0.90)
+          and report.summary["coverage_erm"] >= 0.90)
     _report(11, "finite-class sub-Gaussian route", ok,
             f"margin err {formula_err:.2e}, pipeline err {pipeline_err:.2e}, "
-            f"ERM coverage {report.coverage_erm:.3f}")
+            f"ERM coverage {report.summary['coverage_erm']:.3f}")

@@ -100,6 +100,22 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     assert main(["bound", "--config", str(missing)]) == 1
 
 
+def test_null_section_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "null_section.yaml"
+    head, _, tail = CONFIG.partition("generator:")
+    bad.write_text("experiment:\ngenerator:" + tail)
+    assert main(["bound", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "experiment" in err
+
+
+def test_override_on_empty_file_is_a_config_error(tmp_path, capsys):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    assert main(["bound", "--config", str(empty), "--set", "experiment.n=3"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_assumption_violation_exit_code(tmp_path, capsys):
     cfg = """
 experiment:

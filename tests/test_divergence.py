@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hostile_pac.divergence import (KL, ChiSquare, PhiP, divergence_plus_one_uniform,
-                                    f_divergence)
+                                    f_divergence, power_divergence_plus_one)
 from hostile_pac.param_space import DiscreteDistribution
 
 
@@ -122,3 +122,37 @@ def test_strict_positivity_near_equality():
     rho = DiscreteDistribution(base + bump)
     for kind in (PhiP(1.5), PhiP(2.0), PhiP(3.0), KL()):
         assert f_divergence(rho, pi, kind) > 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    raw_rho=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=20),
+    raw_pi=st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=20),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+)
+def test_power_divergence_plus_one_matches_references(raw_rho, raw_pi, p):
+    size = min(len(raw_rho), len(raw_pi))
+    rho_w = np.asarray(raw_rho[:size])
+    if rho_w.sum() == 0:
+        rho_w = np.ones(size)
+    rho = _dist(rho_w)
+    pi = _dist(raw_pi[:size])
+    uniform = DiscreteDistribution.uniform(size)
+
+    closed = divergence_plus_one_uniform(rho, size, p)
+    assert power_divergence_plus_one(rho.weights, uniform.weights, p) == pytest.approx(
+        closed, rel=1e-12)
+    value = power_divergence_plus_one(rho.weights, pi.weights, p)
+    assert abs(value - (f_divergence(rho, pi, PhiP(p)) + 1.0)) <= 1e-12 * value
+    # The definition sum_j pi_j (rho_j / pi_j)**p, computed independently.
+    direct = float(np.sum(pi.weights * (rho.weights / pi.weights) ** p))
+    assert abs(value - direct) <= 1e-12 * direct
+
+    # Stacked rows agree with single rows; mass off the support of pi is +inf.
+    off = np.append(pi.weights[:-1], 0.0)
+    off_pi = DiscreteDistribution(off / off.sum())
+    rows = np.stack([rho.weights, pi.weights])
+    stacked = power_divergence_plus_one(rows, off_pi.weights, p)
+    assert math.isinf(stacked[0]) == (rho.weights[-1] > 0)
+    assert stacked[1] == power_divergence_plus_one(pi.weights, off_pi.weights, p)
+    assert math.isinf(stacked[1]) and math.isinf(f_divergence(pi, off_pi, PhiP(p)))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,42 @@ def test_config_error_cases():
     ar["generator"] = {"kind": "ar1", "a": 0.5, "noise": {"kind": "gaussian", "variance": 1.0}}
     with pytest.raises(ConfigError):  # variance regime rejects dependent rows
         config_from_dict(ar)
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    # Misspelled or foreign loss keys, truncating ints and truthy strings.
+    ("experiment", "loss", {"kind": "zero_one", "thresh": 5}, "experiment.loss.thresh"),
+    ("experiment", "loss", {"kind": "squared", "threshold": 1}, "experiment.loss.threshold"),
+    ("experiment", "n", 200.7, "experiment.n"),
+    ("regime", "optimize_q", "no", "regime.optimize_q"),
+    # Strings outside each field's Literal choices.
+    ("regime", "s2", "bogus", "regime.s2"),
+    ("regime", "alpha_sum", "bogus", "regime.alpha_sum"),
+    ("regime", "moment_integral", "bogus", "regime.moment_integral"),
+    ("prior", "law", "cauchy", "prior.law"),
+])
+def test_config_rejects_bad_values_naming_the_key(section, key, value, named):
+    raw = yaml.safe_load(BASE_YAML)
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        config_from_dict(raw)
+
+
+def test_config_unknown_kind_names_the_key():
+    raw = yaml.safe_load(BASE_YAML)
+    raw["generator"]["noise"] = {"kind": "cauchy"}
+    with pytest.raises(ConfigError, match=re.escape("generator.noise.kind")):
+        config_from_dict(raw)
+
+
+def test_config_defaults_come_from_the_dataclasses():
+    raw = yaml.safe_load(BASE_YAML)
+    for key in ("seed", "replications", "p", "probes", "gamma_grid"):
+        del raw["experiment"][key]
+    config = config_from_dict(raw)
+    assert (config.seed, config.replications, config.p, config.probes, config.workers) == (
+        0, 100, 2.0, 100, 1)
+    assert config.gamma_grid == tuple(np.linspace(0.05, 0.9, 10).tolist())
 
 
 def test_mixing_bounded_requires_zero_one_loss():
@@ -200,10 +237,10 @@ def test_run_aggregate_records():
 
 def test_run_coverage_small():
     report = run_coverage(base_config())
-    assert report.replications == 50
-    assert 0.0 <= report.coverage_two_sided <= 1.0
-    assert 0.0 <= report.coverage_oracle <= 1.0
-    assert report.coverage_two_sided >= 0.9  # conservative bound, tiny sample
+    assert report.summary["replications"] == 50
+    assert 0.0 <= report.summary["coverage_two_sided"] <= 1.0
+    assert 0.0 <= report.summary["coverage_oracle"] <= 1.0
+    assert report.summary["coverage_two_sided"] >= 0.9  # conservative bound, tiny sample
     rec = report.records[0]
     for key in ("rbar", "margin_rho_hat", "hit_two_sided", "regime", "c1", "moment_bound"):
         assert key in rec
@@ -217,6 +254,23 @@ def test_oracle_level_sandwich_on_two_sided_event():
     for rec in report.records:
         if rec["hit_rho_hat"]:
             assert rec["rho_hat_true_integral"] <= rec["rbar"] + 1e-9
+
+
+def test_run_coverage_erm_off_prior_support():
+    # Noiseless data make the truth atom the ERM; it carries no prior mass,
+    # so its point-mass certificate is vacuous and counts as a hit.
+    config = base_config(
+        generator=IidLinearRegression(theta_star=(0.5, -0.3),
+                                      x_law=IsotropicGaussianX(1.0),
+                                      noise=GaussianNoise(variance=0.0)),
+        prior=ExplicitPrior(atoms=np.array([[0.5, -0.3], [0.0, 0.0], [1.0, 1.0]]),
+                            weights=np.array([0.0, 0.5, 0.5])),
+    )
+    report = run_coverage(config)
+    for rec in report.records:
+        assert rec["erm_index"] == 0
+        assert math.isinf(rec["margin_erm"]) and rec["hit_erm"] is True
+    assert report.summary["coverage_erm"] == 1.0
 
 
 def test_run_coverage_requires_50_replications():
@@ -245,8 +299,8 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
     inflated = base_config(replications=50, probes=5,
                            regime=RegimeConfig(kind="variance", s2=1e6))
     r3 = run_coverage(inflated)
-    assert r3.coverage_two_sided >= r1.coverage_two_sided
-    assert r3.coverage_two_sided == 1.0
+    assert r3.summary["coverage_two_sided"] >= r1.summary["coverage_two_sided"]
+    assert r3.summary["coverage_two_sided"] == 1.0
 
 
 def test_run_coverage_worker_equivalence():
