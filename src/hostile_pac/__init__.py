@@ -16,13 +16,13 @@ from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
                       StudentTNoise, UniformBoxX, analytic_moments, generate,
                       mixing_spec_for, true_risk_closed_form)
-from .divergence import (KL, ChiSquare, DivergenceKind, PhiP,
-                         divergence_plus_one_uniform, f_divergence)
-from .moments import (IidVariance, MixingBounded, MixingUnbounded, MomentBound,
-                      SubGaussian, empirical_moment_estimate, geometric_alpha_sum,
-                      kappa_quadratic, moment_iid_variance, moment_mixing_bounded,
-                      moment_mixing_unbounded, moment_subgaussian, optimal_q_finite,
-                      optimized_erm_margin)
+from .divergence import (KL, DivergenceKind, PhiP, divergence_plus_one_uniform,
+                         f_divergence)
+from .moments import (MixingBoundedRegime, MixingUnbounded, MixingUnboundedRegime,
+                      MomentBound, RegimeSpec, SubGaussianRegime, VarianceRegime,
+                      empirical_moment_estimate, geometric_alpha_sum, kappa_quadratic,
+                      moment_iid_variance, moment_mixing_bounded, moment_mixing_unbounded,
+                      moment_subgaussian, optimal_q_finite, optimized_erm_margin)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior,
                           build_prior, expectation, prior_moment_tau)

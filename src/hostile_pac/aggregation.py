@@ -69,7 +69,7 @@ class BoundConfig:
     def from_q(cls, q: float, delta: float, moment: MomentBound) -> "BoundConfig":
         if not q > 1:
             raise ValueError("q must exceed 1")
-        return cls(p=q / (q - 1.0), delta=delta, moment=moment)
+        return cls(p=q / (q - 1.0), delta=delta, moment=moment, q=q)
 
     @property
     def budget(self) -> float:
@@ -252,16 +252,14 @@ def erm_index(rn: np.ndarray) -> int:
 
 
 def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
-                      gamma_grid: np.ndarray,
-                      cap: float = COMPLEXITY_CAP,
-                      resolution: float = COMPLEXITY_RESOLUTION) -> ComplexityEstimate:
+                      gamma_grid: np.ndarray) -> ComplexityEstimate:
     """Certify a sublevel-mass exponent d on a gamma grid inside (0, 1).
 
     For each grid point the prior mass of {values <= min + gamma} must be at
     least gamma**d. The certified d is the feasibility threshold rounded up
-    to ``resolution`` (validity is monotone in d on (0, 1) grids); when the
-    threshold exceeds ``cap`` the estimate is meaningless for a discrete
-    prior and the check reports unsatisfied.
+    to ``COMPLEXITY_RESOLUTION`` (validity is monotone in d on (0, 1) grids);
+    when the threshold exceeds ``COMPLEXITY_CAP`` the estimate is meaningless
+    for a discrete prior and the check reports unsatisfied.
     """
     grid = np.sort(np.asarray(gamma_grid, dtype=float).ravel())
     if grid.size == 0:
@@ -275,17 +273,17 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     floor = values.min()
     masses = np.array([float(pi.weights[values <= floor + g].sum()) for g in grid])
     if np.any(masses <= 0.0):
-        return ComplexityEstimate(cap, interval, False)
+        return ComplexityEstimate(COMPLEXITY_CAP, interval, False)
     binding = masses < 1.0
     if not np.any(binding):
         # Full mass at every grid point: every exponent works.
-        return ComplexityEstimate(cap, interval, True)
+        return ComplexityEstimate(COMPLEXITY_CAP, interval, True)
     threshold = float(np.max(np.log(masses[binding]) / np.log(grid[binding])))
-    d = max(resolution, math.ceil(threshold / resolution) * resolution)
-    while d <= cap and not np.all(masses >= grid**d):
-        d += resolution
-    if d > cap:
-        return ComplexityEstimate(cap, interval, False)
+    d = COMPLEXITY_RESOLUTION * max(1, math.ceil(threshold / COMPLEXITY_RESOLUTION))
+    while d <= COMPLEXITY_CAP and not np.all(masses >= grid**d):
+        d += COMPLEXITY_RESOLUTION
+    if d > COMPLEXITY_CAP:
+        return ComplexityEstimate(COMPLEXITY_CAP, interval, False)
     return ComplexityEstimate(d, interval, True)
 
 

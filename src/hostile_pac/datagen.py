@@ -222,20 +222,21 @@ def generate(spec: GeneratorSpec, n: int, seed: int) -> Dataset:
 # Closed-form moments
 # ---------------------------------------------------------------------------
 
-def _score_moments(law: XLaw, w: np.ndarray) -> tuple[float, float, float | None]:
-    """Second/fourth/sixth moments of <w, X> for a symmetric x law.
+def _score_moments(law: XLaw, w: np.ndarray, top: int) -> list[np.ndarray]:
+    """[E s**2, E s**4, ...] up to order ``top`` of s = <w_j, X>, per row w_j of w.
 
-    The sixth moment is only available for Gaussian designs (None otherwise).
+    Sixth moments are implemented for Gaussian designs only.
     """
+    sq = np.sum(w**2, axis=1)
     if isinstance(law, IsotropicGaussianX):
-        m2 = law.scale**2 * float(w @ w)
-        return m2, 3 * m2**2, 15 * m2**3
+        m2 = law.scale**2 * sq
+        return [m2, 3 * m2**2, 15 * m2**3][:top // 2]
+    if top > 4:
+        raise NoClosedFormError("sixth score moments implemented for Gaussian designs only")
     b = law.halfwidth
-    sq = float(w @ w)
-    quart = float(np.sum(w**4))
+    quart = np.sum(w**4, axis=1)
     m2 = (b**2 / 3.0) * sq
-    m4 = (b**4 / 5.0) * quart + (b**4 / 3.0) * (sq**2 - quart)
-    return m2, m4, None
+    return [m2, (b**4 / 5.0) * quart + (b**4 / 3.0) * (sq**2 - quart)][:top // 2]
 
 
 def _x_norm4(law: XLaw, dim: int) -> float:
@@ -261,6 +262,39 @@ def _ar1_y_moments(spec: AR1, order: int) -> float:
     return (15 * a**4 * m4 * e2 + 15 * a**2 * m2 * e4 + e6) / (1.0 - a**6)
 
 
+def _sum_moments(x: list, y: list) -> list:
+    """Even moments of X + Y from those of independent X and Y, X symmetric.
+
+    ``x`` and ``y`` list E X**2, E X**4, ...; the odd moments of X vanish, so
+    E (X + Y)**2m = sum_k binom(2m, 2k) E X**2k E Y**(2m - 2k).
+    """
+    x, y = [1.0, *x], [1.0, *y]
+    return [sum(math.comb(2 * m, 2 * k) * x[k] * y[m - k] for k in range(m, -1, -1))
+            for m in range(1, len(x))]
+
+
+def _residual_moments(spec: IidLinearRegression | AR1, atoms: AtomSet,
+                      top: int) -> list[np.ndarray]:
+    """[E u**2, E u**4, ...] up to order ``top`` per atom, u = y - <theta, x>.
+
+    For i.i.d. regression u is the score <theta_star - theta, x> plus the
+    noise; for AR(1) it is (a - theta_1) y_lag plus the innovation, shifted by
+    the constant -theta_0. Raises :class:`MomentDoesNotExistError` when a
+    noise moment up to ``top`` diverges, and :class:`NoClosedFormError` for a
+    sixth moment under a non-Gaussian design.
+    """
+    if atoms.dim != spec.dim:
+        raise ValueError("atom dimension does not match the generator")
+    orders = range(2, top + 1, 2)
+    if isinstance(spec, IidLinearRegression):
+        score = _score_moments(spec.x_law, np.asarray(spec.theta_star) - atoms.coords, top)
+        return _sum_moments(score, [noise_moment(spec.noise, k) for k in orders])
+    intercept, lag_w = atoms.coords[:, 0], atoms.coords[:, 1]
+    lag = [(spec.a - lag_w) ** k * _ar1_y_moments(spec, k) for k in orders]
+    centered = _sum_moments(lag, [noise_moment(spec.noise, k) for k in orders])
+    return _sum_moments(centered, [intercept**k for k in orders])
+
+
 @dataclass(frozen=True)
 class GeneratorMoments:
     """Closed-form observation moments; ey6 is None when unavailable."""
@@ -281,21 +315,14 @@ def analytic_moments(spec: GeneratorSpec) -> GeneratorMoments:
     than silently approximated.
     """
     if isinstance(spec, IidLinearRegression):
-        w = np.asarray(spec.theta_star)
-        s2, s4, s6 = _score_moments(spec.x_law, w)
-        e2 = noise_moment(spec.noise, 2)
-        e4 = noise_moment(spec.noise, 4)
-        ey2 = s2 + e2
-        ey4 = s4 + 6 * s2 * e2 + e4
-        ey6 = None
-        if s6 is not None:
-            try:
-                e6 = noise_moment(spec.noise, 6)
-            except MomentDoesNotExistError:
-                e6 = None
-            if e6 is not None:
-                ey6 = s6 + 15 * s4 * e2 + 15 * s2 * e4 + e6
-        return GeneratorMoments(ey2, ey4, ey6, _x_norm4(spec.x_law, spec.dim), e2)
+        zero = AtomSet(np.zeros((1, spec.dim)))  # y is the residual of the zero atom
+        ey2, ey4 = (float(m[0]) for m in _residual_moments(spec, zero, 4))
+        try:
+            ey6 = float(_residual_moments(spec, zero, 6)[2][0])
+        except (MomentDoesNotExistError, NoClosedFormError):
+            ey6 = None
+        return GeneratorMoments(ey2, ey4, ey6, _x_norm4(spec.x_law, spec.dim),
+                                noise_moment(spec.noise, 2))
     if isinstance(spec, AR1):
         m2 = _ar1_y_moments(spec, 2)
         m4 = _ar1_y_moments(spec, 4)
@@ -313,13 +340,6 @@ def analytic_moments(spec: GeneratorSpec) -> GeneratorMoments:
 # ---------------------------------------------------------------------------
 # True risk
 # ---------------------------------------------------------------------------
-
-def _x_cov_scale(law: XLaw) -> float:
-    """Cov(X) = scale * I for both symmetric designs."""
-    if isinstance(law, IsotropicGaussianX):
-        return law.scale**2
-    return law.halfwidth**2 / 3.0
-
 
 def _classification_risk(spec: BoundedClassification, atoms: AtomSet) -> np.ndarray:
     """R(theta) = eta + (1 - 2 eta) * angle(theta, theta_star) / pi.
@@ -379,17 +399,8 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet,
     """
     if loss is None:
         loss = ZeroOneLoss() if isinstance(spec, BoundedClassification) else SquaredLoss()
-    if isinstance(spec, IidLinearRegression) and isinstance(loss, SquaredLoss):
-        if atoms.dim != spec.dim:
-            raise ValueError("atom dimension does not match the generator")
-        diff = atoms.coords - np.asarray(spec.theta_star)
-        return _x_cov_scale(spec.x_law) * np.sum(diff**2, axis=1) + noise_moment(spec.noise, 2)
-    if isinstance(spec, AR1) and isinstance(loss, SquaredLoss):
-        if atoms.dim != 2:
-            raise ValueError("AR(1) atoms must be 2-dimensional (intercept, lag weight)")
-        m2 = _ar1_y_moments(spec, 2)
-        intercept, lag_w = atoms.coords[:, 0], atoms.coords[:, 1]
-        return (spec.a - lag_w) ** 2 * m2 + noise_moment(spec.noise, 2) + intercept**2
+    if isinstance(spec, (IidLinearRegression, AR1)) and isinstance(loss, SquaredLoss):
+        return _residual_moments(spec, atoms, 2)[0]
     if isinstance(spec, BoundedClassification) and isinstance(loss, ZeroOneLoss):
         if loss.threshold == 0.0 and isinstance(spec.x_law, IsotropicGaussianX):
             if atoms.dim != spec.dim:
@@ -475,54 +486,20 @@ def squared_loss_variances(spec: IidLinearRegression, atoms: AtomSet) -> np.ndar
     """Exact Var[loss(theta)] per atom for i.i.d. squared-loss regression.
 
     With u = <theta_star - theta, x> + eps the loss is u^2, so the variance
-    is E u^4 - (E u^2)^2, assembled from the symmetric-design score moments.
+    is E u^4 - (E u^2)^2.
     """
     if not isinstance(spec, IidLinearRegression):
         raise TypeError("exact loss variances are only defined for i.i.d. regression")
-    e2 = noise_moment(spec.noise, 2)
-    e4 = noise_moment(spec.noise, 4)
-    out = np.empty(len(atoms))
-    star = np.asarray(spec.theta_star)
-    for j, theta in enumerate(atoms.coords):
-        s2, s4, _ = _score_moments(spec.x_law, star - theta)
-        eu2 = s2 + e2
-        eu4 = s4 + 6 * s2 * e2 + e4
-        out[j] = eu4 - eu2**2
-    return out
+    eu2, eu4 = _residual_moments(spec, atoms, 4)
+    return eu4 - eu2**2
 
 
 def squared_loss_third_moments(spec: GeneratorSpec, atoms: AtomSet) -> np.ndarray:
     """Exact E[loss(theta)**3] per atom for the squared loss.
 
-    For AR(1) the residual splits as u - theta_0 with u symmetric, so the
-    sixth moment expands through even binomial terms only. Requires sixth
-    noise moments (dof > 6 under Student-t).
+    This is E u**6 of the residual u. Requires sixth noise moments (dof > 6
+    under Student-t) and, for i.i.d. regression, a Gaussian design.
     """
-    if isinstance(spec, AR1):
-        e2 = noise_moment(spec.noise, 2)
-        e4 = noise_moment(spec.noise, 4)
-        e6 = noise_moment(spec.noise, 6)
-        m2 = _ar1_y_moments(spec, 2)
-        m4 = _ar1_y_moments(spec, 4)
-        m6 = _ar1_y_moments(spec, 6)
-        out = np.empty(len(atoms))
-        for j, (theta0, theta1) in enumerate(atoms.coords):
-            c = spec.a - theta1
-            eu2 = c**2 * m2 + e2
-            eu4 = c**4 * m4 + 6 * c**2 * m2 * e2 + e4
-            eu6 = c**6 * m6 + 15 * c**4 * m4 * e2 + 15 * c**2 * m2 * e4 + e6
-            out[j] = eu6 + 15 * eu4 * theta0**2 + 15 * eu2 * theta0**4 + theta0**6
-        return out
-    if isinstance(spec, IidLinearRegression):
-        if not isinstance(spec.x_law, IsotropicGaussianX):
-            raise NoClosedFormError("sixth score moments implemented for Gaussian designs only")
-        e2 = noise_moment(spec.noise, 2)
-        e4 = noise_moment(spec.noise, 4)
-        e6 = noise_moment(spec.noise, 6)
-        star = np.asarray(spec.theta_star)
-        out = np.empty(len(atoms))
-        for j, theta in enumerate(atoms.coords):
-            s2, s4, s6 = _score_moments(spec.x_law, star - theta)
-            out[j] = s6 + 15 * s4 * e2 + 15 * s2 * e4 + e6
-        return out
+    if isinstance(spec, (IidLinearRegression, AR1)):
+        return _residual_moments(spec, atoms, 6)[2]
     raise NoClosedFormError("third loss moments implemented for regression generators only")

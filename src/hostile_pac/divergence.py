@@ -1,11 +1,11 @@
 """Csiszar f-divergences between discrete distributions on a shared atom set.
 
-Supported generators: the power family f(x) = x**p - 1 for p > 1, KL
-(f = x log x, natural log), and chi-square (f = x**2 - 1, identical to the
-power family at p = 2). Non-absolute-continuity returns ``inf`` rather than
-raising: a bound evaluated at an infinite divergence is vacuously true and
-downstream code propagates the infinity. The power family is computed in one
-place, :func:`power_divergence_plus_one`, in the D + 1 form the certificates use.
+Supported generators: the power family f(x) = x**p - 1 for p > 1 (chi-square
+is ``PhiP(2)``) and KL (f = x log x, natural log). Non-absolute-continuity
+returns ``inf`` rather than raising: a bound evaluated at an infinite
+divergence is vacuously true and downstream code propagates the infinity. The
+power family is computed in one place, :func:`power_divergence_plus_one`, in
+the D + 1 form the certificates use.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ class KL:
     """Kullback-Leibler generator f(x) = x log x."""
 
 
-@dataclass(frozen=True)
-class ChiSquare:
-    """Chi-square generator f(x) = x**2 - 1."""
-
-
-DivergenceKind = PhiP | KL | ChiSquare
+DivergenceKind = PhiP | KL
 
 
 def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution,
@@ -58,8 +53,7 @@ def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution,
     if isinstance(kind, KL):
         pos = r > 0.0
         return float(np.sum(r[pos] * np.log(r[pos] / w[pos])))
-    p = 2.0 if isinstance(kind, ChiSquare) else kind.p
-    return float(power_divergence_plus_one(r, w, p)) - 1.0
+    return float(power_divergence_plus_one(r, w, kind.p)) - 1.0
 
 
 def power_divergence_plus_one(rows: np.ndarray, pi_weights: np.ndarray,

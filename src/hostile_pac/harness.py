@@ -44,8 +44,9 @@ from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
                       NoClosedFormError, StudentTNoise, UniformBoxX)
 from .divergence import power_divergence_plus_one
-from .moments import (MixingUnbounded, geometric_alpha_sum, kappa_quadratic,
-                      moment_iid_variance, moment_mixing_bounded,
+from .moments import (MixingBoundedRegime, MixingUnbounded, MixingUnboundedRegime,
+                      RegimeSpec, SubGaussianRegime, VarianceRegime, geometric_alpha_sum,
+                      kappa_quadratic, moment_iid_variance, moment_mixing_bounded,
                       moment_mixing_unbounded, moment_subgaussian, optimal_q_finite)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior, build_prior,
@@ -62,31 +63,6 @@ class AssumptionError(RuntimeError):
     """A required prior-mass assumption failed to certify (CLI exit code 3)."""
 
 
-RegimeKind = Literal["variance", "subgaussian", "mixing_bounded", "mixing_unbounded"]
-
-
-@dataclass(frozen=True)
-class RegimeConfig:
-    """Which moment route to use and the constants it needs.
-
-    ``s2`` is a number, or ``"kappa"`` for the fourth-moment majorant, or
-    ``"exact"`` for the exact integrated loss variance (i.i.d. squared-loss
-    regression only). ``optimize_q`` switches the sub-Gaussian route to the
-    finite-class optimized exponent, overriding ``p``.
-    """
-
-    kind: RegimeKind
-    s2: float | Literal["kappa", "exact"] = "kappa"
-    sigma2: float | None = None
-    q: float | None = None
-    optimize_q: bool = False
-    r: float = 3.0
-    s: float = 3.0
-    davydov_factor: float = 8.0
-    alpha_sum: float | Literal["envelope"] = "envelope"
-    moment_integral: float | Literal["analytic"] = "analytic"
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One experiment; the config file's ``experiment`` section plus the
@@ -98,7 +74,7 @@ class ExperimentConfig:
     loss: LossKind
     p: float = 2.0
     delta: float
-    regime: RegimeConfig
+    regime: RegimeSpec
     n: int
     replications: int = 100
     seed: int = 0
@@ -124,30 +100,35 @@ class ExperimentConfig:
 
 
 def _validate_cross_fields(cfg: ExperimentConfig) -> None:
-    kind = cfg.regime.kind
-    if kind not in get_args(RegimeKind):
-        raise ConfigError(f"regime.kind must be one of {get_args(RegimeKind)}, got {kind!r}")
+    regime = cfg.regime
     is_ar1 = isinstance(cfg.generator, AR1)
-    if kind in ("mixing_bounded", "mixing_unbounded"):
+    if isinstance(regime, (MixingBoundedRegime, MixingUnboundedRegime)):
         if not is_ar1:
             raise ConfigError("mixing regimes require the AR(1) generator")
         if abs(cfg.p - 2.0) > 1e-12:
             raise ConfigError("mixing regimes certify q = 2, so p must be 2")
-    if kind == "mixing_bounded" and not isinstance(cfg.loss, ZeroOneLoss):
+    elif is_ar1:
+        raise ConfigError(f"the {_REGIME_KIND[type(regime)]} regime requires independent "
+                          "rows, not AR(1)")
+    if isinstance(regime, MixingBoundedRegime) and not isinstance(cfg.loss, ZeroOneLoss):
         raise ConfigError("mixing_bounded requires losses in [0, 1]: use the zero-one loss")
-    if kind in ("variance", "subgaussian") and is_ar1:
-        raise ConfigError(f"the {kind} regime requires independent rows, not AR(1)")
-    if kind == "variance" and cfg.p < 2:
+    if isinstance(regime, VarianceRegime) and cfg.p < 2:
         raise ConfigError("the variance regime needs q <= 2, i.e. p >= 2")
-    if kind == "variance" and cfg.regime.s2 in ("kappa", "exact"):
+    if isinstance(regime, VarianceRegime) and regime.s2 in ("kappa", "exact"):
         if not (isinstance(cfg.generator, IidLinearRegression)
                 and isinstance(cfg.loss, SquaredLoss)):
             raise ConfigError(
                 "analytic s2 modes apply to i.i.d. squared-loss regression; "
                 "supply a numeric s2 otherwise"
             )
-    if kind == "subgaussian" and cfg.regime.sigma2 is None:
-        raise ConfigError("regime.sigma2 is required by the subgaussian regime")
+    if isinstance(regime, SubGaussianRegime) and regime.optimize_q and regime.q is not None:
+        raise ConfigError("regime.q cannot be combined with regime.optimize_q, which sets q")
+    if isinstance(regime, MixingUnboundedRegime) and regime.moment_integral == "analytic":
+        if abs(regime.s - 3.0) > 1e-12 or not isinstance(cfg.loss, SquaredLoss):
+            raise ConfigError(
+                "regime.moment_integral: analytic is implemented for the squared loss "
+                "at s = 3; supply a number otherwise"
+            )
     if isinstance(cfg.generator, AR1) and cfg.n < 2:
         raise ConfigError("experiment.n must be at least 2 for AR(1)")
     for g in cfg.gamma_grid:
@@ -169,7 +150,11 @@ _KINDS = {
     PriorSpec: {"uniform_grid": UniformGridPrior, "iid_sample": IidSamplePrior,
                 "explicit": ExplicitPrior},
     LossKind: {"squared": SquaredLoss, "absolute": AbsoluteLoss, "zero_one": ZeroOneLoss},
+    RegimeSpec: {"variance": VarianceRegime, "subgaussian": SubGaussianRegime,
+                 "mixing_bounded": MixingBoundedRegime,
+                 "mixing_unbounded": MixingUnboundedRegime},
 }
+_REGIME_KIND = {cls: kind for kind, cls in _KINDS[RegimeSpec].items()}
 _SECTIONS = ("generator", "prior", "regime")
 _hints = cache(get_type_hints)  # resolves string annotations once per class
 # YAML value types accepted for each scalar annotation; no truncation, no truthiness.
@@ -325,19 +310,8 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
     regime = config.regime
     spec = config.generator
     n = config.n
-    constants: dict = {"regime": regime.kind, "c1": None, "c2": None}
-    if regime.kind in ("mixing_bounded", "mixing_unbounded"):
-        envelope = datagen.mixing_spec_for(spec)
-        constants["c1"] = envelope.c1
-        constants["c2"] = envelope.c2
-        # Sum of alpha_j**(1/power) over the envelope: power 1 when bounded, r otherwise.
-        power = 1.0 if regime.kind == "mixing_bounded" else regime.r
-        if regime.alpha_sum == "envelope":
-            alpha_sum = geometric_alpha_sum(envelope.c1, envelope.c2, power)
-        else:
-            alpha_sum = float(regime.alpha_sum)
-
-    if regime.kind == "variance":
+    constants: dict = {"regime": _REGIME_KIND[type(regime)], "c1": None, "c2": None}
+    if isinstance(regime, VarianceRegime):
         if regime.s2 == "kappa":
             mom = datagen.analytic_moments(spec)
             tau = prior_moment_tau(atoms, pi, 4.0)
@@ -354,7 +328,7 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
         bound = moment_iid_variance(s2, n, q)
         return BoundConfig(p=config.p, delta=config.delta, moment=bound), constants
 
-    if regime.kind == "subgaussian":
+    if isinstance(regime, SubGaussianRegime):
         sigma2 = float(regime.sigma2)
         if regime.optimize_q:
             opt = optimal_q_finite(len(atoms), config.delta)
@@ -368,29 +342,30 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
         bound = moment_subgaussian(sigma2, n, q)
         return BoundConfig.from_q(q, config.delta, bound), constants
 
-    if regime.kind == "mixing_bounded":
+    envelope = datagen.mixing_spec_for(spec)
+    constants.update(c1=envelope.c1, c2=envelope.c2)
+    bounded = isinstance(regime, MixingBoundedRegime)
+    # Sum of alpha_j**(1/power) over the envelope: power 1 when bounded, r otherwise.
+    power = 1.0 if bounded else regime.r
+    if regime.alpha_sum == "envelope":
+        alpha_sum = geometric_alpha_sum(envelope.c1, envelope.c2, power)
+    else:
+        alpha_sum = float(regime.alpha_sum)
+    if bounded:
         constants["alpha_sum"] = alpha_sum
         bound = moment_mixing_bounded(alpha_sum, n)
         return BoundConfig(p=2.0, delta=config.delta, moment=bound), constants
 
-    # mixing_unbounded
     if regime.moment_integral == "analytic":
-        if abs(regime.s - 3.0) > 1e-12 or not isinstance(config.loss, SquaredLoss):
-            raise ConfigError(
-                "the analytic moment integral is implemented for the squared loss "
-                "at s = 3; supply moment_integral explicitly otherwise"
-            )
         third = datagen.squared_loss_third_moments(spec, atoms)
         moment_integral = float(pi.weights @ third ** (2.0 / 3.0))
     else:
         moment_integral = float(regime.moment_integral)
-    constants.update(r=regime.r, s=regime.s, alpha_frac_sum=alpha_sum,
-                     moment_integral=moment_integral,
-                     davydov_factor=regime.davydov_factor)
     unbounded = MixingUnbounded(r=regime.r, s=regime.s,
                                 moment_integral=moment_integral,
                                 alpha_frac_sum=alpha_sum,
                                 davydov_factor=regime.davydov_factor)
+    constants.update(dataclasses.asdict(unbounded))
     bound = moment_mixing_unbounded(unbounded, n)
     return BoundConfig(p=2.0, delta=config.delta, moment=bound), constants
 

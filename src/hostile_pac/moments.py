@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -25,36 +26,58 @@ EXPONENT_IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class IidVariance:
-    """s2 = prior-integrated variance of a single-observation loss."""
+class VarianceRegime:
+    """The ``variance`` regime: i.i.d. rows, q <= 2, integrated loss variance s2.
 
-    s2: float
+    ``s2`` is a number, or ``"kappa"`` for the fourth-moment majorant, or
+    ``"exact"`` for the exact integrated loss variance (both for i.i.d.
+    squared-loss regression only).
+    """
 
-    def __post_init__(self) -> None:
-        if not self.s2 >= 0:
-            raise ValueError("s2 must be nonnegative")
+    s2: float | Literal["kappa", "exact"] = "kappa"
 
 
 @dataclass(frozen=True)
-class SubGaussian:
-    """Per-atom losses sub-Gaussian with a shared parameter sigma2."""
+class SubGaussianRegime:
+    """The ``subgaussian`` regime: per-atom losses sub-Gaussian with parameter sigma2.
+
+    q defaults to the conjugate of p; ``optimize_q`` uses the finite-class
+    optimized exponent instead, so it excludes an explicit ``q``.
+    """
 
     sigma2: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma2 >= 0:
-            raise ValueError("sigma2 must be nonnegative")
+    q: float | None = None
+    optimize_q: bool = False
 
 
 @dataclass(frozen=True)
-class MixingBounded:
-    """Losses in [0, 1] with summable alpha-mixing coefficients."""
+class MixingBoundedRegime:
+    """The ``mixing_bounded`` regime: losses in [0, 1], summable alpha-mixing.
 
-    alpha_sum: float
+    ``alpha_sum`` is a number, or ``"envelope"`` for the majorized sum of the
+    generator's assumed geometric envelope.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.alpha_sum >= 0:
-            raise ValueError("alpha_sum must be nonnegative")
+    alpha_sum: float | Literal["envelope"] = "envelope"
+
+
+@dataclass(frozen=True)
+class MixingUnboundedRegime:
+    """The ``mixing_unbounded`` regime: unbounded losses under alpha-mixing.
+
+    Resolved into :class:`MixingUnbounded`. ``alpha_sum`` is the sum of
+    alpha_j**(1/r), or ``"envelope"``; ``moment_integral`` is a number, or
+    ``"analytic"`` for the closed form (squared loss at s = 3 only).
+    """
+
+    r: float = 3.0
+    s: float = 3.0
+    davydov_factor: float = 8.0
+    alpha_sum: float | Literal["envelope"] = "envelope"
+    moment_integral: float | Literal["analytic"] = "analytic"
+
+
+RegimeSpec = VarianceRegime | SubGaussianRegime | MixingBoundedRegime | MixingUnboundedRegime
 
 
 @dataclass(frozen=True)
@@ -81,9 +104,6 @@ class MixingUnbounded:
             raise ValueError("exponents must satisfy 1/r + 2/s = 1")
         if not self.moment_integral >= 0 or not self.alpha_frac_sum >= 0:
             raise ValueError("moment_integral and alpha_frac_sum must be nonnegative")
-
-
-MomentRegime = IidVariance | SubGaussian | MixingBounded | MixingUnbounded
 
 
 @dataclass(frozen=True)

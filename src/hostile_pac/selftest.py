@@ -18,7 +18,7 @@ from .aggregation import (BoundConfig, catoni_pi_gamma, erm_index,
 from .datagen import (AR1, GaussianNoise, IidLinearRegression,
                       IsotropicGaussianX, StudentTNoise, noise_moment,
                       true_risk_closed_form)
-from .divergence import KL, ChiSquare, PhiP, divergence_plus_one_uniform, f_divergence
+from .divergence import KL, PhiP, divergence_plus_one_uniform, f_divergence
 from .moments import (MixingUnbounded, MomentBound, geometric_alpha_sum,
                       kappa_quadratic, moment_iid_variance, moment_mixing_bounded,
                       moment_mixing_unbounded, moment_subgaussian,
@@ -54,7 +54,7 @@ def _check_prior_moment():
 def _check_divergences():
     rho = DiscreteDistribution(np.array([0.5, 0.5]))
     pi = DiscreteDistribution(np.array([0.25, 0.75]))
-    _close(f_divergence(rho, pi, ChiSquare()), 1.0 / 3.0)
+    _close(f_divergence(rho, pi, PhiP(2.0)), 1.0 / 3.0)
     _close(f_divergence(rho, pi, KL()), 0.5 * math.log(4.0 / 3.0))
     dirac = DiscreteDistribution.dirac(10, 0)
     _close(f_divergence(dirac, DiscreteDistribution.uniform(10), PhiP(2.0)) + 1.0, 10.0)

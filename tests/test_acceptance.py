@@ -16,9 +16,11 @@ from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise,
                                  MixingBoundSpec, StudentTNoise, generate,
                                  true_risk_closed_form)
 from hostile_pac.divergence import PhiP, divergence_plus_one_uniform, f_divergence
-from hostile_pac.harness import (ExperimentConfig, RegimeConfig, fit_loglog_slope,
-                                 resolve_moment, run_coverage, run_sweep)
-from hostile_pac.moments import (empirical_moment_estimate, moment_subgaussian,
+from hostile_pac.harness import (ExperimentConfig, fit_loglog_slope, resolve_moment,
+                                 run_coverage, run_sweep)
+from hostile_pac.moments import (MixingBoundedRegime, MixingUnboundedRegime,
+                                 SubGaussianRegime, VarianceRegime,
+                                 empirical_moment_estimate, moment_subgaussian,
                                  optimal_q_finite, optimized_erm_margin)
 from hostile_pac.param_space import (DiscreteDistribution, IidSamplePrior,
                                      build_prior, expectation)
@@ -154,7 +156,7 @@ CRIT6_CONFIG = ExperimentConfig(
     loss=SquaredLoss(),
     p=2.0,
     delta=0.1,
-    regime=RegimeConfig(kind="variance", s2="kappa"),
+    regime=VarianceRegime(s2="kappa"),
     n=200,
     replications=500,
     seed=606,
@@ -181,7 +183,7 @@ CRIT7_CONFIG = ExperimentConfig(
     loss=SquaredLoss(),
     p=2.0,
     delta=0.1,
-    regime=RegimeConfig(kind="mixing_unbounded", r=3.0, s=3.0, davydov_factor=8.0),
+    regime=MixingUnboundedRegime(r=3.0, s=3.0, davydov_factor=8.0),
     n=500,
     replications=300,
     seed=707,
@@ -209,7 +211,7 @@ CRIT8_CONFIG = ExperimentConfig(
     loss=SquaredLoss(),
     p=2.0,
     delta=0.1,
-    regime=RegimeConfig(kind="variance", s2="exact"),
+    regime=VarianceRegime(s2="exact"),
     n=1000,
     replications=200,
     seed=808,
@@ -267,23 +269,23 @@ def test_criterion_10_moment_bound_validity():
     configs = {
         "iid_variance": ExperimentConfig(
             generator=CRIT6_CONFIG.generator, prior=prior20, loss=SquaredLoss(),
-            p=2.0, delta=0.1, regime=RegimeConfig(kind="variance", s2="kappa"),
+            p=2.0, delta=0.1, regime=VarianceRegime(s2="kappa"),
             **shared),
         "subgaussian": ExperimentConfig(
             generator=BoundedClassification(theta_star=(1.0, -0.5),
                                             x_law=IsotropicGaussianX(1.0),
                                             flip_prob=0.1),
             prior=prior20, loss=ZeroOneLoss(), p=2.0, delta=0.1,
-            regime=RegimeConfig(kind="subgaussian", sigma2=0.25, q=4.0), **shared),
+            regime=SubGaussianRegime(sigma2=0.25, q=4.0), **shared),
         "mixing_bounded": ExperimentConfig(
             generator=AR1(a=0.5, noise=GaussianNoise(variance=1.0),
                           mixing=MixingBoundSpec(c1=0.5, c2=math.log(2.0))),
             prior=prior20, loss=ZeroOneLoss(), p=2.0, delta=0.1,
-            regime=RegimeConfig(kind="mixing_bounded"), **shared),
+            regime=MixingBoundedRegime(), **shared),
         "mixing_unbounded": ExperimentConfig(
             generator=CRIT7_CONFIG.generator, prior=prior20, loss=SquaredLoss(),
             p=2.0, delta=0.1,
-            regime=RegimeConfig(kind="mixing_unbounded", r=3.0, s=3.0), **shared),
+            regime=MixingUnboundedRegime(r=3.0, s=3.0), **shared),
     }
     details = []
     all_ok = True
@@ -314,7 +316,7 @@ def test_criterion_11_finite_class_subgaussian_path():
         loss=ZeroOneLoss(),
         p=2.0,
         delta=delta,
-        regime=RegimeConfig(kind="subgaussian", sigma2=sigma2, optimize_q=True),
+        regime=SubGaussianRegime(sigma2=sigma2, optimize_q=True),
         n=n,
         replications=500,
         seed=1010,

@@ -239,6 +239,36 @@ def test_squared_loss_variance_closed_form_vs_monte_carlo():
     assert np.all(np.abs(sample - exact) <= 0.02 * exact + 0.02)
 
 
+def _hand_expanded_residual_moments(spec, theta):
+    """E u**2, E u**4, E u**6 of one atom's residual, expanded term by term."""
+    e2, e4, e6 = (noise_moment(spec.noise, k) for k in (2, 4, 6))
+    if isinstance(spec, AR1):
+        mom = analytic_moments(spec)
+        c, t0 = spec.a - theta[1], theta[0]
+        v2 = c**2 * mom.ey2 + e2
+        v4 = c**4 * mom.ey4 + 6 * c**2 * mom.ey2 * e2 + e4
+        v6 = c**6 * mom.ey6 + 15 * c**4 * mom.ey4 * e2 + 15 * c**2 * mom.ey2 * e4 + e6
+        return (v2 + t0**2, v4 + 6 * v2 * t0**2 + t0**4,
+                v6 + 15 * v4 * t0**2 + 15 * v2 * t0**4 + t0**6)
+    s2 = spec.x_law.scale**2 * float(np.sum((np.asarray(spec.theta_star) - theta) ** 2))
+    return (s2 + e2, 3 * s2**2 + 6 * s2 * e2 + e4,
+            15 * s2**3 + 45 * s2**2 * e2 + 15 * s2 * e4 + e6)
+
+
+@pytest.mark.parametrize("spec", [
+    IidLinearRegression(theta_star=(0.5, -0.3), x_law=IsotropicGaussianX(1.3),
+                        noise=StudentTNoise(dof=7.0, scale=0.8)),
+    AR_T7,
+])
+def test_residual_closed_forms_match_hand_expansion(spec):
+    atoms = AtomSet(np.random.default_rng(3).normal(0.0, 0.8, (200, 2)))
+    eu2, eu4, eu6 = np.array([_hand_expanded_residual_moments(spec, t) for t in atoms.coords]).T
+    np.testing.assert_allclose(true_risk_closed_form(spec, atoms, SquaredLoss()), eu2, rtol=1e-13)
+    np.testing.assert_allclose(squared_loss_third_moments(spec, atoms), eu6, rtol=1e-13)
+    if isinstance(spec, IidLinearRegression):
+        np.testing.assert_allclose(squared_loss_variances(spec, atoms), eu4 - eu2**2, rtol=1e-13)
+
+
 def test_squared_loss_third_moment_vs_monte_carlo():
     atoms = AtomSet(np.array([[0.0, 0.5], [0.2, 0.1], [-0.3, 0.7]]))
     exact = squared_loss_third_moments(AR_GAUSS, atoms)

@@ -1,22 +1,25 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from hostile_pac.harness import (AssumptionError, ConfigError, ExperimentConfig,
-                                 RegimeConfig, apply_overrides, config_from_dict,
+                                 apply_overrides, config_from_dict,
                                  dump_record, fit_loglog_slope, load_config,
                                  resolve_moment, run_aggregate, run_bound,
-                                 run_coverage, run_sweep, write_sweep_csv)
+                                 run_coverage, run_sweep, write_sweep_csv, _setup)
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, MixingBoundSpec, StudentTNoise)
+from hostile_pac.moments import MixingUnboundedRegime, VarianceRegime, optimal_q_finite
 from hostile_pac.param_space import (ExplicitPrior, IidSamplePrior, UniformGridPrior,
                                      build_prior)
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss
 
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_YAML = """
 experiment:
@@ -92,6 +95,13 @@ def test_config_error_cases():
         config_from_dict(ar)
 
 
+# A regime kind that has each key, so the value check is what rejects it.
+REGIME_OWNING = {"s2": {"kind": "variance"},
+                 "optimize_q": {"kind": "subgaussian", "sigma2": 0.25},
+                 "alpha_sum": {"kind": "mixing_bounded"},
+                 "moment_integral": {"kind": "mixing_unbounded"}}
+
+
 @pytest.mark.parametrize("section, key, value, named", [
     # Misspelled or foreign loss keys, truncating ints and truthy strings.
     ("experiment", "loss", {"kind": "zero_one", "thresh": 5}, "experiment.loss.thresh"),
@@ -106,9 +116,64 @@ def test_config_error_cases():
 ])
 def test_config_rejects_bad_values_naming_the_key(section, key, value, named):
     raw = yaml.safe_load(BASE_YAML)
+    if section == "regime":
+        raw["regime"] = dict(REGIME_OWNING[key])
     raw[section][key] = value
-    with pytest.raises(ConfigError, match=re.escape(named)):
+    with pytest.raises(ConfigError, match=re.escape(named)) as info:
         config_from_dict(raw)
+    assert section != "regime" or "unknown keys" not in str(info.value)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("variance", "q", 4.0),
+    ("variance", "sigma2", 0.25),
+    ("subgaussian", "s2", 1.0),
+    ("mixing_bounded", "davydov_factor", 8.0),
+    ("mixing_unbounded", "optimize_q", True),
+])
+def test_regime_rejects_keys_of_other_regimes(kind, key, value):
+    raw = yaml.safe_load(BASE_YAML)
+    raw["regime"] = {"kind": kind, key: value}
+    with pytest.raises(ConfigError, match=re.escape(f"regime.{key}")):
+        config_from_dict(raw)
+
+
+AR1_GENERATOR = {"kind": "ar1", "a": 0.5, "noise": {"kind": "gaussian", "variance": 1.0},
+                 "mixing": {"c1": 0.5, "c2": 0.7}}
+
+
+def test_analytic_moment_integral_checked_at_load():
+    raw = yaml.safe_load(BASE_YAML)
+    raw["generator"] = AR1_GENERATOR
+    raw["regime"] = {"kind": "mixing_unbounded", "r": 2.0, "s": 4.0}
+    with pytest.raises(ConfigError, match=re.escape("regime.moment_integral")):
+        config_from_dict(raw)
+    raw["regime"]["moment_integral"] = 1.0
+    assert config_from_dict(raw).regime.moment_integral == 1.0
+
+
+def test_optimize_q_excludes_q():
+    raw = yaml.safe_load(BASE_YAML)
+    raw["regime"] = {"kind": "subgaussian", "sigma2": 0.25, "q": 4.0, "optimize_q": True}
+    with pytest.raises(ConfigError, match=re.escape("regime.q")):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("regime", [{"q": 4.0}, {"optimize_q": True}])
+def test_subgaussian_exponent_used_as_given(regime):
+    raw = yaml.safe_load(BASE_YAML)
+    raw["regime"] = {"kind": "subgaussian", "sigma2": 0.25, **regime}
+    setup = _setup(config_from_dict(raw))
+    expected = regime.get("q") or optimal_q_finite(30, 0.1).q  # BASE_YAML: 30 atoms, delta 0.1
+    assert setup.cfg.q == setup.cfg.moment.q == setup.constants["q"] == expected
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.yaml"))
+                         + sorted(ROOT.glob("perfbench/configs/*.yaml")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_shipped_configs_load_and_set_up(path):
+    setup = _setup(load_config(path))
+    assert setup.cfg.moment.value > 0
 
 
 def test_config_unknown_kind_names_the_key():
@@ -163,7 +228,7 @@ def test_resolve_moment_kappa_route():
 
 
 def test_resolve_moment_exact_below_kappa():
-    config = base_config(regime=RegimeConfig(kind="variance", s2="exact"))
+    config = base_config(regime=VarianceRegime(s2="exact"))
     atoms, pi = build_prior(config.prior, config.seed)
     cfg_exact, consts_exact = resolve_moment(config, atoms, pi)
     cfg_kappa, consts_kappa = resolve_moment(base_config(), atoms, pi)
@@ -297,7 +362,7 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
 
     # Inflating the moment bound can only widen margins: coverage is monotone.
     inflated = base_config(replications=50, probes=5,
-                           regime=RegimeConfig(kind="variance", s2=1e6))
+                           regime=VarianceRegime(s2=1e6))
     r3 = run_coverage(inflated)
     assert r3.summary["coverage_two_sided"] >= r1.summary["coverage_two_sided"]
     assert r3.summary["coverage_two_sided"] == 1.0
@@ -355,7 +420,7 @@ def test_mixing_unbounded_resolution():
         generator=AR1(a=0.5, noise=StudentTNoise(dof=7.0, scale=0.5),
                       mixing=MixingBoundSpec(c1=0.5, c2=math.log(2.0))),
         prior=IidSamplePrior(count=20, dim=2, scale=0.5, seed=5),
-        regime=RegimeConfig(kind="mixing_unbounded", r=3.0, s=3.0),
+        regime=MixingUnboundedRegime(r=3.0, s=3.0),
         n=500,
     )
     atoms, pi = build_prior(config.prior, config.seed)
