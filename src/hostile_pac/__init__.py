@@ -28,6 +28,6 @@ from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           build_prior, expectation, prior_moment_tau)
 from .risk import (AbsoluteLoss, Dataset, LossKind, LossTable, SquaredLoss,
                    TrueRisk, ZeroOneLoss, compute_loss_table, empirical_risk,
-                   load_dataset, save_dataset, true_risk)
+                   empirical_risks, load_dataset, save_dataset, true_risk)
 
 __version__ = "0.1.0"

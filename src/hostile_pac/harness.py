@@ -51,8 +51,7 @@ from .moments import (MixingBoundedRegime, MixingUnbounded, MixingUnboundedRegim
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior, build_prior,
                           expectation, prior_moment_tau)
-from .risk import (AbsoluteLoss, LossKind, SquaredLoss, ZeroOneLoss,
-                   compute_loss_table, empirical_risk)
+from .risk import AbsoluteLoss, LossKind, SquaredLoss, ZeroOneLoss, empirical_risks
 
 
 class ConfigError(ValueError):
@@ -123,12 +122,23 @@ def _validate_cross_fields(cfg: ExperimentConfig) -> None:
             )
     if isinstance(regime, SubGaussianRegime) and regime.optimize_q and regime.q is not None:
         raise ConfigError("regime.q cannot be combined with regime.optimize_q, which sets q")
+    for f in dataclasses.fields(regime):
+        value = getattr(regime, f.name)
+        if isinstance(value, float) and not value >= 0:
+            raise ConfigError(f"regime.{f.name} must be nonnegative, got {value}")
     if isinstance(regime, MixingUnboundedRegime) and regime.moment_integral == "analytic":
         if abs(regime.s - 3.0) > 1e-12 or not isinstance(cfg.loss, SquaredLoss):
             raise ConfigError(
                 "regime.moment_integral: analytic is implemented for the squared loss "
                 "at s = 3; supply a number otherwise"
             )
+        try:
+            datagen.noise_moment(cfg.generator.noise, 6)
+        except datagen.MomentDoesNotExistError as exc:
+            raise ConfigError(
+                f"regime.moment_integral: analytic needs sixth noise moments ({exc}); "
+                "raise generator.noise.dof or supply a number"
+            ) from exc
     if isinstance(cfg.generator, AR1) and cfg.n < 2:
         raise ConfigError("experiment.n must be at least 2 for AR(1)")
     for g in cfg.gamma_grid:
@@ -397,7 +407,7 @@ def _fit(config: ExperimentConfig, setup: _Setup,
     """Empirical risks r_n of dataset ``index``, the level rbar and rho_hat."""
     seed = np.random.SeedSequence([config.seed, 0, index])
     data = datagen.generate(config.generator, config.n, seed)
-    rn = empirical_risk(compute_loss_table(data, setup.atoms, config.loss))
+    rn = empirical_risks(data, setup.atoms, config.loss)
     cfg = setup.cfg
     rbar = solve_rbar(rn, setup.pi, cfg.q, cfg.moment.value, cfg.delta)
     return rn, rbar, rho_hat(rn, setup.pi, cfg.p, rbar)

@@ -25,7 +25,8 @@ from .moments import (MixingUnbounded, MomentBound, geometric_alpha_sum,
                       optimal_q_finite, optimized_erm_margin)
 from .param_space import (AtomSet, DiscreteDistribution, UniformGridPrior,
                           build_prior, expectation, prior_moment_tau)
-from .risk import Dataset, SquaredLoss, AbsoluteLoss, compute_loss_table, empirical_risk
+from .risk import (AbsoluteLoss, Dataset, SquaredLoss, compute_loss_table, empirical_risk,
+                   empirical_risks)
 
 
 def _close(got, want, tol=1e-10):
@@ -172,10 +173,12 @@ def _check_risk_tables():
     atoms = AtomSet(np.array([[1.0, 2.0]]))
     _close(compute_loss_table(data, atoms, SquaredLoss()).losses[0, 0], 9.0)
     _close(compute_loss_table(data, atoms, AbsoluteLoss()).losses[0, 0], 3.0)
-    col = empirical_risk(compute_loss_table(
-        Dataset(x=np.array([[1.0]] * 3), y=np.array([1.0, 0.0, -1.0])),
-        AtomSet(np.array([[1.0]])), SquaredLoss()))
+    rows = Dataset(x=np.array([[1.0]] * 3), y=np.array([1.0, 0.0, -1.0]))
+    one = AtomSet(np.array([[1.0]]))
+    col = empirical_risk(compute_loss_table(rows, one, SquaredLoss()))
     _close(float(col[0]), (0.0 + 1.0 + 4.0) / 3.0)
+    # Closed form: theta0 = mean(y) = 0, e0 . e0 = 2, R = sqrt(3), so (2 + 3 * 1**2) / 3.
+    _close(float(empirical_risks(rows, one, SquaredLoss())[0]), (2.0 + 3.0) / 3.0)
 
 
 def _check_true_risk():

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from hostile_pac.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """
 experiment:
@@ -98,6 +101,18 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
 
     missing = tmp_path / "nope.yaml"
     assert main(["bound", "--config", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("config, override, named", [
+    ("erm_finite_class", "regime.sigma2=-1", ["regime.sigma2"]),
+    ("bound_demo", "regime.s2=-1", ["regime.s2"]),
+    ("coverage_ar1_t7", "generator.noise.dof=5", ["regime.moment_integral", "generator.noise.dof"]),
+])
+def test_regime_value_errors_name_the_key(config, override, named, capsys):
+    path = ROOT / "configs" / f"{config}.yaml"
+    assert main(["bound", "--config", str(path), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and all(key in err for key in named)
 
 
 def test_null_section_is_a_config_error(tmp_path, capsys):

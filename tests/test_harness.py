@@ -17,6 +17,7 @@ from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
 from hostile_pac.moments import MixingUnboundedRegime, VarianceRegime, optimal_q_finite
 from hostile_pac.param_space import (ExplicitPrior, IidSamplePrior, UniformGridPrior,
                                      build_prior)
+from hostile_pac import risk
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,6 +98,7 @@ def test_config_error_cases():
 
 # A regime kind that has each key, so the value check is what rejects it.
 REGIME_OWNING = {"s2": {"kind": "variance"},
+                 "sigma2": {"kind": "subgaussian"},
                  "optimize_q": {"kind": "subgaussian", "sigma2": 0.25},
                  "alpha_sum": {"kind": "mixing_bounded"},
                  "moment_integral": {"kind": "mixing_unbounded"}}
@@ -113,6 +115,9 @@ REGIME_OWNING = {"s2": {"kind": "variance"},
     ("regime", "alpha_sum", "bogus", "regime.alpha_sum"),
     ("regime", "moment_integral", "bogus", "regime.moment_integral"),
     ("prior", "law", "cauchy", "prior.law"),
+    # Negative regime constants, rejected at load time.
+    ("regime", "s2", -1.0, "regime.s2"),
+    ("regime", "sigma2", -1.0, "regime.sigma2"),
 ])
 def test_config_rejects_bad_values_naming_the_key(section, key, value, named):
     raw = yaml.safe_load(BASE_YAML)
@@ -150,6 +155,13 @@ def test_analytic_moment_integral_checked_at_load():
         config_from_dict(raw)
     raw["regime"]["moment_integral"] = 1.0
     assert config_from_dict(raw).regime.moment_integral == 1.0
+    # The analytic integral needs sixth noise moments.
+    raw["regime"] = {"kind": "mixing_unbounded"}
+    raw["generator"] = dict(AR1_GENERATOR, noise={"kind": "student_t", "dof": 6.0})
+    with pytest.raises(ConfigError, match="regime.moment_integral.*generator.noise.dof"):
+        config_from_dict(raw)
+    raw["generator"]["noise"]["dof"] = 7.0
+    assert config_from_dict(raw).regime.moment_integral == "analytic"
 
 
 def test_optimize_q_excludes_q():
@@ -336,6 +348,15 @@ def test_run_coverage_erm_off_prior_support():
         assert rec["erm_index"] == 0
         assert math.isinf(rec["margin_erm"]) and rec["hit_erm"] is True
     assert report.summary["coverage_erm"] == 1.0
+
+
+def test_squared_loss_coverage_never_builds_the_loss_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the squared loss built the n x K loss table")
+
+    monkeypatch.setattr(risk, "compute_loss_table", refuse)
+    report = run_coverage(base_config(probes=0))
+    assert len(report.records) == report.summary["replications"] == 50
 
 
 def test_run_coverage_requires_50_replications():

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, StudentTNoise, generate)
 from hostile_pac.param_space import AtomSet
-from hostile_pac.risk import (AbsoluteLoss, Dataset, SquaredLoss, ZeroOneLoss,
-                              compute_loss_table, empirical_risk, load_dataset,
-                              save_dataset, true_risk)
+from hostile_pac.risk import (AbsoluteLoss, Dataset, LossTable, SquaredLoss, ZeroOneLoss,
+                              compute_loss_table, empirical_risk, empirical_risks,
+                              load_dataset, save_dataset, true_risk)
 
 
 def test_loss_table_hand_examples():
@@ -33,6 +36,80 @@ def test_loss_table_dimension_mismatch():
     data = Dataset(x=np.array([[1.0, 2.0]]), y=np.array([0.0]))
     with pytest.raises(ValueError):
         compute_loss_table(data, AtomSet(np.array([[1.0]])), SquaredLoss())
+    with pytest.raises(ValueError):
+        empirical_risks(data, AtomSet(np.array([[1.0]])), SquaredLoss())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (-1e-300, "nonnegative"),
+])
+def test_loss_table_rejects_bad_entries(bad, message):
+    losses = np.ones((3, 4))
+    losses[1, 2] = bad
+    with pytest.raises(ValueError, match=message):
+        LossTable(losses)
+
+
+@pytest.mark.parametrize("loss", [SquaredLoss(), AbsoluteLoss(), ZeroOneLoss()])
+def test_loss_table_keeps_one_table_alive(loss):
+    n = num_atoms = 2000
+    rng = np.random.default_rng(4)
+    data = Dataset(x=rng.standard_normal((n, 2)), y=rng.standard_normal(n))
+    atoms = AtomSet(rng.standard_normal((num_atoms, 2)))
+    tracemalloc.start()
+    try:
+        table = compute_loss_table(data, atoms, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.losses.shape == (n, num_atoms)
+    assert peak < 1.5 * n * num_atoms * 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=30),
+    k=st.integers(min_value=1, max_value=5),
+    num_atoms=st.integers(min_value=1, max_value=8),
+    duplicate=st.booleans(),
+    offset=st.booleans(),
+    exact=st.booleans(),
+)
+def test_squared_closed_form_matches_table(seed, n, k, num_atoms, duplicate, offset, exact):
+    # n < k, duplicated columns, an atom that fits y exactly and a 1e6 offset.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k))
+    if duplicate:
+        x[:, -1] = x[:, 0]
+    shift = 1e6 if offset else 0.0
+    x += shift
+    coords = rng.standard_normal((num_atoms, k))
+    y = x @ coords[0] if exact else rng.standard_normal(n) + shift
+    data, atoms = Dataset(x=x, y=y), AtomSet(coords)
+    closed = empirical_risks(data, atoms, SquaredLoss())
+    table = empirical_risk(compute_loss_table(data, atoms, SquaredLoss()))
+    assert np.all(closed >= 0)
+    # Both routes round at the size of the terms of y - <theta, x>.
+    scale = np.mean((np.abs(y)[:, None] + np.abs(x) @ np.abs(coords).T) ** 2, axis=0)
+    assert np.all(np.abs(closed - table) <= 1e-12 * scale)
+    if not (offset or exact):
+        np.testing.assert_allclose(closed, table, rtol=1e-10, atol=0)
+
+
+def test_empirical_risks_other_losses_average_the_table():
+    rng = np.random.default_rng(6)
+    data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
+    atoms = AtomSet(rng.standard_normal((5, 2)))
+    for loss in (AbsoluteLoss(), ZeroOneLoss(0.3)):
+        table = compute_loss_table(data, atoms, loss)
+        assert np.array_equal(empirical_risks(data, atoms, loss), empirical_risk(table))
+
+
+def test_empirical_risks_must_be_finite():
+    huge = Dataset(x=np.array([[1e200]]), y=np.array([0.0]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        empirical_risks(huge, AtomSet(np.array([[1e200]])), SquaredLoss())
 
 
 def test_empirical_risk_examples():
