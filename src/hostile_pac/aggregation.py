@@ -136,14 +136,16 @@ def evaluate_bound(rho: DiscreteDistribution, pi: DiscreteDistribution,
 
 def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
                moment_value: float, delta: float) -> float:
-    """Smallest level u with sum_j pi_j [u - rn_j]_+ ** q = M / delta.
+    """Smallest level u with s(u) = sum_j pi_j [u - rn_j]_+ ** q = M / delta =: T.
 
-    The spend function is continuous and strictly increasing above the
-    prior-supported minimum of rn, and the root is bracketed analytically:
-    at min + budget**(1/q) the spend is at most the budget, and at
-    min + (budget / w*)**(1/q) (w* the prior mass on the minimizing atoms)
-    it is at least the budget. Bisection is used because the spend is only
-    piecewise smooth at atom values.
+    Newton on g = s ** (1/q), the weighted L^q norm of [u - rn]_+: convex, and
+    increasing above the supported minimum of rn. With W_k and m_k the mass and
+    pi-mean of the k lowest supported atoms, Jensen gives
+    s(u) >= W_k [u - m_k]_+ ** q, so each m_k + (T / W_k) ** (1/q) lies at or
+    above the root; the least is the start. Tangents of the convex g lie below
+    it, so the iterates fall monotonically onto the root without passing it,
+    and the solve stops at the first step that no longer decreases the
+    iterate. Atoms with infinite risk never spend.
     """
     rn = np.asarray(rn, dtype=float)
     if rn.shape[0] != len(pi):
@@ -155,35 +157,32 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
     if not q > 1:
         raise ValueError("q must exceed 1")
     support = pi.weights > 0
-    if not np.any(np.isfinite(rn[support])):
+    risks, weights = rn[support], pi.weights[support]
+    if np.any(np.isnan(risks) | (risks == -np.inf)):
+        raise ValueError("risks on prior-supported atoms must not be NaN or -inf")
+    if not np.any(np.isfinite(risks)):
         raise ValueError("all prior mass sits on atoms with non-finite risk")
     target = moment_value / delta
-
-    weights = pi.weights[support]
-    risks = rn[support]
-    floor = float(risks.min())
-    floor_mass = float(weights[risks == floor].sum())
-
-    def spend(u: float) -> float:
-        return float(weights @ np.maximum(u - risks, 0.0) ** q)
-
-    lo = floor + target ** (1.0 / q)
-    hi = floor + (target / floor_mass) ** (1.0 / q)
+    order = np.argsort(risks)
+    risks, weights = risks[order], weights[order]
+    mass = np.cumsum(weights)
+    u = float(np.min(np.cumsum(weights * risks) / mass + (target / mass) ** (1.0 / q)))
+    step = 0.0
     for _ in range(RBAR_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if spend(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+        u -= step
+        gaps = u - risks[:np.searchsorted(risks, u)]
+        powered = gaps ** (q - 1.0)
+        spend = float(weights[:gaps.size] @ (powered * gaps))
+        slope = float(weights[:gaps.size] @ powered)  # s'(u) / q
+        # (g - T ** (1/q)) / g', with g' = s ** (1/q - 1) * slope
+        step = (spend - target ** (1 / q) * spend ** (1 - 1 / q)) / slope if slope > 0 else 0.0
+        if not u - step < u:
             break
-    root = 0.5 * (lo + hi)
-    if abs(spend(root) - target) > RBAR_RESIDUAL_TOL * target:
-        raise SolverError(
-            f"level solve did not reach residual tolerance: residual "
-            f"{abs(spend(root) - target):.3e} vs target {target:.3e}"
-        )
-    return root
+    residual = abs(spend - target)
+    if not residual <= RBAR_RESIDUAL_TOL * target:
+        raise SolverError(f"level solve did not reach residual tolerance: residual "
+                          f"{residual:.3e} vs target {target:.3e}")
+    return u
 
 
 def rho_hat(rn: np.ndarray, pi: DiscreteDistribution, p: float,

@@ -21,6 +21,7 @@ assumed mixing envelope (c1, c2) under which it was produced.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -45,9 +46,10 @@ from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       NoClosedFormError, StudentTNoise, UniformBoxX)
 from .divergence import power_divergence_plus_one
 from .moments import (MixingBoundedRegime, MixingUnbounded, MixingUnboundedRegime,
-                      RegimeSpec, SubGaussianRegime, VarianceRegime, geometric_alpha_sum,
-                      kappa_quadratic, moment_iid_variance, moment_mixing_bounded,
-                      moment_mixing_unbounded, moment_subgaussian, optimal_q_finite)
+                      RegimeSpec, SubGaussianRegime, VarianceRegime, check_mixing_exponents,
+                      geometric_alpha_sum, kappa_quadratic, moment_iid_variance,
+                      moment_mixing_bounded, moment_mixing_unbounded, moment_subgaussian,
+                      optimal_q_finite)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior, build_prior,
                           expectation, prior_moment_tau)
@@ -122,6 +124,17 @@ def _validate_cross_fields(cfg: ExperimentConfig) -> None:
             )
     if isinstance(regime, SubGaussianRegime) and regime.optimize_q and regime.q is not None:
         raise ConfigError("regime.q cannot be combined with regime.optimize_q, which sets q")
+    if isinstance(regime, SubGaussianRegime) and not regime.optimize_q:
+        key, q = (("regime.q", regime.q) if regime.q is not None
+                  else ("experiment.p", cfg.p / (cfg.p - 1.0)))
+        if q < 2:
+            raise ConfigError(f"{key}: the sub-Gaussian moment inequality requires q >= 2 "
+                              f"(q = p/(p-1) unless regime.q is set), got q={q}")
+    if isinstance(regime, MixingUnboundedRegime):
+        try:
+            check_mixing_exponents(regime.r, regime.s)
+        except ValueError as exc:
+            raise ConfigError(f"regime.r, regime.s: {exc}") from exc
     for f in dataclasses.fields(regime):
         value = getattr(regime, f.name)
         if isinstance(value, float) and not value >= 0:
@@ -141,11 +154,8 @@ def _validate_cross_fields(cfg: ExperimentConfig) -> None:
             ) from exc
     if isinstance(cfg.generator, AR1) and cfg.n < 2:
         raise ConfigError("experiment.n must be at least 2 for AR(1)")
-    for g in cfg.gamma_grid:
-        if not 0 < g < 1:
-            raise ConfigError("experiment.gamma_grid values must lie strictly inside (0, 1)")
-    if not cfg.gamma_grid:
-        raise ConfigError("experiment.gamma_grid must be nonempty")
+    if not cfg.gamma_grid or not all(0 < g < 1 for g in cfg.gamma_grid):
+        raise ConfigError("experiment.gamma_grid must be nonempty, with values inside (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +484,10 @@ def run_aggregate(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """Optimal aggregation weights for one dataset, one record per atom."""
     setup = _setup(config)
     rn, rbar, rho = _fit(config, setup, 0)
-    records = []
-    for j in range(len(setup.atoms)):
-        records.append({
-            "type": "atom", "index": j,
-            "coords": [float(c) for c in setup.atoms.atom(j)],
-            "prior_weight": float(setup.pi.weights[j]),
-            "rho_hat_weight": float(rho.weights[j]),
-            "rn": float(rn[j]),
-        })
+    records = [{"type": "atom", "index": j, "coords": [float(c) for c in setup.atoms.atom(j)],
+                "prior_weight": float(setup.pi.weights[j]),
+                "rho_hat_weight": float(rho.weights[j]), "rn": float(rn[j])}
+               for j in range(len(setup.atoms))]
     summary = {"type": "summary", "command": "aggregate",
                "rbar": rbar, "erm_index": erm_index(rn),
                "rn_integral_rho_hat": expectation(rho, rn),
@@ -677,22 +682,13 @@ def fit_loglog_slope(xs, ys) -> float:
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    """CSV with a header row, one sweep row per line."""
+    """CSV with a header row, one sweep row per line; floats by repr, None empty."""
     if not rows:
         raise ValueError("no rows to write")
-    fields = list(rows[0].keys())
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[f]) for f in fields))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

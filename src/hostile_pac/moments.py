@@ -98,12 +98,15 @@ class MixingUnbounded:
     davydov_factor: float = 8.0
 
     def __post_init__(self) -> None:
-        if not self.r >= 1 or not self.s >= 2:
-            raise ValueError("need r >= 1 and s >= 2")
-        if abs(1.0 / self.r + 2.0 / self.s - 1.0) > EXPONENT_IDENTITY_TOL:
-            raise ValueError("exponents must satisfy 1/r + 2/s = 1")
+        check_mixing_exponents(self.r, self.s)
         if not self.moment_integral >= 0 or not self.alpha_frac_sum >= 0:
             raise ValueError("moment_integral and alpha_frac_sum must be nonnegative")
+
+
+def check_mixing_exponents(r: float, s: float) -> None:
+    """The covariance inequality's exponents: r >= 1, s >= 2 and 1/r + 2/s = 1."""
+    if not (r >= 1 and s >= 2 and abs(1.0 / r + 2.0 / s - 1.0) <= EXPONENT_IDENTITY_TOL):
+        raise ValueError(f"exponents need r >= 1, s >= 2 and 1/r + 2/s = 1, got r={r}, s={s}")
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,8 @@ def _check_level_solver():
     rn = np.array([0.0, 1.0])
     _close(solve_rbar(rn, pi, 2.0, 0.0125, 0.1), 0.5)
     _close(solve_rbar(rn, pi, 2.0, 0.0625, 0.1), (1.0 + math.sqrt(1.5)) / 2.0)
+    tiny_floor = DiscreteDistribution(np.array([1e-300, 1.0 - 1e-300]))
+    _close(solve_rbar(rn, tiny_floor, 2.0, 0.001, 0.1), 1.1)
     single = DiscreteDistribution(np.array([1.0]))
     _close(solve_rbar(np.array([0.3]), single, 3.0, 0.008, 0.1), 0.3 + 0.08 ** (1 / 3))
 

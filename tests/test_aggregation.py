@@ -92,6 +92,12 @@ def test_solve_rbar_errors():
     masked = DiscreteDistribution(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         solve_rbar(np.array([np.inf, 0.0]), masked, 2.0, 0.1, 0.1)
+    # A NaN or -inf risk on a supported atom has no level; off the support it is ignored.
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="NaN or -inf"):
+            solve_rbar(np.array([0.0, bad]), pi, 2.0, 0.1, 0.5)
+        assert solve_rbar(np.array([0.5, bad]), masked, 2.0, 0.1, 0.5) == pytest.approx(
+            0.5 + math.sqrt(0.2), rel=1e-14)
 
 
 def test_solve_rbar_random_residuals():
@@ -105,6 +111,63 @@ def test_solve_rbar_random_residuals():
         root = solve_rbar(rn, pi, q, budget * 0.5, 0.5)
         spend = float(pi.weights @ np.maximum(root - rn, 0.0) ** q)
         assert abs(spend - budget) <= 1e-10 * budget
+
+
+def _spend(rn, weights, q, u):
+    active = (weights > 0) & (rn < u)
+    return float(weights[active] @ (u - rn[active]) ** q)
+
+
+def _rbar_reference_q2(rn, weights, target):
+    """q = 2 level by walking the sorted active prefixes, one quadratic each.
+
+    While exactly the k lowest supported atoms are active, the spend is
+    W (u - m)**2 + V with W, m, V their prior mass, mean and spread.
+    """
+    keep = (weights > 0) & np.isfinite(rn)
+    order = np.argsort(rn[keep], kind="stable")
+    risks, mass = rn[keep][order], weights[keep][order]
+    for k in range(1, risks.size + 1):
+        total = mass[:k].sum()
+        mean = float(mass[:k] @ risks[:k]) / total
+        spread = float(mass[:k] @ (risks[:k] - mean) ** 2)
+        if spread <= target:
+            level = mean + math.sqrt((target - spread) / total)
+            if k == risks.size or level <= risks[k]:
+                return level
+    raise AssertionError("no active prefix holds the level")
+
+
+@st.composite
+def _level_problems(draw):
+    """Risks with ties and +inf atoms, weights with zeros and 1e-300 masses."""
+    size = draw(st.integers(1, 12))
+    risks = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                   min_size=size, max_size=size)))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 1e-300]) | st.floats(1e-3, 1.0),
+                                     min_size=size, max_size=size)))
+    weights[0] = max(weights[0], 1e-3)  # atom 0 keeps the support nonempty and finite
+    infinite = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    infinite[0] = False
+    risks[infinite] = np.inf
+    if draw(st.booleans()):  # a 1e-300 weight on a minimizer
+        supported = np.flatnonzero(weights > 0)
+        floor = supported[np.argmin(risks[supported])]
+        if (weights[supported] >= 1e-3).sum() > 1:
+            weights[floor] = 1e-300
+    return risks, weights / weights.sum(), draw(st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_level_problems(), q=st.floats(1.01, 40.0))
+def test_solve_rbar_properties(problem, q):
+    rn, weights, target = problem
+    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, target * 0.5, 0.5)
+    assert abs(_spend(rn, weights, q, rbar) - target) <= 1e-10 * target
+    floor = rn[weights > 0].min()
+    assert _spend(rn, weights, q, rbar - 1e-6 * (rbar - floor)) < target
+    at_two = solve_rbar(rn, DiscreteDistribution(weights), 2.0, target * 0.5, 0.5)
+    assert at_two == pytest.approx(_rbar_reference_q2(rn, weights, target), rel=1e-12)
 
 
 def test_spend_function_monotone():

@@ -107,10 +107,15 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("erm_finite_class", "regime.sigma2=-1", ["regime.sigma2"]),
     ("bound_demo", "regime.s2=-1", ["regime.s2"]),
     ("coverage_ar1_t7", "generator.noise.dof=5", ["regime.moment_integral", "generator.noise.dof"]),
+    # Exponent rules, checked at load time; several overrides are space-separated.
+    ("coverage_ar1_t7", "regime.r=2", ["regime.r", "regime.s"]),
+    ("erm_finite_class", "regime.optimize_q=false regime.q=1.5", ["regime.q"]),
+    ("erm_finite_class", "regime.optimize_q=false experiment.p=3", ["experiment.p"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"
-    assert main(["bound", "--config", str(path), "--set", override]) == 1
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    assert main(["bound", "--config", str(path), *sets]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and all(key in err for key in named)
 

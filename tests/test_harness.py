@@ -408,6 +408,13 @@ def test_run_sweep_rows_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("axis,value,n,delta,p,coverage_two_sided")
     assert len(lines) == 3
+    # Floats by repr, None as an empty cell, infinities as inf.
+    odd = dict(rows[0], coverage_oracle=None, mean_slack=math.inf, median_margin=0.1 + 0.2)
+    write_sweep_csv([odd], path)
+    assert path.read_text().splitlines()[1] == ",".join(
+        ["n", "100", "100", repr(config.delta), repr(config.p), repr(rows[0]["coverage_two_sided"]),
+         "", "0.30000000000000004", repr(rows[0]["median_margin_rho_hat"]), "inf",
+         repr(rows[0]["moment_bound"])])
 
 
 def test_run_sweep_delta_scaling():
