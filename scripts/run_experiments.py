@@ -43,10 +43,7 @@ def main() -> int:
             config = dataclasses.replace(config, replications=50)
         config = dataclasses.replace(config, workers=args.workers)
         report = harness.run_coverage(config)
-        stem = results_dir / Path(name).stem
-        harness.write_records(report.records, stem.with_suffix(".records.jsonl"))
-        stem.with_suffix(".summary.json").write_text(
-            harness.dump_record(report.summary) + "\n")
+        harness.write_outputs(results_dir / Path(name).stem, report.records, report.summary)
         summary = report.summary
         print(f"{name}: coverage_two_sided={summary['coverage_two_sided']:.3f} "
               f"coverage_oracle={summary['coverage_oracle']:.3f} "

@@ -8,16 +8,14 @@ CLI in :mod:`hostile_pac.harness` and :mod:`hostile_pac.cli`.
 """
 
 from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate,
-                          catoni_pi_gamma, erm_index, evaluate_bound,
-                          minimized_objective_identity, optimal_gamma,
+                          catoni_pi_gamma, erm_index, evaluate_bound, optimal_gamma,
                           oracle_bound_empirical, oracle_bound_population,
                           pac_margin, rho_hat, solve_rbar, verify_complexity)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
-                      StudentTNoise, UniformBoxX, analytic_moments, generate,
+                      StudentTNoise, UniformBoxX, generate, kappa_moments,
                       mixing_spec_for, true_risk_closed_form)
-from .divergence import (KL, DivergenceKind, PhiP, divergence_plus_one_uniform,
-                         f_divergence)
+from .divergence import PhiP, f_divergence
 from .moments import (MixingBoundedRegime, MixingUnbounded, MixingUnboundedRegime,
                       MomentBound, RegimeSpec, SubGaussianRegime, VarianceRegime,
                       empirical_moment_estimate, geometric_alpha_sum, kappa_quadratic,
@@ -27,7 +25,6 @@ from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior,
                           build_prior, expectation, prior_moment_tau)
 from .risk import (AbsoluteLoss, Dataset, LossKind, LossTable, SquaredLoss,
-                   TrueRisk, ZeroOneLoss, compute_loss_table, empirical_risk,
-                   empirical_risks, load_dataset, save_dataset, true_risk)
+                   ZeroOneLoss, compute_loss_table, empirical_risk, empirical_risks)
 
 __version__ = "0.1.0"

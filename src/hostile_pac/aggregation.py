@@ -145,7 +145,10 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
     above the root; the least is the start. Tangents of the convex g lie below
     it, so the iterates fall monotonically onto the root without passing it,
     and the solve stops at the first step that no longer decreases the
-    iterate. Atoms with infinite risk never spend.
+    iterate. Atoms with infinite risk never spend. The iterate is accepted when
+    its spend is within ``RBAR_RESIDUAL_TOL`` of T, or when it is the root to
+    the last bit: s(u) >= T > s(u-), u- the next double below u. A level a
+    hair above the lowest risks may meet only the second test.
     """
     rn = np.asarray(rn, dtype=float)
     if rn.shape[0] != len(pi):
@@ -180,8 +183,11 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
             break
     residual = abs(spend - target)
     if not residual <= RBAR_RESIDUAL_TOL * target:
-        raise SolverError(f"level solve did not reach residual tolerance: residual "
-                          f"{residual:.3e} vs target {target:.3e}")
+        below = float(np.nextafter(u, -np.inf))
+        gaps = below - risks[:np.searchsorted(risks, below)]
+        if not spend >= target > float(weights[:gaps.size] @ (gaps ** (q - 1.0) * gaps)):
+            raise SolverError(f"level solve did not reach residual tolerance: residual "
+                              f"{residual:.3e} vs target {target:.3e}")
     return u
 
 
@@ -200,19 +206,6 @@ def rho_hat(rn: np.ndarray, pi: DiscreteDistribution, p: float,
     if not total > 0:
         raise ValueError("degenerate level: no prior mass below rbar")
     return DiscreteDistribution(raw / total)
-
-
-def minimized_objective_identity(rn: np.ndarray, pi: DiscreteDistribution,
-                                 cfg: BoundConfig) -> tuple[float, DiscreteDistribution, float]:
-    """Solve for the level, build the optimal weights, and evaluate them.
-
-    Returns ``(rbar, rho, objective)`` where the objective is the upper
-    certificate at rho; it coincides with rbar up to solver precision.
-    """
-    rbar = solve_rbar(rn, pi, cfg.q, cfg.moment.value, cfg.delta)
-    rho = rho_hat(rn, pi, cfg.p, rbar)
-    objective = evaluate_bound(rho, pi, rn, cfg).upper
-    return rbar, rho, objective
 
 
 def catoni_pi_gamma(rn: np.ndarray, pi: DiscreteDistribution,

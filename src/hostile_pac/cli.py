@@ -6,14 +6,13 @@ Subcommands::
     hostile-pac aggregate --config cfg.yaml ...
     hostile-pac coverage  --config cfg.yaml ...
     hostile-pac sweep     --config cfg.yaml --axis n --values 100,400,1600 ...
-    hostile-pac selftest
 
 Without ``--out``, replication/bound records are printed to stdout as JSON
 lines followed by a summary record; with ``--out PREFIX`` the records land in
 ``PREFIX.records.jsonl``, the summary in ``PREFIX.summary.json``, and sweeps
 additionally write ``PREFIX.csv``.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure,
 3 assumption violated.
 """
 
@@ -21,18 +20,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import yaml
 
-from . import harness, selftest
+from . import harness
 from .aggregation import SolverError
 from .harness import AssumptionError, ConfigError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the configuration-error code, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hostile-pac",
-                                     description="PAC-Bayesian certificates for hostile data")
+    parser = _Parser(prog="hostile-pac", description="PAC-Bayesian certificates for hostile data")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
@@ -50,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis", required=True, choices=harness.SWEEP_AXES)
     sweep.add_argument("--values", required=True,
                        help="comma-separated axis values, e.g. 100,400,1600")
-    sub.add_parser("selftest", help="run the built-in closed-form checks")
     return parser
 
 
@@ -68,20 +72,12 @@ def _emit(records: list[dict], summary: dict, out: str | None,
             print(harness.dump_record(rec))
         print(harness.dump_record(summary))
         return
-    prefix = Path(out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    harness.write_records(records, prefix.with_suffix(".records.jsonl"))
-    Path(prefix.with_suffix(".summary.json")).write_text(harness.dump_record(summary) + "\n")
-    if csv_rows is not None:
-        harness.write_sweep_csv(csv_rows, prefix.with_suffix(".csv"))
-    print(f"wrote {prefix.with_suffix('.records.jsonl')} and {prefix.with_suffix('.summary.json')}"
-          + (f" and {prefix.with_suffix('.csv')}" if csv_rows is not None else ""))
+    paths = harness.write_outputs(out, records, summary, csv_rows)
+    print("wrote " + " and ".join(map(str, paths)))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "selftest":
-        return selftest.run()
     try:
         config = _load(args)
         if args.command == "bound":

@@ -20,11 +20,9 @@ import numpy as np
 from scipy import integrate, signal, stats
 
 from .param_space import AtomSet
-from .risk import (AbsoluteLoss, Dataset, LossKind, SquaredLoss, ZeroOneLoss,
-                   compute_loss_table)
+from .risk import Dataset, LossKind, SquaredLoss, ZeroOneLoss
 
-AR1_BURN_IN = 1000          # used when the stationary law has no closed form
-_MA_TRUNCATION_TOL = 1e-16  # tail mass cutoff for exact stationary sampling
+AR1_BURN_IN = 1000  # used when the stationary law has no closed form
 
 
 class NoClosedFormError(Exception):
@@ -295,46 +293,14 @@ def _residual_moments(spec: IidLinearRegression | AR1, atoms: AtomSet,
     return _sum_moments(centered, [intercept**k for k in orders])
 
 
-@dataclass(frozen=True)
-class GeneratorMoments:
-    """Closed-form observation moments; ey6 is None when unavailable."""
+def kappa_moments(spec: IidLinearRegression) -> tuple[float, float]:
+    """(E y**4, E ||X||**4) of i.i.d. regression, the data moments of kappa.
 
-    ey2: float
-    ey4: float
-    ey6: float | None
-    ex4: float
-    var_eps: float | None
-
-
-def analytic_moments(spec: GeneratorSpec) -> GeneratorMoments:
-    """Exact moments of the observation process, composed by independence.
-
-    Raises :class:`MomentDoesNotExistError` when a required noise moment
-    diverges (e.g. fourth moments under Student-t with dof <= 4); the sixth
-    y-moment is reported as None where no closed form is implemented rather
-    than silently approximated.
+    y is the residual of the zero atom. Raises
+    :class:`MomentDoesNotExistError` when the fourth noise moment diverges.
     """
-    if isinstance(spec, IidLinearRegression):
-        zero = AtomSet(np.zeros((1, spec.dim)))  # y is the residual of the zero atom
-        ey2, ey4 = (float(m[0]) for m in _residual_moments(spec, zero, 4))
-        try:
-            ey6 = float(_residual_moments(spec, zero, 6)[2][0])
-        except (MomentDoesNotExistError, NoClosedFormError):
-            ey6 = None
-        return GeneratorMoments(ey2, ey4, ey6, _x_norm4(spec.x_law, spec.dim),
-                                noise_moment(spec.noise, 2))
-    if isinstance(spec, AR1):
-        m2 = _ar1_y_moments(spec, 2)
-        m4 = _ar1_y_moments(spec, 4)
-        try:
-            m6 = _ar1_y_moments(spec, 6)
-        except MomentDoesNotExistError:
-            m6 = None
-        # The design is (1, y_lag): ||X||^4 = (1 + y^2)^2.
-        return GeneratorMoments(m2, m4, m6, 1.0 + 2.0 * m2 + m4, noise_moment(spec.noise, 2))
-    if isinstance(spec, BoundedClassification):
-        return GeneratorMoments(1.0, 1.0, 1.0, _x_norm4(spec.x_law, spec.dim), None)
-    raise TypeError(f"unknown generator spec: {type(spec).__name__}")
+    zero = AtomSet(np.zeros((1, spec.dim)))
+    return float(_residual_moments(spec, zero, 4)[1][0]), _x_norm4(spec.x_law, spec.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -414,55 +380,6 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet,
     raise NoClosedFormError(
         f"no closed-form risk for {type(spec).__name__} with {type(loss).__name__}"
     )
-
-
-def _stationary_pairs(spec: AR1, n: int, rng: np.random.Generator) -> Dataset:
-    """Independent draws of consecutive stationary pairs (y_lag, y).
-
-    The lag is sampled exactly through the truncated moving-average
-    representation; the truncation error is below machine precision.
-    """
-    if spec.a == 0.0:
-        lag = _draw_noise(spec.noise, n, rng)
-    else:
-        depth = int(math.ceil(math.log(_MA_TRUNCATION_TOL) / math.log(abs(spec.a))))
-        lag = np.zeros(n)
-        coeff = 1.0
-        for _ in range(depth):
-            lag += coeff * _draw_noise(spec.noise, n, rng)
-            coeff *= spec.a
-    y = spec.a * lag + _draw_noise(spec.noise, n, rng)
-    return Dataset(x=np.column_stack([np.ones(n), lag]), y=y)
-
-
-def true_risk_mc(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind,
-                 draws: int, seed: int | None,
-                 chunk: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo risk per atom with its standard error, chunked for memory.
-
-    AR(1) risks are estimated from independent stationary pairs rather than a
-    single dependent path, so the i.i.d. standard-error formula is honest.
-    """
-    if draws < 2:
-        raise ValueError("need at least 2 draws")
-    rng = np.random.default_rng(seed)
-    total = np.zeros(len(atoms))
-    total_sq = np.zeros(len(atoms))
-    remaining = draws
-    while remaining > 0:
-        m = min(chunk, remaining)
-        if isinstance(spec, AR1):
-            data = _stationary_pairs(spec, m, rng)
-        else:
-            sub_seed = int(rng.integers(0, 2**63 - 1))
-            data = generate(spec, m, sub_seed)
-        table = compute_loss_table(data, atoms, loss).losses
-        total += table.sum(axis=0)
-        total_sq += (table**2).sum(axis=0)
-        remaining -= m
-    mean = total / draws
-    var = np.maximum(total_sq / draws - mean**2, 0.0)
-    return mean, np.sqrt(var / draws)
 
 
 def mixing_spec_for(spec: GeneratorSpec) -> MixingBoundSpec:

@@ -333,10 +333,10 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
     constants: dict = {"regime": _REGIME_KIND[type(regime)], "c1": None, "c2": None}
     if isinstance(regime, VarianceRegime):
         if regime.s2 == "kappa":
-            mom = datagen.analytic_moments(spec)
-            tau = prior_moment_tau(atoms, pi, 4.0)
-            s2 = kappa_quadratic(mom.ey4, tau, mom.ex4)
-            constants.update(s2=s2, s2_mode="kappa", tau=tau, ey4=mom.ey4, ex4=mom.ex4)
+            ey4, ex4 = datagen.kappa_moments(spec)
+            tau = prior_moment_tau(atoms, pi)
+            s2 = kappa_quadratic(ey4, tau, ex4)
+            constants.update(s2=s2, s2_mode="kappa", tau=tau, ey4=ey4, ex4=ex4)
         elif regime.s2 == "exact":
             variances = datagen.squared_loss_variances(spec, atoms)
             s2 = float(pi.weights @ variances)
@@ -706,3 +706,21 @@ def dump_record(record: dict) -> str:
 
 def write_records(records: list[dict], path: str | Path) -> None:
     Path(path).write_text("".join(dump_record(r) + "\n" for r in records))
+
+
+def write_outputs(prefix: str | Path, records: list[dict], summary: dict,
+                  csv_rows: list[dict] | None = None) -> list[Path]:
+    """Write ``PREFIX.records.jsonl``, ``PREFIX.summary.json`` and, given
+    ``csv_rows``, ``PREFIX.csv``; return the paths written.
+
+    The suffixes are appended, so prefixes that differ after a dot
+    (``run.w1``, ``run.w2``) never share a file.
+    """
+    paths = [Path(f"{prefix}.records.jsonl"), Path(f"{prefix}.summary.json")]
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    write_records(records, paths[0])
+    paths[1].write_text(dump_record(summary) + "\n")
+    if csv_rows is not None:
+        paths.append(Path(f"{prefix}.csv"))
+        write_sweep_csv(csv_rows, paths[2])
+    return paths

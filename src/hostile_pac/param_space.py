@@ -191,16 +191,13 @@ def expectation(dist: DiscreteDistribution, values: np.ndarray) -> float:
     return float(dist.weights @ values)
 
 
-def prior_moment_tau(atoms: AtomSet, pi: DiscreteDistribution, power: float = 4.0) -> float:
-    """Prior moment of the atom norm, sum_j pi_j * ||theta_j||^power.
+def prior_moment_tau(atoms: AtomSet, pi: DiscreteDistribution) -> float:
+    """Prior fourth moment of the atom norm, sum_j pi_j * ||theta_j||^4.
 
-    ``power=4`` is the kurtosis-coupling constant used by the quadratic-loss
-    variance bound; ``power=6`` is the variant needed for sixth-moment
-    autoregressive arguments.
+    This is the kurtosis-coupling constant tau of the quadratic-loss variance
+    bound.
     """
     if len(atoms) != len(pi):
         raise ValueError("atom set and distribution sizes differ")
-    if power <= 0:
-        raise ValueError("power must be positive")
     norms = np.linalg.norm(atoms.coords, axis=1)
-    return float(pi.weights @ norms**power)
+    return float(pi.weights @ norms**4)

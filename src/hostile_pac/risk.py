@@ -1,17 +1,16 @@
-"""Losses, datasets, loss tables and empirical/true risk for linear predictors.
+"""Losses, datasets, loss tables and empirical risk for linear predictors.
 
 The only predictor family is linear, f_theta(x) = <theta, x>. Empirical
 risks come from :func:`empirical_risks`: a closed form for the squared loss,
 the column means of the n x K loss table for the other losses. The table
 stays the reference for every loss and the input of the per-observation
-routines (Monte Carlo true risks, replicated moment estimates). Row order of
-a dataset is significant (dependence structure lives in the order).
+routines (replicated moment estimates). Row order of a dataset is
+significant (dependence structure lives in the order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -159,52 +158,3 @@ def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray
         raise ValueError("empirical risks must be finite")
     return risks
 
-
-@dataclass(frozen=True, eq=False)
-class TrueRisk:
-    """Expected risk per atom; ``stderr`` is None when the value is exact."""
-
-    values: np.ndarray
-    stderr: np.ndarray | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.stderr is None
-
-
-def true_risk(gen, atoms: AtomSet, loss: LossKind,
-              mc_draws: int | None = None, seed: int | None = None) -> TrueRisk:
-    """Expected per-observation risk of each atom under a generator.
-
-    Uses the generator's closed form when one exists for the requested loss;
-    otherwise falls back to Monte Carlo with ``mc_draws`` fresh stationary
-    draws (seeded independently of any training data) and reports the
-    standard error of each estimate.
-    """
-    from . import datagen
-
-    try:
-        values = datagen.true_risk_closed_form(gen, atoms, loss)
-        return TrueRisk(values)
-    except datagen.NoClosedFormError:
-        if mc_draws is None:
-            raise ValueError(
-                "no closed-form risk for this generator/loss; pass mc_draws to enable "
-                "the Monte Carlo fallback"
-            ) from None
-    values, stderr = datagen.true_risk_mc(gen, atoms, loss, mc_draws, seed)
-    return TrueRisk(values, stderr)
-
-
-def save_dataset(data: Dataset, path: str | Path) -> None:
-    """Write one observation per line as ``y,x1,...,xk`` (row order preserved)."""
-    rows = np.column_stack([data.y, data.x])
-    np.savetxt(path, rows, delimiter=",", fmt="%.17g")
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """Read the delimited format written by :func:`save_dataset`."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] < 2:
-        raise ValueError("each line needs a y value followed by at least one x coordinate")
-    return Dataset(x=rows[:, 1:], y=rows[:, 0])

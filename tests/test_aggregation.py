@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hostile_pac.aggregation import (BoundConfig, SolverError, catoni_pi_gamma,
-                                     erm_index, evaluate_bound,
-                                     minimized_objective_identity, optimal_gamma,
+                                     erm_index, evaluate_bound, optimal_gamma,
                                      oracle_bound_empirical, oracle_bound_population,
                                      pac_margin, rho_hat, solve_rbar,
                                      verify_complexity)
 from hostile_pac.divergence import PhiP, f_divergence
 from hostile_pac.moments import MomentBound
 from hostile_pac.param_space import DiscreteDistribution, expectation
+from oracles import minimized_objective_identity
 
 
 def _cfg(p=2.0, delta=0.1, value=0.004, q=None, n=100):
@@ -81,6 +81,9 @@ def test_solve_rbar_closed_forms():
     single = DiscreteDistribution(np.array([1.0]))
     assert solve_rbar(np.array([0.7]), single, 3.0, 0.001, 0.5) == pytest.approx(
         0.7 + 0.002 ** (1.0 / 3.0), abs=1e-10)
+    # A 1e-300 weight on the minimizer: the other atom alone spends the budget.
+    tiny_floor = DiscreteDistribution(np.array([1e-300, 1.0 - 1e-300]))
+    assert solve_rbar(rn, tiny_floor, 2.0, 0.001, 0.1) == pytest.approx(1.1, rel=1e-12)
 
 
 def test_solve_rbar_errors():
@@ -136,6 +139,17 @@ def _rbar_reference_q2(rn, weights, target):
             if k == risks.size or level <= risks[k]:
                 return level
     raise AssertionError("no active prefix holds the level")
+
+
+@pytest.mark.parametrize("rn", [(8817.0, 8818.0), (1000.0, 2000.0)])
+def test_solve_rbar_certifies_the_last_bit(rn):
+    # The level sits ~7e-6 above the lowest risk, closer than a double there can
+    # bring the spend to within 1e-10 T; it is the root to the last bit instead.
+    rn, weights, q, target = np.array(rn), np.full(2, 0.5), 1.42, 2.5e-8
+    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, 2.5e-9, 0.1)
+    spend = _spend(rn, weights, q, rbar)
+    assert spend >= target > _spend(rn, weights, q, np.nextafter(rbar, -np.inf))
+    assert abs(spend - target) > 1e-10 * target
 
 
 @st.composite

@@ -40,12 +40,6 @@ def config_path(tmp_path):
     return path
 
 
-def test_selftest_exit_code(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "checks passed" in out
-
-
 def test_bound_stdout(config_path, capsys):
     assert main(["bound", "--config", str(config_path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -55,13 +49,16 @@ def test_bound_stdout(config_path, capsys):
 
 
 def test_bound_output_files(config_path, tmp_path, capsys):
-    prefix = tmp_path / "out" / "run1"
-    assert main(["bound", "--config", str(config_path), "--out", str(prefix)]) == 0
-    records_path = prefix.with_suffix(".records.jsonl")
-    summary_path = prefix.with_suffix(".summary.json")
-    assert records_path.exists() and summary_path.exists()
-    summary = json.loads(summary_path.read_text())
-    assert summary["command"] == "bound"
+    # The suffixes are appended, so prefixes that differ after a dot never collide.
+    out = tmp_path / "out"
+    for seed in (1, 2):
+        assert main(["bound", "--config", str(config_path), "--seed", str(seed),
+                     "--out", str(out / f"run.w{seed}")]) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "run.w1.records.jsonl", "run.w1.summary.json",
+        "run.w2.records.jsonl", "run.w2.summary.json"]
+    summary = json.loads((out / "run.w2.summary.json").read_text())
+    assert summary["command"] == "bound" and summary["seed"] == 2
 
 
 def test_aggregate_and_coverage(config_path, capsys):
@@ -118,6 +115,21 @@ def test_regime_value_errors_name_the_key(config, override, named, capsys):
     assert main(["bound", "--config", str(path), *sets]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and all(key in err for key in named)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["bound", "--help"], 0),
+    ([], 1),
+    (["selftest"], 1),
+    (["bound"], 1),
+    (["bound", "--config", "x.yaml", "--seed", "one"], 1),
+])
+def test_usage_exit_codes(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert ("error:" in capsys.readouterr().err) == (code == 1)
 
 
 def test_null_section_is_a_config_error(tmp_path, capsys):

@@ -8,12 +8,13 @@ from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise,
                                  IidLinearRegression, IsotropicGaussianX,
                                  MixingBoundSpec, MomentDoesNotExistError,
                                  NoClosedFormError, StudentTNoise, UniformBoxX,
-                                 _ar1_path, analytic_moments, generate,
-                                 mixing_spec_for, noise_moment,
+                                 _ar1_path, _ar1_y_moments, _residual_moments,
+                                 generate, kappa_moments, mixing_spec_for, noise_moment,
                                  squared_loss_third_moments, squared_loss_variances,
-                                 true_risk_closed_form, true_risk_mc)
+                                 true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
+from oracles import stationary_pairs, true_risk_mc
 
 
 IID_T5 = IidLinearRegression(theta_star=(0.5, -0.3), x_law=IsotropicGaussianX(1.0),
@@ -141,47 +142,51 @@ def test_moment_consistency_monte_carlo():
             assert abs(powered.mean() - noise_moment(noise, order)) <= 4 * se
 
 
+ZERO = AtomSet(np.zeros((1, 2)))  # the residual of the zero atom is y itself
+
+
 def test_analytic_moments_iid_regression():
-    mom = analytic_moments(IID_T5)
+    ey2, ey4 = (float(m[0]) for m in _residual_moments(IID_T5, ZERO, 4))
     w2 = 0.5**2 + 0.3**2
     e2, e4 = 5.0 / 3.0, 25.0
-    assert mom.ey2 == pytest.approx(w2 + e2)
-    assert mom.ey4 == pytest.approx(3 * w2**2 + 6 * w2 * e2 + e4)
-    assert mom.ey6 is None  # sixth t(5) moment does not exist
-    assert mom.ex4 == pytest.approx(2 * 4)  # k (k + 2) for unit-scale Gaussian in 2d
-    assert mom.var_eps == pytest.approx(e2)
+    assert ey2 == pytest.approx(w2 + e2)
+    assert ey4 == pytest.approx(3 * w2**2 + 6 * w2 * e2 + e4)
+    with pytest.raises(MomentDoesNotExistError):  # sixth t(5) moment does not exist
+        _residual_moments(IID_T5, ZERO, 6)
+    # k (k + 2) for unit-scale Gaussian in 2d
+    assert kappa_moments(IID_T5) == (ey4, pytest.approx(2 * 4))
 
 
 def test_analytic_moments_iid_monte_carlo():
     spec = IidLinearRegression(theta_star=(0.4, 0.2), x_law=UniformBoxX(1.5),
                                noise=GaussianNoise(variance=0.3))
-    mom = analytic_moments(spec)
+    ey2 = float(_residual_moments(spec, ZERO, 2)[0][0])
+    ey4, ex4 = kappa_moments(spec)
     data = generate(spec, 2_000_000, seed=77)
-    for value, xs in ((mom.ey2, data.y**2), (mom.ey4, data.y**4),
-                      (mom.ex4, np.sum(data.x**2, axis=1) ** 2)):
+    for value, xs in ((ey2, data.y**2), (ey4, data.y**4),
+                      (ex4, np.sum(data.x**2, axis=1) ** 2)):
         se = xs.std() / math.sqrt(xs.size)
         assert abs(xs.mean() - value) <= 4 * se
 
 
 def test_ar1_moments_gaussian_closed_form():
     # Stationary Gaussian checks: m4 = 3 m2^2 and m6 = 15 m2^3.
-    mom = analytic_moments(AR_GAUSS)
+    ey2, ey4, ey6 = (float(m[0]) for m in _residual_moments(AR_GAUSS, ZERO, 6))
     m2 = 1.0 / (1.0 - 0.25)
-    assert mom.ey2 == pytest.approx(m2)
-    assert mom.ey4 == pytest.approx(3 * m2**2, rel=1e-12)
-    assert mom.ey6 == pytest.approx(15 * m2**3, rel=1e-12)
-    assert mom.ex4 == pytest.approx(1 + 2 * m2 + 3 * m2**2)
+    assert ey2 == pytest.approx(m2)
+    assert ey4 == pytest.approx(3 * m2**2, rel=1e-12)
+    assert ey6 == pytest.approx(15 * m2**3, rel=1e-12)
 
 
 def test_ar1_fourth_moment_matches_moving_average_formula():
     # Independent derivation through the MA representation:
     # m4 = 3 (E e^2)^2 [1/(1-a^2)^2 - 1/(1-a^4)] + E e^4 / (1 - a^4).
-    mom = analytic_moments(AR_T7)
+    ey4 = float(_residual_moments(AR_T7, ZERO, 4)[1][0])
     a = 0.5
     e2 = noise_moment(AR_T7.noise, 2)
     e4 = noise_moment(AR_T7.noise, 4)
     ma = 3 * e2**2 * (1.0 / (1 - a**2) ** 2 - 1.0 / (1 - a**4)) + e4 / (1 - a**4)
-    assert mom.ey4 == pytest.approx(ma, rel=1e-12)
+    assert ey4 == pytest.approx(ma, rel=1e-12)
 
 
 def test_true_risk_closed_forms_match_monte_carlo():
@@ -243,11 +248,11 @@ def _hand_expanded_residual_moments(spec, theta):
     """E u**2, E u**4, E u**6 of one atom's residual, expanded term by term."""
     e2, e4, e6 = (noise_moment(spec.noise, k) for k in (2, 4, 6))
     if isinstance(spec, AR1):
-        mom = analytic_moments(spec)
+        m2, m4, m6 = (_ar1_y_moments(spec, k) for k in (2, 4, 6))
         c, t0 = spec.a - theta[1], theta[0]
-        v2 = c**2 * mom.ey2 + e2
-        v4 = c**4 * mom.ey4 + 6 * c**2 * mom.ey2 * e2 + e4
-        v6 = c**6 * mom.ey6 + 15 * c**4 * mom.ey4 * e2 + 15 * c**2 * mom.ey2 * e4 + e6
+        v2 = c**2 * m2 + e2
+        v4 = c**4 * m4 + 6 * c**2 * m2 * e2 + e4
+        v6 = c**6 * m6 + 15 * c**4 * m4 * e2 + 15 * c**2 * m2 * e4 + e6
         return (v2 + t0**2, v4 + 6 * v2 * t0**2 + t0**4,
                 v6 + 15 * v4 * t0**2 + 15 * v2 * t0**4 + t0**6)
     s2 = spec.x_law.scale**2 * float(np.sum((np.asarray(spec.theta_star) - theta) ** 2))
@@ -275,14 +280,13 @@ def test_squared_loss_third_moment_vs_monte_carlo():
     data_spec = AR1(a=0.5, noise=GaussianNoise(variance=1.0))
     # Estimate E[loss^3] by raising per-draw losses to the third power:
     rng = np.random.default_rng(17)
-    from hostile_pac.datagen import _stationary_pairs
     total = np.zeros(len(atoms))
     total_sq = np.zeros(len(atoms))
     draws = 4_000_000
     done = 0
     while done < draws:
         m = min(500_000, draws - done)
-        pairs = _stationary_pairs(data_spec, m, rng)
+        pairs = stationary_pairs(data_spec, m, rng)
         cubed = compute_loss_table(pairs, atoms, SquaredLoss()).losses ** 3
         total += cubed.sum(axis=0)
         total_sq += (cubed**2).sum(axis=0)
@@ -313,8 +317,7 @@ def test_clipped_loss_covariance_below_envelope():
 
 def test_stationary_pairs_match_generate_marginals():
     rng = np.random.default_rng(2)
-    from hostile_pac.datagen import _stationary_pairs
-    pairs = _stationary_pairs(AR_T7, 400_000, rng)
+    pairs = stationary_pairs(AR_T7, 400_000, rng)
     # Lag column must have the stationary variance v/(1-a^2).
     v = noise_moment(AR_T7.noise, 2)
     target = v / (1 - 0.25)

@@ -86,12 +86,6 @@ def test_prior_moment_tau_examples():
     assert prior_moment_tau(pm_one, DiscreteDistribution.uniform(2)) == pytest.approx(1.0)
 
 
-def test_prior_moment_tau_sixth_power():
-    atoms = AtomSet(np.array([[2.0], [0.5]]))
-    pi = DiscreteDistribution(np.array([0.5, 0.5]))
-    assert prior_moment_tau(atoms, pi, power=6.0) == pytest.approx(0.5 * 2**6 + 0.5 * 0.5**6)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     weights=st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=12),

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
-                                 IsotropicGaussianX, StudentTNoise, generate)
+                                 IsotropicGaussianX, StudentTNoise, generate,
+                                 true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import (AbsoluteLoss, Dataset, LossTable, SquaredLoss, ZeroOneLoss,
-                              compute_loss_table, empirical_risk, empirical_risks,
-                              load_dataset, save_dataset, true_risk)
+                              compute_loss_table, empirical_risk, empirical_risks)
 
 
 def test_loss_table_hand_examples():
@@ -119,6 +119,10 @@ def test_empirical_risk_examples():
     # Column of losses (0, 1, 4) -> mean 5/3; direct column check:
     assert np.allclose(table.losses.ravel(), [0.0, 1.0, 4.0])
     assert empirical_risk(table)[0] == pytest.approx(5.0 / 3.0)
+    # Closed form: theta0 = mean(y) = 0, e0 . e0 = 2, R = sqrt(3), so (2 + 3 * 1**2) / 3.
+    closed = empirical_risks(Dataset(x=np.ones((3, 1)), y=np.array([1.0, 0.0, -1.0])),
+                             AtomSet(np.array([[1.0]])), SquaredLoss())
+    assert closed[0] == pytest.approx(5.0 / 3.0, rel=1e-14)
 
     single = compute_loss_table(Dataset(x=np.array([[1.0]]), y=np.array([2.0])),
                                 AtomSet(np.array([[1.0], [0.0]])), SquaredLoss())
@@ -139,43 +143,27 @@ def test_true_risk_at_truth_is_noise_variance():
     spec = IidLinearRegression(theta_star=(0.7, -0.2), x_law=IsotropicGaussianX(1.0),
                                noise=GaussianNoise(variance=0.4))
     atoms = AtomSet(np.array([[0.7, -0.2]]))
-    result = true_risk(spec, atoms, SquaredLoss())
-    assert result.exact
-    assert result.values[0] == pytest.approx(0.4)
+    assert true_risk_closed_form(spec, atoms, SquaredLoss())[0] == pytest.approx(0.4)
 
 
 def test_true_risk_quadratic_expansion():
     spec = IidLinearRegression(theta_star=(0.5, 0.5), x_law=IsotropicGaussianX(1.0),
                                noise=GaussianNoise(variance=0.25))
     shifted = AtomSet(np.array([[1.5, 0.5]]))  # theta_star + e1
-    assert true_risk(spec, shifted, SquaredLoss()).values[0] == pytest.approx(1.25)
+    assert true_risk_closed_form(spec, shifted, SquaredLoss())[0] == pytest.approx(1.25)
 
 
 def test_true_risk_ar1_best_predictor():
     spec = AR1(a=0.5, noise=GaussianNoise(variance=1.0))
     atoms = AtomSet(np.array([[0.0, 0.5]]))
-    assert true_risk(spec, atoms, SquaredLoss()).values[0] == pytest.approx(1.0)
-
-
-def test_true_risk_mc_fallback():
-    spec = IidLinearRegression(theta_star=(1.0,), x_law=IsotropicGaussianX(1.0),
-                               noise=GaussianNoise(variance=0.09))
-    atoms = AtomSet(np.array([[1.0], [0.0]]))
-    with pytest.raises(ValueError):
-        true_risk(spec, atoms, AbsoluteLoss())
-    est = true_risk(spec, atoms, AbsoluteLoss(), mc_draws=200_000, seed=10)
-    assert not est.exact
-    assert est.stderr is not None and np.all(est.stderr > 0)
-    # E|N(0, 0.09)| = 0.3 sqrt(2/pi) at the truth.
-    expected = 0.3 * np.sqrt(2.0 / np.pi)
-    assert abs(est.values[0] - expected) <= 4 * est.stderr[0]
+    assert true_risk_closed_form(spec, atoms, SquaredLoss())[0] == pytest.approx(1.0)
 
 
 def test_replicated_empirical_risk_converges_to_true_risk():
     spec = IidLinearRegression(theta_star=(0.3, -0.4), x_law=IsotropicGaussianX(1.0),
                                noise=StudentTNoise(dof=5.0, scale=0.5))
     atoms = AtomSet(np.array([[0.3, -0.4], [0.0, 0.0], [1.0, 1.0]]))
-    target = true_risk(spec, atoms, SquaredLoss()).values
+    target = true_risk_closed_form(spec, atoms, SquaredLoss())
     reps, n = 200, 500
     samples = np.empty((reps, len(atoms)))
     for i in range(reps):
@@ -184,18 +172,6 @@ def test_replicated_empirical_risk_converges_to_true_risk():
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(mean - target) <= 5 * se)
-
-
-def test_dataset_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    data = Dataset(x=rng.standard_normal((17, 3)), y=rng.standard_normal(17))
-    path = tmp_path / "data.csv"
-    save_dataset(data, path)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.x, data.x)
-    assert np.array_equal(loaded.y, data.y)
-    first_line = path.read_text().splitlines()[0]
-    assert len(first_line.split(",")) == 4  # y then 3 coordinates
 
 
 def test_dataset_validation():
