@@ -30,6 +30,7 @@ CONJUGACY_TOL = 1e-12
 MOMENT_Q_TOL = 1e-9
 RBAR_RESIDUAL_TOL = 1e-10
 RBAR_MAX_ITER = 200
+RBAR_LAST_BIT_STEPS = 4  # doubles walked toward the last-bit root
 COMPLEXITY_CAP = 64.0
 COMPLEXITY_RESOLUTION = 1e-3
 
@@ -148,7 +149,9 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
     iterate. Atoms with infinite risk never spend. The iterate is accepted when
     its spend is within ``RBAR_RESIDUAL_TOL`` of T, or when it is the root to
     the last bit: s(u) >= T > s(u-), u- the next double below u. A level a
-    hair above the lowest risks may meet only the second test.
+    hair above the lowest risks may meet only the second test; since rounding
+    can stop the iterate a double or two off that root, up to
+    ``RBAR_LAST_BIT_STEPS`` neighbouring doubles toward it are tried too.
     """
     rn = np.asarray(rn, dtype=float)
     if rn.shape[0] != len(pi):
@@ -182,13 +185,21 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
         if not u - step < u:
             break
     residual = abs(spend - target)
-    if not residual <= RBAR_RESIDUAL_TOL * target:
-        below = float(np.nextafter(u, -np.inf))
-        gaps = below - risks[:np.searchsorted(risks, below)]
-        if not spend >= target > float(weights[:gaps.size] @ (gaps ** (q - 1.0) * gaps)):
-            raise SolverError(f"level solve did not reach residual tolerance: residual "
-                              f"{residual:.3e} vs target {target:.3e}")
-    return u
+    if residual <= RBAR_RESIDUAL_TOL * target:
+        return u
+
+    def spend_at(level: float) -> float:
+        gaps = level - risks[:np.searchsorted(risks, level)]
+        return float(weights[:gaps.size] @ (gaps ** (q - 1.0) * gaps))
+
+    toward = np.inf if spend < target else -np.inf
+    for _ in range(RBAR_LAST_BIT_STEPS):
+        if spend >= target > spend_at(float(np.nextafter(u, -np.inf))):
+            return u
+        u = float(np.nextafter(u, toward))
+        spend = spend_at(u)
+    raise SolverError(f"level solve did not reach residual tolerance: residual "
+                      f"{residual:.3e} vs target {target:.3e}")
 
 
 def rho_hat(rn: np.ndarray, pi: DiscreteDistribution, p: float,

@@ -9,6 +9,11 @@ so coverage experiments never feed estimated constants back into a bound.
 Mixing envelopes (c1, c2) are configuration, not estimation: the generator
 records the assumed geometric bound on the alpha-mixing coefficients and
 every consumer reports it alongside results.
+
+scipy is imported inside the two functions that use it, the AR(1) path
+recursion (``lfilter``) and the Gaussian AR(1) zero-one risk (``quad`` and
+the normal law), so importing this module and every i.i.d. or classification
+run load no scipy module.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal, stats
 
 from .param_space import AtomSet
 from .risk import Dataset, LossKind, SquaredLoss, ZeroOneLoss
@@ -179,7 +183,9 @@ def _draw_noise(noise: NoiseLaw, n: int, rng: np.random.Generator) -> np.ndarray
 
 def _ar1_path(a: float, y0: float, eps: np.ndarray) -> np.ndarray:
     """Recursion y_i = eps_i + a * y_{i-1} starting from y0, vectorized."""
-    y, _ = signal.lfilter([1.0], [1.0, -a], eps, zi=np.array([a * y0]))
+    from scipy.signal import lfilter
+
+    y, _ = lfilter([1.0], [1.0, -a], eps, zi=np.array([a * y0]))
     return y
 
 
@@ -332,6 +338,8 @@ def _ar1_sign_risk(spec: AR1, atoms: AtomSet, threshold: float) -> np.ndarray:
     Phi(a z / sd) or its complement depending on which side of the threshold
     the linear score lands. Deterministic to quadrature precision.
     """
+    from scipy import integrate, stats
+
     v = spec.noise.variance
     sd = math.sqrt(v)
     lag_sd = math.sqrt(v / (1.0 - spec.a**2))

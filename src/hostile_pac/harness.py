@@ -699,9 +699,12 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def dump_record(record: dict) -> str:
     """Canonical one-line JSON; infinities use the Python JSON dialect."""
-    return json.dumps(record, sort_keys=True)
+    return _RECORD_ENCODER.encode(record)
 
 
 def write_records(records: list[dict], path: str | Path) -> None:

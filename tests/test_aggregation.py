@@ -152,6 +152,16 @@ def test_solve_rbar_certifies_the_last_bit(rn):
     assert abs(spend - target) > 1e-10 * target
 
 
+def test_solve_rbar_steps_onto_the_last_bit_root():
+    # The last Newton step lands just below the level, where the spend falls
+    # short of T; the solve steps up to the double that spends it.
+    rn, weights = np.array([7528.546752461672]), np.ones(1)
+    q, moment = 2.504694217327672, 5.3322714857060166e-11
+    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, moment, 0.1)
+    assert rbar == 7528.546950941618
+    assert _spend(rn, weights, q, rbar) >= moment / 0.1 > _spend(rn, weights, q, np.nextafter(rbar, -np.inf))
+
+
 @st.composite
 def _level_problems(draw):
     """Risks with ties and +inf atoms, weights with zeros and 1e-300 masses."""
