@@ -8,13 +8,13 @@ CLI in :mod:`hostile_pac.harness` and :mod:`hostile_pac.cli`.
 """
 
 from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate,
-                          catoni_pi_gamma, erm_index, evaluate_bound, optimal_gamma,
-                          oracle_bound_empirical, oracle_bound_population,
-                          pac_margin, rho_hat, solve_rbar, verify_complexity)
+                          catoni_pi_gamma, certified_oracle, erm_index, evaluate_bound,
+                          optimal_gamma, oracle_bound, pac_margin, rho_hat, solve_rbar,
+                          verify_complexity)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
                       StudentTNoise, UniformBoxX, generate, kappa_moments,
-                      mixing_spec_for, true_risk_closed_form)
+                      true_risk_closed_form)
 from .divergence import PhiP, f_divergence
 from .moments import (MixingBoundedRegime, MixingUnbounded, MixingUnboundedRegime,
                       MomentBound, RegimeSpec, SubGaussianRegime, VarianceRegime,

@@ -11,6 +11,14 @@ The distribution minimizing the observable side has density proportional to
 level at which the prior integral of [rbar - r_n]_+ ** q spends the whole
 moment budget M/delta; the minimized objective equals rbar itself.
 
+The oracle inequality bounds a level by min + 2 * T**(1/(q+d)), T the spent
+budget: M/delta for the sample level rbar and 2**q * M/delta for the
+population level. Both go through :func:`oracle_bound`, and
+:func:`certified_oracle` reports it only where the proof holds: the
+sublevel-mass exponent d certifies on the gamma grid, and the proof point
+gamma = (level - min)/2 lies inside the grid's gamma interval with sublevel
+mass at least gamma**d.
+
 An infinite divergence is propagated, not raised: the certificate is then
 vacuous but valid, and sweep outputs stay rectangular.
 """
@@ -87,9 +95,6 @@ class BoundReport:
     upper: float
     lower: float
     divergence_plus_one: float
-    rbar: float | None = None
-    oracle_empirical: float | None = None
-    oracle_population: float | None = None
 
 
 @dataclass(frozen=True)
@@ -117,22 +122,21 @@ def pac_margin(cfg: BoundConfig, div_plus_one: float | np.ndarray) -> float | np
     return cfg.budget ** (1.0 / cfg.q) * np.maximum(div_plus_one, 1.0) ** (1.0 / cfg.p)
 
 
+def certificate(rn_integral: float, div_plus_one: float, cfg: BoundConfig) -> BoundReport:
+    """Two-sided certificate at a known r_n integral and D + 1."""
+    margin = float(pac_margin(cfg, div_plus_one))
+    return BoundReport(rn_integral=rn_integral, margin=margin, upper=rn_integral + margin,
+                       lower=rn_integral - margin, divergence_plus_one=div_plus_one)
+
+
 def evaluate_bound(rho: DiscreteDistribution, pi: DiscreteDistribution,
                    rn: np.ndarray, cfg: BoundConfig) -> BoundReport:
     """Two-sided certificate for a fixed aggregation distribution."""
     rn = np.asarray(rn, dtype=float)
     if len(rho) != len(pi) or rn.shape[0] != len(pi):
         raise ValueError("rho, pi and the risk vector must share one atom set")
-    div_plus_one = float(power_divergence_plus_one(rho.weights, pi.weights, cfg.p))
-    margin = pac_margin(cfg, div_plus_one)
-    rn_integral = expectation(rho, rn)
-    return BoundReport(
-        rn_integral=rn_integral,
-        margin=margin,
-        upper=rn_integral + margin,
-        lower=rn_integral - margin,
-        divergence_plus_one=div_plus_one,
-    )
+    return certificate(expectation(rho, rn),
+                       float(power_divergence_plus_one(rho.weights, pi.weights, cfg.p)), cfg)
 
 
 def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
@@ -290,17 +294,31 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     return ComplexityEstimate(d, interval, True)
 
 
-def oracle_bound_empirical(rn_min: float, moment_value: float, delta: float,
-                           q: float, d: float) -> float:
-    """min r_n + 2 * (M / delta) ** (1 / (q + d))."""
+def oracle_bound(r_min: float, moment_value: float, delta: float, q: float, d: float) -> float:
+    """min r + 2 * (M / delta) ** (1 / (q + d)); pass 2**q * M for the population level."""
     if moment_value <= 0 or not 0 < delta < 1 or q <= 1 or d < 0:
         raise ValueError("invalid oracle-bound inputs")
-    return rn_min + 2.0 * (moment_value / delta) ** (1.0 / (q + d))
+    return r_min + 2.0 * (moment_value / delta) ** (1.0 / (q + d))
 
 
-def oracle_bound_population(r_min: float, moment_value: float, delta: float,
-                            q: float, d: float) -> float:
-    """min R + 2**(q/(q+d)) * (M / delta) ** (1 / (q + d))."""
-    if moment_value <= 0 or not 0 < delta < 1 or q <= 1 or d < 0:
-        raise ValueError("invalid oracle-bound inputs")
-    return r_min + 2.0 ** (q / (q + d)) * (moment_value / delta) ** (1.0 / (q + d))
+def certified_oracle(values: np.ndarray, pi: DiscreteDistribution, gamma_grid: np.ndarray,
+                     level: float, moment_value: float, delta: float,
+                     q: float) -> tuple[ComplexityEstimate, float | None]:
+    """Sublevel-mass exponent of ``values`` and the oracle bound on ``level``.
+
+    The bound is certified, and returned, only when the exponent d certifies
+    on the grid and the proof point gamma = (level - min) / 2 lies inside the
+    grid's gamma interval with sublevel mass at least gamma**d (the grid is
+    checked only at its points); it is None otherwise. ``level`` is the solve
+    of ``values`` at the same ``moment_value`` and ``delta``, so its spend
+    T >= mass(gamma) * gamma**q >= gamma**(q + d) gives level <= the bound.
+    """
+    complexity = verify_complexity(values, pi, gamma_grid)
+    values = np.asarray(values, dtype=float)
+    floor = float(values.min())
+    gamma = (level - floor) / 2.0
+    lo, hi = complexity.gamma_interval
+    if not (complexity.satisfied and lo <= gamma <= hi
+            and pi.weights[values <= floor + gamma].sum() >= gamma ** complexity.d):
+        return complexity, None
+    return complexity, oracle_bound(floor, moment_value, delta, q, complexity.d)

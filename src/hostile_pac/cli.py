@@ -80,16 +80,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load(args)
-        if args.command == "bound":
-            result = harness.run_bound(config)
-            _emit(result.records, result.summary, args.out)
-        elif args.command == "aggregate":
-            records, summary = harness.run_aggregate(config)
-            _emit(records, summary, args.out)
-        elif args.command == "coverage":
-            report = harness.run_coverage(config)
-            _emit(report.records, report.summary, args.out)
-        elif args.command == "sweep":
+        if args.command != "sweep":  # bound, aggregate and coverage
+            _emit(*getattr(harness, f"run_{args.command}")(config), args.out)
+        else:
             values = [yaml.safe_load(v) for v in args.values.split(",")]
             rows = harness.run_sweep(config, args.axis, values)
             summary = {"type": "summary", "command": "sweep", "axis": args.axis,

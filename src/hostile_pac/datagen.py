@@ -362,8 +362,7 @@ def _ar1_sign_risk(spec: AR1, atoms: AtomSet, threshold: float) -> np.ndarray:
     return np.array([risk_one(t0, t1) for t0, t1 in atoms.coords])
 
 
-def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet,
-                          loss: LossKind | None = None) -> np.ndarray:
+def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -> np.ndarray:
     """Exact expected risk per atom, when a closed form exists.
 
     Regression generators support the squared loss; the classification
@@ -371,8 +370,6 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet,
     design; Gaussian AR(1) additionally supports the zero-one loss via
     deterministic quadrature. Raises :class:`NoClosedFormError` otherwise.
     """
-    if loss is None:
-        loss = ZeroOneLoss() if isinstance(spec, BoundedClassification) else SquaredLoss()
     if isinstance(spec, (IidLinearRegression, AR1)) and isinstance(loss, SquaredLoss):
         return _residual_moments(spec, atoms, 2)[0]
     if isinstance(spec, BoundedClassification) and isinstance(loss, ZeroOneLoss):
@@ -388,19 +385,6 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet,
     raise NoClosedFormError(
         f"no closed-form risk for {type(spec).__name__} with {type(loss).__name__}"
     )
-
-
-def mixing_spec_for(spec: GeneratorSpec) -> MixingBoundSpec:
-    """Envelope attached to the generator; independent rows give c1 = 0.
-
-    The envelope for a dependent generator is an assumption supplied by the
-    caller, never derived here, and must accompany any result that uses it.
-    """
-    if isinstance(spec, AR1):
-        if spec.mixing is None:
-            raise ValueError("AR(1) spec has no mixing envelope configured")
-        return spec.mixing
-    return MixingBoundSpec(c1=0.0, c2=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ and every error names the offending ``section.key``.
 
 ``bound``, ``aggregate`` and each coverage replication share one path:
 ``_setup`` builds the prior and the moment constant of a configuration, and
-``_fit`` turns dataset ``index`` into r_n, rbar and rho_hat. Dataset
+``_fit`` turns dataset ``index`` into r_n, rbar and rho_hat; ``_certify``
+adds, for ``bound`` and coverage, the ERM, the sublevel-mass exponent, the
+certified oracle and the rho_hat, prior and ERM certificates. Dataset
 ``index`` draws from the seed sequence ``[seed, 0, index]`` (coverage probes
 from ``[seed, 1, index]``), so results are identical at any worker count.
 
@@ -37,10 +39,9 @@ import numpy as np
 import yaml
 
 from . import datagen
-from .aggregation import (BoundConfig, BoundReport, catoni_pi_gamma, erm_index,
-                          evaluate_bound, optimal_gamma, oracle_bound_empirical,
-                          oracle_bound_population, pac_margin, rho_hat, solve_rbar,
-                          verify_complexity)
+from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate, catoni_pi_gamma,
+                          certificate, certified_oracle, erm_index, evaluate_bound,
+                          optimal_gamma, pac_margin, rho_hat, solve_rbar)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
                       NoClosedFormError, StudentTNoise, UniformBoxX)
@@ -108,6 +109,12 @@ def _validate_cross_fields(cfg: ExperimentConfig) -> None:
             raise ConfigError("mixing regimes require the AR(1) generator")
         if abs(cfg.p - 2.0) > 1e-12:
             raise ConfigError("mixing regimes certify q = 2, so p must be 2")
+        if cfg.generator.mixing is None:
+            raise ConfigError("generator.mixing: mixing regimes need the assumed envelope "
+                              "{c1, c2}")
+        if regime.alpha_sum == "envelope" and not cfg.generator.mixing.c1 > 0:
+            raise ConfigError("generator.mixing.c1 must be positive under regime.alpha_sum: "
+                              "envelope, which would otherwise give a zero moment bound")
     elif is_ar1:
         raise ConfigError(f"the {_REGIME_KIND[type(regime)]} regime requires independent "
                           "rows, not AR(1)")
@@ -137,8 +144,8 @@ def _validate_cross_fields(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"regime.r, regime.s: {exc}") from exc
     for f in dataclasses.fields(regime):
         value = getattr(regime, f.name)
-        if isinstance(value, float) and not value >= 0:
-            raise ConfigError(f"regime.{f.name} must be nonnegative, got {value}")
+        if isinstance(value, float) and not value > 0:
+            raise ConfigError(f"regime.{f.name} must be positive, got {value}")
     if isinstance(regime, MixingUnboundedRegime) and regime.moment_integral == "analytic":
         if abs(regime.s - 3.0) > 1e-12 or not isinstance(cfg.loss, SquaredLoss):
             raise ConfigError(
@@ -362,7 +369,7 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
         bound = moment_subgaussian(sigma2, n, q)
         return BoundConfig.from_q(q, config.delta, bound), constants
 
-    envelope = datagen.mixing_spec_for(spec)
+    envelope = spec.mixing
     constants.update(c1=envelope.c1, c2=envelope.c2)
     bounded = isinstance(regime, MixingBoundedRegime)
     # Sum of alpha_j**(1/power) over the envelope: power 1 when bounded, r otherwise.
@@ -391,7 +398,7 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
 
 
 # ---------------------------------------------------------------------------
-# Per-dataset fit, shared by bound, aggregate and coverage
+# Per-dataset fit and certification, shared by bound, aggregate and coverage
 # ---------------------------------------------------------------------------
 
 class _Setup(NamedTuple):
@@ -401,6 +408,13 @@ class _Setup(NamedTuple):
     pi: DiscreteDistribution
     cfg: BoundConfig
     constants: dict  # echoed into every output record
+
+
+class RunResult(NamedTuple):
+    """Output records and the summary record of one command."""
+
+    records: list[dict]
+    summary: dict
 
 
 def _setup(config: ExperimentConfig) -> _Setup:
@@ -423,18 +437,37 @@ def _fit(config: ExperimentConfig, setup: _Setup,
     return rn, rbar, rho_hat(rn, setup.pi, cfg.p, rbar)
 
 
-# ---------------------------------------------------------------------------
-# Single-dataset bound evaluation
-# ---------------------------------------------------------------------------
+class _Certified(NamedTuple):
+    """One dataset certified: what ``bound`` and a coverage replication share."""
 
-@dataclass
-class BoundRunResult:
-    reports: dict[str, BoundReport]
-    records: list[dict]
-    summary: dict
+    rn: np.ndarray
+    rbar: float
+    rho: DiscreteDistribution
+    erm: int
+    complexity: ComplexityEstimate
+    oracle: float | None  # the certified oracle bound on rbar
+    reports: dict[str, BoundReport]  # rho_hat, prior and erm
 
 
-def run_bound(config: ExperimentConfig) -> BoundRunResult:
+def _certify(config: ExperimentConfig, setup: _Setup, index: int) -> _Certified:
+    rn, rbar, rho = _fit(config, setup, index)
+    pi, cfg = setup.pi, setup.cfg
+    erm = erm_index(rn)
+    complexity, oracle = certified_oracle(rn, pi, np.asarray(config.gamma_grid), rbar,
+                                          cfg.moment.value, cfg.delta, cfg.q)
+    # D + 1 is exactly 1 at the prior; at the point mass on erm it is
+    # pi_erm**(1 - p), +inf off the support.
+    pi_erm = pi.weights[erm]
+    reports = {
+        "rho_hat": evaluate_bound(rho, pi, rn, cfg),
+        "prior": certificate(expectation(pi, rn), 1.0, cfg),
+        "erm": certificate(float(rn[erm]),
+                           float(pi_erm ** (1.0 - cfg.p)) if pi_erm > 0 else math.inf, cfg),
+    }
+    return _Certified(rn, rbar, rho, erm, complexity, oracle, reports)
+
+
+def run_bound(config: ExperimentConfig) -> RunResult:
     """Generate one dataset and certify the four canonical distributions.
 
     Reports cover the optimal aggregation weights, the sublevel restriction
@@ -445,42 +478,33 @@ def run_bound(config: ExperimentConfig) -> BoundRunResult:
     """
     setup = _setup(config)
     pi, cfg = setup.pi, setup.cfg
-    rn, rbar, rho = _fit(config, setup, 0)
-    erm = erm_index(rn)
-    complexity = verify_complexity(rn, pi, np.asarray(config.gamma_grid))
+    fit = _certify(config, setup, 0)
+    complexity = fit.complexity
     if config.require_complexity and not complexity.satisfied:
         raise AssumptionError(
             "prior-mass exponent failed to certify on the configured gamma grid"
         )
-
-    reports: dict[str, BoundReport] = {}
-    oracle = None
-    if complexity.satisfied:
-        oracle = oracle_bound_empirical(float(rn[erm]), cfg.moment.value, cfg.delta,
-                                        cfg.q, complexity.d)
-    base = evaluate_bound(rho, pi, rn, cfg)
-    reports["rho_hat"] = dataclasses.replace(base, rbar=rbar, oracle_empirical=oracle)
-    reports["prior"] = evaluate_bound(pi, pi, rn, cfg)
-    reports["erm"] = evaluate_bound(DiscreteDistribution.dirac(len(pi), erm), pi, rn, cfg)
+    reports = dict(fit.reports)
     gamma_star = None
     if complexity.satisfied:
         gamma_star = optimal_gamma(complexity.d, cfg.p, cfg.moment.value, cfg.delta)
-        reports["pi_gamma"] = evaluate_bound(catoni_pi_gamma(rn, pi, gamma_star), pi, rn, cfg)
+        reports["pi_gamma"] = evaluate_bound(catoni_pi_gamma(fit.rn, pi, gamma_star),
+                                             pi, fit.rn, cfg)
 
     records = [{"type": "bound", "rho": name, **dataclasses.asdict(report), **setup.constants}
                for name, report in reports.items()]
     summary = {
         "type": "summary", "command": "bound",
-        "erm_index": erm, "rbar": rbar,
+        "erm_index": fit.erm, "rbar": fit.rbar, "oracle_empirical": fit.oracle,
         "complexity_d": complexity.d, "complexity_satisfied": complexity.satisfied,
         "gamma_star": gamma_star,
         "timestamp": _timestamp(),
     }
     summary.update(setup.constants)
-    return BoundRunResult(reports=reports, records=records, summary=summary)
+    return RunResult(records, summary)
 
 
-def run_aggregate(config: ExperimentConfig) -> tuple[list[dict], dict]:
+def run_aggregate(config: ExperimentConfig) -> RunResult:
     """Optimal aggregation weights for one dataset, one record per atom."""
     setup = _setup(config)
     rn, rbar, rho = _fit(config, setup, 0)
@@ -493,7 +517,7 @@ def run_aggregate(config: ExperimentConfig) -> tuple[list[dict], dict]:
                "rn_integral_rho_hat": expectation(rho, rn),
                "timestamp": _timestamp()}
     summary.update(setup.constants)
-    return records, summary
+    return RunResult(records, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +526,14 @@ def run_aggregate(config: ExperimentConfig) -> tuple[list[dict], dict]:
 
 def _replication_record(config: ExperimentConfig, setup: _Setup,
                         true_values: np.ndarray, index: int) -> dict:
-    rn, rbar, rho = _fit(config, setup, index)
+    fit = _certify(config, setup, index)
+    rn, rbar, rho, erm = fit.rn, fit.rbar, fit.rho, fit.erm
     pi, cfg = setup.pi, setup.cfg
-    margin_prior = pac_margin(cfg, 1.0)
+    at_rho, at_erm = fit.reports["rho_hat"], fit.reports["erm"]
 
     rho_true = expectation(rho, true_values)
-    rho_emp = expectation(rho, rn)
-    div_rho = power_divergence_plus_one(rho.weights, pi.weights, cfg.p)
-    margin_rho = pac_margin(cfg, div_rho)
-    dev_rho = abs(rho_true - rho_emp)
-    hit_rho = dev_rho <= margin_rho
+    dev_rho = abs(rho_true - at_rho.rn_integral)
+    hit_rho = dev_rho <= at_rho.margin
 
     hit_probes = True
     max_probe_violation = 0.0
@@ -524,63 +546,37 @@ def _replication_record(config: ExperimentConfig, setup: _Setup,
         with np.errstate(invalid="ignore"):
             max_probe_violation = float(np.max(np.where(np.isinf(margins), 0.0, devs - margins)))
 
-    erm = erm_index(rn)
-    # D + 1 of the point mass at erm is pi_erm**(1 - p); +inf off the support.
-    pi_erm = pi.weights[erm]
-    margin_erm = pac_margin(cfg, pi_erm ** (1.0 - cfg.p) if pi_erm > 0 else math.inf)
-    hit_erm = true_values[erm] <= rn[erm] + margin_erm
-
-    complexity = verify_complexity(rn, pi, np.asarray(config.gamma_grid))
-    proof_point = (rbar - float(rn.min())) / 2.0
-    certified = bool(
-        complexity.satisfied
-        and complexity.gamma_interval[0] <= proof_point <= complexity.gamma_interval[1]
-    )
     hit_oracle_level = rho_true <= rbar
-    oracle_dim_bound = None
-    hit_oracle = hit_oracle_level
-    if certified:
-        oracle_dim_bound = oracle_bound_empirical(float(rn.min()), cfg.moment.value,
-                                                  cfg.delta, cfg.q, complexity.d)
-        hit_oracle = hit_oracle_level and rho_true <= oracle_dim_bound
-
+    hit_oracle = hit_oracle_level and (fit.oracle is None or rho_true <= fit.oracle)
     return {
         "type": "replication",
         "index": index,
         "rn_min": float(rn.min()),
         "erm_index": erm,
         "rbar": rbar,
-        "rho_hat_rn_integral": rho_emp,
+        "rho_hat_rn_integral": at_rho.rn_integral,
         "rho_hat_true_integral": rho_true,
-        "divergence_plus_one": float(div_rho),
-        "margin_rho_hat": float(margin_rho),
-        "margin_prior": float(margin_prior),
-        "margin_erm": float(margin_erm),
-        "slack_rho_hat": float(margin_rho - dev_rho),
+        "divergence_plus_one": at_rho.divergence_plus_one,
+        "margin_rho_hat": at_rho.margin,
+        "margin_prior": fit.reports["prior"].margin,
+        "margin_erm": at_erm.margin,
+        "slack_rho_hat": float(at_rho.margin - dev_rho),
         "hit_rho_hat": bool(hit_rho),
         "hit_probes": hit_probes,
         "hit_two_sided": bool(hit_rho and hit_probes),
         "max_probe_violation": max_probe_violation,
-        "hit_erm": bool(hit_erm),
+        "hit_erm": bool(true_values[erm] <= at_erm.upper),
         "true_risk_erm": float(true_values[erm]),
-        "complexity_d": complexity.d,
-        "complexity_certified": certified,
-        "oracle_dim_bound": oracle_dim_bound,
+        "complexity_d": fit.complexity.d,
+        "complexity_certified": fit.oracle is not None,
+        "oracle_dim_bound": fit.oracle,
         "hit_oracle_level": bool(hit_oracle_level),
         "hit_oracle": bool(hit_oracle),
         **setup.constants,
     }
 
 
-@dataclass
-class CoverageReport:
-    """Per-replication records and the aggregated summary of one configuration."""
-
-    records: list[dict]
-    summary: dict
-
-
-def run_coverage(config: ExperimentConfig) -> CoverageReport:
+def run_coverage(config: ExperimentConfig) -> RunResult:
     """Monte Carlo coverage of the certificates on a synthetic generator.
 
     Per replication the two-sided certificate is tested jointly for the
@@ -590,7 +586,7 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
     generator's closed form, so hit/miss decisions carry no oracle noise.
     """
     if config.replications < 50:
-        raise ConfigError("coverage runs need at least 50 replications")
+        raise ConfigError("experiment.replications: coverage runs need at least 50 replications")
     setup = _setup(config)
     pi, cfg = setup.pi, setup.cfg
     try:
@@ -609,14 +605,12 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
     slack = np.array([r["slack_rho_hat"] for r in records])
     finite_slack = slack[np.isfinite(slack)]
 
-    # Population-side quantities are deterministic for the configuration.
-    pop_complexity = verify_complexity(true_values, pi, np.asarray(config.gamma_grid))
-    rbar_pop = solve_rbar(true_values, pi, cfg.q,
-                          cfg.moment.value * 2.0 ** cfg.q, cfg.delta)
-    oracle_pop = None
-    if pop_complexity.satisfied:
-        oracle_pop = oracle_bound_population(float(true_values.min()), cfg.moment.value,
-                                             cfg.delta, cfg.q, pop_complexity.d)
+    # Population-side quantities are deterministic for the configuration; the
+    # population level spends the budget 2**q * M / delta.
+    pop_moment = cfg.moment.value * 2.0 ** cfg.q
+    rbar_pop = solve_rbar(true_values, pi, cfg.q, pop_moment, cfg.delta)
+    pop_complexity, oracle_pop = certified_oracle(true_values, pi, np.asarray(config.gamma_grid),
+                                                  rbar_pop, pop_moment, cfg.delta, cfg.q)
 
     summary = {
         "type": "summary", "command": "coverage",
@@ -634,7 +628,7 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
         "timestamp": _timestamp(),
     }
     summary.update(setup.constants)
-    return CoverageReport(records=records, summary=summary)
+    return RunResult(records, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hostile_pac.aggregation import (BoundConfig, SolverError, catoni_pi_gamma,
-                                     erm_index, evaluate_bound, optimal_gamma,
-                                     oracle_bound_empirical, oracle_bound_population,
-                                     pac_margin, rho_hat, solve_rbar,
-                                     verify_complexity)
+                                     certified_oracle, erm_index, evaluate_bound,
+                                     optimal_gamma, oracle_bound, pac_margin, rho_hat,
+                                     solve_rbar, verify_complexity)
 from hostile_pac.divergence import PhiP, f_divergence
 from hostile_pac.moments import MomentBound
 from hostile_pac.param_space import DiscreteDistribution, expectation
@@ -350,18 +349,48 @@ def test_verify_complexity_unsatisfiable():
 
 
 def test_oracle_bound_examples():
-    assert oracle_bound_empirical(0.2, 1e-5, 0.1, 2.0, 2.0) == pytest.approx(0.4, rel=1e-12)
-    assert oracle_bound_empirical(0.0, 0.1, 0.1, 2.0, 2.0) == pytest.approx(2.0, rel=1e-12)
+    assert oracle_bound(0.2, 1e-5, 0.1, 2.0, 2.0) == pytest.approx(0.4, rel=1e-12)
+    assert oracle_bound(0.0, 0.1, 0.1, 2.0, 2.0) == pytest.approx(2.0, rel=1e-12)
     # d -> 0 recovers the exponent 1/q.
-    assert oracle_bound_empirical(0.1, 1e-4, 0.1, 2.0, 1e-9) == pytest.approx(
+    assert oracle_bound(0.1, 1e-4, 0.1, 2.0, 1e-9) == pytest.approx(
         0.1 + 2.0 * (1e-3) ** 0.5, rel=1e-7)
-    assert oracle_bound_population(0.0, 0.1, 0.1, 2.0, 2.0) == pytest.approx(
-        math.sqrt(2.0), rel=1e-12)
-    assert oracle_bound_population(0.1, 1e-5, 0.1, 2.0, 2.0) == pytest.approx(
-        0.1 + math.sqrt(2.0) * 0.1, rel=1e-12)
-    # d = 0 matches the factor-2 oracle constant at exponent 1/q.
-    assert oracle_bound_population(0.3, 0.01, 0.1, 2.0, 0.0) == pytest.approx(
-        0.3 + 2.0 * math.sqrt(0.1), rel=1e-12)
+    # The population level spends the budget 2**q * M / delta.
+    assert oracle_bound(0.0, 2.0**2 * 0.1, 0.1, 2.0, 2.0) == pytest.approx(
+        2.0 * math.sqrt(2.0), rel=1e-12)
+    assert oracle_bound(0.1, 2.0**2 * 1e-5, 0.1, 2.0, 2.0) == pytest.approx(
+        0.1 + 2.0 * math.sqrt(2.0) * 0.1, rel=1e-12)
+    assert oracle_bound(0.3, 2.0**2 * 0.01, 0.1, 2.0, 0.0) == pytest.approx(
+        0.3 + 4.0 * math.sqrt(0.1), rel=1e-12)
+
+
+def test_certified_oracle_needs_the_proof_point_inside_the_interval():
+    pi = DiscreteDistribution(np.array([0.5, 0.5]))
+    values = np.array([0.0, 1.0])
+    grid = np.array([0.1, 0.5])  # sublevel mass 1/2 at both points: d = 1
+    for level, certified in ((0.2, True), (1.0, True), (0.1, False), (1.2, False)):
+        complexity, oracle = certified_oracle(values, pi, grid, level, 1e-3, 0.1, 2.0)
+        assert complexity.satisfied and complexity.d == pytest.approx(1.0)
+        if certified:
+            assert oracle == pytest.approx(2.0 * 1e-2 ** (1.0 / 3.0), rel=1e-12)
+        else:
+            assert oracle is None
+    # The grid is checked only at its points: here mass(0.3) = 0.3**8 sets
+    # d = 8, but the proof point 0.45 lies between the points with mass
+    # 0.3**8 < 0.45**8, and the interval-only rule would report 0.75 < 0.9.
+    pi = DiscreteDistribution(np.array([0.3**8, 1.0 - 0.3**8]))
+    values = np.array([0.0, 0.95])
+    moment = 0.1 * 0.3**8 * 0.9**2
+    level = solve_rbar(values, pi, 2.0, moment, 0.1)
+    assert level == pytest.approx(0.9, rel=1e-12)
+    complexity, oracle = certified_oracle(values, pi, np.array([0.3, 0.96]), level,
+                                          moment, 0.1, 2.0)
+    assert complexity.satisfied and complexity.d == pytest.approx(8.0, abs=2e-3)
+    assert oracle is None
+    assert oracle_bound(0.0, moment, 0.1, 2.0, complexity.d) < level
+    # An exponent that does not certify never yields an oracle.
+    lopsided = DiscreteDistribution(np.array([0.001, 0.999]))
+    complexity, oracle = certified_oracle(values, lopsided, np.array([0.9]), 1.0, 1e-3, 0.1, 2.0)
+    assert not complexity.satisfied and oracle is None
 
 
 @settings(max_examples=60, deadline=None)

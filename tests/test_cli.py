@@ -108,6 +108,11 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("coverage_ar1_t7", "regime.r=2", ["regime.r", "regime.s"]),
     ("erm_finite_class", "regime.optimize_q=false regime.q=1.5", ["regime.q"]),
     ("erm_finite_class", "regime.optimize_q=false experiment.p=3", ["experiment.p"]),
+    # A zero constant would give a zero moment bound; rejected at load time.
+    ("bound_demo", "regime.s2=0", ["regime.s2"]),
+    ("erm_finite_class", "regime.sigma2=0", ["regime.sigma2"]),
+    ("coverage_ar1_t7", "generator.mixing.c1=0", ["generator.mixing.c1"]),
+    ("coverage_ar1_t7", "generator.mixing=null", ["generator.mixing"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"
@@ -115,6 +120,13 @@ def test_regime_value_errors_name_the_key(config, override, named, capsys):
     assert main(["bound", "--config", str(path), *sets]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and all(key in err for key in named)
+
+
+def test_coverage_replication_floor_names_the_key(capsys):
+    path = ROOT / "configs" / "erm_finite_class.yaml"
+    assert main(["coverage", "--config", str(path), "--set", "experiment.replications=10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "experiment.replications" in err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -9,7 +9,7 @@ from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise,
                                  MixingBoundSpec, MomentDoesNotExistError,
                                  NoClosedFormError, StudentTNoise, UniformBoxX,
                                  _ar1_path, _ar1_y_moments, _residual_moments,
-                                 generate, kappa_moments, mixing_spec_for, noise_moment,
+                                 generate, kappa_moments, noise_moment,
                                  squared_loss_third_moments, squared_loss_variances,
                                  true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
@@ -222,14 +222,6 @@ def test_no_closed_form_paths():
         true_risk_closed_form(AR_T7, AtomSet(np.zeros((1, 2))), ZeroOneLoss())
     with pytest.raises(NoClosedFormError):
         true_risk_closed_form(CLASSIF, AtomSet(np.zeros((1, 2))), ZeroOneLoss(threshold=0.2))
-
-
-def test_mixing_spec_passthrough():
-    assert mixing_spec_for(AR_GAUSS) == MixingBoundSpec(c1=0.5, c2=math.log(2.0))
-    iid_envelope = mixing_spec_for(IID_T5)
-    assert iid_envelope.c1 == 0.0
-    with pytest.raises(ValueError):
-        mixing_spec_for(AR_T7)  # no envelope configured
 
 
 def test_squared_loss_variance_closed_form_vs_monte_carlo():

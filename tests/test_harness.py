@@ -248,21 +248,49 @@ def test_resolve_moment_exact_below_kappa():
     assert cfg_exact.moment.value <= cfg_kappa.moment.value
 
 
+def _bound_reports(result) -> dict[str, dict]:
+    assert all(rec["type"] == "bound" for rec in result.records)
+    return {rec["rho"]: rec for rec in result.records}
+
+
 def test_run_bound_reports_and_ordering():
     result = run_bound(base_config())
-    reports = result.reports
+    reports = _bound_reports(result)
     assert {"rho_hat", "prior", "erm"} <= set(reports)
     if result.summary["complexity_satisfied"]:
         assert "pi_gamma" in reports
     # The optimizer attains the smallest upper certificate.
-    best = reports["rho_hat"].upper
+    best = reports["rho_hat"]["upper"]
     for name, report in reports.items():
-        assert best <= report.upper + 1e-9, name
-    assert reports["rho_hat"].rbar is not None
-    assert reports["rho_hat"].upper == pytest.approx(reports["rho_hat"].rbar, rel=1e-8)
-    kinds = {rec["rho"] for rec in result.records}
-    assert "rho_hat" in kinds and all(rec["type"] == "bound" for rec in result.records)
+        assert best <= report["upper"] + 1e-9, name
+    assert reports["rho_hat"]["upper"] == pytest.approx(result.summary["rbar"], rel=1e-8)
+    # D + 1 is exactly 1 at the prior and pi_erm**(1 - p) at the ERM point mass.
+    assert reports["prior"]["divergence_plus_one"] == 1.0
+    atoms, pi = build_prior(base_config().prior, 42)
+    pi_erm = pi.weights[result.summary["erm_index"]]
+    assert reports["erm"]["divergence_plus_one"] == pytest.approx(1.0 / pi_erm, rel=1e-12)
     assert result.summary["command"] == "bound"
+
+
+@pytest.mark.parametrize("name, certifies", [("bound_demo", False),
+                                             ("oracle_rate_gaussian", True)])
+def test_bound_oracle_is_certified_and_bounds_the_level(name, certifies):
+    # bound_demo's proof point (rbar - min r_n)/2 lies far outside its gamma
+    # interval, so no oracle is reported there.
+    summary = run_bound(load_config(ROOT / "configs" / f"{name}.yaml")).summary
+    assert summary["complexity_satisfied"]
+    assert (summary["oracle_empirical"] is not None) == certifies
+    if certifies:
+        assert summary["oracle_empirical"] >= summary["rbar"]
+
+
+def test_replication_oracle_bounds_the_level():
+    config = dataclasses.replace(load_config(ROOT / "configs" / "oracle_rate_gaussian.yaml"),
+                                 replications=50)
+    records = run_coverage(config).records
+    assert all(rec["complexity_certified"] for rec in records)
+    for rec in records:
+        assert rec["oracle_dim_bound"] >= rec["rbar"], rec["index"]
 
 
 def test_run_bound_noiseless_erm_is_zero():
@@ -274,7 +302,7 @@ def test_run_bound_noiseless_erm_is_zero():
                             weights=np.array([0.2, 0.4, 0.4])),
     )
     result = run_bound(config)
-    assert result.reports["erm"].rn_integral == pytest.approx(0.0, abs=1e-15)
+    assert _bound_reports(result)["erm"]["rn_integral"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_run_bound_infinite_divergence_completes():
@@ -287,10 +315,10 @@ def test_run_bound_infinite_divergence_completes():
         prior=ExplicitPrior(atoms=np.array([[0.5, -0.3], [0.0, 0.0], [1.0, 1.0]]),
                             weights=np.array([0.0, 0.5, 0.5])),
     )
-    result = run_bound(config)
-    assert math.isinf(result.reports["erm"].margin)
-    assert math.isinf(result.reports["erm"].upper)
-    assert np.isfinite(result.reports["rho_hat"].upper)
+    reports = _bound_reports(run_bound(config))
+    assert math.isinf(reports["erm"]["margin"])
+    assert math.isinf(reports["erm"]["upper"])
+    assert np.isfinite(reports["rho_hat"]["upper"])
 
 
 def test_run_bound_require_complexity():

@@ -139,7 +139,7 @@ def test_empirical_estimate_below_variance_bound():
                                noise=GaussianNoise(variance=0.5))
     atoms, pi = build_prior(IidSamplePrior(count=10, dim=2, scale=0.6, seed=3))
     n = 200
-    target = true_risk_closed_form(spec, atoms)
+    target = true_risk_closed_form(spec, atoms, SquaredLoss())
     tables = [compute_loss_table(generate(spec, n, seed=50_000 + i), atoms, SquaredLoss())
               for i in range(500)]
     estimate = empirical_moment_estimate(tables, target, pi, 2.0)

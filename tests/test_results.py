@@ -44,3 +44,10 @@ def test_committed_results_match_current_code(name):
     assert "timestamp" in summary
     del summary["timestamp"], fresh_summary["timestamp"]
     _assert_same(summary, fresh_summary, f"{name} summary")
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_population_oracle_bounds_the_population_level(name):
+    summary = json.loads((ROOT / "results" / f"{name}.summary.json").read_text())
+    oracle = summary["oracle_population_bound"]
+    assert oracle is None or oracle >= summary["rbar_population"]
