@@ -51,8 +51,7 @@ def main() -> int:
               f"mean_slack={summary['mean_slack']:.4g}")
 
     sweep_base = harness.load_config(ROOT / "configs" / "coverage_iid_t5.yaml")
-    sweep_base = dataclasses.replace(sweep_base, replications=50, probes=0,
-                                     workers=args.workers)
+    sweep_base = dataclasses.replace(sweep_base, replications=50, workers=args.workers)
     values = [100, 400] if args.fast else [100, 400, 1600, 6400]
     rows = harness.run_sweep(sweep_base, "n", values)
     harness.write_sweep_csv(rows, results_dir / "sweep_n.csv")

@@ -139,6 +139,19 @@ def evaluate_bound(rho: DiscreteDistribution, pi: DiscreteDistribution,
                        float(power_divergence_plus_one(rho.weights, pi.weights, cfg.p)), cfg)
 
 
+def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray, q: float) -> tuple[float, float]:
+    """(E_pi gap_+**q, E_pi gap_-**q) for the per-atom gap R - r_n.
+
+    By Hoelder duality in L^p(pi), sup over all rho of
+    |E_rho gap| / (D(rho, pi) + 1)**(1/p) is the q-th root of the larger
+    of the two, attained at rho proportional to pi * gap_+**(q-1) or
+    pi * gap_-**(q-1). So the certificate holds for every rho at once
+    exactly when that larger moment is at most M/delta.
+    """
+    return (float(pi_weights @ np.maximum(gap, 0.0) ** q),
+            float(pi_weights @ np.maximum(-gap, 0.0) ** q))
+
+
 def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
                moment_value: float, delta: float) -> float:
     """Smallest level u with s(u) = sum_j pi_j [u - rn_j]_+ ** q = M / delta =: T.

@@ -12,8 +12,8 @@ and every error names the offending ``section.key``.
 ``_fit`` turns dataset ``index`` into r_n, rbar and rho_hat; ``_certify``
 adds, for ``bound`` and coverage, the ERM, the sublevel-mass exponent, the
 certified oracle and the rho_hat, prior and ERM certificates. Dataset
-``index`` draws from the seed sequence ``[seed, 0, index]`` (coverage probes
-from ``[seed, 1, index]``), so results are identical at any worker count.
+``index`` draws from the seed sequence ``[seed, 0, index]``, so results are
+identical at any worker count.
 
 All regime constants entering a bound are analytic (closed forms from the
 generator spec and prior); nothing is estimated from the data that the bound
@@ -40,12 +40,11 @@ import yaml
 
 from . import datagen
 from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate, catoni_pi_gamma,
-                          certificate, certified_oracle, erm_index, evaluate_bound,
-                          optimal_gamma, pac_margin, rho_hat, solve_rbar)
+                          certificate, certified_oracle, deviation_moments, erm_index,
+                          evaluate_bound, optimal_gamma, rho_hat, solve_rbar)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
                       NoClosedFormError, StudentTNoise, UniformBoxX)
-from .divergence import power_divergence_plus_one
 from .moments import (MixingBoundedRegime, MixingUnbounded, MixingUnboundedRegime,
                       RegimeSpec, SubGaussianRegime, VarianceRegime, check_mixing_exponents,
                       geometric_alpha_sum, kappa_quadratic, moment_iid_variance,
@@ -81,7 +80,6 @@ class ExperimentConfig:
     replications: int = 100
     seed: int = 0
     gamma_grid: tuple[float, ...] = tuple(np.linspace(0.05, 0.9, 10).tolist())
-    probes: int = 100
     workers: int = 1
     require_complexity: bool = False
 
@@ -90,8 +88,6 @@ class ExperimentConfig:
             raise ConfigError("experiment.seed must be nonnegative")
         if self.n < 1:
             raise ConfigError("experiment.n must be positive")
-        if self.probes < 0:
-            raise ConfigError("experiment.probes must be nonnegative")
         if self.workers < 1:
             raise ConfigError("experiment.workers must be positive")
         if not 0 < self.delta < 1:
@@ -288,6 +284,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(map(str, unknown))}")
     exp = dict(_mapping(raw.get("experiment"), "experiment"))
+    if exp.pop("probes", 0) != 0:  # retired key; perfbench/configs still write probes: 0
+        raise ConfigError("experiment.probes is retired: coverage decides the event over "
+                          "every rho exactly, so only probes: 0 is accepted")
     if isinstance(exp.get("loss"), str):
         exp["loss"] = {"kind": exp["loss"]}
     if isinstance(exp.get("gamma_grid"), dict):
@@ -524,8 +523,17 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
 # Coverage experiments
 # ---------------------------------------------------------------------------
 
+class _Replication(NamedTuple):
+    """One coverage replication: its output record and the realized
+    deviation moments of the gap R - r_n, which feed the summary's slack."""
+
+    record: dict
+    sup: float     # S = max(E_pi gap_+**q, E_pi gap_-**q)
+    moment: float  # E_pi |gap|**q
+
+
 def _replication_record(config: ExperimentConfig, setup: _Setup,
-                        true_values: np.ndarray, index: int) -> dict:
+                        true_values: np.ndarray, index: int) -> _Replication:
     fit = _certify(config, setup, index)
     rn, rbar, rho, erm = fit.rn, fit.rbar, fit.rho, fit.erm
     pi, cfg = setup.pi, setup.cfg
@@ -535,20 +543,14 @@ def _replication_record(config: ExperimentConfig, setup: _Setup,
     dev_rho = abs(rho_true - at_rho.rn_integral)
     hit_rho = dev_rho <= at_rho.margin
 
-    hit_probes = True
-    max_probe_violation = 0.0
-    if config.probes > 0:
-        probe_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, index]))
-        rows = probe_rng.dirichlet(np.ones(len(pi)), size=config.probes)
-        margins = pac_margin(cfg, power_divergence_plus_one(rows, pi.weights, cfg.p))
-        devs = np.abs(rows @ (true_values - rn))
-        hit_probes = bool(np.all(devs <= margins))
-        with np.errstate(invalid="ignore"):
-            max_probe_violation = float(np.max(np.where(np.isinf(margins), 0.0, devs - margins)))
+    # The certificate over every rho at once, decided exactly (Hoelder duality).
+    upper_side, lower_side = deviation_moments(true_values - rn, pi.weights, cfg.q)
+    sup = max(upper_side, lower_side)
+    hit_sup = sup <= cfg.budget
 
     hit_oracle_level = rho_true <= rbar
     hit_oracle = hit_oracle_level and (fit.oracle is None or rho_true <= fit.oracle)
-    return {
+    record = {
         "type": "replication",
         "index": index,
         "rn_min": float(rn.min()),
@@ -562,9 +564,9 @@ def _replication_record(config: ExperimentConfig, setup: _Setup,
         "margin_erm": at_erm.margin,
         "slack_rho_hat": float(at_rho.margin - dev_rho),
         "hit_rho_hat": bool(hit_rho),
-        "hit_probes": hit_probes,
-        "hit_two_sided": bool(hit_rho and hit_probes),
-        "max_probe_violation": max_probe_violation,
+        "hit_sup": hit_sup,
+        "hit_two_sided": bool(hit_rho and hit_sup),
+        "sup_ratio": sup / cfg.budget,
         "hit_erm": bool(true_values[erm] <= at_erm.upper),
         "true_risk_erm": float(true_values[erm]),
         "complexity_d": fit.complexity.d,
@@ -574,16 +576,31 @@ def _replication_record(config: ExperimentConfig, setup: _Setup,
         "hit_oracle": bool(hit_oracle),
         **setup.constants,
     }
+    return _Replication(record, sup, upper_side + lower_side)
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0 else math.inf
 
 
 def run_coverage(config: ExperimentConfig) -> RunResult:
     """Monte Carlo coverage of the certificates on a synthetic generator.
 
-    Per replication the two-sided certificate is tested jointly for the
-    optimal weights and all random probe distributions (the guarantee is
-    uniform over distributions, so one replication is a hit only when every
-    tested distribution is inside its margin). True risks come from the
-    generator's closed form, so hit/miss decisions carry no oracle noise.
+    Per replication the two-sided certificate is decided uniformly over all
+    aggregation distributions: by Hoelder duality it holds for every rho
+    exactly when S = max(E_pi gap_+**q, E_pi gap_-**q) <= M/delta, with
+    gap = R - r_n (``hit_sup``, ``sup_ratio`` = S/(M/delta)). A replication
+    is a two-sided hit when that event and the optimal weights' own
+    certificate hold. True risks come from the generator's closed form, so
+    hit/miss decisions carry no oracle noise.
+
+    The summary splits the slack of the moment constant M by layer:
+    ``realized_moment`` m = mean E_pi |gap|**q, ``critical_moment``
+    M_crit = delta times the (1 - delta) quantile of S taken as an order
+    statistic (``method="higher"``), so that the sup event holds in at least
+    a 1 - delta share of the replications at M = M_crit, ``constant_layer``
+    M/m, ``markov_layer`` m/M_crit and their product ``constant_slack``
+    M/M_crit.
     """
     if config.replications < 50:
         raise ConfigError("experiment.replications: coverage runs need at least 50 replications")
@@ -598,9 +615,10 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     if config.workers > 1:
         chunk = max(1, config.replications // (config.workers * 4))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(replicate, indices, chunksize=chunk))
+            replications = list(pool.map(replicate, indices, chunksize=chunk))
     else:
-        records = [replicate(i) for i in indices]
+        replications = [replicate(i) for i in indices]
+    records = [r.record for r in replications]
 
     slack = np.array([r["slack_rho_hat"] for r in records])
     finite_slack = slack[np.isfinite(slack)]
@@ -612,11 +630,18 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     pop_complexity, oracle_pop = certified_oracle(true_values, pi, np.asarray(config.gamma_grid),
                                                   rbar_pop, pop_moment, cfg.delta, cfg.q)
 
+    certified_hits = [r["hit_oracle"] for r in records if r["complexity_certified"]]
+    moment = float(np.mean([r.moment for r in replications]))
+    critical = cfg.delta * float(np.quantile([r.sup for r in replications], 1.0 - cfg.delta,
+                                             method="higher"))
+
     summary = {
         "type": "summary", "command": "coverage",
         "replications": config.replications,
         "coverage_two_sided": float(np.mean([r["hit_two_sided"] for r in records])),
         "coverage_oracle": float(np.mean([r["hit_oracle"] for r in records])),
+        "coverage_oracle_certified": (float(np.mean(certified_hits)) if certified_hits
+                                      else None),
         "coverage_erm": float(np.mean([r["hit_erm"] for r in records])),
         "mean_slack": float(finite_slack.mean()) if finite_slack.size else math.inf,
         "certified_fraction": float(np.mean([r["complexity_certified"] for r in records])),
@@ -624,7 +649,11 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
         "population_complexity_satisfied": pop_complexity.satisfied,
         "rbar_population": rbar_pop,
         "oracle_population_bound": oracle_pop,
-        "probes": config.probes,
+        "realized_moment": moment,
+        "critical_moment": critical,
+        "constant_slack": _ratio(cfg.moment.value, critical),
+        "constant_layer": _ratio(cfg.moment.value, moment),
+        "markov_layer": _ratio(moment, critical),
         "timestamp": _timestamp(),
     }
     summary.update(setup.constants)

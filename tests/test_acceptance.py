@@ -162,7 +162,6 @@ CRIT6_CONFIG = ExperimentConfig(
     replications=500,
     seed=606,
     gamma_grid=tuple(np.linspace(0.05, 0.9, 10).tolist()),
-    probes=100,
 )
 
 
@@ -189,7 +188,6 @@ CRIT7_CONFIG = ExperimentConfig(
     replications=300,
     seed=707,
     gamma_grid=tuple(np.linspace(0.05, 0.9, 10).tolist()),
-    probes=50,
 )
 
 
@@ -217,7 +215,6 @@ CRIT8_CONFIG = ExperimentConfig(
     replications=200,
     seed=808,
     gamma_grid=tuple(np.linspace(0.02, 0.8, 25).tolist()),
-    probes=100,
 )
 
 
@@ -236,7 +233,7 @@ def test_criterion_08_oracle_rate():
 
 def test_criterion_09_rate_shape():
     import dataclasses
-    base = dataclasses.replace(CRIT6_CONFIG, replications=50, probes=0, seed=909)
+    base = dataclasses.replace(CRIT6_CONFIG, replications=50, seed=909)
     values = [100, 400, 1600, 6400]
     rows = run_sweep(base, "n", values)
     slope = fit_loglog_slope(values, [row["median_margin"] for row in rows])
@@ -265,8 +262,7 @@ def _estimate_runs(config: ExperimentConfig, runs: int = 50, reps: int = 500) ->
 
 def test_criterion_10_moment_bound_validity():
     prior20 = IidSamplePrior(count=20, dim=2, scale=0.6, seed=404)
-    shared = dict(n=200, replications=50, seed=111,
-                  gamma_grid=(0.1, 0.5), probes=0)
+    shared = dict(n=200, replications=50, seed=111, gamma_grid=(0.1, 0.5))
     configs = {
         "iid_variance": ExperimentConfig(
             generator=CRIT6_CONFIG.generator, prior=prior20, loss=SquaredLoss(),
@@ -322,7 +318,6 @@ def test_criterion_11_finite_class_subgaussian_path():
         replications=500,
         seed=1010,
         gamma_grid=(0.1, 0.5),
-        probes=0,
     )
     report = run_coverage(config)
     pipeline_margin = report.records[0]["margin_erm"]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hostile_pac.aggregation import (BoundConfig, SolverError, catoni_pi_gamma,
-                                     certified_oracle, erm_index, evaluate_bound,
-                                     optimal_gamma, oracle_bound, pac_margin, rho_hat,
-                                     solve_rbar, verify_complexity)
-from hostile_pac.divergence import PhiP, f_divergence
+                                     certified_oracle, deviation_moments, erm_index,
+                                     evaluate_bound, optimal_gamma, oracle_bound, pac_margin,
+                                     rho_hat, solve_rbar, verify_complexity)
+from hostile_pac.divergence import PhiP, f_divergence, power_divergence_plus_one
 from hostile_pac.moments import MomentBound
 from hostile_pac.param_space import DiscreteDistribution, expectation
 from oracles import minimized_objective_identity
@@ -191,6 +191,56 @@ def test_solve_rbar_properties(problem, q):
     assert _spend(rn, weights, q, rbar - 1e-6 * (rbar - floor)) < target
     at_two = solve_rbar(rn, DiscreteDistribution(weights), 2.0, target * 0.5, 0.5)
     assert at_two == pytest.approx(_rbar_reference_q2(rn, weights, target), rel=1e-12)
+
+
+def _hoelder_ratio(rho, gap, weights, p):
+    """|E_rho gap| / (D(rho, pi) + 1)**(1/p); 0 when rho leaves pi's support."""
+    return abs(rho @ gap) / power_divergence_plus_one(rho, weights, p) ** (1.0 / p)
+
+
+@st.composite
+def _gap_problems(draw):
+    """Per-atom gaps R - r_n of both signs with zeros, prior weights with zeros."""
+    size = draw(st.integers(1, 12))
+    # |gap| >= 1e-6 keeps gap**q clear of underflow.
+    gap = np.array(draw(st.lists(st.sampled_from([0.0]) | st.floats(1e-6, 10.0)
+                                 | st.floats(-10.0, -1e-6), min_size=size, max_size=size)))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0]) | st.floats(1e-3, 1.0),
+                                     min_size=size, max_size=size)))
+    weights[0] = max(weights[0], 1e-3)  # atom 0 keeps the support nonempty
+    # q >= 1.05 keeps p <= 21: the direct rho**p * pi**(1-p) of the D + 1 overflows
+    # to nan for p near 100 and above.
+    q = draw(st.floats(1.05, 4.0))
+    return gap, weights / weights.sum(), q, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_gap_problems())
+def test_deviation_moments_decide_the_sup_over_every_rho(problem):
+    gap, weights, q, seed = problem
+    p = q / (q - 1.0)
+    upper_side, lower_side = deviation_moments(gap, weights, q)
+    assert upper_side + lower_side == pytest.approx(weights @ np.abs(gap) ** q, rel=1e-12)
+    sup = max(upper_side, lower_side) ** (1.0 / q)
+    # Each side is attained at rho proportional to pi * gap_(+/-)**(q - 1).
+    attained = [0.0]
+    for side, moment in ((np.maximum(gap, 0.0), upper_side), (np.maximum(-gap, 0.0), lower_side)):
+        rho = weights * side ** (q - 1.0)
+        if rho.sum() > 0:
+            ratio = _hoelder_ratio(rho / rho.sum(), gap, weights, p)
+            assert ratio == pytest.approx(moment ** (1.0 / q), rel=1e-9)
+            attained.append(ratio)
+    assert max(attained) == pytest.approx(sup, rel=1e-9, abs=0.0)
+    # No random rho on pi's support does better.
+    rng = np.random.default_rng(seed)
+    support = weights > 0
+    rows = np.zeros((200, len(gap)))
+    rows[:, support] = rng.dirichlet(np.ones(support.sum()), size=200)
+    assert all(_hoelder_ratio(row, gap, weights, p) <= sup * (1.0 + 1e-9) for row in rows)
+    # A rho with mass off pi's support has an infinite divergence, so ratio 0.
+    if not support.all():
+        off = rng.dirichlet(np.ones(len(gap)))
+        assert _hoelder_ratio(off, gap, weights, p) == 0.0
 
 
 def test_spend_function_monotone():

@@ -15,7 +15,6 @@ experiment:
   p: 2.0
   delta: 0.1
   loss: squared
-  probes: 5
   gamma_grid: {lo: 0.05, hi: 0.8, points: 5}
 generator:
   kind: iid_regression
@@ -76,8 +75,7 @@ def test_aggregate_and_coverage(config_path, capsys):
 def test_sweep_csv(config_path, tmp_path, capsys):
     prefix = tmp_path / "sweep"
     code = main(["sweep", "--config", str(config_path), "--axis", "n",
-                 "--values", "100,400", "--out", str(prefix),
-                 "--set", "experiment.probes=0"])
+                 "--values", "100,400", "--out", str(prefix)])
     assert code == 0
     csv_lines = prefix.with_suffix(".csv").read_text().splitlines()
     assert csv_lines[0].split(",")[0] == "axis"
@@ -153,6 +151,14 @@ def test_null_section_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "experiment" in err
 
 
+@pytest.mark.parametrize("value, code", [("0", 0), ("5", 1), ("-1", 1), ("true", 1)])
+def test_retired_probes_key_loads_only_at_zero(config_path, capsys, value, code):
+    assert main(["bound", "--config", str(config_path),
+                 "--set", f"experiment.probes={value}"]) == code
+    if code:
+        assert "config error: experiment.probes" in capsys.readouterr().err
+
+
 def test_override_on_empty_file_is_a_config_error(tmp_path, capsys):
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
@@ -169,7 +175,6 @@ experiment:
   p: 2.0
   delta: 0.1
   loss: squared
-  probes: 0
   gamma_grid: [0.9]
   require_complexity: true
 generator:

@@ -30,7 +30,6 @@ experiment:
   p: 2.0
   delta: 0.1
   loss: squared
-  probes: 10
   gamma_grid: {lo: 0.05, hi: 0.8, points: 8}
 generator:
   kind: iid_regression
@@ -197,11 +196,10 @@ def test_config_unknown_kind_names_the_key():
 
 def test_config_defaults_come_from_the_dataclasses():
     raw = yaml.safe_load(BASE_YAML)
-    for key in ("seed", "replications", "p", "probes", "gamma_grid"):
+    for key in ("seed", "replications", "p", "gamma_grid"):
         del raw["experiment"][key]
     config = config_from_dict(raw)
-    assert (config.seed, config.replications, config.p, config.probes, config.workers) == (
-        0, 100, 2.0, 100, 1)
+    assert (config.seed, config.replications, config.p, config.workers) == (0, 100, 2.0, 1)
     assert config.gamma_grid == tuple(np.linspace(0.05, 0.9, 10).tolist())
 
 
@@ -383,7 +381,7 @@ def test_squared_loss_coverage_never_builds_the_loss_table(monkeypatch):
         raise AssertionError("the squared loss built the n x K loss table")
 
     monkeypatch.setattr(risk, "compute_loss_table", refuse)
-    report = run_coverage(base_config(probes=0))
+    report = run_coverage(base_config())
     assert len(report.records) == report.summary["replications"] == 50
 
 
@@ -392,14 +390,37 @@ def test_run_coverage_requires_50_replications():
         run_coverage(base_config(replications=10))
 
 
-def test_run_coverage_probe_zero():
-    report = run_coverage(base_config(probes=0))
-    assert all(rec["hit_probes"] for rec in report.records)
-    assert all(rec["hit_two_sided"] == rec["hit_rho_hat"] for rec in report.records)
+def test_run_coverage_two_sided_implies_rho_hat():
+    report = run_coverage(base_config())
+    assert all(rec["hit_rho_hat"] for rec in report.records if rec["hit_two_sided"])
+    assert all(rec["hit_two_sided"] == (rec["hit_rho_hat"] and rec["hit_sup"])
+               and rec["hit_sup"] == (rec["sup_ratio"] <= 1.0) for rec in report.records)
+
+
+def test_coverage_fails_below_the_critical_moment():
+    # The coverage check can fail: with a moment bound of half the critical
+    # moment M_crit the two-sided coverage falls below 1 - delta; at M_crit
+    # it is at least 1 - delta.
+    path = ROOT / "configs" / "oracle_rate_gaussian.yaml"
+    summary = run_coverage(load_config(path)).summary
+    bound, critical = summary["moment_bound"], summary["critical_moment"]
+    assert summary["constant_slack"] == pytest.approx(
+        summary["constant_layer"] * summary["markov_layer"], rel=1e-12)
+    assert summary["constant_slack"] == pytest.approx(bound / critical, rel=1e-12)
+    assert summary["certified_fraction"] == 1.0
+    assert summary["coverage_oracle_certified"] == summary["coverage_oracle"]
+    assert summary["q"] == 2.0  # so the moment bound (s2/n)**(q/2) is linear in s2
+    coverage = {}
+    for factor in (1.0, 0.5):
+        s2 = summary["s2"] * factor * critical / bound
+        report = run_coverage(load_config(path, [f"regime.s2={s2!r}"]))
+        assert report.summary["moment_bound"] == pytest.approx(factor * critical, rel=1e-12)
+        coverage[factor] = report.summary["coverage_two_sided"]
+    assert coverage[1.0] >= 1.0 - summary["delta"] > coverage[0.5]
 
 
 def test_run_coverage_reproducible_and_monotone_in_moment():
-    config = base_config(replications=50, probes=5)
+    config = base_config(replications=50)
     r1 = run_coverage(config)
     r2 = run_coverage(config)
     assert [dump_record(a) for a in r1.records] == [dump_record(b) for b in r2.records]
@@ -410,21 +431,23 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
     assert dump_record(s1) == dump_record(s2)
 
     # Inflating the moment bound can only widen margins: coverage is monotone.
-    inflated = base_config(replications=50, probes=5,
-                           regime=VarianceRegime(s2=1e6))
+    inflated = base_config(replications=50, regime=VarianceRegime(s2=1e6))
     r3 = run_coverage(inflated)
     assert r3.summary["coverage_two_sided"] >= r1.summary["coverage_two_sided"]
     assert r3.summary["coverage_two_sided"] == 1.0
 
 
 def test_run_coverage_worker_equivalence():
-    serial = run_coverage(base_config(replications=50, probes=3))
-    parallel = run_coverage(base_config(replications=50, probes=3, workers=2))
+    serial = run_coverage(base_config(replications=50))
+    parallel = run_coverage(base_config(replications=50, workers=2))
     assert [dump_record(a) for a in serial.records] == [dump_record(b) for b in parallel.records]
+    # The slack summary is built from values the workers return beside the records.
+    assert ({k: v for k, v in serial.summary.items() if k != "timestamp"}
+            == {k: v for k, v in parallel.summary.items() if k != "timestamp"})
 
 
 def test_run_sweep_rows_and_csv(tmp_path):
-    config = base_config(probes=0)
+    config = base_config()
     rows = run_sweep(config, "n", [100, 400])
     assert len(rows) == 2
     assert rows[0]["n"] == 100 and rows[1]["n"] == 400
@@ -446,7 +469,7 @@ def test_run_sweep_rows_and_csv(tmp_path):
 
 
 def test_run_sweep_delta_scaling():
-    config = base_config(probes=0)
+    config = base_config()
     rows = run_sweep(config, "delta", [0.5, 0.05, 0.005])
     margins = [row["median_margin"] for row in rows]
     assert margins[1] / margins[0] == pytest.approx(math.sqrt(10.0), rel=1e-9)
