@@ -35,7 +35,6 @@ from .moments import MomentBound
 from .param_space import DiscreteDistribution, expectation
 
 CONJUGACY_TOL = 1e-12
-MOMENT_Q_TOL = 1e-9
 RBAR_RESIDUAL_TOL = 1e-10
 RBAR_MAX_ITER = 200
 RBAR_LAST_BIT_STEPS = 4  # doubles walked toward the last-bit root
@@ -49,36 +48,27 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundConfig:
-    """Exponent pair, confidence level and certified moment bound.
+    """Exponent p, confidence level and certified moment bound.
 
-    ``q`` defaults to the conjugate p/(p-1); an explicitly supplied q must
-    agree with it, and must match the exponent stored in the moment bound.
+    q is the moment bound's, and p must be its conjugate. p is stored because
+    q/(q-1) need not give p back: p = 4 returns 4.000000000000001.
     """
 
     p: float
     delta: float
     moment: MomentBound
-    q: float | None = None
 
     def __post_init__(self) -> None:
         if not self.p > 1:
             raise ValueError("p must exceed 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        q = self.p / (self.p - 1.0) if self.q is None else self.q
-        object.__setattr__(self, "q", float(q))
         if abs(1.0 / self.p + 1.0 / self.q - 1.0) > CONJUGACY_TOL:
-            raise ValueError("p and q must be conjugate: 1/p + 1/q = 1")
-        if abs(self.moment.q - self.q) > MOMENT_Q_TOL:
-            raise ValueError(
-                f"moment bound was certified at q={self.moment.q}, config uses q={self.q}"
-            )
+            raise ValueError(f"p={self.p} and the moment bound's q={self.q} are not conjugate")
 
-    @classmethod
-    def from_q(cls, q: float, delta: float, moment: MomentBound) -> "BoundConfig":
-        if not q > 1:
-            raise ValueError("q must exceed 1")
-        return cls(p=q / (q - 1.0), delta=delta, moment=moment, q=q)
+    @property
+    def q(self) -> float:
+        return self.moment.q
 
     @property
     def budget(self) -> float:
@@ -117,7 +107,7 @@ class ComplexityEstimate:
 def pac_margin(cfg: BoundConfig, div_plus_one: float | np.ndarray) -> float | np.ndarray:
     """(M / delta)**(1/q) * (D + 1)**(1/p), elementwise; infinity propagates."""
     div_plus_one = np.asarray(div_plus_one, dtype=float)
-    if (div_plus_one < 1.0 - CONJUGACY_TOL).any():
+    if not (div_plus_one >= 1.0 - CONJUGACY_TOL).all():  # NaN fails too
         raise ValueError("divergence-plus-one must be at least 1")
     return cfg.budget ** (1.0 / cfg.q) * np.maximum(div_plus_one, 1.0) ** (1.0 / cfg.p)
 
@@ -189,14 +179,17 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
     order = np.argsort(risks)
     risks, weights = risks[order], weights[order]
     mass = np.cumsum(weights)
+
+    def spend_and_slope(level: float) -> tuple[float, float]:  # s(level), s'(level) / q
+        gaps = level - risks[:np.searchsorted(risks, level)]
+        powered = gaps ** (q - 1.0)
+        return float(weights[:gaps.size] @ (powered * gaps)), float(weights[:gaps.size] @ powered)
+
     u = float(np.min(np.cumsum(weights * risks) / mass + (target / mass) ** (1.0 / q)))
     step = 0.0
     for _ in range(RBAR_MAX_ITER):
         u -= step
-        gaps = u - risks[:np.searchsorted(risks, u)]
-        powered = gaps ** (q - 1.0)
-        spend = float(weights[:gaps.size] @ (powered * gaps))
-        slope = float(weights[:gaps.size] @ powered)  # s'(u) / q
+        spend, slope = spend_and_slope(u)
         # (g - T ** (1/q)) / g', with g' = s ** (1/q - 1) * slope
         step = (spend - target ** (1 / q) * spend ** (1 - 1 / q)) / slope if slope > 0 else 0.0
         if not u - step < u:
@@ -204,17 +197,12 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
     residual = abs(spend - target)
     if residual <= RBAR_RESIDUAL_TOL * target:
         return u
-
-    def spend_at(level: float) -> float:
-        gaps = level - risks[:np.searchsorted(risks, level)]
-        return float(weights[:gaps.size] @ (gaps ** (q - 1.0) * gaps))
-
     toward = np.inf if spend < target else -np.inf
     for _ in range(RBAR_LAST_BIT_STEPS):
-        if spend >= target > spend_at(float(np.nextafter(u, -np.inf))):
+        if spend >= target > spend_and_slope(float(np.nextafter(u, -np.inf)))[0]:
             return u
         u = float(np.nextafter(u, toward))
-        spend = spend_at(u)
+        spend = spend_and_slope(u)[0]
     raise SolverError(f"level solve did not reach residual tolerance: residual "
                       f"{residual:.3e} vs target {target:.3e}")
 

@@ -46,9 +46,15 @@ def power_divergence_plus_one(rows: np.ndarray, pi_weights: np.ndarray,
     """D + 1 = sum_j rho_j**p * pi_j**(1-p) of the power family, per row.
 
     ``rows`` is one distribution (1-D) or a stack of them (2-D), aligned with
-    ``pi_weights``; rows that put mass where pi has none get +inf.
+    ``pi_weights``; rows that put mass where pi has none get +inf. A term whose
+    pi_j**(1-p) overflows is taken as pi_j * (rho_j/pi_j)**p, 0 at rho_j = 0.
     """
     rows = np.asarray(rows, dtype=float)
     support = pi_weights > 0
-    vals = np.sum(rows[..., support] ** p * pi_weights[support] ** (1.0 - p), axis=-1)
-    return np.where(rows[..., ~support].sum(axis=-1) > 0, np.inf, vals)
+    rho, pi = rows[..., support], pi_weights[support]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = rho ** p * pi ** (1.0 - p)
+        overflow = ~np.isfinite(terms)
+        if overflow.any():
+            terms[overflow] = (pi * (rho / pi) ** p)[overflow]
+    return np.where(rows[..., ~support].sum(axis=-1) > 0, np.inf, np.sum(terms, axis=-1))

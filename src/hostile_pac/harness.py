@@ -15,10 +15,12 @@ certified oracle and the rho_hat, prior and ERM certificates. Dataset
 ``index`` draws from the seed sequence ``[seed, 0, index]``, so results are
 identical at any worker count.
 
-All regime constants entering a bound are analytic (closed forms from the
-generator spec and prior); nothing is estimated from the data that the bound
-is then applied to. Every output record repeats the constants and the
-assumed mixing envelope (c1, c2) under which it was produced.
+Each regime's load-time rules and moment constant live on its class in
+:mod:`hostile_pac.moments`, called by ``_validate_cross_fields`` and
+``resolve_moment``. All regime constants entering a bound are analytic
+(closed forms from the generator spec and prior); nothing is estimated from
+the data that the bound is then applied to. Every output record repeats the
+constants and the assumed mixing envelope (c1, c2) under which it was produced.
 """
 
 from __future__ import annotations
@@ -43,16 +45,12 @@ from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate, catoni_p
                           certificate, certified_oracle, deviation_moments, erm_index,
                           evaluate_bound, optimal_gamma, rho_hat, solve_rbar)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
-                      IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
-                      NoClosedFormError, StudentTNoise, UniformBoxX)
-from .moments import (MixingBoundedRegime, MixingUnbounded, MixingUnboundedRegime,
-                      RegimeSpec, SubGaussianRegime, VarianceRegime, check_mixing_exponents,
-                      geometric_alpha_sum, kappa_quadratic, moment_iid_variance,
-                      moment_mixing_bounded, moment_mixing_unbounded, moment_subgaussian,
-                      optimal_q_finite)
-from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
-                          IidSamplePrior, PriorSpec, UniformGridPrior, build_prior,
-                          expectation, prior_moment_tau)
+                      IidLinearRegression, IsotropicGaussianX, NoClosedFormError, StudentTNoise,
+                      UniformBoxX)
+from .moments import (MixingBoundedRegime, MixingUnboundedRegime, RegimeSpec, SubGaussianRegime,
+                      VarianceRegime)
+from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior, IidSamplePrior,
+                          PriorSpec, UniformGridPrior, build_prior, expectation)
 from .risk import AbsoluteLoss, LossKind, SquaredLoss, ZeroOneLoss, empirical_risks
 
 
@@ -98,67 +96,18 @@ class ExperimentConfig:
 
 
 def _validate_cross_fields(cfg: ExperimentConfig) -> None:
-    regime = cfg.regime
-    is_ar1 = isinstance(cfg.generator, AR1)
-    if isinstance(regime, (MixingBoundedRegime, MixingUnboundedRegime)):
-        if not is_ar1:
-            raise ConfigError("mixing regimes require the AR(1) generator")
-        if abs(cfg.p - 2.0) > 1e-12:
-            raise ConfigError("mixing regimes certify q = 2, so p must be 2")
-        if cfg.generator.mixing is None:
-            raise ConfigError("generator.mixing: mixing regimes need the assumed envelope "
-                              "{c1, c2}")
-        if regime.alpha_sum == "envelope" and not cfg.generator.mixing.c1 > 0:
-            raise ConfigError("generator.mixing.c1 must be positive under regime.alpha_sum: "
-                              "envelope, which would otherwise give a zero moment bound")
-    elif is_ar1:
-        raise ConfigError(f"the {_REGIME_KIND[type(regime)]} regime requires independent "
-                          "rows, not AR(1)")
-    if isinstance(regime, MixingBoundedRegime) and not isinstance(cfg.loss, ZeroOneLoss):
-        raise ConfigError("mixing_bounded requires losses in [0, 1]: use the zero-one loss")
-    if isinstance(regime, VarianceRegime) and cfg.p < 2:
-        raise ConfigError("the variance regime needs q <= 2, i.e. p >= 2")
-    if isinstance(regime, VarianceRegime) and regime.s2 in ("kappa", "exact"):
-        if not (isinstance(cfg.generator, IidLinearRegression)
-                and isinstance(cfg.loss, SquaredLoss)):
-            raise ConfigError(
-                "analytic s2 modes apply to i.i.d. squared-loss regression; "
-                "supply a numeric s2 otherwise"
-            )
-    if isinstance(regime, SubGaussianRegime) and regime.optimize_q and regime.q is not None:
-        raise ConfigError("regime.q cannot be combined with regime.optimize_q, which sets q")
-    if isinstance(regime, SubGaussianRegime) and not regime.optimize_q:
-        key, q = (("regime.q", regime.q) if regime.q is not None
-                  else ("experiment.p", cfg.p / (cfg.p - 1.0)))
-        if q < 2:
-            raise ConfigError(f"{key}: the sub-Gaussian moment inequality requires q >= 2 "
-                              f"(q = p/(p-1) unless regime.q is set), got q={q}")
-    if isinstance(regime, MixingUnboundedRegime):
-        try:
-            check_mixing_exponents(regime.r, regime.s)
-        except ValueError as exc:
-            raise ConfigError(f"regime.r, regime.s: {exc}") from exc
-    for f in dataclasses.fields(regime):
-        value = getattr(regime, f.name)
-        if isinstance(value, float) and not value > 0:
-            raise ConfigError(f"regime.{f.name} must be positive, got {value}")
-    if isinstance(regime, MixingUnboundedRegime) and regime.moment_integral == "analytic":
-        if abs(regime.s - 3.0) > 1e-12 or not isinstance(cfg.loss, SquaredLoss):
-            raise ConfigError(
-                "regime.moment_integral: analytic is implemented for the squared loss "
-                "at s = 3; supply a number otherwise"
-            )
-        try:
-            datagen.noise_moment(cfg.generator.noise, 6)
-        except datagen.MomentDoesNotExistError as exc:
-            raise ConfigError(
-                f"regime.moment_integral: analytic needs sixth noise moments ({exc}); "
-                "raise generator.noise.dof or supply a number"
-            ) from exc
-    if isinstance(cfg.generator, AR1) and cfg.n < 2:
-        raise ConfigError("experiment.n must be at least 2 for AR(1)")
-    if not cfg.gamma_grid or not all(0 < g < 1 for g in cfg.gamma_grid):
-        raise ConfigError("experiment.gamma_grid must be nonempty, with values inside (0, 1)")
+    """The regime's own rules, then those of every regime."""
+    try:
+        cfg.regime.check(cfg)
+        for key, value in vars(cfg.regime).items():
+            if isinstance(value, float) and not value > 0:
+                raise ValueError(f"regime.{key} must be positive, got {value}")
+        if isinstance(cfg.generator, AR1) and cfg.n < 2:
+            raise ValueError("experiment.n must be at least 2 for AR(1)")
+        if not cfg.gamma_grid or not all(0 < g < 1 for g in cfg.gamma_grid):
+            raise ValueError("experiment.gamma_grid must be nonempty, with values inside (0, 1)")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -326,79 +275,17 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Experim
 
 
 # ---------------------------------------------------------------------------
-# Moment-bound resolution
+# Per-dataset fit and certification, shared by bound, aggregate and coverage
 # ---------------------------------------------------------------------------
 
 def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
                    pi: DiscreteDistribution) -> tuple[BoundConfig, dict]:
     """Turn the regime section into a certified moment bound plus a record
-    of the analytic constants it used."""
-    regime = config.regime
-    spec = config.generator
-    n = config.n
-    constants: dict = {"regime": _REGIME_KIND[type(regime)], "c1": None, "c2": None}
-    if isinstance(regime, VarianceRegime):
-        if regime.s2 == "kappa":
-            ey4, ex4 = datagen.kappa_moments(spec)
-            tau = prior_moment_tau(atoms, pi)
-            s2 = kappa_quadratic(ey4, tau, ex4)
-            constants.update(s2=s2, s2_mode="kappa", tau=tau, ey4=ey4, ex4=ex4)
-        elif regime.s2 == "exact":
-            variances = datagen.squared_loss_variances(spec, atoms)
-            s2 = float(pi.weights @ variances)
-            constants.update(s2=s2, s2_mode="exact")
-        else:
-            s2 = float(regime.s2)
-            constants.update(s2=s2, s2_mode="given")
-        q = config.p / (config.p - 1.0)
-        bound = moment_iid_variance(s2, n, q)
-        return BoundConfig(p=config.p, delta=config.delta, moment=bound), constants
+    of the analytic constants it used; (c1, c2) are null without mixing."""
+    p, bound, constants = config.regime.resolve(config, atoms, pi)
+    echoed = {"regime": _REGIME_KIND[type(config.regime)], "c1": None, "c2": None, **constants}
+    return BoundConfig(p=p, delta=config.delta, moment=bound), echoed
 
-    if isinstance(regime, SubGaussianRegime):
-        sigma2 = float(regime.sigma2)
-        if regime.optimize_q:
-            opt = optimal_q_finite(len(atoms), config.delta)
-            q = opt.q
-            constants["q_clamped"] = opt.clamped
-        elif regime.q is not None:
-            q = regime.q
-        else:
-            q = config.p / (config.p - 1.0)
-        constants.update(sigma2=sigma2, q=q)
-        bound = moment_subgaussian(sigma2, n, q)
-        return BoundConfig.from_q(q, config.delta, bound), constants
-
-    envelope = spec.mixing
-    constants.update(c1=envelope.c1, c2=envelope.c2)
-    bounded = isinstance(regime, MixingBoundedRegime)
-    # Sum of alpha_j**(1/power) over the envelope: power 1 when bounded, r otherwise.
-    power = 1.0 if bounded else regime.r
-    if regime.alpha_sum == "envelope":
-        alpha_sum = geometric_alpha_sum(envelope.c1, envelope.c2, power)
-    else:
-        alpha_sum = float(regime.alpha_sum)
-    if bounded:
-        constants["alpha_sum"] = alpha_sum
-        bound = moment_mixing_bounded(alpha_sum, n)
-        return BoundConfig(p=2.0, delta=config.delta, moment=bound), constants
-
-    if regime.moment_integral == "analytic":
-        third = datagen.squared_loss_third_moments(spec, atoms)
-        moment_integral = float(pi.weights @ third ** (2.0 / 3.0))
-    else:
-        moment_integral = float(regime.moment_integral)
-    unbounded = MixingUnbounded(r=regime.r, s=regime.s,
-                                moment_integral=moment_integral,
-                                alpha_frac_sum=alpha_sum,
-                                davydov_factor=regime.davydov_factor)
-    constants.update(dataclasses.asdict(unbounded))
-    bound = moment_mixing_unbounded(unbounded, n)
-    return BoundConfig(p=2.0, delta=config.delta, moment=bound), constants
-
-
-# ---------------------------------------------------------------------------
-# Per-dataset fit and certification, shared by bound, aggregate and coverage
-# ---------------------------------------------------------------------------
 
 class _Setup(NamedTuple):
     """What every dataset of one configuration shares."""
@@ -420,8 +307,7 @@ def _setup(config: ExperimentConfig) -> _Setup:
     atoms, pi = build_prior(config.prior, config.seed)
     cfg, regime_constants = resolve_moment(config, atoms, pi)
     constants = {"n": config.n, "p": cfg.p, "q": cfg.q, "delta": cfg.delta,
-                 "moment_bound": cfg.moment.value, "seed": config.seed}
-    constants.update(regime_constants)
+                 "moment_bound": cfg.moment.value, "seed": config.seed, **regime_constants}
     return _Setup(atoms, pi, cfg, constants)
 
 

@@ -6,6 +6,11 @@ variance (i.i.d.), a sub-Gaussian parameter, or alpha-mixing coefficient
 sums for dependent rows. The exponent q travels with the bound so it can
 never be paired with a mismatched Hoelder split downstream.
 
+Each regime class is the one home of its rules: its fields are the keys of
+the config's ``regime`` section, ``check`` raises a ``ValueError`` naming
+the offending key, and ``resolve`` returns p, the :class:`MomentBound` (from
+a ``moment_*`` formula) and the analytic constants echoed into every record.
+
 ``empirical_moment_estimate`` is the one data-driven routine here; it exists
 to validate the theoretical bounds in experiments and must never feed a
 guarantee.
@@ -15,98 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .param_space import DiscreteDistribution
-from .risk import LossTable, empirical_risk
+from . import datagen
+from .param_space import AtomSet, DiscreteDistribution, prior_moment_tau
+from .risk import LossTable, SquaredLoss, ZeroOneLoss, empirical_risk
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 EXPONENT_IDENTITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class VarianceRegime:
-    """The ``variance`` regime: i.i.d. rows, q <= 2, integrated loss variance s2.
-
-    ``s2`` is a number, or ``"kappa"`` for the fourth-moment majorant, or
-    ``"exact"`` for the exact integrated loss variance (both for i.i.d.
-    squared-loss regression only).
-    """
-
-    s2: float | Literal["kappa", "exact"] = "kappa"
-
-
-@dataclass(frozen=True)
-class SubGaussianRegime:
-    """The ``subgaussian`` regime: per-atom losses sub-Gaussian with parameter sigma2.
-
-    q defaults to the conjugate of p; ``optimize_q`` uses the finite-class
-    optimized exponent instead, so it excludes an explicit ``q``.
-    """
-
-    sigma2: float
-    q: float | None = None
-    optimize_q: bool = False
-
-
-@dataclass(frozen=True)
-class MixingBoundedRegime:
-    """The ``mixing_bounded`` regime: losses in [0, 1], summable alpha-mixing.
-
-    ``alpha_sum`` is a number, or ``"envelope"`` for the majorized sum of the
-    generator's assumed geometric envelope.
-    """
-
-    alpha_sum: float | Literal["envelope"] = "envelope"
-
-
-@dataclass(frozen=True)
-class MixingUnboundedRegime:
-    """The ``mixing_unbounded`` regime: unbounded losses under alpha-mixing.
-
-    Resolved into :class:`MixingUnbounded`. ``alpha_sum`` is the sum of
-    alpha_j**(1/r), or ``"envelope"``; ``moment_integral`` is a number, or
-    ``"analytic"`` for the closed form (squared loss at s = 3 only).
-    """
-
-    r: float = 3.0
-    s: float = 3.0
-    davydov_factor: float = 8.0
-    alpha_sum: float | Literal["envelope"] = "envelope"
-    moment_integral: float | Literal["analytic"] = "analytic"
-
-
-RegimeSpec = VarianceRegime | SubGaussianRegime | MixingBoundedRegime | MixingUnboundedRegime
-
-
-@dataclass(frozen=True)
-class MixingUnbounded:
-    """Unbounded losses under mixing, via the covariance inequality.
-
-    Requires conjugate exponents 1/r + 2/s = 1. ``moment_integral`` is the
-    prior integral of {E[loss**s]}**(2/s); ``alpha_frac_sum`` is the sum of
-    alpha_j**(1/r). The displayed proposition constant corresponds to
-    ``davydov_factor=1``; the proof's covariance step carries a factor 8,
-    which is the conservative default.
-    """
-
-    r: float
-    s: float
-    moment_integral: float
-    alpha_frac_sum: float
-    davydov_factor: float = 8.0
-
-    def __post_init__(self) -> None:
-        check_mixing_exponents(self.r, self.s)
-        if not self.moment_integral >= 0 or not self.alpha_frac_sum >= 0:
-            raise ValueError("moment_integral and alpha_frac_sum must be nonnegative")
-
-
-def check_mixing_exponents(r: float, s: float) -> None:
-    """The covariance inequality's exponents: r >= 1, s >= 2 and 1/r + 2/s = 1."""
-    if not (r >= 1 and s >= 2 and abs(1.0 / r + 2.0 / s - 1.0) <= EXPONENT_IDENTITY_TOL):
-        raise ValueError(f"exponents need r >= 1, s >= 2 and 1/r + 2/s = 1, got r={r}, s={s}")
 
 
 @dataclass(frozen=True)
@@ -115,14 +40,186 @@ class MomentBound:
 
     value: float
     q: float
-    n: int
-    regime: str
 
     def __post_init__(self) -> None:
         if not self.value >= 0:
             raise ValueError("bound value must be nonnegative")
         if not self.q > 1:
             raise ValueError("q must exceed 1")
+
+
+def _check_independent_rows(config: ExperimentConfig, kind: str) -> None:
+    if isinstance(config.generator, datagen.AR1):
+        raise ValueError(f"the {kind} regime requires independent rows, not AR(1)")
+
+
+@dataclass(frozen=True)
+class VarianceRegime:
+    """The ``variance`` regime: i.i.d. rows, q <= 2, integrated loss variance s2.
+
+    ``s2`` is a number, or ``"kappa"`` for the fourth-moment majorant, or
+    ``"exact"`` for the exact integrated loss variance (both for i.i.d.
+    squared-loss regression only). p is ``experiment.p`` and q its conjugate.
+    """
+
+    s2: float | Literal["kappa", "exact"] = "kappa"
+
+    def check(self, config: ExperimentConfig) -> None:
+        _check_independent_rows(config, "variance")
+        if config.p < 2:
+            raise ValueError("the variance regime needs q <= 2, i.e. p >= 2")
+        if self.s2 in ("kappa", "exact") and not (
+                isinstance(config.generator, datagen.IidLinearRegression)
+                and isinstance(config.loss, SquaredLoss)):
+            raise ValueError("analytic s2 modes apply to i.i.d. squared-loss regression; "
+                             "supply a numeric s2 otherwise")
+
+    def resolve(self, config: ExperimentConfig, atoms: AtomSet,
+                pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
+        if self.s2 == "kappa":
+            ey4, ex4 = datagen.kappa_moments(config.generator)
+            tau = prior_moment_tau(atoms, pi)
+            s2 = kappa_quadratic(ey4, tau, ex4)
+            constants = {"s2": s2, "s2_mode": "kappa", "tau": tau, "ey4": ey4, "ex4": ex4}
+        elif self.s2 == "exact":
+            s2 = float(pi.weights @ datagen.squared_loss_variances(config.generator, atoms))
+            constants = {"s2": s2, "s2_mode": "exact"}
+        else:
+            s2 = float(self.s2)
+            constants = {"s2": s2, "s2_mode": "given"}
+        return config.p, moment_iid_variance(s2, config.n, config.p / (config.p - 1.0)), constants
+
+
+@dataclass(frozen=True)
+class SubGaussianRegime:
+    """The ``subgaussian`` regime: per-atom losses sub-Gaussian with parameter sigma2.
+
+    q defaults to the conjugate of p, and ``optimize_q`` (which excludes an
+    explicit ``q``) uses the finite-class optimized exponent; p is q/(q-1).
+    """
+
+    sigma2: float
+    q: float | None = None
+    optimize_q: bool = False
+
+    def check(self, config: ExperimentConfig) -> None:
+        _check_independent_rows(config, "subgaussian")
+        if self.optimize_q and self.q is not None:
+            raise ValueError("regime.q cannot be combined with regime.optimize_q, which sets q")
+        key, q = (("regime.q", self.q) if self.q is not None
+                  else ("experiment.p", config.p / (config.p - 1.0)))
+        if not self.optimize_q and q < 2:
+            raise ValueError(f"{key}: the sub-Gaussian moment inequality requires q >= 2 "
+                             f"(q = p/(p-1) unless regime.q is set), got q={q}")
+
+    def resolve(self, config: ExperimentConfig, atoms: AtomSet,
+                pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
+        constants: dict = {}
+        if self.optimize_q:
+            opt = optimal_q_finite(len(atoms), config.delta)
+            q, constants["q_clamped"] = opt.q, opt.clamped
+        else:
+            q = self.q if self.q is not None else config.p / (config.p - 1.0)
+        constants.update(sigma2=self.sigma2, q=q)
+        return q / (q - 1.0), moment_subgaussian(self.sigma2, config.n, q), constants
+
+
+class _MixingRegime:
+    """Shared by the mixing regimes: AR(1) rows, the assumed envelope (c1, c2), q = p = 2."""
+
+    def _check_envelope(self, config: ExperimentConfig) -> None:
+        if not isinstance(config.generator, datagen.AR1):
+            raise ValueError("mixing regimes require the AR(1) generator")
+        if abs(config.p - 2.0) > 1e-12:
+            raise ValueError("mixing regimes certify q = 2, so p must be 2")
+        if config.generator.mixing is None:
+            raise ValueError("generator.mixing: mixing regimes need the assumed envelope {c1, c2}")
+        if self.alpha_sum == "envelope" and not config.generator.mixing.c1 > 0:
+            raise ValueError("generator.mixing.c1 must be positive under regime.alpha_sum: "
+                             "envelope, which would otherwise give a zero moment bound")
+
+    def _alpha_sum(self, config: ExperimentConfig, power: float) -> tuple[float, dict]:
+        """Sum of alpha_j**(1/power), and the envelope echoed as c1, c2."""
+        envelope = config.generator.mixing
+        alpha_sum = (geometric_alpha_sum(envelope.c1, envelope.c2, power)
+                     if self.alpha_sum == "envelope" else float(self.alpha_sum))
+        return alpha_sum, {"c1": envelope.c1, "c2": envelope.c2}
+
+
+@dataclass(frozen=True)
+class MixingBoundedRegime(_MixingRegime):
+    """The ``mixing_bounded`` regime: losses in [0, 1], summable alpha-mixing.
+
+    ``alpha_sum`` is a number, or ``"envelope"`` for the majorized sum of the
+    generator's assumed geometric envelope.
+    """
+
+    alpha_sum: float | Literal["envelope"] = "envelope"
+
+    def check(self, config: ExperimentConfig) -> None:
+        self._check_envelope(config)
+        if not isinstance(config.loss, ZeroOneLoss):
+            raise ValueError("mixing_bounded requires losses in [0, 1]: use the zero-one loss")
+
+    def resolve(self, config: ExperimentConfig, atoms: AtomSet,
+                pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
+        alpha_sum, constants = self._alpha_sum(config, 1.0)
+        constants["alpha_sum"] = alpha_sum
+        return 2.0, moment_mixing_bounded(alpha_sum, config.n), constants
+
+
+@dataclass(frozen=True)
+class MixingUnboundedRegime(_MixingRegime):
+    """The ``mixing_unbounded`` regime: unbounded losses under alpha-mixing.
+
+    The covariance inequality needs exponents r >= 1, s >= 2 with
+    1/r + 2/s = 1. ``alpha_sum`` is the sum of alpha_j**(1/r), or
+    ``"envelope"``; ``moment_integral`` is the prior integral of
+    {E[loss**s]}**(2/s), a number, or ``"analytic"`` for the closed form
+    (squared loss at s = 3 only). The displayed proposition constant
+    corresponds to ``davydov_factor=1``; the proof's covariance step carries
+    a factor 8, which is the conservative default.
+    """
+
+    r: float = 3.0
+    s: float = 3.0
+    davydov_factor: float = 8.0
+    alpha_sum: float | Literal["envelope"] = "envelope"
+    moment_integral: float | Literal["analytic"] = "analytic"
+
+    def check(self, config: ExperimentConfig) -> None:
+        self._check_envelope(config)
+        r, s = self.r, self.s
+        if not (r >= 1 and s >= 2 and abs(1.0 / r + 2.0 / s - 1.0) <= EXPONENT_IDENTITY_TOL):
+            raise ValueError("regime.r, regime.s: exponents need r >= 1, s >= 2 and "
+                             f"1/r + 2/s = 1, got r={r}, s={s}")
+        if self.moment_integral != "analytic":
+            return
+        if abs(s - 3.0) > 1e-12 or not isinstance(config.loss, SquaredLoss):
+            raise ValueError("regime.moment_integral: analytic is implemented for the squared "
+                             "loss at s = 3; supply a number otherwise")
+        try:
+            datagen.noise_moment(config.generator.noise, 6)
+        except datagen.MomentDoesNotExistError as exc:
+            raise ValueError(f"regime.moment_integral: analytic needs sixth noise moments "
+                             f"({exc}); raise generator.noise.dof or supply a number") from exc
+
+    def resolve(self, config: ExperimentConfig, atoms: AtomSet,
+                pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
+        alpha_frac_sum, constants = self._alpha_sum(config, self.r)
+        if self.moment_integral == "analytic":
+            third = datagen.squared_loss_third_moments(config.generator, atoms)
+            moment_integral = float(pi.weights @ third ** (2.0 / 3.0))
+        else:
+            moment_integral = float(self.moment_integral)
+        constants.update(r=self.r, s=self.s, moment_integral=moment_integral,
+                         alpha_frac_sum=alpha_frac_sum, davydov_factor=self.davydov_factor)
+        bound = moment_mixing_unbounded(moment_integral, alpha_frac_sum, self.davydov_factor,
+                                        config.n)
+        return 2.0, bound, constants
+
+
+RegimeSpec = VarianceRegime | SubGaussianRegime | MixingBoundedRegime | MixingUnboundedRegime
 
 
 def _check_n(n: int) -> None:
@@ -141,7 +238,7 @@ def moment_iid_variance(s2: float, n: int, q: float) -> MomentBound:
         raise ValueError("the integrated-variance route requires 1 < q <= 2")
     if s2 < 0:
         raise ValueError("s2 must be nonnegative")
-    return MomentBound((s2 / n) ** (q / 2.0), q, n, "iid_variance")
+    return MomentBound((s2 / n) ** (q / 2.0), q)
 
 
 def moment_subgaussian(sigma2: float, n: int, q: float) -> MomentBound:
@@ -151,7 +248,7 @@ def moment_subgaussian(sigma2: float, n: int, q: float) -> MomentBound:
         raise ValueError("the sub-Gaussian moment inequality requires q >= 2")
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    return MomentBound(2.0 * (q * sigma2 / n) ** (q / 2.0), q, n, "subgaussian")
+    return MomentBound(2.0 * (q * sigma2 / n) ** (q / 2.0), q)
 
 
 def moment_mixing_bounded(alpha_sum: float, n: int) -> MomentBound:
@@ -159,14 +256,16 @@ def moment_mixing_bounded(alpha_sum: float, n: int) -> MomentBound:
     _check_n(n)
     if alpha_sum < 0:
         raise ValueError("alpha_sum must be nonnegative")
-    return MomentBound(alpha_sum / n, 2.0, n, "mixing_bounded")
+    return MomentBound(alpha_sum / n, 2.0)
 
 
-def moment_mixing_unbounded(regime: MixingUnbounded, n: int) -> MomentBound:
+def moment_mixing_unbounded(moment_integral: float, alpha_frac_sum: float,
+                            davydov_factor: float, n: int) -> MomentBound:
     """davydov_factor * moment_integral * alpha_frac_sum / n at q = 2."""
     _check_n(n)
-    value = regime.davydov_factor * regime.moment_integral * regime.alpha_frac_sum / n
-    return MomentBound(value, 2.0, n, "mixing_unbounded")
+    if not moment_integral >= 0 or not alpha_frac_sum >= 0:
+        raise ValueError("moment_integral and alpha_frac_sum must be nonnegative")
+    return MomentBound(davydov_factor * moment_integral * alpha_frac_sum / n, 2.0)
 
 
 def geometric_alpha_sum(c1: float, c2: float, power: float = 1.0) -> float:

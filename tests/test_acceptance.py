@@ -299,7 +299,7 @@ def test_criterion_11_finite_class_subgaussian_path():
     size, delta, n, sigma2 = 10, 0.05, 200, 0.25
     opt = optimal_q_finite(size, delta)
     bound = moment_subgaussian(sigma2, n, opt.q)
-    cfg = BoundConfig.from_q(opt.q, delta, bound)
+    cfg = BoundConfig(p=opt.q / (opt.q - 1.0), delta=delta, moment=bound)
     margin = pac_margin(cfg, divergence_plus_one_uniform(
         DiscreteDistribution.dirac(size, 0), size, cfg.p))
     oracle = optimized_erm_margin(sigma2, n, size, delta)

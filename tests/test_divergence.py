@@ -133,3 +133,13 @@ def test_power_divergence_plus_one_matches_references(raw_rho, raw_pi, p):
     assert math.isinf(stacked[0]) == (rho.weights[-1] > 0)
     assert stacked[1] == power_divergence_plus_one(pi.weights, off_pi.weights, p)
     assert math.isinf(stacked[1]) and math.isinf(f_divergence(pi, off_pi, PhiP(p)))
+
+
+def test_large_p_with_empty_atom_stays_finite():
+    # p = 129 (q = 1.0078125): pi_0**(1-p) overflows while rho_0**p = 0.
+    pi = np.array([0.000999, 0.999001])
+    value = power_divergence_plus_one(np.array([0.0, 1.0]), pi, 129.0)
+    assert value == 0.999001 ** (1.0 - 129.0)
+    # Stacked: the same row, and a row whose D + 1 truly overflows.
+    rows = power_divergence_plus_one(np.array([[0.0, 1.0], [0.5, 0.5]]), pi, 129.0)
+    assert rows[0] == value and rows[1] == math.inf

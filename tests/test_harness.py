@@ -231,7 +231,7 @@ def test_resolve_moment_kappa_route():
     config = base_config()
     atoms, pi = build_prior(config.prior, config.seed)
     cfg, constants = resolve_moment(config, atoms, pi)
-    assert cfg.q == 2.0 and cfg.moment.regime == "iid_variance"
+    assert cfg.q == 2.0 and constants["regime"] == "variance"
     assert constants["s2"] == pytest.approx(
         8.0 * (constants["ey4"] + constants["tau"] * constants["ex4"]))
     assert constants["c1"] is None
@@ -244,6 +244,75 @@ def test_resolve_moment_exact_below_kappa():
     cfg_kappa, consts_kappa = resolve_moment(base_config(), atoms, pi)
     assert consts_exact["s2"] <= consts_kappa["s2"]
     assert cfg_exact.moment.value <= cfg_kappa.moment.value
+
+
+AR1_T7 = dict(AR1_GENERATOR, noise={"kind": "student_t", "dof": 7.0, "scale": 0.5})
+_ZERO_ONE_AR1 = {"loss": "zero_one", "generator": AR1_GENERATOR}
+_NO_ENVELOPE = {"regime": None, "c1": None, "c2": None}
+
+
+# Every route through resolve_moment: experiment overrides (plus the
+# generator), the regime section, then (p, q, M) and the echoed constants.
+@pytest.mark.parametrize("experiment, regime, pqm, constants", [
+    ({}, {"kind": "variance", "s2": "kappa"},
+     (2.0, 2.0, 2.076887736803201),
+     dict(_NO_ENVELOPE, regime="variance", s2=415.37754736064016, s2_mode="kappa",
+          tau=2.896924177510002, ey4=28.7468, ex4=8.0)),
+    ({"p": 4.0}, {"kind": "variance", "s2": "exact"},
+     (4.0, 1.3333333333333333, 0.3445309364403282),
+     dict(_NO_ENVELOPE, regime="variance", s2=40.44569779226035, s2_mode="exact")),
+    ({"p": 3.0}, {"kind": "variance", "s2": 0.5},
+     (3.0, 1.5, 0.011180339887498949),
+     dict(_NO_ENVELOPE, regime="variance", s2=0.5, s2_mode="given")),
+    ({"p": 1.3}, {"kind": "subgaussian", "sigma2": 0.25},
+     (1.3, 4.333333333333333, 2.4591380063984843e-05),
+     dict(_NO_ENVELOPE, regime="subgaussian", sigma2=0.25, q=4.333333333333333)),
+    ({}, {"kind": "subgaussian", "sigma2": 0.25, "q": 3.0},
+     (1.5, 3.0, 0.00045927932677184585),
+     dict(_NO_ENVELOPE, regime="subgaussian", sigma2=0.25, q=3.0)),
+    ({}, {"kind": "subgaussian", "sigma2": 0.25, "optimize_q": True},
+     (1.0847898871504638, 12.793859310432293, 6.4800557402974094e-12),
+     dict(_NO_ENVELOPE, regime="subgaussian", sigma2=0.25, q=12.793859310432293,
+          q_clamped=False)),
+    (_ZERO_ONE_AR1, {"kind": "mixing_bounded"},
+     (2.0, 2.0, 0.009932169318172318),
+     {"regime": "mixing_bounded", "c1": 0.5, "c2": 0.7, "alpha_sum": 1.9864338636344634}),
+    (_ZERO_ONE_AR1, {"kind": "mixing_bounded", "alpha_sum": 2.5},
+     (2.0, 2.0, 0.0125),
+     {"regime": "mixing_bounded", "c1": 0.5, "c2": 0.7, "alpha_sum": 2.5}),
+    ({"generator": AR1_T7}, {"kind": "mixing_unbounded"},
+     (2.0, 2.0, 4.952922660600645),
+     {"regime": "mixing_unbounded", "c1": 0.5, "c2": 0.7, "r": 3.0, "s": 3.0,
+      "moment_integral": 16.233372176488746, "alpha_frac_sum": 7.627686051229245,
+      "davydov_factor": 8.0}),
+    ({"generator": AR1_GENERATOR},
+     {"kind": "mixing_unbounded", "r": 2.0, "s": 4.0, "moment_integral": 1.5, "alpha_sum": 3.0},
+     (2.0, 2.0, 0.18),
+     {"regime": "mixing_unbounded", "c1": 0.5, "c2": 0.7, "r": 2.0, "s": 4.0,
+      "moment_integral": 1.5, "alpha_frac_sum": 3.0, "davydov_factor": 8.0}),
+], ids=["variance-kappa", "variance-exact", "variance-given", "subgaussian-p",
+        "subgaussian-q", "subgaussian-optimize_q", "mixing_bounded-envelope",
+        "mixing_bounded-given", "mixing_unbounded-analytic", "mixing_unbounded-given"])
+def test_resolve_moment_pins_every_route(experiment, regime, pqm, constants):
+    raw = yaml.safe_load(BASE_YAML)
+    experiment = dict(experiment)
+    raw["generator"] = experiment.pop("generator", raw["generator"])
+    raw["experiment"].update(experiment)
+    raw["regime"] = regime
+    config = config_from_dict(raw)
+    cfg, echoed = resolve_moment(config, *build_prior(config.prior, config.seed))
+    # The exponents keep their exact bits: p is experiment.p under variance,
+    # q/(q - 1) under subgaussian and 2 under the mixing regimes.
+    assert (cfg.p, cfg.q) == pqm[:2] and cfg.moment.q == cfg.q
+    # Floats that pass through a BLAS dot product may move in the last bits
+    # across machines; everything else matches exactly.
+    assert cfg.moment.value == pytest.approx(pqm[2], rel=1e-12, abs=0.0)
+    assert echoed.keys() == constants.keys()
+    for key, value in constants.items():
+        if type(value) is float:
+            assert echoed[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        else:
+            assert type(echoed[key]) is type(value) and echoed[key] == value, key
 
 
 def _bound_reports(result) -> dict[str, dict]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hostile_pac.datagen import (GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, StudentTNoise, generate,
                                  squared_loss_variances, true_risk_closed_form)
-from hostile_pac.moments import (MixingUnbounded, MomentBound, empirical_moment_estimate,
+from hostile_pac.moments import (MomentBound, empirical_moment_estimate,
                                  geometric_alpha_sum, kappa_quadratic,
                                  moment_iid_variance, moment_mixing_bounded,
                                  moment_mixing_unbounded, moment_subgaussian,
@@ -46,15 +46,13 @@ def test_mixing_bounded_examples():
 
 
 def test_mixing_unbounded_examples():
-    regime = MixingUnbounded(r=3.0, s=3.0, moment_integral=1.0, alpha_frac_sum=1.0)
-    assert moment_mixing_unbounded(regime, 100).value == pytest.approx(0.08)
-    none = MixingUnbounded(r=3.0, s=3.0, moment_integral=1.0, alpha_frac_sum=0.0)
-    assert moment_mixing_unbounded(none, 100).value == 0.0
-    displayed = MixingUnbounded(r=3.0, s=3.0, moment_integral=2.0, alpha_frac_sum=3.0,
-                                davydov_factor=1.0)
-    assert moment_mixing_unbounded(displayed, 100).value == pytest.approx(0.06)
+    # (moment_integral, alpha_frac_sum, davydov_factor, n)
+    assert moment_mixing_unbounded(1.0, 1.0, 8.0, 100).value == pytest.approx(0.08)
+    assert moment_mixing_unbounded(1.0, 0.0, 8.0, 100).value == 0.0
+    assert moment_mixing_unbounded(2.0, 3.0, 1.0, 100).value == pytest.approx(0.06)
+    assert moment_mixing_unbounded(1.0, 1.0, 8.0, 100).q == 2.0
     with pytest.raises(ValueError):
-        MixingUnbounded(r=3.0, s=4.0, moment_integral=1.0, alpha_frac_sum=1.0)
+        moment_mixing_unbounded(-1.0, 1.0, 8.0, 100)
 
 
 def test_geometric_alpha_sum_examples():
@@ -114,11 +112,12 @@ def test_bounds_nonincreasing_in_n(n, scale):
         assert build(n + 1) <= build(n) + 1e-18
 
 
-def test_moment_bound_carries_q_and_regime():
-    bound = moment_iid_variance(1.0, 10, 1.5)
-    assert bound.q == 1.5 and bound.n == 10 and bound.regime == "iid_variance"
+def test_moment_bound_carries_q():
+    assert moment_iid_variance(1.0, 10, 1.5).q == 1.5
     with pytest.raises(ValueError):
-        MomentBound(-1.0, 2.0, 10, "bad")
+        MomentBound(-1.0, 2.0)
+    with pytest.raises(ValueError):
+        MomentBound(1.0, 1.0)
 
 
 def test_empirical_moment_estimate_examples():
