@@ -24,7 +24,7 @@ from .moments import (MixingBoundedRegime, MixingUnboundedRegime, MomentBound, R
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior,
                           build_prior, expectation, prior_moment_tau)
-from .risk import (AbsoluteLoss, Dataset, LossKind, LossTable, SquaredLoss,
-                   ZeroOneLoss, compute_loss_table, empirical_risk, empirical_risks)
+from .risk import (Dataset, LossKind, LossTable, SquaredLoss, ZeroOneLoss,
+                   compute_loss_table, empirical_risk, empirical_risks)
 
 __version__ = "0.1.0"

@@ -9,11 +9,6 @@ so coverage experiments never feed estimated constants back into a bound.
 Mixing envelopes (c1, c2) are configuration, not estimation: the generator
 records the assumed geometric bound on the alpha-mixing coefficients and
 every consumer reports it alongside results.
-
-scipy is imported inside the two functions that use it, the AR(1) path
-recursion (``lfilter``) and the Gaussian AR(1) zero-one risk (``quad`` and
-the normal law), so importing this module and every i.i.d. or classification
-run load no scipy module.
 """
 
 from __future__ import annotations
@@ -182,10 +177,16 @@ def _draw_noise(noise: NoiseLaw, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 def _ar1_path(a: float, y0: float, eps: np.ndarray) -> np.ndarray:
-    """Recursion y_i = eps_i + a * y_{i-1} starting from y0, vectorized."""
-    from scipy.signal import lfilter
+    """Recursion y_i = eps_i + a * y_{i-1} from y0, as a doubling scan.
 
-    y, _ = lfilter([1.0], [1.0, -a], eps, zi=np.array([a * y0]))
+    After the step at k, y_i = sum_{j < 2k} a**j * eps_{i-j}, with a * y0 added to eps_0.
+    """
+    y = np.array(eps, dtype=float)
+    y[0] += a * y0
+    k = 1
+    while k < len(y):
+        y[k:] += a**k * y[:-k]
+        k *= 2
     return y
 
 
@@ -332,34 +333,26 @@ def _classification_risk(spec: BoundedClassification, atoms: AtomSet) -> np.ndar
 
 
 def _ar1_sign_risk(spec: AR1, atoms: AtomSet, threshold: float) -> np.ndarray:
-    """Sign-prediction risk for Gaussian AR(1), by quadrature over the lag.
+    """Sign-prediction risk for Gaussian AR(1), in closed form.
 
-    Conditional on the lag z, y is N(a z, v), so the mismatch probability is
-    Phi(a z / sd) or its complement depending on which side of the threshold
-    the linear score lands. Deterministic to quadrature precision.
+    Lag and y are N(0, lag_sd**2) with correlation a. With h = (threshold -
+    theta0) / (|theta1| lag_sd) and rho = sign(theta1) a, the Drezner-Wesolowsky
+    orthant integral (Genz 2004, Stat. Comput. 14:251) turns the risk
+    P(Z1 >= h) + 1/2 - 2 P(Z1 >= h, Z2 >= 0) into
+    1/2 - (1/pi) int_0^{asin rho} exp(-h**2 / (2 cos(t)**2)) dt. Substituting
+    cos(t) = 1 / cosh(v) gives int_0^{atanh rho} exp(-(h cosh(v))**2 / 2) / cosh(v) dv,
+    whose features are O(1) wide in v however near |a| is to 1, so Gauss-Legendre
+    nodes in proportion to atanh|a| (at least 40) are exact to 1e-14 for every |a| < 1.
     """
-    from scipy import integrate, stats
-
-    v = spec.noise.variance
-    sd = math.sqrt(v)
-    lag_sd = math.sqrt(v / (1.0 - spec.a**2))
-    a = spec.a
-
-    def risk_one(theta0: float, theta1: float) -> float:
-        def integrand(z: float) -> float:
-            p_pos = stats.norm.cdf(a * z / sd) if sd > 0 else float(a * z >= 0.0)
-            miss = (1.0 - p_pos) if theta0 + theta1 * z >= threshold else p_pos
-            return stats.norm.pdf(z, scale=lag_sd) * miss
-
-        if theta1 == 0.0:
-            val, _ = integrate.quad(integrand, -np.inf, np.inf, limit=200)
-            return val
-        crossing = (threshold - theta0) / theta1
-        left, _ = integrate.quad(integrand, -np.inf, crossing, limit=200)
-        right, _ = integrate.quad(integrand, crossing, np.inf, limit=200)
-        return left + right
-
-    return np.array([risk_one(t0, t1) for t0, t1 in atoms.coords])
+    intercept, slope = atoms.coords[:, 0], atoms.coords[:, 1]
+    lag_sd = math.sqrt(spec.noise.variance / (1.0 - spec.a**2))
+    h = np.divide(threshold - intercept, np.abs(slope) * lag_sd,
+                  out=np.zeros(len(atoms)), where=slope != 0.0)
+    upper = math.atanh(spec.a)
+    nodes, weights = np.polynomial.legendre.leggauss(max(40, math.ceil(12 * abs(upper))))
+    cosh = np.cosh(upper * (nodes + 1.0) / 2.0)  # even integrand: sign(rho) factors out
+    integral = upper / 2.0 * ((np.exp(-0.5 * (h[:, None] * cosh) ** 2) / cosh) @ weights)
+    return 0.5 - np.sign(slope) * integral / math.pi
 
 
 def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -> np.ndarray:
@@ -367,8 +360,8 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -
 
     Regression generators support the squared loss; the classification
     generator supports the zero-one loss at threshold 0 under a Gaussian
-    design; Gaussian AR(1) additionally supports the zero-one loss via
-    deterministic quadrature. Raises :class:`NoClosedFormError` otherwise.
+    design; Gaussian AR(1) additionally supports the zero-one loss at any
+    threshold. Raises :class:`NoClosedFormError` otherwise.
     """
     if isinstance(spec, (IidLinearRegression, AR1)) and isinstance(loss, SquaredLoss):
         return _residual_moments(spec, atoms, 2)[0]

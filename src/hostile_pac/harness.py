@@ -51,7 +51,7 @@ from .moments import (MixingBoundedRegime, MixingUnboundedRegime, RegimeSpec, Su
                       VarianceRegime)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior, IidSamplePrior,
                           PriorSpec, UniformGridPrior, build_prior, expectation)
-from .risk import AbsoluteLoss, LossKind, SquaredLoss, ZeroOneLoss, empirical_risks
+from .risk import LossKind, SquaredLoss, ZeroOneLoss, empirical_risks
 
 
 class ConfigError(ValueError):
@@ -121,7 +121,7 @@ _KINDS = {
     datagen.XLaw: {"gaussian": IsotropicGaussianX, "uniform": UniformBoxX},
     PriorSpec: {"uniform_grid": UniformGridPrior, "iid_sample": IidSamplePrior,
                 "explicit": ExplicitPrior},
-    LossKind: {"squared": SquaredLoss, "absolute": AbsoluteLoss, "zero_one": ZeroOneLoss},
+    LossKind: {"squared": SquaredLoss, "zero_one": ZeroOneLoss},
     RegimeSpec: {"variance": VarianceRegime, "subgaussian": SubGaussianRegime,
                  "mixing_bounded": MixingBoundedRegime,
                  "mixing_unbounded": MixingUnboundedRegime},

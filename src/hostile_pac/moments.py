@@ -53,6 +53,14 @@ def _check_independent_rows(config: ExperimentConfig, kind: str) -> None:
         raise ValueError(f"the {kind} regime requires independent rows, not AR(1)")
 
 
+def _check_noise_moment(config: ExperimentConfig, order: int, key: str) -> None:
+    try:
+        datagen.noise_moment(config.generator.noise, order)
+    except datagen.MomentDoesNotExistError as exc:
+        raise ValueError(f"{key} needs noise moments of order {order} ({exc}); "
+                         "raise generator.noise.dof or supply a number") from exc
+
+
 @dataclass(frozen=True)
 class VarianceRegime:
     """The ``variance`` regime: i.i.d. rows, q <= 2, integrated loss variance s2.
@@ -73,6 +81,8 @@ class VarianceRegime:
                 and isinstance(config.loss, SquaredLoss)):
             raise ValueError("analytic s2 modes apply to i.i.d. squared-loss regression; "
                              "supply a numeric s2 otherwise")
+        if self.s2 in ("kappa", "exact"):
+            _check_noise_moment(config, 4, f"regime.s2: {self.s2}")
 
     def resolve(self, config: ExperimentConfig, atoms: AtomSet,
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
@@ -198,11 +208,7 @@ class MixingUnboundedRegime(_MixingRegime):
         if abs(s - 3.0) > 1e-12 or not isinstance(config.loss, SquaredLoss):
             raise ValueError("regime.moment_integral: analytic is implemented for the squared "
                              "loss at s = 3; supply a number otherwise")
-        try:
-            datagen.noise_moment(config.generator.noise, 6)
-        except datagen.MomentDoesNotExistError as exc:
-            raise ValueError(f"regime.moment_integral: analytic needs sixth noise moments "
-                             f"({exc}); raise generator.noise.dof or supply a number") from exc
+        _check_noise_moment(config, 6, "regime.moment_integral: analytic")
 
     def resolve(self, config: ExperimentConfig, atoms: AtomSet,
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:

@@ -23,11 +23,6 @@ class SquaredLoss:
 
 
 @dataclass(frozen=True)
-class AbsoluteLoss:
-    """|y - prediction|."""
-
-
-@dataclass(frozen=True)
 class ZeroOneLoss:
     """Sign-classification error.
 
@@ -38,7 +33,7 @@ class ZeroOneLoss:
     threshold: float = 0.0
 
 
-LossKind = SquaredLoss | AbsoluteLoss | ZeroOneLoss
+LossKind = SquaredLoss | ZeroOneLoss
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +101,8 @@ def _check_dims(data: Dataset, atoms: AtomSet) -> None:
 def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> LossTable:
     """Evaluate the loss of every atom's linear predictor on every observation.
 
-    The squared and absolute losses are computed in place in the one n x K
-    array of predictions.
+    The squared loss is computed in place in the one n x K array of
+    predictions.
     """
     _check_dims(data, atoms)
     table = data.x @ atoms.coords.T
@@ -115,9 +110,6 @@ def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> LossTab
     if isinstance(loss, SquaredLoss):
         np.subtract(y, table, out=table)
         np.square(table, out=table)
-    elif isinstance(loss, AbsoluteLoss):
-        np.subtract(y, table, out=table)
-        np.abs(table, out=table)
     elif isinstance(loss, ZeroOneLoss):
         mismatch = table >= loss.threshold
         del table

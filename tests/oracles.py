@@ -3,11 +3,12 @@
 import math
 
 import numpy as np
+from scipy import integrate
 
 from hostile_pac.aggregation import BoundConfig, evaluate_bound, rho_hat, solve_rbar
 from hostile_pac.datagen import AR1, GeneratorSpec, _draw_noise, generate
 from hostile_pac.param_space import AtomSet, DiscreteDistribution
-from hostile_pac.risk import Dataset, LossKind, compute_loss_table
+from hostile_pac.risk import Dataset, LossKind, ZeroOneLoss, compute_loss_table
 
 MA_TRUNCATION_TOL = 1e-16  # tail mass cutoff for exact stationary sampling
 
@@ -85,3 +86,28 @@ def true_risk_mc(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind,
     mean = total / draws
     var = np.maximum(total_sq / draws - mean**2, 0.0)
     return mean, np.sqrt(var / draws)
+
+
+def ar1_sign_risk_quad(spec: AR1, atoms: AtomSet, loss: ZeroOneLoss) -> np.ndarray:
+    """Gaussian AR(1) zero-one risk per atom by adaptive quadrature over the lag z.
+
+    Given z, y is N(a z, v), so the predicted label misses with probability
+    P(y < 0) or P(y >= 0) on either side of the score's crossing. ``quad``
+    misses an integrand that sits many lag standard deviations from the
+    crossing, so compare only atoms whose crossing lies within a few of them.
+    """
+    a, sd = spec.a, math.sqrt(spec.noise.variance)
+    lag_sd = sd / math.sqrt(1.0 - a**2)
+
+    def risk_one(theta0: float, theta1: float) -> float:
+        def integrand(z: float) -> float:
+            p_pos = 0.5 * math.erfc(-a * z / (sd * math.sqrt(2.0)))
+            miss = 1.0 - p_pos if theta0 + theta1 * z >= loss.threshold else p_pos
+            return math.exp(-0.5 * (z / lag_sd) ** 2) / (lag_sd * math.sqrt(2 * math.pi)) * miss
+
+        cuts = [-np.inf, np.inf] if theta1 == 0.0 else [
+            -np.inf, (loss.threshold - theta0) / theta1, np.inf]
+        return sum(integrate.quad(integrand, lo, hi, limit=200, epsabs=1e-14, epsrel=1e-12)[0]
+                   for lo, hi in zip(cuts, cuts[1:]))
+
+    return np.array([risk_one(t0, t1) for t0, t1 in atoms.coords])

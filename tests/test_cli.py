@@ -111,6 +111,10 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("erm_finite_class", "regime.sigma2=0", ["regime.sigma2"]),
     ("coverage_ar1_t7", "generator.mixing.c1=0", ["generator.mixing.c1"]),
     ("coverage_ar1_t7", "generator.mixing=null", ["generator.mixing"]),
+    # Both analytic s2 modes need the fourth noise moment: dof > 4.
+    ("coverage_iid_t5", "generator.noise.dof=3", ["regime.s2", "generator.noise.dof"]),
+    ("coverage_iid_t5", "generator.noise.dof=3 regime.s2=exact",
+     ["regime.s2", "generator.noise.dof"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"

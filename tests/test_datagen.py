@@ -14,7 +14,7 @@ from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise,
                                  true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
-from oracles import stationary_pairs, true_risk_mc
+from oracles import ar1_sign_risk_quad, stationary_pairs, true_risk_mc
 
 
 IID_T5 = IidLinearRegression(theta_star=(0.5, -0.3), x_law=IsotropicGaussianX(1.0),
@@ -44,15 +44,17 @@ def test_generate_noiseless_regression_is_exact():
 
 def test_ar1_path_matches_loop():
     rng = np.random.default_rng(4)
-    eps = rng.standard_normal(200)
     y0 = 0.7
-    fast = _ar1_path(0.6, y0, eps)
-    slow = np.empty(200)
-    prev = y0
-    for i, e in enumerate(eps):
-        prev = 0.6 * prev + e
-        slow[i] = prev
-    assert np.allclose(fast, slow, atol=1e-12)
+    for a in (0.0, 0.6, -0.6, 0.99, -0.99):
+        for n in (1, 2, 3, 200, 5000):
+            eps = rng.standard_normal(n)
+            fast = _ar1_path(a, y0, eps)
+            slow = np.empty(n)
+            prev = y0
+            for i, e in enumerate(eps):
+                prev = a * prev + e
+                slow[i] = prev
+            assert np.allclose(fast, slow, rtol=0, atol=1e-12), (a, n)
 
 
 def test_ar1_design_is_intercept_and_lag():
@@ -203,6 +205,52 @@ def test_true_risk_closed_forms_match_monte_carlo():
         mc, se = true_risk_mc(spec, atoms, loss, draws=1_000_000, seed=1234)
         assert np.all(np.abs(exact - mc) <= 4 * se + 1e-12), (spec, loss)
 
+
+def test_ar1_sign_risk_far_crossing_is_one_half():
+    # The score crosses the threshold 39 to 78 lag standard deviations away, so
+    # it predicts +1 on every draw and misses with probability 1/2.
+    atoms = AtomSet(np.array([[0.9, 0.01], [0.9, -0.01], [0.9, 0.02], [0.9, -0.02]]))
+    risks = true_risk_closed_form(AR_GAUSS, atoms, ZeroOneLoss())
+    np.testing.assert_allclose(risks, 0.5, rtol=0, atol=1e-15)
+
+
+def test_ar1_sign_risk_constant_score_is_one_half():
+    atoms = AtomSet(np.array([[0.0, 0.0], [0.3, 0.0], [-2.0, 0.0]]))
+    for a in (0.5, -0.99):
+        spec = AR1(a=a, noise=GaussianNoise(variance=2.0))
+        for threshold in (0.0, 0.3):
+            risks = true_risk_closed_form(spec, atoms, ZeroOneLoss(threshold))
+            assert np.all(risks == 0.5)
+
+
+@pytest.mark.parametrize("a", [0.5, -0.7, 0.9, 0.99, -0.99, 0.9999, -0.9999])
+def test_ar1_sign_risk_matches_quadrature(a):
+    spec = AR1(a=a, noise=GaussianNoise(variance=1.3))
+    lag_sd = math.sqrt(1.3 / (1.0 - a**2))
+    coords = np.random.default_rng(31).normal(0.0, 0.6, (60, 2))
+    for threshold in (0.0, 0.3, -0.5):
+        # Only crossings within 4 lag s.d., where quad finds the integrand.
+        h = (threshold - coords[:, 0]) / (np.abs(coords[:, 1]) * lag_sd)
+        atoms = AtomSet(coords[np.abs(h) <= 4.0][:12])
+        assert len(atoms) == 12
+        loss = ZeroOneLoss(threshold)
+        np.testing.assert_allclose(true_risk_closed_form(spec, atoms, loss),
+                                   ar1_sign_risk_quad(spec, atoms, loss), rtol=0, atol=1e-10)
+
+
+
+@pytest.mark.parametrize("a", [np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)])
+def test_ar1_sign_risk_at_the_largest_coefficient(a):
+    # At |a| = 1 - 2**-53 the lag all but fixes the sign of y, so an atom whose
+    # crossing lies h lag s.d. out misses with 1/2 - sign(theta1 a) P(Z >= |h|).
+    spec = AR1(a=float(a), noise=GaussianNoise(variance=1.3))
+    lag_sd = math.sqrt(1.3 / (1.0 - a**2))
+    h = np.array([-6.0, -1.0, -0.05, -1e-3, 1e-3, 0.05, 1.0, 6.0])
+    for slope in (0.3, -0.3):
+        atoms = AtomSet(np.column_stack([0.2 - h * abs(slope) * lag_sd, np.full(len(h), slope)]))
+        tail = np.array([0.5 * math.erfc(abs(x) / math.sqrt(2.0)) for x in h])
+        np.testing.assert_allclose(true_risk_closed_form(spec, atoms, ZeroOneLoss(0.2)),
+                                   0.5 - np.sign(slope * a) * tail, rtol=0, atol=1e-13)
 
 def test_classification_risk_special_values():
     spec = BoundedClassification(theta_star=(1.0, 0.0), x_law=IsotropicGaussianX(1.0),

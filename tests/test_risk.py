@@ -8,8 +8,8 @@ from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, StudentTNoise, generate,
                                  true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
-from hostile_pac.risk import (AbsoluteLoss, Dataset, LossTable, SquaredLoss, ZeroOneLoss,
-                              compute_loss_table, empirical_risk, empirical_risks)
+from hostile_pac.risk import (Dataset, LossTable, SquaredLoss, ZeroOneLoss, compute_loss_table,
+                              empirical_risk, empirical_risks)
 
 
 def test_loss_table_hand_examples():
@@ -20,7 +20,9 @@ def test_loss_table_hand_examples():
     data = Dataset(x=np.array([[1.0, 1.0]]), y=np.array([0.0]))
     atoms2 = AtomSet(np.array([[1.0, 2.0]]))
     assert compute_loss_table(data, atoms2, SquaredLoss()).losses[0, 0] == pytest.approx(9.0)
-    assert compute_loss_table(data, atoms2, AbsoluteLoss()).losses[0, 0] == pytest.approx(3.0)
+    # The score 3 >= 0 predicts +1 against the label sign(0) = +1; threshold 4 predicts -1.
+    assert compute_loss_table(data, atoms2, ZeroOneLoss()).losses[0, 0] == 0.0
+    assert compute_loss_table(data, atoms2, ZeroOneLoss(4.0)).losses[0, 0] == 1.0
 
 
 def test_loss_table_zero_one_values():
@@ -50,7 +52,7 @@ def test_loss_table_rejects_bad_entries(bad, message):
         LossTable(losses)
 
 
-@pytest.mark.parametrize("loss", [SquaredLoss(), AbsoluteLoss(), ZeroOneLoss()])
+@pytest.mark.parametrize("loss", [SquaredLoss(), ZeroOneLoss(), ZeroOneLoss(0.3)])
 def test_loss_table_keeps_one_table_alive(loss):
     n = num_atoms = 2000
     rng = np.random.default_rng(4)
@@ -101,7 +103,7 @@ def test_empirical_risks_other_losses_average_the_table():
     rng = np.random.default_rng(6)
     data = Dataset(x=rng.standard_normal((20, 2)), y=rng.standard_normal(20))
     atoms = AtomSet(rng.standard_normal((5, 2)))
-    for loss in (AbsoluteLoss(), ZeroOneLoss(0.3)):
+    for loss in (ZeroOneLoss(), ZeroOneLoss(0.3)):
         table = compute_loss_table(data, atoms, loss)
         assert np.array_equal(empirical_risks(data, atoms, loss), empirical_risk(table))
 
@@ -133,7 +135,7 @@ def test_empirical_risk_within_column_range():
     rng = np.random.default_rng(5)
     data = Dataset(x=rng.standard_normal((40, 2)), y=rng.standard_normal(40))
     atoms = AtomSet(rng.standard_normal((9, 2)))
-    table = compute_loss_table(data, atoms, AbsoluteLoss())
+    table = compute_loss_table(data, atoms, SquaredLoss())
     risks = empirical_risk(table)
     assert np.all(risks >= table.losses.min(axis=0) - 1e-15)
     assert np.all(risks <= table.losses.max(axis=0) + 1e-15)
