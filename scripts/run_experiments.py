@@ -5,7 +5,7 @@ Coverage runs for the bundled configurations land in results/ as JSONL
 records plus summaries, followed by a sample-size sweep whose fitted
 log-log margin slope should sit near -1/2.
 
-Usage: python3 scripts/run_experiments.py [--fast] [--workers N]
+Usage: python3 scripts/run_experiments.py [--fast] [--workers N] [--results DIR]
 """
 
 import argparse

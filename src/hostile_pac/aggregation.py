@@ -11,13 +11,13 @@ The distribution minimizing the observable side has density proportional to
 level at which the prior integral of [rbar - r_n]_+ ** q spends the whole
 moment budget M/delta; the minimized objective equals rbar itself.
 
-The oracle inequality bounds a level by min + 2 * T**(1/(q+d)), T the spent
-budget: M/delta for the sample level rbar and 2**q * M/delta for the
-population level. Both go through :func:`oracle_bound`, and
-:func:`certified_oracle` reports it only where the proof holds: the
-sublevel-mass exponent d certifies on the gamma grid, and the proof point
-gamma = (level - min)/2 lies inside the grid's gamma interval with sublevel
-mass at least gamma**d.
+Every solve and bound below takes that budget T = M/delta, formed once in
+:attr:`BoundConfig.budget` (the population level spends 2**q * M/delta). The
+oracle inequality bounds a level by min + 2 * T**(1/(q+d)), through
+:func:`oracle_bound`, and :func:`certified_oracle` reports it only where the
+proof holds: the sublevel-mass exponent d certifies on the gamma grid, and
+the proof point gamma = (level - min)/2 lies inside the grid's gamma
+interval with sublevel mass at least gamma**d.
 
 An infinite divergence is propagated, not raised: the certificate is then
 vacuous but valid, and sweep outputs stay rectangular.
@@ -142,9 +142,8 @@ def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray, q: float) -> tupl
             float(pi_weights @ np.maximum(-gap, 0.0) ** q))
 
 
-def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
-               moment_value: float, delta: float) -> float:
-    """Smallest level u with s(u) = sum_j pi_j [u - rn_j]_+ ** q = M / delta =: T.
+def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float) -> float:
+    """Smallest level u with s(u) = sum_j pi_j [u - rn_j]_+ ** q = T, the budget.
 
     Newton on g = s ** (1/q), the weighted L^q norm of [u - rn]_+: convex, and
     increasing above the supported minimum of rn. With W_k and m_k the mass and
@@ -163,10 +162,8 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
     rn = np.asarray(rn, dtype=float)
     if rn.shape[0] != len(pi):
         raise ValueError("risk vector and prior sizes differ")
-    if moment_value <= 0:
-        raise ValueError("moment bound must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    if not budget > 0:
+        raise ValueError(f"budget must be positive, got {budget}")
     if not q > 1:
         raise ValueError("q must exceed 1")
     support = pi.weights > 0
@@ -175,7 +172,6 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
         raise ValueError("risks on prior-supported atoms must not be NaN or -inf")
     if not np.any(np.isfinite(risks)):
         raise ValueError("all prior mass sits on atoms with non-finite risk")
-    target = moment_value / delta
     order = np.argsort(risks)
     risks, weights = risks[order], weights[order]
     mass = np.cumsum(weights)
@@ -185,26 +181,26 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
         powered = gaps ** (q - 1.0)
         return float(weights[:gaps.size] @ (powered * gaps)), float(weights[:gaps.size] @ powered)
 
-    u = float(np.min(np.cumsum(weights * risks) / mass + (target / mass) ** (1.0 / q)))
+    u = float(np.min(np.cumsum(weights * risks) / mass + (budget / mass) ** (1.0 / q)))
     step = 0.0
     for _ in range(RBAR_MAX_ITER):
         u -= step
         spend, slope = spend_and_slope(u)
         # (g - T ** (1/q)) / g', with g' = s ** (1/q - 1) * slope
-        step = (spend - target ** (1 / q) * spend ** (1 - 1 / q)) / slope if slope > 0 else 0.0
+        step = (spend - budget ** (1 / q) * spend ** (1 - 1 / q)) / slope if slope > 0 else 0.0
         if not u - step < u:
             break
-    residual = abs(spend - target)
-    if residual <= RBAR_RESIDUAL_TOL * target:
+    residual = abs(spend - budget)
+    if residual <= RBAR_RESIDUAL_TOL * budget:
         return u
-    toward = np.inf if spend < target else -np.inf
+    toward = np.inf if spend < budget else -np.inf
     for _ in range(RBAR_LAST_BIT_STEPS):
-        if spend >= target > spend_and_slope(float(np.nextafter(u, -np.inf)))[0]:
+        if spend >= budget > spend_and_slope(float(np.nextafter(u, -np.inf)))[0]:
             return u
         u = float(np.nextafter(u, toward))
         spend = spend_and_slope(u)[0]
     raise SolverError(f"level solve did not reach residual tolerance: residual "
-                      f"{residual:.3e} vs target {target:.3e}")
+                      f"{residual:.3e} vs budget {budget:.3e}")
 
 
 def rho_hat(rn: np.ndarray, pi: DiscreteDistribution, p: float,
@@ -240,15 +236,15 @@ def catoni_pi_gamma(rn: np.ndarray, pi: DiscreteDistribution,
     return DiscreteDistribution(raw / total)
 
 
-def optimal_gamma(d: float, p: float, moment_value: float, delta: float) -> float:
+def optimal_gamma(d: float, p: float, budget: float) -> float:
     """Width minimizing the sublevel-restriction bound.
 
-    gamma = (d (1 - 1/p) M / delta) ** (1 / (1 + d (1 - 1/p))).
+    gamma = (d (1 - 1/p) T) ** (1 / (1 + d (1 - 1/p))), T the budget.
     """
-    if d <= 0 or p <= 1 or moment_value <= 0 or not 0 < delta < 1:
-        raise ValueError("need d > 0, p > 1, M > 0 and delta in (0, 1)")
+    if d <= 0 or p <= 1 or not budget > 0:
+        raise ValueError("need d > 0, p > 1 and a positive budget T")
     exponent_weight = d * (1.0 - 1.0 / p)
-    return (exponent_weight * moment_value / delta) ** (1.0 / (1.0 + exponent_weight))
+    return (exponent_weight * budget) ** (1.0 / (1.0 + exponent_weight))
 
 
 def erm_index(rn: np.ndarray) -> int:
@@ -295,15 +291,15 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     return ComplexityEstimate(d, interval, True)
 
 
-def oracle_bound(r_min: float, moment_value: float, delta: float, q: float, d: float) -> float:
-    """min r + 2 * (M / delta) ** (1 / (q + d)); pass 2**q * M for the population level."""
-    if moment_value <= 0 or not 0 < delta < 1 or q <= 1 or d < 0:
+def oracle_bound(r_min: float, budget: float, q: float, d: float) -> float:
+    """min r + 2 * T ** (1 / (q + d)), T the budget spent by the bounded level."""
+    if not budget > 0 or q <= 1 or d < 0:
         raise ValueError("invalid oracle-bound inputs")
-    return r_min + 2.0 * (moment_value / delta) ** (1.0 / (q + d))
+    return r_min + 2.0 * budget ** (1.0 / (q + d))
 
 
 def certified_oracle(values: np.ndarray, pi: DiscreteDistribution, gamma_grid: np.ndarray,
-                     level: float, moment_value: float, delta: float,
+                     level: float, budget: float,
                      q: float) -> tuple[ComplexityEstimate, float | None]:
     """Sublevel-mass exponent of ``values`` and the oracle bound on ``level``.
 
@@ -311,15 +307,16 @@ def certified_oracle(values: np.ndarray, pi: DiscreteDistribution, gamma_grid: n
     on the grid and the proof point gamma = (level - min) / 2 lies inside the
     grid's gamma interval with sublevel mass at least gamma**d (the grid is
     checked only at its points); it is None otherwise. ``level`` is the solve
-    of ``values`` at the same ``moment_value`` and ``delta``, so its spend
-    T >= mass(gamma) * gamma**q >= gamma**(q + d) gives level <= the bound.
+    of ``values`` at the same budget T, so T >= mass(gamma) * gamma**q >=
+    gamma**(q + d) gives level <= the bound.
     """
     complexity = verify_complexity(values, pi, gamma_grid)
     values = np.asarray(values, dtype=float)
     floor = float(values.min())
+    bound = oracle_bound(floor, budget, q, complexity.d)  # checks T and q even if uncertified
     gamma = (level - floor) / 2.0
     lo, hi = complexity.gamma_interval
     if not (complexity.satisfied and lo <= gamma <= hi
             and pi.weights[values <= floor + gamma].sum() >= gamma ** complexity.d):
         return complexity, None
-    return complexity, oracle_bound(floor, moment_value, delta, q, complexity.d)
+    return complexity, bound

@@ -104,6 +104,10 @@ def _validate_cross_fields(cfg: ExperimentConfig) -> None:
                 raise ValueError(f"regime.{key} must be positive, got {value}")
         if isinstance(cfg.generator, AR1) and cfg.n < 2:
             raise ValueError("experiment.n must be at least 2 for AR(1)")
+        if cfg.prior.dim != cfg.generator.dim:
+            key = {UniformGridPrior: "bounds", ExplicitPrior: "atoms"}.get(type(cfg.prior), "dim")
+            raise ValueError(f"prior.{key}: the prior's atoms have dimension {cfg.prior.dim}, "
+                             f"the generator's parameters {cfg.generator.dim}")
         if not cfg.gamma_grid or not all(0 < g < 1 for g in cfg.gamma_grid):
             raise ValueError("experiment.gamma_grid must be nonempty, with values inside (0, 1)")
     except ValueError as exc:
@@ -317,9 +321,8 @@ def _fit(config: ExperimentConfig, setup: _Setup,
     seed = np.random.SeedSequence([config.seed, 0, index])
     data = datagen.generate(config.generator, config.n, seed)
     rn = empirical_risks(data, setup.atoms, config.loss)
-    cfg = setup.cfg
-    rbar = solve_rbar(rn, setup.pi, cfg.q, cfg.moment.value, cfg.delta)
-    return rn, rbar, rho_hat(rn, setup.pi, cfg.p, rbar)
+    rbar = solve_rbar(rn, setup.pi, setup.cfg.q, setup.cfg.budget)
+    return rn, rbar, rho_hat(rn, setup.pi, setup.cfg.p, rbar)
 
 
 class _Certified(NamedTuple):
@@ -339,7 +342,7 @@ def _certify(config: ExperimentConfig, setup: _Setup, index: int) -> _Certified:
     pi, cfg = setup.pi, setup.cfg
     erm = erm_index(rn)
     complexity, oracle = certified_oracle(rn, pi, np.asarray(config.gamma_grid), rbar,
-                                          cfg.moment.value, cfg.delta, cfg.q)
+                                          cfg.budget, cfg.q)
     # D + 1 is exactly 1 at the prior; at the point mass on erm it is
     # pi_erm**(1 - p), +inf off the support.
     pi_erm = pi.weights[erm]
@@ -372,7 +375,7 @@ def run_bound(config: ExperimentConfig) -> RunResult:
     reports = dict(fit.reports)
     gamma_star = None
     if complexity.satisfied:
-        gamma_star = optimal_gamma(complexity.d, cfg.p, cfg.moment.value, cfg.delta)
+        gamma_star = optimal_gamma(complexity.d, cfg.p, cfg.budget)
         reports["pi_gamma"] = evaluate_bound(catoni_pi_gamma(fit.rn, pi, gamma_star),
                                              pi, fit.rn, cfg)
 
@@ -511,10 +514,10 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
 
     # Population-side quantities are deterministic for the configuration; the
     # population level spends the budget 2**q * M / delta.
-    pop_moment = cfg.moment.value * 2.0 ** cfg.q
-    rbar_pop = solve_rbar(true_values, pi, cfg.q, pop_moment, cfg.delta)
+    pop_budget = cfg.moment.value * 2.0 ** cfg.q / cfg.delta
+    rbar_pop = solve_rbar(true_values, pi, cfg.q, pop_budget)
     pop_complexity, oracle_pop = certified_oracle(true_values, pi, np.asarray(config.gamma_grid),
-                                                  rbar_pop, pop_moment, cfg.delta, cfg.q)
+                                                  rbar_pop, pop_budget, cfg.q)
 
     certified_hits = [r["hit_oracle"] for r in records if r["complexity_certified"]]
     moment = float(np.mean([r.moment for r in replications]))

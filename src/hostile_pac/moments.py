@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from . import datagen
-from .param_space import AtomSet, DiscreteDistribution, prior_moment_tau
+from .param_space import AtomSet, DiscreteDistribution
 from .risk import LossTable, SquaredLoss, ZeroOneLoss, empirical_risk
 
 if TYPE_CHECKING:
@@ -65,9 +65,10 @@ def _check_noise_moment(config: ExperimentConfig, order: int, key: str) -> None:
 class VarianceRegime:
     """The ``variance`` regime: i.i.d. rows, q <= 2, integrated loss variance s2.
 
-    ``s2`` is a number, or ``"kappa"`` for the fourth-moment majorant, or
-    ``"exact"`` for the exact integrated loss variance (both for i.i.d.
-    squared-loss regression only). p is ``experiment.p`` and q its conjugate.
+    ``s2`` is a number, or ``"kappa"`` for the majorant 8 (E y**4 + tau E||X||**4),
+    tau = sum_j pi_j ||theta_j||**4, or ``"exact"`` for the exact integrated loss
+    variance (both for i.i.d. squared-loss regression only). p is ``experiment.p``
+    and q its conjugate.
     """
 
     s2: float | Literal["kappa", "exact"] = "kappa"
@@ -88,8 +89,8 @@ class VarianceRegime:
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
         if self.s2 == "kappa":
             ey4, ex4 = datagen.kappa_moments(config.generator)
-            tau = prior_moment_tau(atoms, pi)
-            s2 = kappa_quadratic(ey4, tau, ex4)
+            tau = float(pi.weights @ np.linalg.norm(atoms.coords, axis=1) ** 4)
+            s2 = 8.0 * (ey4 + tau * ex4)
             constants = {"s2": s2, "s2_mode": "kappa", "tau": tau, "ey4": ey4, "ex4": ex4}
         elif self.s2 == "exact":
             s2 = float(pi.weights @ datagen.squared_loss_variances(config.generator, atoms))
@@ -289,17 +290,6 @@ def geometric_alpha_sum(c1: float, c2: float, power: float = 1.0) -> float:
     if c1 == 0:
         return 0.0
     return 2.0 * c1 ** (1.0 / power) / (1.0 - math.exp(-c2 / power))
-
-
-def kappa_quadratic(ey4: float, tau: float, ex4: float) -> float:
-    """8 * (E[Y^4] + tau * E[||X||^4]).
-
-    Dominates the prior-integrated loss variance for quadratic-loss linear
-    regression, so it is usable wherever an s2 is required.
-    """
-    if ey4 < 0 or tau < 0 or ex4 < 0:
-        raise ValueError("inputs must be nonnegative")
-    return 8.0 * (ey4 + tau * ex4)
 
 
 @dataclass(frozen=True)

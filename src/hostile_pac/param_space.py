@@ -9,6 +9,7 @@ empirical-risk minimizer) are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -87,11 +88,29 @@ class UniformGridPrior:
     """Uniform weights on a rectangular grid, one (lo, hi) pair per coordinate.
 
     Atoms are enumerated in row-major coordinate order (first coordinate
-    varies slowest).
+    varies slowest). A single ``points_per_axis`` is stored as one count per
+    axis.
     """
 
     bounds: tuple[tuple[float, float], ...]
     points_per_axis: int | tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        ppa = self.points_per_axis
+        counts = (ppa,) * self.dim if isinstance(ppa, int) else tuple(ppa)
+        object.__setattr__(self, "points_per_axis", counts)
+        if not self.bounds:
+            raise ValueError("bounds needs at least one coordinate")
+        if not np.all(np.isfinite(self.bounds)):
+            raise ValueError("bounds must be finite")
+        if len(counts) != self.dim:
+            raise ValueError("points_per_axis does not match the number of coordinates in bounds")
+        if min(counts) < 1 or math.prod(counts) < 2:
+            raise ValueError("points_per_axis needs a point on every axis and 2 atoms in all")
+
+    @property
+    def dim(self) -> int:
+        return len(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -99,17 +118,21 @@ class IidSamplePrior:
     """Uniform weights on atoms sampled i.i.d. from a base law.
 
     ``law`` is ``"gaussian"`` (isotropic, std ``scale``) or ``"uniform"``
-    (box ``[-scale, scale]^dim``, or explicit per-coordinate ``bounds``).
-    A ``seed`` stored here takes precedence over the seed passed to
-    :func:`build_prior`.
+    (box ``[-scale, scale]^dim``). A ``seed`` stored here takes precedence
+    over the seed passed to :func:`build_prior`.
     """
 
     count: int
     dim: int
     law: Literal["gaussian", "uniform"] = "gaussian"
     scale: float = 1.0
-    bounds: tuple[tuple[float, float], ...] | None = None
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.count < 2:
+            raise ValueError(f"count must be at least 2, got {self.count}")
+        if self.law not in ("gaussian", "uniform"):
+            raise ValueError(f"law must be gaussian or uniform, got {self.law!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +141,14 @@ class ExplicitPrior:
 
     atoms: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(AtomSet(self.atoms)) != len(DiscreteDistribution(self.weights)):
+            raise ValueError("weights needs one entry per row of atoms")
+
+    @property
+    def dim(self) -> int:
+        return AtomSet(self.atoms).dim
 
 
 PriorSpec = UniformGridPrior | IidSamplePrior | ExplicitPrior
@@ -129,58 +160,28 @@ def build_prior(spec: PriorSpec, seed: int = 0) -> tuple[AtomSet, DiscreteDistri
     Deterministic given ``(spec, seed)``. Grid and sampled priors carry
     uniform weights ``1/K``.
     """
-    if isinstance(spec, UniformGridPrior):
-        atoms = _grid_atoms(spec)
-        return atoms, DiscreteDistribution.uniform(len(atoms))
-    if isinstance(spec, IidSamplePrior):
-        atoms = _sampled_atoms(spec, seed)
-        return atoms, DiscreteDistribution.uniform(len(atoms))
     if isinstance(spec, ExplicitPrior):
         return AtomSet(spec.atoms), DiscreteDistribution(spec.weights)
-    raise TypeError(f"unknown prior spec: {type(spec).__name__}")
+    if isinstance(spec, UniformGridPrior):
+        atoms = _grid_atoms(spec)
+    elif isinstance(spec, IidSamplePrior):
+        atoms = _sampled_atoms(spec, seed)
+    else:
+        raise TypeError(f"unknown prior spec: {type(spec).__name__}")
+    return atoms, DiscreteDistribution.uniform(len(atoms))
 
 
 def _grid_atoms(spec: UniformGridPrior) -> AtomSet:
-    bounds = tuple(spec.bounds)
-    if not bounds:
-        raise ValueError("grid prior needs at least one coordinate")
-    k = len(bounds)
-    ppa = spec.points_per_axis
-    counts = (ppa,) * k if isinstance(ppa, int) else tuple(ppa)
-    if len(counts) != k:
-        raise ValueError("points_per_axis does not match the number of coordinates")
-    axes = []
-    for (lo, hi), m in zip(bounds, counts):
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("grid bounds must be finite")
-        if m < 1:
-            raise ValueError("each axis needs at least one grid point")
-        axes.append(np.linspace(lo, hi, m))
+    axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(spec.bounds, spec.points_per_axis)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in mesh], axis=-1)
-    if coords.shape[0] < 2:
-        raise ValueError("grid prior must produce at least 2 atoms")
-    return AtomSet(coords)
+    return AtomSet(np.stack([g.ravel() for g in mesh], axis=-1))
 
 
 def _sampled_atoms(spec: IidSamplePrior, seed: int) -> AtomSet:
-    if spec.count < 2:
-        raise ValueError("sampled prior must produce at least 2 atoms")
-    effective = spec.seed if spec.seed is not None else seed
-    rng = np.random.default_rng(effective)
+    rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
     if spec.law == "gaussian":
-        coords = rng.standard_normal((spec.count, spec.dim)) * spec.scale
-    elif spec.law == "uniform":
-        if spec.bounds is not None:
-            lo = np.array([b[0] for b in spec.bounds], dtype=float)
-            hi = np.array([b[1] for b in spec.bounds], dtype=float)
-        else:
-            lo = np.full(spec.dim, -spec.scale)
-            hi = np.full(spec.dim, spec.scale)
-        coords = rng.uniform(lo, hi, (spec.count, lo.shape[0]))
-    else:
-        raise ValueError(f"unknown base law {spec.law!r}")
-    return AtomSet(coords)
+        return AtomSet(rng.standard_normal((spec.count, spec.dim)) * spec.scale)
+    return AtomSet(rng.uniform(-spec.scale, spec.scale, (spec.count, spec.dim)))
 
 
 def expectation(dist: DiscreteDistribution, values: np.ndarray) -> float:
@@ -189,15 +190,3 @@ def expectation(dist: DiscreteDistribution, values: np.ndarray) -> float:
     if values.shape != dist.weights.shape:
         raise ValueError(f"length mismatch: {values.shape} values vs {dist.weights.shape} weights")
     return float(dist.weights @ values)
-
-
-def prior_moment_tau(atoms: AtomSet, pi: DiscreteDistribution) -> float:
-    """Prior fourth moment of the atom norm, sum_j pi_j * ||theta_j||^4.
-
-    This is the kurtosis-coupling constant tau of the quadratic-loss variance
-    bound.
-    """
-    if len(atoms) != len(pi):
-        raise ValueError("atom set and distribution sizes differ")
-    norms = np.linalg.norm(atoms.coords, axis=1)
-    return float(pi.weights @ norms**4)

@@ -33,7 +33,7 @@ def minimized_objective_identity(rn: np.ndarray, pi: DiscreteDistribution,
     Returns ``(rbar, rho, objective)`` where the objective is the upper
     certificate at rho; it coincides with rbar up to solver precision.
     """
-    rbar = solve_rbar(rn, pi, cfg.q, cfg.moment.value, cfg.delta)
+    rbar = solve_rbar(rn, pi, cfg.q, cfg.budget)
     rho = rho_hat(rn, pi, cfg.p, rbar)
     objective = evaluate_bound(rho, pi, rn, cfg).upper
     return rbar, rho, objective

@@ -80,13 +80,13 @@ def test_criterion_03_level_solver():
         rn = rng.uniform(0.0, 1.0, size)
         q = float(rng.uniform(1.1, 3.0))
         budget = 10.0 ** rng.uniform(-6, 1)
-        root = solve_rbar(rn, pi, q, budget * 0.25, 0.25)
+        root = solve_rbar(rn, pi, q, budget)
         spend = float(pi.weights @ np.maximum(root - rn, 0.0) ** q)
         worst_residual = max(worst_residual, abs(spend - budget) / budget)
     two_atom = DiscreteDistribution.uniform(2)
     errs = [
-        abs(solve_rbar(np.array([0.0, 1.0]), two_atom, 2.0, 0.0125, 0.1) - 0.5),
-        abs(solve_rbar(np.array([0.0, 1.0]), two_atom, 2.0, 0.0625, 0.1)
+        abs(solve_rbar(np.array([0.0, 1.0]), two_atom, 2.0, 0.125) - 0.5),
+        abs(solve_rbar(np.array([0.0, 1.0]), two_atom, 2.0, 0.625)
             - (1.0 + math.sqrt(1.5)) / 2.0),
     ]
     elapsed = time.perf_counter() - start
@@ -108,8 +108,7 @@ def test_criterion_04_minimizer_identity():
         pi = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         rn = rng.uniform(0.0, 1.0, size)
         budget = 10.0 ** rng.uniform(-4, -1)
-        delta = 0.25
-        rbar = solve_rbar(rn, pi, q, budget * delta, delta)
+        rbar = solve_rbar(rn, pi, q, budget)
         rho = rho_hat(rn, pi, p, rbar)
         objective = expectation(rho, rn) + budget ** (1.0 / q) * (
             f_divergence(rho, pi, PhiP(p)) + 1.0) ** (1.0 / p)
@@ -136,11 +135,10 @@ def test_criterion_05_scaling_equivariance():
         pi = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         rn = rng.uniform(0.0, 1.0, size)
         budget = 10.0 ** rng.uniform(-4, -1)
-        delta = 0.5
-        base_level = solve_rbar(rn, pi, q, budget * delta, delta)
+        base_level = solve_rbar(rn, pi, q, budget)
         base_weights = rho_hat(rn, pi, p, base_level).weights
         for c in (0.1, 10.0):
-            level = solve_rbar(c * rn, pi, q, budget * c**q * delta, delta)
+            level = solve_rbar(c * rn, pi, q, budget * c**q)
             weights = rho_hat(c * rn, pi, p, level).weights
             worst_level = max(worst_level, abs(level - c * base_level) / max(1.0, c))
             worst_weight = max(worst_weight, float(np.max(np.abs(weights - base_weights))))

@@ -74,32 +74,46 @@ def test_evaluate_bound_erm_matches_finite_class_margin():
 def test_solve_rbar_closed_forms():
     pi = DiscreteDistribution.uniform(2)
     rn = np.array([0.0, 1.0])
-    assert solve_rbar(rn, pi, 2.0, 0.0125, 0.1) == pytest.approx(0.5, abs=1e-10)
-    assert solve_rbar(rn, pi, 2.0, 0.0625, 0.1) == pytest.approx(
+    assert solve_rbar(rn, pi, 2.0, 0.125) == pytest.approx(0.5, abs=1e-10)
+    assert solve_rbar(rn, pi, 2.0, 0.625) == pytest.approx(
         (1.0 + math.sqrt(1.5)) / 2.0, abs=1e-10)
     single = DiscreteDistribution(np.array([1.0]))
-    assert solve_rbar(np.array([0.7]), single, 3.0, 0.001, 0.5) == pytest.approx(
+    assert solve_rbar(np.array([0.7]), single, 3.0, 0.002) == pytest.approx(
         0.7 + 0.002 ** (1.0 / 3.0), abs=1e-10)
     # A 1e-300 weight on the minimizer: the other atom alone spends the budget.
     tiny_floor = DiscreteDistribution(np.array([1e-300, 1.0 - 1e-300]))
-    assert solve_rbar(rn, tiny_floor, 2.0, 0.001, 0.1) == pytest.approx(1.1, rel=1e-12)
+    assert solve_rbar(rn, tiny_floor, 2.0, 0.01) == pytest.approx(1.1, rel=1e-12)
 
 
 def test_solve_rbar_errors():
     pi = DiscreteDistribution.uniform(2)
     with pytest.raises(ValueError):
-        solve_rbar(np.array([0.0, 1.0]), pi, 2.0, 0.0, 0.1)
+        solve_rbar(np.array([0.0, 1.0]), pi, 2.0, 0.0)
     with pytest.raises(ValueError):
-        solve_rbar(np.array([np.inf, np.inf]), pi, 2.0, 0.1, 0.1)
+        solve_rbar(np.array([np.inf, np.inf]), pi, 2.0, 1.0)
     masked = DiscreteDistribution(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        solve_rbar(np.array([np.inf, 0.0]), masked, 2.0, 0.1, 0.1)
+        solve_rbar(np.array([np.inf, 0.0]), masked, 2.0, 1.0)
     # A NaN or -inf risk on a supported atom has no level; off the support it is ignored.
     for bad in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="NaN or -inf"):
-            solve_rbar(np.array([0.0, bad]), pi, 2.0, 0.1, 0.5)
-        assert solve_rbar(np.array([0.5, bad]), masked, 2.0, 0.1, 0.5) == pytest.approx(
+            solve_rbar(np.array([0.0, bad]), pi, 2.0, 0.2)
+        assert solve_rbar(np.array([0.5, bad]), masked, 2.0, 0.2) == pytest.approx(
             0.5 + math.sqrt(0.2), rel=1e-14)
+
+
+@pytest.mark.parametrize("budget", [math.nan, 0.0])
+def test_budget_must_be_positive(budget):
+    # NaN passes a `budget <= 0` test, so each function must test `not budget > 0`.
+    pi, rn = DiscreteDistribution.uniform(2), np.array([0.0, 1.0])
+    with pytest.raises(ValueError):
+        solve_rbar(rn, pi, 2.0, budget)
+    with pytest.raises(ValueError):
+        oracle_bound(0.0, budget, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        optimal_gamma(1.0, 2.0, budget)
+    with pytest.raises(ValueError):
+        certified_oracle(rn, pi, np.array([0.1, 0.5]), 0.2, budget, 2.0)
 
 
 def test_solve_rbar_random_residuals():
@@ -110,7 +124,7 @@ def test_solve_rbar_random_residuals():
         rn = rng.uniform(0.0, 1.0, size)
         q = float(rng.uniform(1.1, 3.0))
         budget = 10.0 ** rng.uniform(-6, 1)
-        root = solve_rbar(rn, pi, q, budget * 0.5, 0.5)
+        root = solve_rbar(rn, pi, q, budget)
         spend = float(pi.weights @ np.maximum(root - rn, 0.0) ** q)
         assert abs(spend - budget) <= 1e-10 * budget
 
@@ -145,7 +159,7 @@ def test_solve_rbar_certifies_the_last_bit(rn):
     # The level sits ~7e-6 above the lowest risk, closer than a double there can
     # bring the spend to within 1e-10 T; it is the root to the last bit instead.
     rn, weights, q, target = np.array(rn), np.full(2, 0.5), 1.42, 2.5e-8
-    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, 2.5e-9, 0.1)
+    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, target)
     spend = _spend(rn, weights, q, rbar)
     assert spend >= target > _spend(rn, weights, q, np.nextafter(rbar, -np.inf))
     assert abs(spend - target) > 1e-10 * target
@@ -155,10 +169,10 @@ def test_solve_rbar_steps_onto_the_last_bit_root():
     # The last Newton step lands just below the level, where the spend falls
     # short of T; the solve steps up to the double that spends it.
     rn, weights = np.array([7528.546752461672]), np.ones(1)
-    q, moment = 2.504694217327672, 5.3322714857060166e-11
-    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, moment, 0.1)
+    q, budget = 2.504694217327672, 5.3322714857060166e-11 / 0.1
+    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, budget)
     assert rbar == 7528.546950941618
-    assert _spend(rn, weights, q, rbar) >= moment / 0.1 > _spend(rn, weights, q, np.nextafter(rbar, -np.inf))
+    assert _spend(rn, weights, q, rbar) >= budget > _spend(rn, weights, q, np.nextafter(rbar, -np.inf))
 
 
 @st.composite
@@ -185,11 +199,11 @@ def _level_problems(draw):
 @given(problem=_level_problems(), q=st.floats(1.01, 40.0))
 def test_solve_rbar_properties(problem, q):
     rn, weights, target = problem
-    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, target * 0.5, 0.5)
+    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, target)
     assert abs(_spend(rn, weights, q, rbar) - target) <= 1e-10 * target
     floor = rn[weights > 0].min()
     assert _spend(rn, weights, q, rbar - 1e-6 * (rbar - floor)) < target
-    at_two = solve_rbar(rn, DiscreteDistribution(weights), 2.0, target * 0.5, 0.5)
+    at_two = solve_rbar(rn, DiscreteDistribution(weights), 2.0, target)
     assert at_two == pytest.approx(_rbar_reference_q2(rn, weights, target), rel=1e-12)
 
 
@@ -269,7 +283,7 @@ def test_rho_hat_support_strictly_below_level():
         size = int(rng.integers(2, 30))
         pi = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         rn = rng.uniform(0, 1, size)
-        rbar = solve_rbar(rn, pi, 2.0, 10.0 ** rng.uniform(-5, -1), 0.1)
+        rbar = solve_rbar(rn, pi, 2.0, 10.0 ** rng.uniform(-5, -1) / 0.1)
         rho = rho_hat(rn, pi, 2.0, rbar)
         assert np.all(rn[rho.weights > 0] < rbar)
 
@@ -317,10 +331,10 @@ def test_scaling_equivariance():
     rn = rng.uniform(0, 1, 12)
     q, p = 2.0, 2.0
     budget = 0.01
-    base_rbar = solve_rbar(rn, pi, q, budget * 0.5, 0.5)
+    base_rbar = solve_rbar(rn, pi, q, budget)
     base_weights = rho_hat(rn, pi, p, base_rbar).weights
     for c in (0.1, 10.0):
-        scaled_rbar = solve_rbar(c * rn, pi, q, budget * c**q * 0.5, 0.5)
+        scaled_rbar = solve_rbar(c * rn, pi, q, budget * c**q)
         assert scaled_rbar == pytest.approx(c * base_rbar, abs=1e-10 * max(1.0, c))
         scaled_weights = rho_hat(c * rn, pi, p, scaled_rbar).weights
         assert np.max(np.abs(scaled_weights - base_weights)) <= 1e-10
@@ -337,10 +351,10 @@ def test_catoni_examples():
 
 
 def test_optimal_gamma_examples():
-    assert optimal_gamma(2.0, 2.0, 0.001, 0.1) == pytest.approx(0.1, rel=1e-12)
+    assert optimal_gamma(2.0, 2.0, 0.01) == pytest.approx(0.1, rel=1e-12)
     # d (1 - 1/p) = 1 with unit budget is a fixed point.
-    assert optimal_gamma(2.0, 2.0, 0.1, 0.1) == pytest.approx(1.0, rel=1e-12)
-    assert optimal_gamma(1.0, 2.0, 0.004, 0.1) == pytest.approx(0.02 ** (2.0 / 3.0), rel=1e-12)
+    assert optimal_gamma(2.0, 2.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert optimal_gamma(1.0, 2.0, 0.04) == pytest.approx(0.02 ** (2.0 / 3.0), rel=1e-12)
 
 
 def test_erm_index_examples():
@@ -399,17 +413,17 @@ def test_verify_complexity_unsatisfiable():
 
 
 def test_oracle_bound_examples():
-    assert oracle_bound(0.2, 1e-5, 0.1, 2.0, 2.0) == pytest.approx(0.4, rel=1e-12)
-    assert oracle_bound(0.0, 0.1, 0.1, 2.0, 2.0) == pytest.approx(2.0, rel=1e-12)
+    assert oracle_bound(0.2, 1e-4, 2.0, 2.0) == pytest.approx(0.4, rel=1e-12)
+    assert oracle_bound(0.0, 1.0, 2.0, 2.0) == pytest.approx(2.0, rel=1e-12)
     # d -> 0 recovers the exponent 1/q.
-    assert oracle_bound(0.1, 1e-4, 0.1, 2.0, 1e-9) == pytest.approx(
+    assert oracle_bound(0.1, 1e-3, 2.0, 1e-9) == pytest.approx(
         0.1 + 2.0 * (1e-3) ** 0.5, rel=1e-7)
     # The population level spends the budget 2**q * M / delta.
-    assert oracle_bound(0.0, 2.0**2 * 0.1, 0.1, 2.0, 2.0) == pytest.approx(
+    assert oracle_bound(0.0, 2.0**2 * 0.1 / 0.1, 2.0, 2.0) == pytest.approx(
         2.0 * math.sqrt(2.0), rel=1e-12)
-    assert oracle_bound(0.1, 2.0**2 * 1e-5, 0.1, 2.0, 2.0) == pytest.approx(
+    assert oracle_bound(0.1, 2.0**2 * 1e-5 / 0.1, 2.0, 2.0) == pytest.approx(
         0.1 + 2.0 * math.sqrt(2.0) * 0.1, rel=1e-12)
-    assert oracle_bound(0.3, 2.0**2 * 0.01, 0.1, 2.0, 0.0) == pytest.approx(
+    assert oracle_bound(0.3, 2.0**2 * 0.01 / 0.1, 2.0, 0.0) == pytest.approx(
         0.3 + 4.0 * math.sqrt(0.1), rel=1e-12)
 
 
@@ -418,7 +432,7 @@ def test_certified_oracle_needs_the_proof_point_inside_the_interval():
     values = np.array([0.0, 1.0])
     grid = np.array([0.1, 0.5])  # sublevel mass 1/2 at both points: d = 1
     for level, certified in ((0.2, True), (1.0, True), (0.1, False), (1.2, False)):
-        complexity, oracle = certified_oracle(values, pi, grid, level, 1e-3, 0.1, 2.0)
+        complexity, oracle = certified_oracle(values, pi, grid, level, 1e-2, 2.0)
         assert complexity.satisfied and complexity.d == pytest.approx(1.0)
         if certified:
             assert oracle == pytest.approx(2.0 * 1e-2 ** (1.0 / 3.0), rel=1e-12)
@@ -429,17 +443,16 @@ def test_certified_oracle_needs_the_proof_point_inside_the_interval():
     # 0.3**8 < 0.45**8, and the interval-only rule would report 0.75 < 0.9.
     pi = DiscreteDistribution(np.array([0.3**8, 1.0 - 0.3**8]))
     values = np.array([0.0, 0.95])
-    moment = 0.1 * 0.3**8 * 0.9**2
-    level = solve_rbar(values, pi, 2.0, moment, 0.1)
+    budget = 0.3**8 * 0.9**2
+    level = solve_rbar(values, pi, 2.0, budget)
     assert level == pytest.approx(0.9, rel=1e-12)
-    complexity, oracle = certified_oracle(values, pi, np.array([0.3, 0.96]), level,
-                                          moment, 0.1, 2.0)
+    complexity, oracle = certified_oracle(values, pi, np.array([0.3, 0.96]), level, budget, 2.0)
     assert complexity.satisfied and complexity.d == pytest.approx(8.0, abs=2e-3)
     assert oracle is None
-    assert oracle_bound(0.0, moment, 0.1, 2.0, complexity.d) < level
+    assert oracle_bound(0.0, budget, 2.0, complexity.d) < level
     # An exponent that does not certify never yields an oracle.
     lopsided = DiscreteDistribution(np.array([0.001, 0.999]))
-    complexity, oracle = certified_oracle(values, lopsided, np.array([0.9]), 1.0, 1e-3, 0.1, 2.0)
+    complexity, oracle = certified_oracle(values, lopsided, np.array([0.9]), 1.0, 1e-2, 2.0)
     assert not complexity.satisfied and oracle is None
 
 

@@ -115,6 +115,10 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("coverage_iid_t5", "generator.noise.dof=3", ["regime.s2", "generator.noise.dof"]),
     ("coverage_iid_t5", "generator.noise.dof=3 regime.s2=exact",
      ["regime.s2", "generator.noise.dof"]),
+    # Prior sizes, checked at load time rather than when the prior is built.
+    ("bound_demo", "prior.count=1", ["prior: count"]),
+    ("bound_demo", "prior.dim=3", ["prior.dim"]),
+    ("bound_demo", "prior.bounds=[[-1,1]] prior.law=uniform", ["unknown keys: prior.bounds"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"

@@ -128,6 +128,18 @@ def test_config_rejects_bad_values_naming_the_key(section, key, value, named):
     assert section != "regime" or "unknown keys" not in str(info.value)
 
 
+@pytest.mark.parametrize("prior, named", [
+    ({"kind": "iid_sample", "count": 30, "dim": 1}, "prior.dim"),
+    ({"kind": "uniform_grid", "bounds": [[-1, 1]] * 3, "points_per_axis": 3}, "prior.bounds"),
+    ({"kind": "explicit", "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]}, "prior.atoms"),
+])
+def test_prior_dimension_must_match_the_generator(prior, named):
+    raw = yaml.safe_load(BASE_YAML)
+    raw["prior"] = prior
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("variance", "q", 4.0),
     ("variance", "sigma2", 0.25),

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from hostile_pac.datagen import (GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, StudentTNoise, generate,
                                  squared_loss_variances, true_risk_closed_form)
-from hostile_pac.moments import (MomentBound, empirical_moment_estimate,
-                                 geometric_alpha_sum, kappa_quadratic,
-                                 moment_iid_variance, moment_mixing_bounded,
-                                 moment_mixing_unbounded, moment_subgaussian,
-                                 optimal_q_finite, optimized_erm_margin)
-from hostile_pac.param_space import AtomSet, DiscreteDistribution, build_prior, IidSamplePrior
+from hostile_pac.harness import ExperimentConfig
+from hostile_pac.moments import (MomentBound, VarianceRegime, empirical_moment_estimate,
+                                 geometric_alpha_sum, moment_iid_variance,
+                                 moment_mixing_bounded, moment_mixing_unbounded,
+                                 moment_subgaussian, optimal_q_finite, optimized_erm_margin)
+from hostile_pac.param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
+                                     IidSamplePrior, build_prior)
 from hostile_pac.risk import LossTable, SquaredLoss, compute_loss_table
 
 
@@ -76,11 +77,27 @@ def test_geometric_sum_dominates_truncations():
         assert bound >= partial - 1e-12
 
 
-def test_kappa_examples():
-    assert kappa_quadratic(9.0, 2.0, 3.0) == pytest.approx(120.0)
-    assert kappa_quadratic(0.0, 0.0, 0.0) == 0.0
-    # Student-t(5) fourth moment is 25 for unit scale.
-    assert kappa_quadratic(25.0, 1.0, 3.0) == pytest.approx(224.0)
+@pytest.mark.parametrize("atoms, weights, tau", [
+    ([[1.0, 1.0]], [1.0], 4.0),
+    ([[0.0, 0.0]], [1.0], 0.0),
+    ([[-1.0, 0.0], [1.0, 0.0]], [0.5, 0.5], 1.0),
+    ([[1.0, 1.0], [0.0, 0.0]], [0.25, 0.75], 1.0),
+])
+def test_variance_regime_kappa_examples(atoms, weights, tau):
+    # tau = sum_j pi_j ||theta_j||**4. With x ~ N(0, I_2) and unit Gaussian
+    # noise, y ~ N(0, 0.34 + 1): E y**4 = 3 * 1.34**2 and E ||X||**4 = d(d + 2) = 8.
+    generator = IidLinearRegression(theta_star=(0.5, -0.3), x_law=IsotropicGaussianX(1.0),
+                                    noise=GaussianNoise(1.0))
+    config = ExperimentConfig(generator=generator, loss=SquaredLoss(), delta=0.1, n=100,
+                              prior=ExplicitPrior(np.array(atoms), np.array(weights)),
+                              regime=VarianceRegime("kappa"))
+    p, bound, constants = config.regime.resolve(config, *build_prior(config.prior))
+    ey4 = 3.0 * 1.34**2
+    assert constants["tau"] == pytest.approx(tau, rel=1e-15, abs=0.0)
+    assert constants["ey4"] == pytest.approx(ey4, rel=1e-14)
+    assert constants["ex4"] == pytest.approx(8.0, rel=1e-15)
+    assert constants["s2"] == pytest.approx(8.0 * (ey4 + tau * 8.0), rel=1e-14)
+    assert p == 2.0 and bound.value == pytest.approx(constants["s2"] / 100, rel=1e-15)
 
 
 def test_optimal_q_examples():

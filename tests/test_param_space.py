@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hostile_pac.param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                                      IidSamplePrior, UniformGridPrior, build_prior,
-                                     expectation, prior_moment_tau)
+                                     expectation)
 
 
 def test_grid_prior_enumeration_and_weights():
@@ -56,6 +56,19 @@ def test_grid_prior_errors():
         build_prior(IidSamplePrior(count=1, dim=1))
 
 
+@pytest.mark.parametrize("spec, kwargs, field", [
+    (UniformGridPrior, {"bounds": ((0.0, 1.0),), "points_per_axis": (2, 2)}, "points_per_axis"),
+    (UniformGridPrior, {"bounds": ((0.0, 1.0), (0.0, 1.0)), "points_per_axis": 0},
+     "points_per_axis"),
+    (IidSamplePrior, {"count": 1, "dim": 1}, "count"),
+    (IidSamplePrior, {"count": 5, "dim": 1, "law": "cauchy"}, "law"),
+    (ExplicitPrior, {"atoms": np.zeros((2, 1)), "weights": np.ones(3) / 3}, "weights"),
+], ids=["grid-axes", "grid-points", "sample-count", "sample-law", "explicit-weights"])
+def test_prior_specs_reject_bad_values_on_construction(spec, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        spec(**kwargs)
+
+
 def test_distribution_invariants():
     with pytest.raises(ValueError):
         DiscreteDistribution(np.array([0.5, -0.1, 0.6]))
@@ -75,15 +88,6 @@ def test_expectation_examples():
     assert expectation(dirac, np.array([1.0, 2.0, 3.0, 4.0])) == 3.0
     with pytest.raises(ValueError):
         expectation(dist, np.array([1.0, 2.0, 3.0]))
-
-
-def test_prior_moment_tau_examples():
-    single = AtomSet(np.array([[1.0, 1.0]]))
-    assert prior_moment_tau(single, DiscreteDistribution(np.array([1.0]))) == pytest.approx(4.0)
-    origin = AtomSet(np.array([[0.0, 0.0]]))
-    assert prior_moment_tau(origin, DiscreteDistribution(np.array([1.0]))) == 0.0
-    pm_one = AtomSet(np.array([[-1.0], [1.0]]))
-    assert prior_moment_tau(pm_one, DiscreteDistribution.uniform(2)) == pytest.approx(1.0)
 
 
 @settings(max_examples=100, deadline=None)
