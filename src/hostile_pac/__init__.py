@@ -19,12 +19,11 @@ from .divergence import PhiP, f_divergence
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, MomentBound, RegimeSpec,
                       SubGaussianRegime, VarianceRegime, empirical_moment_estimate,
                       geometric_alpha_sum, moment_iid_variance, moment_mixing_bounded,
-                      moment_mixing_unbounded, moment_subgaussian, optimal_q_finite,
-                      optimized_erm_margin)
+                      moment_mixing_unbounded, moment_subgaussian, optimal_q_finite)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior,
                           build_prior, expectation)
-from .risk import (Dataset, LossKind, LossTable, SquaredLoss, ZeroOneLoss,
-                   compute_loss_table, empirical_risk, empirical_risks)
+from .risk import (Dataset, LossKind, SquaredLoss, ZeroOneLoss, compute_loss_table,
+                   empirical_risk, empirical_risks)
 
 __version__ = "0.1.0"

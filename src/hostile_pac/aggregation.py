@@ -89,7 +89,7 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class ComplexityEstimate:
-    """Certified sublevel-mass exponent over a gamma interval.
+    """Certified sublevel-mass exponent on a gamma grid.
 
     ``d`` is the smallest exponent (at resolution 1e-3) such that the prior
     mass of every {values <= min + gamma} sublevel on the grid is at least
@@ -100,21 +100,19 @@ class ComplexityEstimate:
     """
 
     d: float
-    gamma_interval: tuple[float, float]
     satisfied: bool
 
 
-def pac_margin(cfg: BoundConfig, div_plus_one: float | np.ndarray) -> float | np.ndarray:
-    """(M / delta)**(1/q) * (D + 1)**(1/p), elementwise; infinity propagates."""
-    div_plus_one = np.asarray(div_plus_one, dtype=float)
-    if not (div_plus_one >= 1.0 - CONJUGACY_TOL).all():  # NaN fails too
+def pac_margin(cfg: BoundConfig, div_plus_one: float) -> float:
+    """(M / delta)**(1/q) * (D + 1)**(1/p) at one D + 1; infinity propagates."""
+    if not div_plus_one >= 1.0 - CONJUGACY_TOL:  # NaN fails too
         raise ValueError("divergence-plus-one must be at least 1")
-    return cfg.budget ** (1.0 / cfg.q) * np.maximum(div_plus_one, 1.0) ** (1.0 / cfg.p)
+    return cfg.budget ** (1.0 / cfg.q) * max(div_plus_one, 1.0) ** (1.0 / cfg.p)
 
 
 def certificate(rn_integral: float, div_plus_one: float, cfg: BoundConfig) -> BoundReport:
     """Two-sided certificate at a known r_n integral and D + 1."""
-    margin = float(pac_margin(cfg, div_plus_one))
+    margin = pac_margin(cfg, div_plus_one)
     return BoundReport(rn_integral=rn_integral, margin=margin, upper=rn_integral + margin,
                        lower=rn_integral - margin, divergence_plus_one=div_plus_one)
 
@@ -126,7 +124,7 @@ def evaluate_bound(rho: DiscreteDistribution, pi: DiscreteDistribution,
     if len(rho) != len(pi) or rn.shape[0] != len(pi):
         raise ValueError("rho, pi and the risk vector must share one atom set")
     return certificate(expectation(rho, rn),
-                       float(power_divergence_plus_one(rho.weights, pi.weights, cfg.p)), cfg)
+                       power_divergence_plus_one(rho.weights, pi.weights, cfg.p), cfg)
 
 
 def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray, q: float) -> tuple[float, float]:
@@ -162,8 +160,8 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
     rn = np.asarray(rn, dtype=float)
     if rn.shape[0] != len(pi):
         raise ValueError("risk vector and prior sizes differ")
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget}")
     if not q > 1:
         raise ValueError("q must exceed 1")
     support = pi.weights > 0
@@ -241,8 +239,8 @@ def optimal_gamma(d: float, p: float, budget: float) -> float:
 
     gamma = (d (1 - 1/p) T) ** (1 / (1 + d (1 - 1/p))), T the budget.
     """
-    if d <= 0 or p <= 1 or not budget > 0:
-        raise ValueError("need d > 0, p > 1 and a positive budget T")
+    if d <= 0 or p <= 1 or not 0 < budget < math.inf:
+        raise ValueError("need d > 0, p > 1 and a positive finite budget T")
     exponent_weight = d * (1.0 - 1.0 / p)
     return (exponent_weight * budget) ** (1.0 / (1.0 + exponent_weight))
 
@@ -273,27 +271,26 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     values = np.asarray(values, dtype=float)
     if values.shape[0] != len(pi):
         raise ValueError("value vector and prior sizes differ")
-    interval = (float(grid[0]), float(grid[-1]))
     floor = values.min()
     masses = np.array([float(pi.weights[values <= floor + g].sum()) for g in grid])
     if np.any(masses <= 0.0):
-        return ComplexityEstimate(COMPLEXITY_CAP, interval, False)
+        return ComplexityEstimate(COMPLEXITY_CAP, False)
     binding = masses < 1.0
     if not np.any(binding):
         # Full mass at every grid point: every exponent works.
-        return ComplexityEstimate(COMPLEXITY_CAP, interval, True)
+        return ComplexityEstimate(COMPLEXITY_CAP, True)
     threshold = float(np.max(np.log(masses[binding]) / np.log(grid[binding])))
     d = COMPLEXITY_RESOLUTION * max(1, math.ceil(threshold / COMPLEXITY_RESOLUTION))
     while d <= COMPLEXITY_CAP and not np.all(masses >= grid**d):
         d += COMPLEXITY_RESOLUTION
     if d > COMPLEXITY_CAP:
-        return ComplexityEstimate(COMPLEXITY_CAP, interval, False)
-    return ComplexityEstimate(d, interval, True)
+        return ComplexityEstimate(COMPLEXITY_CAP, False)
+    return ComplexityEstimate(d, True)
 
 
 def oracle_bound(r_min: float, budget: float, q: float, d: float) -> float:
     """min r + 2 * T ** (1 / (q + d)), T the budget spent by the bounded level."""
-    if not budget > 0 or q <= 1 or d < 0:
+    if not 0 < budget < math.inf or q <= 1 or d < 0:
         raise ValueError("invalid oracle-bound inputs")
     return r_min + 2.0 * budget ** (1.0 / (q + d))
 
@@ -315,8 +312,7 @@ def certified_oracle(values: np.ndarray, pi: DiscreteDistribution, gamma_grid: n
     floor = float(values.min())
     bound = oracle_bound(floor, budget, q, complexity.d)  # checks T and q even if uncertified
     gamma = (level - floor) / 2.0
-    lo, hi = complexity.gamma_interval
-    if not (complexity.satisfied and lo <= gamma <= hi
+    if not (complexity.satisfied and min(gamma_grid) <= gamma <= max(gamma_grid)
             and pi.weights[values <= floor + gamma].sum() >= gamma ** complexity.d):
         return complexity, None
     return complexity, bound

@@ -25,7 +25,7 @@ import yaml
 
 from . import harness
 from .aggregation import SolverError
-from .harness import AssumptionError, ConfigError
+from .harness import AssumptionError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
                        "rows": len(rows), "timestamp": harness._timestamp()}
             _emit([{"type": "sweep_row", **row} for row in rows], summary, args.out,
                   csv_rows=rows)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the library's own value checks
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except AssumptionError as exc:
@@ -98,9 +98,6 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

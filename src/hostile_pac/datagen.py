@@ -79,7 +79,13 @@ def noise_moment(noise: NoiseLaw, order: int) -> float:
 
 @dataclass(frozen=True)
 class IsotropicGaussianX:
+    """Coordinates drawn independently from N(0, scale**2)."""
+
     scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.scale >= 0:
+            raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,10 @@ class UniformBoxX:
     """Coordinates drawn independently from [-halfwidth, halfwidth]."""
 
     halfwidth: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.halfwidth >= 0:
+            raise ValueError(f"halfwidth must be nonnegative, got {self.halfwidth}")
 
 
 XLaw = IsotropicGaussianX | UniformBoxX
@@ -363,17 +373,15 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -
     design; Gaussian AR(1) additionally supports the zero-one loss at any
     threshold. Raises :class:`NoClosedFormError` otherwise.
     """
+    if atoms.dim != spec.dim:
+        raise ValueError("atom dimension does not match the generator")
     if isinstance(spec, (IidLinearRegression, AR1)) and isinstance(loss, SquaredLoss):
         return _residual_moments(spec, atoms, 2)[0]
     if isinstance(spec, BoundedClassification) and isinstance(loss, ZeroOneLoss):
         if loss.threshold == 0.0 and isinstance(spec.x_law, IsotropicGaussianX):
-            if atoms.dim != spec.dim:
-                raise ValueError("atom dimension does not match the generator")
             return _classification_risk(spec, atoms)
     if isinstance(spec, AR1) and isinstance(loss, ZeroOneLoss):
         if isinstance(spec.noise, GaussianNoise) and spec.noise.variance > 0:
-            if atoms.dim != 2:
-                raise ValueError("AR(1) atoms must be 2-dimensional")
             return _ar1_sign_risk(spec, atoms, loss.threshold)
     raise NoClosedFormError(
         f"no closed-form risk for {type(spec).__name__} with {type(loss).__name__}"

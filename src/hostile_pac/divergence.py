@@ -38,23 +38,23 @@ def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution,
     """
     if len(rho) != len(pi):
         raise ValueError("distributions live on different atom sets")
-    return float(power_divergence_plus_one(rho.weights, pi.weights, kind.p)) - 1.0
+    return power_divergence_plus_one(rho.weights, pi.weights, kind.p) - 1.0
 
 
-def power_divergence_plus_one(rows: np.ndarray, pi_weights: np.ndarray,
-                              p: float) -> np.ndarray:
-    """D + 1 = sum_j rho_j**p * pi_j**(1-p) of the power family, per row.
+def power_divergence_plus_one(rho: np.ndarray, pi_weights: np.ndarray, p: float) -> float:
+    """D + 1 = sum_j rho_j**p * pi_j**(1-p) of the power family.
 
-    ``rows`` is one distribution (1-D) or a stack of them (2-D), aligned with
-    ``pi_weights``; rows that put mass where pi has none get +inf. A term whose
-    pi_j**(1-p) overflows is taken as pi_j * (rho_j/pi_j)**p, 0 at rho_j = 0.
+    ``rho`` is one distribution's weights, aligned with ``pi_weights``; mass
+    where pi has none gives +inf. A term whose pi_j**(1-p) overflows is taken
+    as pi_j * (rho_j/pi_j)**p, 0 at rho_j = 0.
     """
-    rows = np.asarray(rows, dtype=float)
     support = pi_weights > 0
-    rho, pi = rows[..., support], pi_weights[support]
+    if rho[~support].sum() > 0:
+        return np.inf
+    rho, pi = rho[support], pi_weights[support]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = rho ** p * pi ** (1.0 - p)
         overflow = ~np.isfinite(terms)
         if overflow.any():
             terms[overflow] = (pi * (rho / pi) ** p)[overflow]
-    return np.where(rows[..., ~support].sum(axis=-1) > 0, np.inf, np.sum(terms, axis=-1))
+    return float(terms.sum())

@@ -201,6 +201,8 @@ def _coerce(value, hint, where: str):
         if hint is int and isinstance(value, float) and value.is_integer():
             value = int(value)
         if type(value) in _ACCEPTS[hint]:
+            if hint is float and not math.isfinite(value):
+                raise ConfigError(f"{where}: expected a finite number, got {value!r}")
             return hint(value)
     expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
     raise ConfigError(f"{where}: expected {expected}, got {value!r}")
@@ -396,7 +398,7 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
     """Optimal aggregation weights for one dataset, one record per atom."""
     setup = _setup(config)
     rn, rbar, rho = _fit(config, setup, 0)
-    records = [{"type": "atom", "index": j, "coords": [float(c) for c in setup.atoms.atom(j)],
+    records = [{"type": "atom", "index": j, "coords": [float(c) for c in setup.atoms.coords[j]],
                 "prior_weight": float(setup.pi.weights[j]),
                 "rho_hat_weight": float(rho.weights[j]), "rn": float(rn[j])}
                for j in range(len(setup.atoms))]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import datagen
 from .param_space import AtomSet, DiscreteDistribution
-from .risk import LossTable, SquaredLoss, ZeroOneLoss, empirical_risk
+from .risk import SquaredLoss, ZeroOneLoss, empirical_risk
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -42,8 +42,8 @@ class MomentBound:
     q: float
 
     def __post_init__(self) -> None:
-        if not self.value >= 0:
-            raise ValueError("bound value must be nonnegative")
+        if not 0 <= self.value < math.inf:
+            raise ValueError(f"bound value must be finite and nonnegative, got {self.value}")
         if not self.q > 1:
             raise ValueError("q must exceed 1")
 
@@ -312,17 +312,7 @@ def optimal_q_finite(num_atoms: int, delta: float) -> OptimalQ:
     return OptimalQ(q, False)
 
 
-def optimized_erm_margin(sigma2: float, n: int, num_atoms: int, delta: float) -> float:
-    """sqrt(2 e sigma2 log(2K/delta) / n), the margin at the optimized q."""
-    _check_n(n)
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return math.sqrt(2.0 * math.e * sigma2 * math.log(2.0 * num_atoms / delta) / n)
-
-
-def empirical_moment_estimate(tables: list[LossTable], true_values: np.ndarray,
+def empirical_moment_estimate(tables: list[np.ndarray], true_values: np.ndarray,
                               pi: DiscreteDistribution, q: float) -> float:
     """Monte Carlo estimate of the deviation moment from replicated tables.
 

@@ -41,9 +41,6 @@ class AtomSet:
     def dim(self) -> int:
         return self.coords.shape[1]
 
-    def atom(self, j: int) -> np.ndarray:
-        return self.coords[j]
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
@@ -118,8 +115,9 @@ class IidSamplePrior:
     """Uniform weights on atoms sampled i.i.d. from a base law.
 
     ``law`` is ``"gaussian"`` (isotropic, std ``scale``) or ``"uniform"``
-    (box ``[-scale, scale]^dim``). A ``seed`` stored here takes precedence
-    over the seed passed to :func:`build_prior`.
+    (box ``[-scale, scale]^dim``); ``scale = 0`` puts every atom at the
+    origin. A ``seed`` stored here takes precedence over the seed passed to
+    :func:`build_prior`.
     """
 
     count: int
@@ -133,6 +131,10 @@ class IidSamplePrior:
             raise ValueError(f"count must be at least 2, got {self.count}")
         if self.law not in ("gaussian", "uniform"):
             raise ValueError(f"law must be gaussian or uniform, got {self.law!r}")
+        if not self.scale >= 0:
+            raise ValueError(f"scale must be nonnegative, got {self.scale}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,10 @@
 
 The only predictor family is linear, f_theta(x) = <theta, x>. Empirical
 risks come from :func:`empirical_risks`: a closed form for the squared loss,
-the column means of the n x K loss table for the other losses. The table
-stays the reference for every loss and the input of the per-observation
-routines (replicated moment estimates). Row order of a dataset is
-significant (dependence structure lives in the order).
+the column means of the n x K loss table for the other losses. The table, a
+plain array, stays the reference for every loss and the input of the
+per-observation routines (replicated moment estimates). Row order of a
+dataset is significant (dependence structure lives in the order).
 """
 
 from __future__ import annotations
@@ -65,44 +65,16 @@ class Dataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class LossTable:
-    """Per-observation, per-atom losses: losses[i, j] = loss_i(theta_j)."""
-
-    losses: np.ndarray
-
-    def __post_init__(self) -> None:
-        losses = np.atleast_2d(np.asarray(self.losses, dtype=float))
-        if losses.size == 0:
-            raise ValueError("loss table must be nonempty")
-        # Reductions, not n x K boolean temporaries; NaN propagates through both.
-        lo, hi = losses.min(), losses.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("loss entries must be finite")
-        if lo < 0:
-            raise ValueError("loss entries must be nonnegative")
-        object.__setattr__(self, "losses", losses)
-        self.losses.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.losses.shape[0]
-
-    @property
-    def num_atoms(self) -> int:
-        return self.losses.shape[1]
-
-
 def _check_dims(data: Dataset, atoms: AtomSet) -> None:
     if data.dim != atoms.dim:
         raise ValueError(f"atom dimension {atoms.dim} does not match x dimension {data.dim}")
 
 
-def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> LossTable:
-    """Evaluate the loss of every atom's linear predictor on every observation.
+def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray:
+    """The (n, K) losses of every atom's linear predictor on every observation.
 
     The squared loss is computed in place in the one n x K array of
-    predictions.
+    predictions, and can overflow; the zero-one loss holds only 0 and 1.
     """
     _check_dims(data, atoms)
     table = data.x @ atoms.coords.T
@@ -110,6 +82,9 @@ def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> LossTab
     if isinstance(loss, SquaredLoss):
         np.subtract(y, table, out=table)
         np.square(table, out=table)
+        # Entries are >= 0, so the max is finite exactly when all are; NaN propagates.
+        if not np.isfinite(table.max()):
+            raise ValueError("loss entries must be finite")
     elif isinstance(loss, ZeroOneLoss):
         mismatch = table >= loss.threshold
         del table
@@ -117,12 +92,12 @@ def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> LossTab
         table = mismatch.astype(float)
     else:
         raise TypeError(f"unknown loss kind: {type(loss).__name__}")
-    return LossTable(table)
+    return table
 
 
-def empirical_risk(table: LossTable) -> np.ndarray:
+def empirical_risk(table: np.ndarray) -> np.ndarray:
     """Column means of the loss table: average loss of each atom."""
-    return table.losses.mean(axis=0)
+    return table.mean(axis=0)
 
 
 def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray:

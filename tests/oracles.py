@@ -26,6 +26,17 @@ def divergence_plus_one_uniform(rho: DiscreteDistribution, size: int, p: float) 
     return float(size ** (p - 1.0) * np.sum(rho.weights**p))
 
 
+def optimized_erm_margin(sigma2: float, n: int, num_atoms: int, delta: float) -> float:
+    """sqrt(2 e sigma2 log(2K/delta) / n), the margin at the optimized q."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if sigma2 < 0:
+        raise ValueError("sigma2 must be nonnegative")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    return math.sqrt(2.0 * math.e * sigma2 * math.log(2.0 * num_atoms / delta) / n)
+
+
 def minimized_objective_identity(rn: np.ndarray, pi: DiscreteDistribution,
                                  cfg: BoundConfig) -> tuple[float, DiscreteDistribution, float]:
     """Solve for the level, build the optimal weights, and evaluate them.
@@ -79,7 +90,7 @@ def true_risk_mc(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind,
         else:
             sub_seed = int(rng.integers(0, 2**63 - 1))
             data = generate(spec, m, sub_seed)
-        table = compute_loss_table(data, atoms, loss).losses
+        table = compute_loss_table(data, atoms, loss)
         total += table.sum(axis=0)
         total_sq += (table**2).sum(axis=0)
         remaining -= m

@@ -21,11 +21,11 @@ from hostile_pac.harness import (ExperimentConfig, fit_loglog_slope, resolve_mom
 from hostile_pac.moments import (MixingBoundedRegime, MixingUnboundedRegime,
                                  SubGaussianRegime, VarianceRegime,
                                  empirical_moment_estimate, moment_subgaussian,
-                                 optimal_q_finite, optimized_erm_margin)
+                                 optimal_q_finite)
 from hostile_pac.param_space import (DiscreteDistribution, IidSamplePrior,
                                      build_prior, expectation)
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
-from oracles import divergence_plus_one_uniform
+from oracles import divergence_plus_one_uniform, optimized_erm_margin
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

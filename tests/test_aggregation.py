@@ -102,9 +102,10 @@ def test_solve_rbar_errors():
             0.5 + math.sqrt(0.2), rel=1e-14)
 
 
-@pytest.mark.parametrize("budget", [math.nan, 0.0])
+@pytest.mark.parametrize("budget", [math.nan, 0.0, math.inf])
 def test_budget_must_be_positive(budget):
-    # NaN passes a `budget <= 0` test, so each function must test `not budget > 0`.
+    # NaN passes a `budget <= 0` test and inf passes `budget > 0`, so each function
+    # must test `not 0 < budget < inf`.
     pi, rn = DiscreteDistribution.uniform(2), np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         solve_rbar(rn, pi, 2.0, budget)

@@ -119,6 +119,23 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("bound_demo", "prior.count=1", ["prior: count"]),
     ("bound_demo", "prior.dim=3", ["prior.dim"]),
     ("bound_demo", "prior.bounds=[[-1,1]] prior.law=uniform", ["unknown keys: prior.bounds"]),
+    # Non-finite numbers, rejected where they are read rather than failing a solve later.
+    ("bound_demo", "regime.s2=.inf", ["regime.s2"]),
+    ("erm_finite_class", "regime.sigma2=.inf", ["regime.sigma2"]),
+    ("coverage_ar1_t7", "regime.davydov_factor=.inf", ["regime.davydov_factor"]),
+    ("erm_finite_class", "experiment.loss.threshold=.nan", ["experiment.loss.threshold"]),
+    ("bound_demo", "experiment.p=.inf", ["experiment.p"]),
+    ("erm_finite_class", "regime.optimize_q=false regime.q=.inf", ["regime.q"]),
+    ("bound_demo", "generator.theta_star=[.nan,1]", ["generator.theta_star[0]"]),
+    ("bound_demo", "generator.noise.dof=.inf", ["generator.noise.dof"]),
+    ("bound_demo", 'generator.noise={"kind":"gaussian","variance":.inf}',
+     ["generator.noise.variance"]),
+    ("bound_demo", "prior.scale=.inf", ["prior.scale"]),
+    # Negative seeds and scales, rejected where each spec is built.
+    ("bound_demo", "prior.seed=-1", ["prior: seed"]),
+    ("bound_demo", "prior.law=uniform prior.scale=-1", ["prior: scale"]),
+    ("coverage_iid_t5", 'generator.x_law={"kind":"uniform","halfwidth":-1}',
+     ["generator.x_law: halfwidth"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"

@@ -93,6 +93,14 @@ def test_spec_validation():
         BoundedClassification(theta_star=(1.0,), x_law=IsotropicGaussianX(), flip_prob=0.5)
     with pytest.raises(ValueError):
         MixingBoundSpec(c1=-1.0, c2=1.0)
+    with pytest.raises(ValueError, match="halfwidth must be nonnegative"):
+        UniformBoxX(halfwidth=-1.0)
+    with pytest.raises(ValueError, match="scale must be nonnegative"):
+        IsotropicGaussianX(scale=-1.0)
+    # Width zero is a point-mass design.
+    spec = IidLinearRegression(theta_star=(1.0,), x_law=UniformBoxX(0.0),
+                               noise=GaussianNoise(variance=1.0))
+    assert not generate(spec, 3, seed=0).x.any()
 
 
 def _t_moment_quadrature(dof: float, order: int) -> float:
@@ -278,7 +286,7 @@ def test_squared_loss_variance_closed_form_vs_monte_carlo():
     atoms = AtomSet(np.array([[0.5, -0.3], [0.0, 0.0], [-0.4, 0.8]]))
     exact = squared_loss_variances(spec, atoms)
     data = generate(spec, 2_000_000, seed=55)
-    table = compute_loss_table(data, atoms, SquaredLoss()).losses
+    table = compute_loss_table(data, atoms, SquaredLoss())
     sample = table.var(axis=0)
     # Loose relative tolerance: the variance of a squared loss is heavy-tailed.
     assert np.all(np.abs(sample - exact) <= 0.02 * exact + 0.02)
@@ -327,7 +335,7 @@ def test_squared_loss_third_moment_vs_monte_carlo():
     while done < draws:
         m = min(500_000, draws - done)
         pairs = stationary_pairs(data_spec, m, rng)
-        cubed = compute_loss_table(pairs, atoms, SquaredLoss()).losses ** 3
+        cubed = compute_loss_table(pairs, atoms, SquaredLoss()) ** 3
         total += cubed.sum(axis=0)
         total_sq += (cubed**2).sum(axis=0)
         done += m

@@ -11,10 +11,11 @@ from hostile_pac.harness import ExperimentConfig
 from hostile_pac.moments import (MomentBound, VarianceRegime, empirical_moment_estimate,
                                  geometric_alpha_sum, moment_iid_variance,
                                  moment_mixing_bounded, moment_mixing_unbounded,
-                                 moment_subgaussian, optimal_q_finite, optimized_erm_margin)
+                                 moment_subgaussian, optimal_q_finite)
 from hostile_pac.param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                                      IidSamplePrior, build_prior)
-from hostile_pac.risk import LossTable, SquaredLoss, compute_loss_table
+from hostile_pac.risk import SquaredLoss, compute_loss_table
+from oracles import optimized_erm_margin
 
 
 def test_iid_variance_examples():
@@ -131,18 +132,19 @@ def test_bounds_nonincreasing_in_n(n, scale):
 
 def test_moment_bound_carries_q():
     assert moment_iid_variance(1.0, 10, 1.5).q == 1.5
-    with pytest.raises(ValueError):
-        MomentBound(-1.0, 2.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            MomentBound(bad, 2.0)
     with pytest.raises(ValueError):
         MomentBound(1.0, 1.0)
 
 
 def test_empirical_moment_estimate_examples():
     pi = DiscreteDistribution(np.array([1.0]))
-    flat = LossTable(np.full((4, 1), 0.3))
+    flat = np.full((4, 1), 0.3)
     target = np.array([0.3])
     assert empirical_moment_estimate([flat, flat], target, pi, 2.0) == 0.0
-    off = LossTable(np.full((4, 1), 0.4))
+    off = np.full((4, 1), 0.4)
     assert empirical_moment_estimate([off, off], target, pi, 2.0) == pytest.approx(0.01)
     with pytest.raises(ValueError):
         empirical_moment_estimate([flat], target, pi, 2.0)

@@ -43,6 +43,9 @@ def test_sampled_prior_deterministic():
 def test_sampled_prior_uniform_weights():
     _, pi = build_prior(IidSamplePrior(count=10, dim=1), seed=0)
     assert np.allclose(pi.weights, 0.1)
+    # Scale zero is a point-mass law: every atom at the origin.
+    atoms, _ = build_prior(IidSamplePrior(count=3, dim=2, scale=0.0))
+    assert not atoms.coords.any()
 
 
 def test_grid_prior_errors():
@@ -62,8 +65,11 @@ def test_grid_prior_errors():
      "points_per_axis"),
     (IidSamplePrior, {"count": 1, "dim": 1}, "count"),
     (IidSamplePrior, {"count": 5, "dim": 1, "law": "cauchy"}, "law"),
+    (IidSamplePrior, {"count": 5, "dim": 1, "law": "uniform", "scale": -1.0}, "scale"),
+    (IidSamplePrior, {"count": 5, "dim": 1, "seed": -1}, "seed"),
     (ExplicitPrior, {"atoms": np.zeros((2, 1)), "weights": np.ones(3) / 3}, "weights"),
-], ids=["grid-axes", "grid-points", "sample-count", "sample-law", "explicit-weights"])
+], ids=["grid-axes", "grid-points", "sample-count", "sample-law", "sample-scale", "sample-seed",
+        "explicit-weights"])
 def test_prior_specs_reject_bad_values_on_construction(spec, kwargs, field):
     with pytest.raises(ValueError, match=field):
         spec(**kwargs)
@@ -115,7 +121,7 @@ def test_atomset_validation():
         AtomSet(np.array([[np.nan]]))
     atoms = AtomSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert len(atoms) == 2 and atoms.dim == 2
-    assert np.array_equal(atoms.atom(1), [3.0, 4.0])
+    assert np.array_equal(atoms.coords[1], [3.0, 4.0])
 
 
 def test_immutability():

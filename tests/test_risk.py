@@ -8,21 +8,21 @@ from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, StudentTNoise, generate,
                                  true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
-from hostile_pac.risk import (Dataset, LossTable, SquaredLoss, ZeroOneLoss, compute_loss_table,
+from hostile_pac.risk import (Dataset, SquaredLoss, ZeroOneLoss, compute_loss_table,
                               empirical_risk, empirical_risks)
 
 
 def test_loss_table_hand_examples():
     perfect = Dataset(x=np.array([[1.0]]), y=np.array([2.0]))
     atoms = AtomSet(np.array([[2.0]]))
-    assert compute_loss_table(perfect, atoms, SquaredLoss()).losses[0, 0] == 0.0
+    assert compute_loss_table(perfect, atoms, SquaredLoss())[0, 0] == 0.0
 
     data = Dataset(x=np.array([[1.0, 1.0]]), y=np.array([0.0]))
     atoms2 = AtomSet(np.array([[1.0, 2.0]]))
-    assert compute_loss_table(data, atoms2, SquaredLoss()).losses[0, 0] == pytest.approx(9.0)
+    assert compute_loss_table(data, atoms2, SquaredLoss())[0, 0] == pytest.approx(9.0)
     # The score 3 >= 0 predicts +1 against the label sign(0) = +1; threshold 4 predicts -1.
-    assert compute_loss_table(data, atoms2, ZeroOneLoss()).losses[0, 0] == 0.0
-    assert compute_loss_table(data, atoms2, ZeroOneLoss(4.0)).losses[0, 0] == 1.0
+    assert compute_loss_table(data, atoms2, ZeroOneLoss())[0, 0] == 0.0
+    assert compute_loss_table(data, atoms2, ZeroOneLoss(4.0))[0, 0] == 1.0
 
 
 def test_loss_table_zero_one_values():
@@ -31,7 +31,7 @@ def test_loss_table_zero_one_values():
                    y=np.sign(rng.standard_normal(50)) + 0.0)
     atoms = AtomSet(rng.standard_normal((7, 2)))
     table = compute_loss_table(data, atoms, ZeroOneLoss())
-    assert set(np.unique(table.losses)) <= {0.0, 1.0}
+    assert set(np.unique(table)) <= {0.0, 1.0}
 
 
 def test_loss_table_dimension_mismatch():
@@ -42,14 +42,20 @@ def test_loss_table_dimension_mismatch():
         empirical_risks(data, AtomSet(np.array([[1.0]])), SquaredLoss())
 
 
-@pytest.mark.parametrize("bad, message", [
-    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (-1e-300, "nonnegative"),
+_HUGE = IidLinearRegression(theta_star=(1e200, 0.0), x_law=IsotropicGaussianX(1.0),
+                            noise=GaussianNoise(variance=1.0))
+
+
+@pytest.mark.parametrize("data, coords", [
+    # y is about 1e200, so the zero atom's squared residual overflows to inf.
+    pytest.param(generate(_HUGE, 5, seed=0), np.zeros((3, 2)), id="inf-finite"),
+    # The prediction 1e200**2 - 1e200**2 is inf - inf = nan, which the max propagates.
+    pytest.param(Dataset(x=np.array([[1e200, 1e200]]), y=np.array([0.0])),
+                 np.array([[1e200, -1e200]]), id="nan-finite"),
 ])
-def test_loss_table_rejects_bad_entries(bad, message):
-    losses = np.ones((3, 4))
-    losses[1, 2] = bad
-    with pytest.raises(ValueError, match=message):
-        LossTable(losses)
+def test_loss_table_rejects_bad_entries(data, coords):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        compute_loss_table(data, AtomSet(coords), SquaredLoss())
 
 
 @pytest.mark.parametrize("loss", [SquaredLoss(), ZeroOneLoss(), ZeroOneLoss(0.3)])
@@ -64,7 +70,7 @@ def test_loss_table_keeps_one_table_alive(loss):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.losses.shape == (n, num_atoms)
+    assert table.shape == (n, num_atoms)
     assert peak < 1.5 * n * num_atoms * 8
 
 
@@ -119,7 +125,7 @@ def test_empirical_risk_examples():
         Dataset(x=np.ones((3, 1)), y=np.array([1.0, 0.0, -1.0])),
         AtomSet(np.array([[1.0]])), SquaredLoss())
     # Column of losses (0, 1, 4) -> mean 5/3; direct column check:
-    assert np.allclose(table.losses.ravel(), [0.0, 1.0, 4.0])
+    assert np.allclose(table.ravel(), [0.0, 1.0, 4.0])
     assert empirical_risk(table)[0] == pytest.approx(5.0 / 3.0)
     # Closed form: theta0 = mean(y) = 0, e0 . e0 = 2, R = sqrt(3), so (2 + 3 * 1**2) / 3.
     closed = empirical_risks(Dataset(x=np.ones((3, 1)), y=np.array([1.0, 0.0, -1.0])),
@@ -128,7 +134,7 @@ def test_empirical_risk_examples():
 
     single = compute_loss_table(Dataset(x=np.array([[1.0]]), y=np.array([2.0])),
                                 AtomSet(np.array([[1.0], [0.0]])), SquaredLoss())
-    assert np.allclose(empirical_risk(single), single.losses[0])
+    assert np.allclose(empirical_risk(single), single[0])
 
 
 def test_empirical_risk_within_column_range():
@@ -137,8 +143,8 @@ def test_empirical_risk_within_column_range():
     atoms = AtomSet(rng.standard_normal((9, 2)))
     table = compute_loss_table(data, atoms, SquaredLoss())
     risks = empirical_risk(table)
-    assert np.all(risks >= table.losses.min(axis=0) - 1e-15)
-    assert np.all(risks <= table.losses.max(axis=0) + 1e-15)
+    assert np.all(risks >= table.min(axis=0) - 1e-15)
+    assert np.all(risks <= table.max(axis=0) + 1e-15)
 
 
 def test_true_risk_at_truth_is_noise_variance():
