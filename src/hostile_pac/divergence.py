@@ -41,20 +41,23 @@ def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution,
     return power_divergence_plus_one(rho.weights, pi.weights, kind.p) - 1.0
 
 
-def power_divergence_plus_one(rho: np.ndarray, pi_weights: np.ndarray, p: float) -> float:
+def power_divergence_plus_one(rho: np.ndarray, pi_weights: np.ndarray,
+                              p: float) -> float | np.ndarray:
     """D + 1 = sum_j rho_j**p * pi_j**(1-p) of the power family.
 
-    ``rho`` is one distribution's weights, aligned with ``pi_weights``; mass
-    where pi has none gives +inf. A term whose pi_j**(1-p) overflows is taken
-    as pi_j * (rho_j/pi_j)**p, 0 at rho_j = 0.
+    ``rho`` is one distribution's weights, aligned with ``pi_weights``, or one
+    row of weights per distribution, giving one D + 1 per row; mass where pi
+    has none gives +inf. A term whose pi_j**(1-p) overflows is taken as
+    pi_j * (rho_j/pi_j)**p, 0 at rho_j = 0.
     """
+    rho = np.asarray(rho, dtype=float)
     support = pi_weights > 0
-    if rho[~support].sum() > 0:
-        return np.inf
-    rho, pi = rho[support], pi_weights[support]
+    off_support = rho.take(np.flatnonzero(~support), axis=-1).sum(axis=-1) > 0
+    rho, pi = rho.take(np.flatnonzero(support), axis=-1), pi_weights[support]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = rho ** p * pi ** (1.0 - p)
         overflow = ~np.isfinite(terms)
         if overflow.any():
             terms[overflow] = (pi * (rho / pi) ** p)[overflow]
-    return float(terms.sum())
+    total = np.where(off_support, np.inf, terms.sum(axis=-1))
+    return float(total) if total.ndim == 0 else total

@@ -7,13 +7,15 @@ The file is read into the spec dataclasses: their fields are the allowed
 keys, their defaults the defaults and their annotations the accepted values,
 and every error names the offending ``section.key``.
 
-``bound``, ``aggregate`` and each coverage replication share one path:
-``_setup`` builds the prior and the moment constant of a configuration, and
-``_fit`` turns dataset ``index`` into r_n, rbar and rho_hat; ``_certify``
-adds, for ``bound`` and coverage, the ERM, the sublevel-mass exponent, the
-certified oracle and the rho_hat, prior and ERM certificates. Dataset
-``index`` draws from the seed sequence ``[seed, 0, index]``, so results are
-identical at any worker count.
+``bound``, ``aggregate`` and coverage share one path: ``_setup`` builds the
+prior and the moment constant of a configuration, and ``_fit`` turns a range
+of dataset indices into rows of r_n, their levels rbar and rho_hat weights;
+``_certify`` adds, for ``bound`` and coverage, the ERM, the sublevel-mass
+exponent, the certified oracle and the rho_hat, prior and ERM certificates,
+row by row. ``bound`` and ``aggregate`` take the one-row range of dataset 0;
+coverage takes fixed blocks of ``COVERAGE_BLOCK_ATOMS // K`` rows. Dataset
+``index`` draws from the seed sequence ``[seed, 0, index]``, and the blocks
+do not depend on the worker count, so neither do the results.
 
 Each regime's load-time rules and moment constant live on its class in
 :mod:`hostile_pac.moments`, called by ``_validate_cross_fields`` and
@@ -92,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError("experiment.delta must lie in (0, 1)")
         if not self.p > 1:
             raise ConfigError("experiment.p must exceed 1")
+        if not self.p / (self.p - 1.0) > 1:
+            raise ConfigError(f"experiment.p={self.p!r} is so large that q = p/(p-1) rounds to 1")
         _validate_cross_fields(self)
 
 
@@ -288,8 +292,12 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
                    pi: DiscreteDistribution) -> tuple[BoundConfig, dict]:
     """Turn the regime section into a certified moment bound plus a record
     of the analytic constants it used; (c1, c2) are null without mixing."""
-    p, bound, constants = config.regime.resolve(config, atoms, pi)
-    echoed = {"regime": _REGIME_KIND[type(config.regime)], "c1": None, "c2": None, **constants}
+    kind = _REGIME_KIND[type(config.regime)]
+    try:
+        p, bound, constants = config.regime.resolve(config, atoms, pi)
+    except ValueError as exc:  # a finite constant whose moment bound overflows, say
+        raise ConfigError(f"regime ({kind}): {exc}") from exc
+    echoed = {"regime": kind, "c1": None, "c2": None, **constants}
     return BoundConfig(p=p, delta=config.delta, moment=bound), echoed
 
 
@@ -318,41 +326,43 @@ def _setup(config: ExperimentConfig) -> _Setup:
 
 
 def _fit(config: ExperimentConfig, setup: _Setup,
-         index: int) -> tuple[np.ndarray, float, DiscreteDistribution]:
-    """Empirical risks r_n of dataset ``index``, the level rbar and rho_hat."""
-    seed = np.random.SeedSequence([config.seed, 0, index])
-    data = datagen.generate(config.generator, config.n, seed)
-    rn = empirical_risks(data, setup.atoms, config.loss)
+         indices: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empirical risks r_n of datasets ``indices``, one row each, their
+    levels rbar and rho_hat weights."""
+    datasets = [datagen.generate(config.generator, config.n,
+                                 np.random.SeedSequence([config.seed, 0, index]))
+                for index in indices]
+    rn = empirical_risks(datasets, setup.atoms, config.loss)
     rbar = solve_rbar(rn, setup.pi, setup.cfg.q, setup.cfg.budget)
     return rn, rbar, rho_hat(rn, setup.pi, setup.cfg.p, rbar)
 
 
 class _Certified(NamedTuple):
-    """One dataset certified: what ``bound`` and a coverage replication share."""
+    """Datasets certified in rows: what ``bound`` and coverage share."""
 
-    rn: np.ndarray
-    rbar: float
-    rho: DiscreteDistribution
-    erm: int
+    rn: np.ndarray  # (rows, K)
+    rbar: np.ndarray
+    rho: np.ndarray  # rho_hat weights, (rows, K)
+    erm: np.ndarray
     complexity: ComplexityEstimate
-    oracle: float | None  # the certified oracle bound on rbar
+    oracle: np.ndarray  # the certified oracle bound on rbar, NaN where uncertified
     reports: dict[str, BoundReport]  # rho_hat, prior and erm
 
 
-def _certify(config: ExperimentConfig, setup: _Setup, index: int) -> _Certified:
-    rn, rbar, rho = _fit(config, setup, index)
+def _certify(config: ExperimentConfig, setup: _Setup, indices: range) -> _Certified:
+    rn, rbar, rho = _fit(config, setup, indices)
     pi, cfg = setup.pi, setup.cfg
     erm = erm_index(rn)
     complexity, oracle = certified_oracle(rn, pi, np.asarray(config.gamma_grid), rbar,
                                           cfg.budget, cfg.q)
     # D + 1 is exactly 1 at the prior; at the point mass on erm it is
     # pi_erm**(1 - p), +inf off the support.
-    pi_erm = pi.weights[erm]
+    with np.errstate(divide="ignore", over="ignore"):
+        erm_div = pi.weights[erm] ** (1.0 - cfg.p)
     reports = {
         "rho_hat": evaluate_bound(rho, pi, rn, cfg),
-        "prior": certificate(expectation(pi, rn), 1.0, cfg),
-        "erm": certificate(float(rn[erm]),
-                           float(pi_erm ** (1.0 - cfg.p)) if pi_erm > 0 else math.inf, cfg),
+        "prior": certificate(expectation(pi, rn), np.ones(len(rn)), cfg),
+        "erm": certificate(rn[np.arange(len(rn)), erm], erm_div, cfg),
     }
     return _Certified(rn, rbar, rho, erm, complexity, oracle, reports)
 
@@ -368,24 +378,25 @@ def run_bound(config: ExperimentConfig) -> RunResult:
     """
     setup = _setup(config)
     pi, cfg = setup.pi, setup.cfg
-    fit = _certify(config, setup, 0)
-    complexity = fit.complexity
+    fit = _certify(config, setup, range(1))
+    rn, complexity = fit.rn[0], fit.complexity.row(0)
     if config.require_complexity and not complexity.satisfied:
         raise AssumptionError(
             "prior-mass exponent failed to certify on the configured gamma grid"
         )
-    reports = dict(fit.reports)
+    reports = {name: report.row(0) for name, report in fit.reports.items()}
     gamma_star = None
     if complexity.satisfied:
         gamma_star = optimal_gamma(complexity.d, cfg.p, cfg.budget)
-        reports["pi_gamma"] = evaluate_bound(catoni_pi_gamma(fit.rn, pi, gamma_star),
-                                             pi, fit.rn, cfg)
+        reports["pi_gamma"] = evaluate_bound(catoni_pi_gamma(rn, pi, gamma_star), pi, rn, cfg)
 
     records = [{"type": "bound", "rho": name, **dataclasses.asdict(report), **setup.constants}
                for name, report in reports.items()]
+    oracle = float(fit.oracle[0])
     summary = {
         "type": "summary", "command": "bound",
-        "erm_index": fit.erm, "rbar": fit.rbar, "oracle_empirical": fit.oracle,
+        "erm_index": int(fit.erm[0]), "rbar": float(fit.rbar[0]),
+        "oracle_empirical": None if math.isnan(oracle) else oracle,
         "complexity_d": complexity.d, "complexity_satisfied": complexity.satisfied,
         "gamma_star": gamma_star,
         "timestamp": _timestamp(),
@@ -397,14 +408,15 @@ def run_bound(config: ExperimentConfig) -> RunResult:
 def run_aggregate(config: ExperimentConfig) -> RunResult:
     """Optimal aggregation weights for one dataset, one record per atom."""
     setup = _setup(config)
-    rn, rbar, rho = _fit(config, setup, 0)
-    records = [{"type": "atom", "index": j, "coords": [float(c) for c in setup.atoms.coords[j]],
-                "prior_weight": float(setup.pi.weights[j]),
-                "rho_hat_weight": float(rho.weights[j]), "rn": float(rn[j])}
-               for j in range(len(setup.atoms))]
+    rn, rbar, rho = (rows[0] for rows in _fit(config, setup, range(1)))
+    records = [{"type": "atom", "index": j, "coords": coords, "prior_weight": prior_weight,
+                "rho_hat_weight": weight, "rn": risk}
+               for j, (coords, prior_weight, weight, risk) in enumerate(zip(
+                   setup.atoms.coords.tolist(), setup.pi.weights.tolist(), rho.tolist(),
+                   rn.tolist()))]
     summary = {"type": "summary", "command": "aggregate",
-               "rbar": rbar, "erm_index": erm_index(rn),
-               "rn_integral_rho_hat": expectation(rho, rn),
+               "rbar": float(rbar), "erm_index": erm_index(rn),
+               "rn_integral_rho_hat": float(rho @ rn),
                "timestamp": _timestamp()}
     summary.update(setup.constants)
     return RunResult(records, summary)
@@ -414,60 +426,67 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
 # Coverage experiments
 # ---------------------------------------------------------------------------
 
-class _Replication(NamedTuple):
-    """One coverage replication: its output record and the realized
-    deviation moments of the gap R - r_n, which feed the summary's slack."""
-
-    record: dict
-    sup: float     # S = max(E_pi gap_+**q, E_pi gap_-**q)
-    moment: float  # E_pi |gap|**q
+# Atom-rows per coverage block. A block certifies max(1, COVERAGE_BLOCK_ATOMS // K)
+# replications at once as (rows, K) arrays, which bounds its memory at any K;
+# one block of every replication raised peak memory and ran slower at K = 10**4.
+COVERAGE_BLOCK_ATOMS = 4096
 
 
-def _replication_record(config: ExperimentConfig, setup: _Setup,
-                        true_values: np.ndarray, index: int) -> _Replication:
-    fit = _certify(config, setup, index)
-    rn, rbar, rho, erm = fit.rn, fit.rbar, fit.rho, fit.erm
-    pi, cfg = setup.pi, setup.cfg
+class _Block(NamedTuple):
+    """A block of coverage replications: their output records and the
+    realized deviation moments of the gap R - r_n, which feed the summary's slack."""
+
+    records: list[dict]
+    sup: np.ndarray     # S = max(E_pi gap_+**q, E_pi gap_-**q), per replication
+    moment: np.ndarray  # E_pi |gap|**q, per replication
+
+
+def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.ndarray,
+                       indices: range) -> _Block:
+    fit = _certify(config, setup, indices)
+    cfg = setup.cfg
     at_rho, at_erm = fit.reports["rho_hat"], fit.reports["erm"]
 
-    rho_true = expectation(rho, true_values)
-    dev_rho = abs(rho_true - at_rho.rn_integral)
+    rho_true = fit.rho @ true_values
+    dev_rho = np.abs(rho_true - at_rho.rn_integral)
     hit_rho = dev_rho <= at_rho.margin
 
     # The certificate over every rho at once, decided exactly (Hoelder duality).
-    upper_side, lower_side = deviation_moments(true_values - rn, pi.weights, cfg.q)
-    sup = max(upper_side, lower_side)
+    upper_side, lower_side = deviation_moments(true_values - fit.rn, setup.pi.weights, cfg.q)
+    sup = np.maximum(upper_side, lower_side)
     hit_sup = sup <= cfg.budget
 
-    hit_oracle_level = rho_true <= rbar
-    hit_oracle = hit_oracle_level and (fit.oracle is None or rho_true <= fit.oracle)
-    record = {
-        "type": "replication",
-        "index": index,
-        "rn_min": float(rn.min()),
-        "erm_index": erm,
-        "rbar": rbar,
+    certified = ~np.isnan(fit.oracle)
+    hit_oracle_level = rho_true <= fit.rbar
+    true_erm = true_values[fit.erm]
+    columns = {
+        "index": np.asarray(indices),
+        "rn_min": fit.rn.min(axis=1),
+        "erm_index": fit.erm,
+        "rbar": fit.rbar,
         "rho_hat_rn_integral": at_rho.rn_integral,
         "rho_hat_true_integral": rho_true,
         "divergence_plus_one": at_rho.divergence_plus_one,
         "margin_rho_hat": at_rho.margin,
         "margin_prior": fit.reports["prior"].margin,
         "margin_erm": at_erm.margin,
-        "slack_rho_hat": float(at_rho.margin - dev_rho),
-        "hit_rho_hat": bool(hit_rho),
+        "slack_rho_hat": at_rho.margin - dev_rho,
+        "hit_rho_hat": hit_rho,
         "hit_sup": hit_sup,
-        "hit_two_sided": bool(hit_rho and hit_sup),
+        "hit_two_sided": hit_rho & hit_sup,
         "sup_ratio": sup / cfg.budget,
-        "hit_erm": bool(true_values[erm] <= at_erm.upper),
-        "true_risk_erm": float(true_values[erm]),
+        "hit_erm": true_erm <= at_erm.upper,
+        "true_risk_erm": true_erm,
         "complexity_d": fit.complexity.d,
-        "complexity_certified": fit.oracle is not None,
-        "oracle_dim_bound": fit.oracle,
-        "hit_oracle_level": bool(hit_oracle_level),
-        "hit_oracle": bool(hit_oracle),
-        **setup.constants,
+        "complexity_certified": certified,
+        "oracle_dim_bound": np.where(certified, fit.oracle, None),
+        "hit_oracle_level": hit_oracle_level,
+        "hit_oracle": hit_oracle_level & (~certified | (rho_true <= fit.oracle)),
     }
-    return _Replication(record, sup, upper_side + lower_side)
+    rows = zip(*(column.tolist() for column in columns.values()))
+    records = [{"type": "replication", **dict(zip(columns, row)), **setup.constants}
+               for row in rows]
+    return _Block(records, sup, upper_side + lower_side)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -485,6 +504,10 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     certificate hold. True risks come from the generator's closed form, so
     hit/miss decisions carry no oracle noise.
 
+    Replications are certified in fixed blocks of
+    ``max(1, COVERAGE_BLOCK_ATOMS // K)`` rows, and the worker pool maps
+    blocks, so the output does not depend on ``experiment.workers``.
+
     The summary splits the slack of the moment constant M by layer:
     ``realized_moment`` m = mean E_pi |gap|**q, ``critical_moment``
     M_crit = delta times the (1 - delta) quantile of S taken as an order
@@ -501,15 +524,16 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
         true_values = datagen.true_risk_closed_form(config.generator, setup.atoms, config.loss)
     except NoClosedFormError as exc:
         raise ConfigError(f"coverage requires a closed-form true risk: {exc}") from exc
-    replicate = partial(_replication_record, config, setup, true_values)
-    indices = range(config.replications)
+    rows = max(1, COVERAGE_BLOCK_ATOMS // len(setup.atoms))
+    blocks = [range(start, min(start + rows, config.replications))
+              for start in range(0, config.replications, rows)]
+    certify_block = partial(_replication_block, config, setup, true_values)
     if config.workers > 1:
-        chunk = max(1, config.replications // (config.workers * 4))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            replications = list(pool.map(replicate, indices, chunksize=chunk))
+            done = list(pool.map(certify_block, blocks))
     else:
-        replications = [replicate(i) for i in indices]
-    records = [r.record for r in replications]
+        done = [certify_block(block) for block in blocks]
+    records = [record for block in done for record in block.records]
 
     slack = np.array([r["slack_rho_hat"] for r in records])
     finite_slack = slack[np.isfinite(slack)]
@@ -522,9 +546,9 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
                                                   rbar_pop, pop_budget, cfg.q)
 
     certified_hits = [r["hit_oracle"] for r in records if r["complexity_certified"]]
-    moment = float(np.mean([r.moment for r in replications]))
-    critical = cfg.delta * float(np.quantile([r.sup for r in replications], 1.0 - cfg.delta,
-                                             method="higher"))
+    moment = float(np.mean(np.concatenate([block.moment for block in done])))
+    critical = cfg.delta * float(np.quantile(np.concatenate([block.sup for block in done]),
+                                             1.0 - cfg.delta, method="higher"))
 
     summary = {
         "type": "summary", "command": "coverage",

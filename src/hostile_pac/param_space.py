@@ -186,9 +186,10 @@ def _sampled_atoms(spec: IidSamplePrior, seed: int) -> AtomSet:
     return AtomSet(rng.uniform(-spec.scale, spec.scale, (spec.count, spec.dim)))
 
 
-def expectation(dist: DiscreteDistribution, values: np.ndarray) -> float:
-    """Weighted average of per-atom values: sum_j w_j * v_j."""
+def expectation(dist: DiscreteDistribution, values: np.ndarray) -> float | np.ndarray:
+    """Weighted average of per-atom values, sum_j w_j * v_j; one per row of 2-D ``values``."""
     values = np.asarray(values, dtype=float)
-    if values.shape != dist.weights.shape:
+    if values.shape[-1:] != dist.weights.shape:
         raise ValueError(f"length mismatch: {values.shape} values vs {dist.weights.shape} weights")
-    return float(dist.weights @ values)
+    total = values @ dist.weights
+    return float(total) if total.ndim == 0 else total

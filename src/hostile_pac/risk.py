@@ -10,6 +10,7 @@ dataset is significant (dependence structure lives in the order).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,28 +101,40 @@ def empirical_risk(table: np.ndarray) -> np.ndarray:
     return table.mean(axis=0)
 
 
-def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray:
+def empirical_risks(data: Dataset | Sequence[Dataset], atoms: AtomSet,
+                    loss: LossKind) -> np.ndarray:
     """Empirical risk r_n of every atom on ``data``.
 
-    For the squared loss, with theta0 the minimum-norm least-squares fit,
-    e0 = y - x theta0 its residual and R the triangular factor of x,
+    Given a sequence of datasets of one length n, the risks come back as
+    rows, one per dataset; given one dataset, as a vector.
 
-        r_n(theta) = (e0 . e0 + |R (theta - theta0)|^2) / n.
+    For the squared loss, let R be the triangular factor of the augmented
+    design [x | y] (the thin QR of its n x (k+1) columns). Its first k rows
+    are [R_x | z], and its last entry, when n > k, is the residual norm rho
+    of the least-squares fit. Since [x | y] (theta, -1) = x theta - y and the
+    orthonormal factor keeps lengths,
 
-    e0 is orthogonal to the column space of x and |x v| = |R v| for every v,
-    so the identity is exact for every design (n < k and collinear columns
-    included), and as a sum of two squares it is never negative. It costs
-    O(n k^2 + K k^2) instead of the O(n K) of the loss table. The other
-    losses average the table.
+        r_n(theta) = (rho^2 + |R_x theta - z|^2) / n.
+
+    The identity is exact for every design (n <= k and collinear columns
+    included), needs no least-squares solve, and as a sum of squares it is
+    never negative. It costs O(n k^2 + K k^2) per dataset instead of the
+    O(n K) of the loss table; a sequence of datasets takes one stacked QR.
+    The other losses average each dataset's table.
     """
+    single = isinstance(data, Dataset)
+    datasets = [data] if single else list(data)
+    for one in datasets:
+        _check_dims(one, atoms)
     if not isinstance(loss, SquaredLoss):
-        return empirical_risk(compute_loss_table(data, atoms, loss))
-    _check_dims(data, atoms)
-    theta0 = np.linalg.lstsq(data.x, data.y, rcond=None)[0]
-    e0 = data.y - data.x @ theta0
-    fit = (atoms.coords - theta0) @ np.linalg.qr(data.x, mode="r").T
-    risks = (e0 @ e0 + np.einsum("ij,ij->i", fit, fit)) / len(data)
-    if not np.all(np.isfinite(risks)):
-        raise ValueError("empirical risks must be finite")
-    return risks
-
+        risks = np.stack([empirical_risk(compute_loss_table(one, atoms, loss)) for one in datasets])
+    else:
+        xy = np.stack([np.column_stack([one.x, one.y]) for one in datasets])
+        r, k = np.linalg.qr(xy, mode="r"), atoms.dim
+        fit = atoms.coords @ r[:, :k, :k].swapaxes(-1, -2) - r[:, None, :k, k]
+        rho = r[:, k:, k]
+        risks = (np.einsum("ij,ij->i", rho, rho)[:, None]
+                 + np.einsum("ijk,ijk->ij", fit, fit)) / xy.shape[1]
+        if not np.all(np.isfinite(risks)):
+            raise ValueError("empirical risks must be finite")
+    return risks[0] if single else risks

@@ -5,10 +5,14 @@ import math
 import numpy as np
 from scipy import integrate
 
-from hostile_pac.aggregation import BoundConfig, evaluate_bound, rho_hat, solve_rbar
+from hostile_pac.aggregation import (COMPLEXITY_CAP, COMPLEXITY_RESOLUTION, RBAR_LAST_BIT_STEPS,
+                                     RBAR_MAX_ITER, RBAR_RESIDUAL_TOL, BoundConfig,
+                                     ComplexityEstimate, SolverError, evaluate_bound, rho_hat,
+                                     solve_rbar)
 from hostile_pac.datagen import AR1, GeneratorSpec, _draw_noise, generate
 from hostile_pac.param_space import AtomSet, DiscreteDistribution
-from hostile_pac.risk import Dataset, LossKind, ZeroOneLoss, compute_loss_table
+from hostile_pac.risk import (Dataset, LossKind, SquaredLoss, ZeroOneLoss, compute_loss_table,
+                              empirical_risk)
 
 MA_TRUNCATION_TOL = 1e-16  # tail mass cutoff for exact stationary sampling
 
@@ -122,3 +126,76 @@ def ar1_sign_risk_quad(spec: AR1, atoms: AtomSet, loss: ZeroOneLoss) -> np.ndarr
                    for lo, hi in zip(cuts, cuts[1:]))
 
     return np.array([risk_one(t0, t1) for t0, t1 in atoms.coords])
+
+
+# ---------------------------------------------------------------------------
+# One-dataset references for the row-batched routines of the package
+# ---------------------------------------------------------------------------
+
+def empirical_risks_one(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray:
+    """r_n of every atom on one dataset: the least-squares anchor for the
+    squared loss (``lstsq`` and the triangular factor), the table otherwise."""
+    if not isinstance(loss, SquaredLoss):
+        return empirical_risk(compute_loss_table(data, atoms, loss))
+    theta0 = np.linalg.lstsq(data.x, data.y, rcond=None)[0]
+    e0 = data.y - data.x @ theta0
+    fit = (atoms.coords - theta0) @ np.linalg.qr(data.x, mode="r").T
+    return (e0 @ e0 + np.einsum("ij,ij->i", fit, fit)) / len(data)
+
+
+def solve_rbar_one(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float) -> float:
+    """The level solve on one risk vector: Newton on the sorted supported
+    atoms from the least Jensen bracket, each spend a dot product over the
+    atoms below the level, then the last-bit acceptance and walk."""
+    support = pi.weights > 0
+    risks, weights = rn[support], pi.weights[support]
+    order = np.argsort(risks)
+    risks, weights = risks[order], weights[order]
+    mass = np.cumsum(weights)
+
+    def spend_and_slope(level: float) -> tuple[float, float]:
+        gaps = level - risks[:np.searchsorted(risks, level)]
+        powered = gaps ** (q - 1.0)
+        return float(weights[:gaps.size] @ (powered * gaps)), float(weights[:gaps.size] @ powered)
+
+    with np.errstate(over="ignore"):
+        u = float(np.min(np.cumsum(weights * risks) / mass + (budget / mass) ** (1.0 / q)))
+    step = 0.0
+    for _ in range(RBAR_MAX_ITER):
+        u -= step
+        spend, slope = spend_and_slope(u)
+        step = (spend - budget ** (1 / q) * spend ** (1 - 1 / q)) / slope if slope > 0 else 0.0
+        if not u - step < u:
+            break
+    residual = abs(spend - budget)
+    if residual <= RBAR_RESIDUAL_TOL * budget:
+        return u
+    toward = np.inf if spend < budget else -np.inf
+    for _ in range(RBAR_LAST_BIT_STEPS):
+        if spend >= budget > spend_and_slope(float(np.nextafter(u, -np.inf)))[0]:
+            return u
+        u = float(np.nextafter(u, toward))
+        spend = spend_and_slope(u)[0]
+    raise SolverError(f"residual {residual:.3e} vs budget {budget:.3e}")
+
+
+def verify_complexity_one(values: np.ndarray, pi: DiscreteDistribution,
+                          gamma_grid: np.ndarray) -> ComplexityEstimate:
+    """Sublevel-mass exponent of one value vector: each mass a sum over the
+    atoms of its sublevel, the threshold rounded up, then stepped until every
+    grid point holds."""
+    grid = np.sort(np.asarray(gamma_grid, dtype=float).ravel())
+    floor = values.min()
+    masses = np.array([float(pi.weights[values <= floor + g].sum()) for g in grid])
+    if np.any(masses <= 0.0):
+        return ComplexityEstimate(COMPLEXITY_CAP, False)
+    binding = masses < 1.0
+    if not np.any(binding):
+        return ComplexityEstimate(COMPLEXITY_CAP, True)
+    threshold = float(np.max(np.log(masses[binding]) / np.log(grid[binding])))
+    d = COMPLEXITY_RESOLUTION * max(1, math.ceil(threshold / COMPLEXITY_RESOLUTION))
+    while d <= COMPLEXITY_CAP and not np.all(masses >= grid**d):
+        d += COMPLEXITY_RESOLUTION
+    if d > COMPLEXITY_CAP:
+        return ComplexityEstimate(COMPLEXITY_CAP, False)
+    return ComplexityEstimate(d, True)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,10 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("bound_demo", "prior.law=uniform prior.scale=-1", ["prior: scale"]),
     ("coverage_iid_t5", 'generator.x_law={"kind":"uniform","halfwidth":-1}',
      ["generator.x_law: halfwidth"]),
+    # Finite constants whose moment bound overflows name the regime section.
+    ("erm_finite_class", "regime.sigma2=1e308", ["regime (subgaussian)"]),
+    ("coverage_ar1_t7", "regime.davydov_factor=1e308", ["regime (mixing_unbounded)"]),
+    ("bound_demo", "experiment.p=1e300", ["experiment.p"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"
@@ -143,6 +148,16 @@ def test_regime_value_errors_name_the_key(config, override, named, capsys):
     assert main(["bound", "--config", str(path), *sets]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and all(key in err for key in named)
+
+
+def test_huge_finite_budget_warns_nothing(capsys):
+    # The level solve's starting bracket overflows at this budget; the least
+    # bracket is finite, and the run is valid but vacuous.
+    path = ROOT / "configs" / "bound_demo.yaml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound", "--config", str(path), "--set", "regime.s2=1e308"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_coverage_replication_floor_names_the_key(capsys):

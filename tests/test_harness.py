@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from hostile_pac.harness import (AssumptionError, ConfigError, ExperimentConfig,
+from hostile_pac.harness import (COVERAGE_BLOCK_ATOMS, AssumptionError, ConfigError,
+                                 ExperimentConfig,
                                  apply_overrides, config_from_dict,
                                  dump_record, fit_loglog_slope, load_config,
                                  resolve_moment, run_aggregate, run_bound,
@@ -117,14 +118,20 @@ REGIME_OWNING = {"s2": {"kind": "variance"},
     # Negative regime constants, rejected at load time.
     ("regime", "s2", -1.0, "regime.s2"),
     ("regime", "sigma2", -1.0, "regime.sigma2"),
+    # q = p/(p-1) rounds to 1, rejected at load time.
+    ("experiment", "p", 1e300, "experiment.p"),
+    # Finite values whose moment bound overflows, named when the bound is resolved.
+    ("regime", "sigma2", 1e308, "regime (subgaussian)"),
+    ("prior", "scale", 1e200, "regime (variance)"),
 ])
 def test_config_rejects_bad_values_naming_the_key(section, key, value, named):
     raw = yaml.safe_load(BASE_YAML)
     if section == "regime":
         raw["regime"] = dict(REGIME_OWNING[key])
     raw[section][key] = value
-    with pytest.raises(ConfigError, match=re.escape(named)) as info:
-        config_from_dict(raw)
+    with pytest.raises(ConfigError, match=re.escape(named)) as info, \
+            np.errstate(over="ignore"):
+        _setup(config_from_dict(raw))
     assert section != "regime" or "unknown keys" not in str(info.value)
 
 
@@ -519,8 +526,12 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
 
 
 def test_run_coverage_worker_equivalence():
-    serial = run_coverage(base_config(replications=50))
-    parallel = run_coverage(base_config(replications=50, workers=2))
+    # A 1000-atom prior makes blocks of 4 rows: 13 blocks, the last of 2 rows,
+    # split unevenly over 3 workers.
+    config = base_config(replications=50, prior=IidSamplePrior(count=1000, dim=2, scale=1.0))
+    assert COVERAGE_BLOCK_ATOMS // 1000 == 4
+    serial = run_coverage(config)
+    parallel = run_coverage(dataclasses.replace(config, workers=3))
     assert [dump_record(a) for a in serial.records] == [dump_record(b) for b in parallel.records]
     # The slack summary is built from values the workers return beside the records.
     assert ({k: v for k, v in serial.summary.items() if k != "timestamp"}
