@@ -99,10 +99,10 @@ class ComplexityEstimate:
     ``d`` is the smallest exponent (at resolution 1e-3) such that the prior
     mass of every {values <= min + gamma} sublevel on the grid is at least
     gamma**d; any larger exponent is then certified as well since the grid
-    lies in (0, 1). Degenerate inputs whose sublevel mass is already 1
-    everywhere certify every exponent and report the cap. ``satisfied`` is
-    False when no exponent up to the cap works. For values given in rows,
-    both fields are arrays with one entry per row.
+    lies in (0, 1). Degenerate inputs whose sublevels hold every supported
+    atom at every grid point certify every exponent and report the cap.
+    ``satisfied`` is False when no exponent up to the cap works. For values
+    given in rows, both fields are arrays with one entry per row.
     """
 
     d: float
@@ -317,20 +317,19 @@ def erm_index(rn: np.ndarray) -> int | np.ndarray:
     return int(index) if rn.ndim == 1 else index
 
 
-def _sublevel_masses(rows: np.ndarray, weights: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Prior mass of {values <= min + width} for each row and each width.
+def _sublevel_masses(rows: np.ndarray, weights: np.ndarray,
+                     widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prior mass of {values <= min + width} for each row and each width, and
+    whether that sublevel is full: no supported atom lies above it.
 
     ``widths`` is one set of widths for every row, or a column with one width
-    per row. Each mass sums the weights in atom order with zeros off the
-    sublevel. A mass within rounding of 1 decides by its last bit whether its
-    grid point binds, so it is summed over the sublevel's own atoms, as for
-    one dataset.
+    per row. A full sublevel's mass is exactly 1; the others sum the weights
+    in atom order with zeros off the sublevel.
     """
     levels = rows.min(axis=1)[:, None] + widths
     masses = np.where(rows[:, None, :] <= levels[:, :, None], weights, 0.0).sum(axis=-1)
-    for i, j in np.argwhere(np.abs(masses - 1.0) <= 1e-9):
-        masses[i, j] = weights[rows[i] <= levels[i, j]].sum()
-    return masses
+    full = np.where(weights > 0.0, rows, -np.inf).max(axis=1)[:, None] <= levels
+    return np.where(full, 1.0, masses), full
 
 
 def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
@@ -352,11 +351,11 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     rows, single = _rows(values)
     if rows.shape[1] != len(pi):
         raise ValueError("value vector and prior sizes differ")
-    masses = _sublevel_masses(rows, pi.weights, grid)
+    masses, full_points = _sublevel_masses(rows, pi.weights, grid)
     empty = (masses <= 0.0).any(axis=1)
-    # Full mass at every grid point: every exponent works.
-    full = (masses >= 1.0).all(axis=1)
-    binding = (masses < 1.0) & (masses > 0.0)
+    # Full sublevels at every grid point: every exponent works.
+    full = full_points.all(axis=1)
+    binding = ~full_points & (masses > 0.0)
     ratios = np.log(masses, out=np.full_like(masses, -np.inf), where=binding) / np.log(grid)
     threshold = np.where(binding, ratios, -np.inf).max(axis=1)
     d = COMPLEXITY_RESOLUTION * np.maximum(1.0, np.ceil(threshold / COMPLEXITY_RESOLUTION))
@@ -403,7 +402,7 @@ def certified_oracle(values: np.ndarray, pi: DiscreteDistribution, gamma_grid: n
     certified = complexity.satisfied & (min(gamma_grid) <= gamma) & (gamma <= max(gamma_grid))
     if certified.any():
         with np.errstate(over="ignore"):  # at a gamma off the grid, whose row is out already
-            certified &= (_sublevel_masses(rows, pi.weights, gamma[:, None])[:, 0]
+            certified &= (_sublevel_masses(rows, pi.weights, gamma[:, None])[0][:, 0]
                           >= gamma ** complexity.d)
     oracle = np.where(certified, bound, np.nan)
     if single:

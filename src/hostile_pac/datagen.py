@@ -186,51 +186,95 @@ def _draw_noise(noise: NoiseLaw, n: int, rng: np.random.Generator) -> np.ndarray
     return rng.standard_t(noise.dof, n) * noise.scale
 
 
-def _ar1_path(a: float, y0: float, eps: np.ndarray) -> np.ndarray:
-    """Recursion y_i = eps_i + a * y_{i-1} from y0, as a doubling scan.
+def _ar1_path(a: float, y0: float | np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Recursion y_i = eps_i + a * y_{i-1} from y0, as a doubling scan along the
+    last axis, in place: the float array ``y`` holds eps on entry and the path on return.
 
     After the step at k, y_i = sum_{j < 2k} a**j * eps_{i-j}, with a * y0 added to eps_0.
+    Given rows of innovations and one y0 per row, every row is scanned at once.
     """
-    y = np.array(eps, dtype=float)
-    y[0] += a * y0
+    y[..., 0] += a * y0
     k = 1
-    while k < len(y):
-        y[k:] += a**k * y[:-k]
+    while k < y.shape[-1]:
+        y[..., k:] += a**k * y[..., :-k]
         k *= 2
     return y
 
 
-def generate(spec: GeneratorSpec, n: int, seed: int) -> Dataset:
-    """Draw a dataset of length n; bit-reproducible for a fixed seed."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
+def _stack(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dataset draws (x, y) written into (rows, n, k) and (rows, n) block
+    arrays; a single dataset is viewed, not copied."""
+    if len(rows) == 1:
+        x, y = rows[0]
+        return x[None], y[None]
+    x = np.empty((len(rows), *rows[0][0].shape))
+    y = np.empty((len(rows), *rows[0][1].shape))
+    for i, (xi, yi) in enumerate(rows):
+        x[i], y[i] = xi, yi
+    return x, y
+
+
+def _draw(spec: GeneratorSpec, n: int,
+          rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """One dataset per generator, as x of shape (rows, n, k) and y of shape (rows, n)."""
     if isinstance(spec, IidLinearRegression):
-        x = _draw_x(spec.x_law, n, spec.dim, rng)
-        eps = _draw_noise(spec.noise, n, rng)
-        return Dataset(x=x, y=x @ np.asarray(spec.theta_star) + eps)
+        theta = np.asarray(spec.theta_star)
+        rows = []
+        for rng in rngs:
+            x = _draw_x(spec.x_law, n, spec.dim, rng)
+            rows.append((x, x @ theta + _draw_noise(spec.noise, n, rng)))
+        return _stack(rows)
     if isinstance(spec, AR1):
         if n < 2:
             raise ValueError("AR(1) needs n >= 2")
+        eps = np.empty((len(rngs), n))
         if isinstance(spec.noise, GaussianNoise):
             stationary_sd = math.sqrt(spec.noise.variance / (1.0 - spec.a**2))
-            y0 = float(rng.normal(0.0, stationary_sd))
+            y0 = np.empty(len(rngs))
+            for i, rng in enumerate(rngs):
+                y0[i] = rng.normal(0.0, stationary_sd)
+                eps[i] = _draw_noise(spec.noise, n, rng)
         else:
             # No closed-form stationary law for t innovations: burn in instead.
-            burn = _draw_noise(spec.noise, AR1_BURN_IN, rng)
-            y0 = float(_ar1_path(spec.a, 0.0, burn)[-1])
-        eps = _draw_noise(spec.noise, n, rng)
+            burn = np.empty((len(rngs), AR1_BURN_IN))
+            for i, rng in enumerate(rngs):
+                burn[i] = _draw_noise(spec.noise, AR1_BURN_IN, rng)
+                eps[i] = _draw_noise(spec.noise, n, rng)
+            y0 = _ar1_path(spec.a, 0.0, burn)[:, -1]
         y = _ar1_path(spec.a, y0, eps)
-        lagged = np.concatenate([[y0], y[:-1]])
-        x = np.column_stack([np.ones(n), lagged])
-        return Dataset(x=x, y=y)
+        x = np.empty((len(rngs), n, 2))
+        x[:, :, 0] = 1.0
+        x[:, 0, 1] = y0
+        x[:, 1:, 1] = y[:, :-1]
+        return x, y
     if isinstance(spec, BoundedClassification):
-        x = _draw_x(spec.x_law, n, spec.dim, rng)
-        scores = x @ np.asarray(spec.theta_star)
-        labels = np.where(scores >= 0.0, 1.0, -1.0)
-        flips = rng.random(n) < spec.flip_prob
-        return Dataset(x=x, y=labels * np.where(flips, -1.0, 1.0))
+        theta = np.asarray(spec.theta_star)
+        rows = []
+        for rng in rngs:
+            x = _draw_x(spec.x_law, n, spec.dim, rng)
+            labels = np.where(x @ theta >= 0.0, 1.0, -1.0)
+            flips = rng.random(n) < spec.flip_prob
+            rows.append((x, labels * np.where(flips, -1.0, 1.0)))
+        return _stack(rows)
     raise TypeError(f"unknown generator spec: {type(spec).__name__}")
+
+
+def generate(spec: GeneratorSpec, n: int, seed: int | np.random.SeedSequence | list) -> Dataset:
+    """Draw a dataset of length n; bit-reproducible for a fixed seed.
+
+    ``seed`` is anything ``np.random.default_rng`` takes (a list of ints is
+    one entropy seed), or a list of ``SeedSequence``s, which gives a stacked
+    dataset with one row per seed. Each row draws what a lone ``generate``
+    of its seed draws, in the same order and with the same arithmetic, and
+    the block is validated once.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if (isinstance(seed, (list, tuple)) and seed
+            and all(isinstance(s, np.random.SeedSequence) for s in seed)):
+        return Dataset(*_draw(spec, n, [np.random.default_rng(s) for s in seed]))
+    x, y = _draw(spec, n, [np.random.default_rng(seed)])
+    return Dataset(x[0], y[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ keys, their defaults the defaults and their annotations the accepted values,
 and every error names the offending ``section.key``.
 
 ``bound``, ``aggregate`` and coverage share one path: ``_setup`` builds the
-prior and the moment constant of a configuration, and ``_fit`` turns a range
-of dataset indices into rows of r_n, their levels rbar and rho_hat weights;
+prior and the moment constant of a configuration, and ``_fit`` draws a range
+of dataset indices as one stacked dataset and turns it into rows of r_n,
+their levels rbar and rho_hat weights;
 ``_certify`` adds, for ``bound`` and coverage, the ERM, the sublevel-mass
 exponent, the certified oracle and the rho_hat, prior and ERM certificates,
 row by row. ``bound`` and ``aggregate`` take the one-row range of dataset 0;
@@ -329,10 +330,9 @@ def _fit(config: ExperimentConfig, setup: _Setup,
          indices: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical risks r_n of datasets ``indices``, one row each, their
     levels rbar and rho_hat weights."""
-    datasets = [datagen.generate(config.generator, config.n,
-                                 np.random.SeedSequence([config.seed, 0, index]))
-                for index in indices]
-    rn = empirical_risks(datasets, setup.atoms, config.loss)
+    data = datagen.generate(config.generator, config.n,
+                            [np.random.SeedSequence([config.seed, 0, index]) for index in indices])
+    rn = empirical_risks(data, setup.atoms, config.loss)
     rbar = solve_rbar(rn, setup.pi, setup.cfg.q, setup.cfg.budget)
     return rn, rbar, rho_hat(rn, setup.pi, setup.cfg.p, rbar)
 

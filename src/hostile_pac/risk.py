@@ -10,7 +10,6 @@ dataset is significant (dependence structure lives in the order).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +38,28 @@ LossKind = SquaredLoss | ZeroOneLoss
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered observations (x_i, y_i), x stored as an (n, k) array."""
+    """Ordered observations (x_i, y_i), x stored as an (n, k) array.
+
+    A stacked dataset holds datasets of one length n as x of shape
+    (rows, n, k) and y of shape (rows, n), one row per dataset. Its length
+    is n, as for one dataset.
+    """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
-        if x.shape[0] != y.shape[0]:
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        if x.ndim < 3:
+            x, y = np.atleast_2d(x), y.ravel()
+        if x.ndim > 3:
+            raise ValueError("x must be an (n, k) array or a stack of them")
+        if x.shape[:-1] != y.shape:
             raise ValueError("x and y row counts differ")
-        if x.shape[0] == 0:
+        if y.size == 0:
             raise ValueError("dataset must be nonempty")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("dataset entries must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -59,11 +67,11 @@ class Dataset:
         self.y.setflags(write=False)
 
     def __len__(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def dim(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
 
 def _check_dims(data: Dataset, atoms: AtomSet) -> None:
@@ -72,14 +80,19 @@ def _check_dims(data: Dataset, atoms: AtomSet) -> None:
 
 
 def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray:
-    """The (n, K) losses of every atom's linear predictor on every observation.
+    """The (n, K) losses of every atom's linear predictor on every observation,
+    stacked to (rows, n, K) for a stacked dataset.
 
-    The squared loss is computed in place in the one n x K array of
-    predictions, and can overflow; the zero-one loss holds only 0 and 1.
+    The squared loss is computed in place in the one array of predictions,
+    and can overflow; the zero-one loss holds only 0 and 1.
     """
     _check_dims(data, atoms)
-    table = data.x @ atoms.coords.T
-    y = data.y[:, None]
+    return _loss_table(data.x, data.y, atoms.coords, loss)
+
+
+def _loss_table(x: np.ndarray, y: np.ndarray, coords: np.ndarray, loss: LossKind) -> np.ndarray:
+    table = x @ coords.T
+    y = y[..., None]
     if isinstance(loss, SquaredLoss):
         np.subtract(y, table, out=table)
         np.square(table, out=table)
@@ -101,12 +114,11 @@ def empirical_risk(table: np.ndarray) -> np.ndarray:
     return table.mean(axis=0)
 
 
-def empirical_risks(data: Dataset | Sequence[Dataset], atoms: AtomSet,
-                    loss: LossKind) -> np.ndarray:
+def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray:
     """Empirical risk r_n of every atom on ``data``.
 
-    Given a sequence of datasets of one length n, the risks come back as
-    rows, one per dataset; given one dataset, as a vector.
+    For one dataset the risks come back as a vector; for a stacked dataset,
+    as rows, one per dataset.
 
     For the squared loss, let R be the triangular factor of the augmented
     design [x | y] (the thin QR of its n x (k+1) columns). Its first k rows
@@ -119,22 +131,21 @@ def empirical_risks(data: Dataset | Sequence[Dataset], atoms: AtomSet,
     The identity is exact for every design (n <= k and collinear columns
     included), needs no least-squares solve, and as a sum of squares it is
     never negative. It costs O(n k^2 + K k^2) per dataset instead of the
-    O(n K) of the loss table; a sequence of datasets takes one stacked QR.
-    The other losses average each dataset's table.
+    O(n K) of the loss table; a stacked dataset takes one stacked QR.
+    The other losses average each dataset's table, one table at a time.
     """
-    single = isinstance(data, Dataset)
-    datasets = [data] if single else list(data)
-    for one in datasets:
-        _check_dims(one, atoms)
+    _check_dims(data, atoms)
+    single = data.y.ndim == 1
+    x, y = (data.x[None], data.y[None]) if single else (data.x, data.y)
     if not isinstance(loss, SquaredLoss):
-        risks = np.stack([empirical_risk(compute_loss_table(one, atoms, loss)) for one in datasets])
+        risks = np.stack([empirical_risk(_loss_table(xi, yi, atoms.coords, loss))
+                          for xi, yi in zip(x, y)])
     else:
-        xy = np.stack([np.column_stack([one.x, one.y]) for one in datasets])
-        r, k = np.linalg.qr(xy, mode="r"), atoms.dim
+        r, k = np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r"), atoms.dim
         fit = atoms.coords @ r[:, :k, :k].swapaxes(-1, -2) - r[:, None, :k, k]
         rho = r[:, k:, k]
         risks = (np.einsum("ij,ij->i", rho, rho)[:, None]
-                 + np.einsum("ijk,ijk->ij", fit, fit)) / xy.shape[1]
+                 + np.einsum("ijk,ijk->ij", fit, fit)) / x.shape[1]
         if not np.all(np.isfinite(risks)):
             raise ValueError("empirical risks must be finite")
     return risks[0] if single else risks

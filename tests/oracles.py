@@ -182,14 +182,15 @@ def solve_rbar_one(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: f
 def verify_complexity_one(values: np.ndarray, pi: DiscreteDistribution,
                           gamma_grid: np.ndarray) -> ComplexityEstimate:
     """Sublevel-mass exponent of one value vector: each mass a sum over the
-    atoms of its sublevel, the threshold rounded up, then stepped until every
-    grid point holds."""
+    atoms of its sublevel, exactly 1 where no supported atom lies above it,
+    the threshold rounded up, then stepped until every grid point holds."""
     grid = np.sort(np.asarray(gamma_grid, dtype=float).ravel())
-    floor = values.min()
-    masses = np.array([float(pi.weights[values <= floor + g].sum()) for g in grid])
+    floor, top = values.min(), values[pi.weights > 0].max()
+    binding = np.array([top > floor + g for g in grid])
+    masses = np.array([float(pi.weights[values <= floor + g].sum()) if bind else 1.0
+                       for g, bind in zip(grid, binding)])
     if np.any(masses <= 0.0):
         return ComplexityEstimate(COMPLEXITY_CAP, False)
-    binding = masses < 1.0
     if not np.any(binding):
         return ComplexityEstimate(COMPLEXITY_CAP, True)
     threshold = float(np.max(np.log(masses[binding]) / np.log(grid[binding])))

@@ -1,17 +1,65 @@
 """Each row of a batched call against the one-dataset references in ``oracles``.
 
-Coverage certifies its replications in blocks of rows; these properties pin
-every row of a block to the per-dataset routines the blocks replaced.
+Coverage draws and certifies its replications in blocks of rows; these
+properties pin every row of a block to a lone ``generate`` of its seed and to
+the per-dataset routines the blocks replaced.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hostile_pac.aggregation import SolverError, erm_index, solve_rbar, verify_complexity
+from hostile_pac.aggregation import (ComplexityEstimate, SolverError, erm_index, solve_rbar,
+                                     verify_complexity)
+from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise, IidLinearRegression,
+                                 IsotropicGaussianX, StudentTNoise, UniformBoxX, generate)
 from hostile_pac.param_space import AtomSet, DiscreteDistribution
 from hostile_pac.risk import Dataset, SquaredLoss, ZeroOneLoss, empirical_risks
 from oracles import empirical_risks_one, solve_rbar_one, verify_complexity_one
+
+_X_LAWS = (IsotropicGaussianX(1.3), UniformBoxX(2.0))
+_NOISES = (GaussianNoise(0.5), StudentTNoise(dof=5.0, scale=0.7))
+_SPECS = {
+    **{f"iid-{type(x).__name__}-{type(e).__name__}": IidLinearRegression((0.5, -0.3, 2.0), x, e)
+       for x in _X_LAWS for e in _NOISES},
+    "ar1-gaussian": AR1(a=-0.7, noise=GaussianNoise(0.8)),
+    "ar1-student-t": AR1(a=0.95, noise=StudentTNoise(dof=7.0, scale=0.5)),  # burn-in
+    **{f"classification-{type(x).__name__}": BoundedClassification((1.0, -0.5), x, 0.1)
+       for x in _X_LAWS},
+}
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", _SPECS.values(), ids=_SPECS.keys())
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       indices=st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True))
+@example(seed=0, n=2, indices=[0])
+@example(seed=1, n=7, indices=[9, 2, 400])
+def test_stacked_rows_match_one_generate(spec, seed, n, indices):
+    block = generate(spec, n, [np.random.SeedSequence([seed, 0, i]) for i in indices])
+    assert block.x.shape == (len(indices), n, spec.dim) and block.y.shape == (len(indices), n)
+    assert len(block) == n and block.dim == spec.dim
+    for row, index in enumerate(indices):
+        one = generate(spec, n, np.random.SeedSequence([seed, 0, index]))
+        assert one.x.shape == (n, spec.dim) and one.y.shape == (n,)
+        assert _same_bits(block.x[row], one.x) and _same_bits(block.y[row], one.y)
+
+
+def test_seed_forms_of_generate():
+    spec = _SPECS["ar1-student-t"]
+    # An int, a SeedSequence and a list of ints each give one dataset; the
+    # list is one entropy seed, as numpy reads it.
+    for seed in (5, np.random.SeedSequence(5), [5, 6]):
+        data = generate(spec, 10, seed)
+        assert data.x.shape == (10, 2) and data.y.shape == (10,)
+    listed, entropy = generate(spec, 10, [5, 6]), generate(spec, 10, np.random.SeedSequence([5, 6]))
+    assert _same_bits(listed.x, entropy.x) and _same_bits(listed.y, entropy.y)
+    with pytest.raises(ValueError, match="AR"):
+        generate(spec, 1, [np.random.SeedSequence(5)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -27,9 +75,9 @@ def test_empirical_risk_rows_match_one_dataset(seed, rows, n, k, num_atoms, dupl
     shift = 1e6 if offset else 0.0
     x += shift
     y = rng.standard_normal((rows, n)) + shift
-    datasets = [Dataset(x=xi, y=yi) for xi, yi in zip(x, y)]
+    stacked, datasets = Dataset(x=x, y=y), [Dataset(x=xi, y=yi) for xi, yi in zip(x, y)]
     atoms = AtomSet(rng.standard_normal((num_atoms, k)))
-    block = empirical_risks(datasets, atoms, SquaredLoss())
+    block = empirical_risks(stacked, atoms, SquaredLoss())
     assert block.shape == (rows, num_atoms) and np.all(block >= 0)
     coords = np.abs(atoms.coords)
     for data, row in zip(datasets, block):
@@ -42,7 +90,8 @@ def test_empirical_risk_rows_match_one_dataset(seed, rows, n, k, num_atoms, dupl
         if lowest.size == 1 or lowest[1] - lowest[0] > 2e-12 * scale.max():
             assert erm_index(row) == erm_index(reference)
     for loss in (ZeroOneLoss(), ZeroOneLoss(0.3)):
-        table_rows = empirical_risks(datasets, atoms, loss)
+        table_rows = empirical_risks(stacked, atoms, loss)
+        assert table_rows.shape == (rows, num_atoms)
         assert all(np.array_equal(row, empirical_risks_one(data, atoms, loss))
                    for data, row in zip(datasets, table_rows))
 
@@ -118,3 +167,21 @@ def test_complexity_rows_match_one_dataset(problem):
         assert estimate.row(i) == reference
         assert verify_complexity(row, pi, grid) == reference
     assert erm_index(block).tolist() == [erm_index(row) for row in block]
+
+
+@pytest.mark.parametrize("weights", [
+    # The hypothesis example: its supported atoms sum to 1.0 in either order.
+    [0.000535, 0, 0, 0.414, 0, 0.535, 0.0502, 0],
+    # Nearby weights whose supported atoms sum to 0.9999999999999998, which a
+    # float test mass >= 1.0 reads as a binding grid point with d = 0.001.
+    [0.000537, 0, 0, 0.41692, 0, 0.535994, 0.049959, 0],
+])
+def test_full_sublevel_is_decided_by_its_atoms(weights):
+    weights = np.array(weights)
+    pi = DiscreteDistribution(weights / weights.sum())
+    values, grid = np.array([0.0] * 7 + [0.05]), np.array([0.03125])
+    # Every supported atom lies at 0, inside the sublevel: it is full.
+    expected = ComplexityEstimate(64.0, True)
+    assert verify_complexity(values, pi, grid) == expected
+    assert verify_complexity(values[None], pi, grid).row(0) == expected
+    assert verify_complexity_one(values, pi, grid) == expected

@@ -160,6 +160,17 @@ def test_huge_finite_budget_warns_nothing(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_overflowing_prior_moment_fails_with_one_line(capsys):
+    # tau = sum_j pi_j ||theta_j||**4 overflows at this prior scale; the
+    # infinite moment bound is the one error, and nothing warns before it.
+    path = ROOT / "configs" / "bound_demo.yaml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound", "--config", str(path), "--set", "prior.scale=1e200"]) == 1
+    assert capsys.readouterr().err == ("config error: regime (variance): bound value must be "
+                                       "finite and nonnegative, got inf\n")
+
+
 def test_coverage_replication_floor_names_the_key(capsys):
     path = ROOT / "configs" / "erm_finite_class.yaml"
     assert main(["coverage", "--config", str(path), "--set", "experiment.replications=10"]) == 1

@@ -48,7 +48,7 @@ def test_ar1_path_matches_loop():
     for a in (0.0, 0.6, -0.6, 0.99, -0.99):
         for n in (1, 2, 3, 200, 5000):
             eps = rng.standard_normal(n)
-            fast = _ar1_path(a, y0, eps)
+            fast = _ar1_path(a, y0, eps.copy())
             slow = np.empty(n)
             prev = y0
             for i, e in enumerate(eps):
