@@ -5,7 +5,7 @@ Coverage runs for the bundled configurations land in results/ as JSONL
 records plus summaries, followed by a sample-size sweep whose fitted
 log-log margin slope should sit near -1/2.
 
-Usage: python3 scripts/run_experiments.py [--fast] [--workers N] [--results DIR]
+Usage: python3 scripts/run_experiments.py [--fast] [--results DIR]
 """
 
 import argparse
@@ -30,7 +30,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
                         help="cut replication counts to 50 for a smoke run")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--results", default=str(ROOT / "results"))
     args = parser.parse_args()
 
@@ -41,7 +40,6 @@ def main() -> int:
         config = harness.load_config(ROOT / "configs" / name)
         if args.fast:
             config = dataclasses.replace(config, replications=50)
-        config = dataclasses.replace(config, workers=args.workers)
         report = harness.run_coverage(config)
         harness.write_outputs(results_dir / Path(name).stem, report.records, report.summary)
         summary = report.summary
@@ -51,7 +49,7 @@ def main() -> int:
               f"mean_slack={summary['mean_slack']:.4g}")
 
     sweep_base = harness.load_config(ROOT / "configs" / "coverage_iid_t5.yaml")
-    sweep_base = dataclasses.replace(sweep_base, replications=50, workers=args.workers)
+    sweep_base = dataclasses.replace(sweep_base, replications=50)
     values = [100, 400] if args.fast else [100, 400, 1600, 6400]
     rows = harness.run_sweep(sweep_base, "n", values)
     harness.write_sweep_csv(rows, results_dir / "sweep_n.csv")

@@ -101,7 +101,7 @@ class ComplexityEstimate:
     gamma**d; any larger exponent is then certified as well since the grid
     lies in (0, 1). Degenerate inputs whose sublevels hold every supported
     atom at every grid point certify every exponent and report the cap.
-    ``satisfied`` is False when no exponent up to the cap works. For values
+    ``satisfied`` is False when no exponent is found up to the cap. For values
     given in rows, both fields are arrays with one entry per row.
     """
 
@@ -337,11 +337,12 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     """Certify a sublevel-mass exponent d on a gamma grid inside (0, 1).
 
     For each grid point the prior mass of {values <= min + gamma} must be at
-    least gamma**d. The certified d is the feasibility threshold rounded up
-    to ``COMPLEXITY_RESOLUTION`` (validity is monotone in d on (0, 1) grids);
-    when the threshold exceeds ``COMPLEXITY_CAP`` the estimate is meaningless
-    for a discrete prior and the check reports unsatisfied. Given rows of
-    values, each row is certified on its own.
+    least gamma**d. The certified d is the closed-form threshold
+    max log(mass) / log(gamma) rounded up to ``COMPLEXITY_RESOLUTION``, plus
+    one step of it where rounding misses a grid point by an ulp of gamma**d.
+    A d that still fails, or exceeds ``COMPLEXITY_CAP`` (meaningless for a
+    discrete prior), is reported unsatisfied. Given rows of values, each row
+    is certified on its own.
     """
     grid = np.sort(np.asarray(gamma_grid, dtype=float).ravel())
     if grid.size == 0:
@@ -359,15 +360,9 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     ratios = np.log(masses, out=np.full_like(masses, -np.inf), where=binding) / np.log(grid)
     threshold = np.where(binding, ratios, -np.inf).max(axis=1)
     d = COMPLEXITY_RESOLUTION * np.maximum(1.0, np.ceil(threshold / COMPLEXITY_RESOLUTION))
-    stepping = ~(empty | full)
-    while True:
-        stepping &= (d <= COMPLEXITY_CAP) & ~(masses >= grid ** d[:, None]).all(axis=1)
-        if not stepping.any():
-            break
-        d = np.where(stepping, d + COMPLEXITY_RESOLUTION, d)
-    capped = empty | full | (d > COMPLEXITY_CAP)
-    estimate = ComplexityEstimate(np.where(capped, COMPLEXITY_CAP, d),
-                                  ~empty & (full | (d <= COMPLEXITY_CAP)))
+    d = np.where((masses >= grid ** d[:, None]).all(axis=1), d, d + COMPLEXITY_RESOLUTION)
+    holds = ~empty & (d <= COMPLEXITY_CAP) & (masses >= grid ** d[:, None]).all(axis=1)
+    estimate = ComplexityEstimate(np.where(full | ~holds, COMPLEXITY_CAP, d), full | holds)
     return estimate.row(0) if single else estimate
 
 

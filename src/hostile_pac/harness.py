@@ -432,17 +432,11 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
 COVERAGE_BLOCK_ATOMS = 4096
 
 
-class _Block(NamedTuple):
-    """A block of coverage replications: their output records and the
-    realized deviation moments of the gap R - r_n, which feed the summary's slack."""
-
-    records: list[dict]
-    sup: np.ndarray     # S = max(E_pi gap_+**q, E_pi gap_-**q), per replication
-    moment: np.ndarray  # E_pi |gap|**q, per replication
-
-
 def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.ndarray,
-                       indices: range) -> _Block:
+                       indices: range) -> dict[str, np.ndarray]:
+    """The record columns of a block of coverage replications, plus ``sup``,
+    S = max(E_pi gap_+**q, E_pi gap_-**q), and ``moment``, E_pi |gap|**q, of
+    the gap R - r_n, which feed the summary and are not written."""
     fit = _certify(config, setup, indices)
     cfg = setup.cfg
     at_rho, at_erm = fit.reports["rho_hat"], fit.reports["erm"]
@@ -482,11 +476,10 @@ def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.
         "oracle_dim_bound": np.where(certified, fit.oracle, None),
         "hit_oracle_level": hit_oracle_level,
         "hit_oracle": hit_oracle_level & (~certified | (rho_true <= fit.oracle)),
+        "sup": sup,
+        "moment": upper_side + lower_side,
     }
-    rows = zip(*(column.tolist() for column in columns.values()))
-    records = [{"type": "replication", **dict(zip(columns, row)), **setup.constants}
-               for row in rows]
-    return _Block(records, sup, upper_side + lower_side)
+    return columns
 
 
 def _ratio(num: float, den: float) -> float:
@@ -533,10 +526,10 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
             done = list(pool.map(certify_block, blocks))
     else:
         done = [certify_block(block) for block in blocks]
-    records = [record for block in done for record in block.records]
-
-    slack = np.array([r["slack_rho_hat"] for r in records])
-    finite_slack = slack[np.isfinite(slack)]
+    columns = {name: np.concatenate([block[name] for block in done]) for name in done[0]}
+    sup, moment = columns.pop("sup"), float(np.mean(columns.pop("moment")))
+    records = [{"type": "replication", **dict(zip(columns, row)), **setup.constants}
+               for row in zip(*(column.tolist() for column in columns.values()))]
 
     # Population-side quantities are deterministic for the configuration; the
     # population level spends the budget 2**q * M / delta.
@@ -545,21 +538,22 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     pop_complexity, oracle_pop = certified_oracle(true_values, pi, np.asarray(config.gamma_grid),
                                                   rbar_pop, pop_budget, cfg.q)
 
-    certified_hits = [r["hit_oracle"] for r in records if r["complexity_certified"]]
-    moment = float(np.mean(np.concatenate([block.moment for block in done])))
-    critical = cfg.delta * float(np.quantile(np.concatenate([block.sup for block in done]),
-                                             1.0 - cfg.delta, method="higher"))
+    slack = columns["slack_rho_hat"]
+    finite_slack = slack[np.isfinite(slack)]
+    certified = columns["complexity_certified"]
+    certified_hits = columns["hit_oracle"][certified]
+    critical = cfg.delta * float(np.quantile(sup, 1.0 - cfg.delta, method="higher"))
 
     summary = {
         "type": "summary", "command": "coverage",
         "replications": config.replications,
-        "coverage_two_sided": float(np.mean([r["hit_two_sided"] for r in records])),
-        "coverage_oracle": float(np.mean([r["hit_oracle"] for r in records])),
-        "coverage_oracle_certified": (float(np.mean(certified_hits)) if certified_hits
+        "coverage_two_sided": float(np.mean(columns["hit_two_sided"])),
+        "coverage_oracle": float(np.mean(columns["hit_oracle"])),
+        "coverage_oracle_certified": (float(np.mean(certified_hits)) if certified_hits.size
                                       else None),
-        "coverage_erm": float(np.mean([r["hit_erm"] for r in records])),
+        "coverage_erm": float(np.mean(columns["hit_erm"])),
         "mean_slack": float(finite_slack.mean()) if finite_slack.size else math.inf,
-        "certified_fraction": float(np.mean([r["complexity_certified"] for r in records])),
+        "certified_fraction": float(np.mean(certified)),
         "population_complexity_d": pop_complexity.d,
         "population_complexity_satisfied": pop_complexity.satisfied,
         "rbar_population": rbar_pop,

@@ -76,7 +76,7 @@ class VarianceRegime:
     def check(self, config: ExperimentConfig) -> None:
         _check_independent_rows(config, "variance")
         if config.p < 2:
-            raise ValueError("the variance regime needs q <= 2, i.e. p >= 2")
+            raise ValueError("experiment.p must be at least 2: the variance regime needs q <= 2")
         if self.s2 in ("kappa", "exact") and not (
                 isinstance(config.generator, datagen.IidLinearRegression)
                 and isinstance(config.loss, SquaredLoss)):
@@ -143,7 +143,7 @@ class _MixingRegime:
         if not isinstance(config.generator, datagen.AR1):
             raise ValueError("mixing regimes require the AR(1) generator")
         if abs(config.p - 2.0) > 1e-12:
-            raise ValueError("mixing regimes certify q = 2, so p must be 2")
+            raise ValueError("experiment.p must be 2: mixing regimes certify q = 2")
         if config.generator.mixing is None:
             raise ValueError("generator.mixing: mixing regimes need the assumed envelope {c1, c2}")
         if self.alpha_sum == "envelope" and not config.generator.mixing.c1 > 0:

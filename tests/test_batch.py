@@ -5,6 +5,8 @@ properties pin every row of a block to a lone ``generate`` of its seed and to
 the per-dataset routines the blocks replaced.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -184,4 +186,21 @@ def test_full_sublevel_is_decided_by_its_atoms(weights):
     expected = ComplexityEstimate(64.0, True)
     assert verify_complexity(values, pi, grid) == expected
     assert verify_complexity(values[None], pi, grid).row(0) == expected
+    assert verify_complexity_one(values, pi, grid) == expected
+
+
+@pytest.mark.parametrize("gamma, weights, d", [
+    (0.5, [0.4938004307226862, 0.5061995692773138], 1.019),
+    (0.7, [0.6932911990343137, 0.3067088009656863], 1.0279999999999998),
+    (0.9, [0.7948669287023055, 0.20513307129769454], 2.1799999999999997),
+])
+def test_rounded_threshold_that_misses_by_an_ulp_takes_one_step(gamma, weights, d):
+    pi = DiscreteDistribution(np.array(weights))
+    values, grid = np.array([0.0, 1.0]), np.array([gamma])
+    # The sublevel at gamma holds atom 0 alone; its rounded threshold fails by an ulp.
+    rounded = 1e-3 * math.ceil(math.log(weights[0]) / math.log(gamma) / 1e-3)
+    assert weights[0] < gamma ** rounded and rounded + 1e-3 == d
+    expected = ComplexityEstimate(d, True)
+    assert verify_complexity(values, pi, grid) == expected
+    assert verify_complexity(np.stack([values, values]), pi, grid).row(1) == expected
     assert verify_complexity_one(values, pi, grid) == expected

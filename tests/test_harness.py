@@ -120,6 +120,8 @@ REGIME_OWNING = {"s2": {"kind": "variance"},
     ("regime", "sigma2", -1.0, "regime.sigma2"),
     # q = p/(p-1) rounds to 1, rejected at load time.
     ("experiment", "p", 1e300, "experiment.p"),
+    # The variance regime needs p >= 2.
+    ("experiment", "p", 1.0000001, "experiment.p"),
     # Finite values whose moment bound overflows, named when the bound is resolved.
     ("regime", "sigma2", 1e308, "regime (subgaussian)"),
     ("prior", "scale", 1e200, "regime (variance)"),
@@ -163,6 +165,16 @@ def test_regime_rejects_keys_of_other_regimes(kind, key, value):
 
 AR1_GENERATOR = {"kind": "ar1", "a": 0.5, "noise": {"kind": "gaussian", "variance": 1.0},
                  "mixing": {"c1": 0.5, "c2": 0.7}}
+
+
+@pytest.mark.parametrize("kind", ["mixing_bounded", "mixing_unbounded"])
+def test_mixing_regimes_reject_p_other_than_2_naming_the_key(kind):
+    raw = yaml.safe_load(BASE_YAML)
+    raw["generator"] = AR1_GENERATOR
+    raw["experiment"]["p"] = 1e6
+    raw["regime"] = {"kind": kind}
+    with pytest.raises(ConfigError, match=re.escape("experiment.p")):
+        config_from_dict(raw)
 
 
 def test_analytic_moment_integral_checked_at_load():
