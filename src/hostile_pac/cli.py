@@ -68,9 +68,7 @@ def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
 def _emit(records: list[dict], summary: dict, out: str | None,
           csv_rows: list[dict] | None = None) -> None:
     if out is None:
-        for rec in records:
-            print(harness.dump_record(rec))
-        print(harness.dump_record(summary))
+        sys.stdout.write(harness.records_text([*records, summary]))
         return
     paths = harness.write_outputs(out, records, summary, csv_rows)
     print("wrote " + " and ".join(map(str, paths)))

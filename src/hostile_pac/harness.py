@@ -36,6 +36,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, partial
+from itertools import chain, groupby, repeat
+from operator import is_
 from pathlib import Path
 from types import UnionType
 from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -349,6 +351,21 @@ class _Certified(NamedTuple):
     reports: dict[str, BoundReport]  # rho_hat, prior and erm
 
 
+def _evaluate_bound(rho, pi: DiscreteDistribution, rn: np.ndarray,
+                    cfg: BoundConfig) -> BoundReport:
+    """``evaluate_bound``, its D + 1 check reported against ``experiment.p``.
+
+    D + 1 = sum_j rho_j**p pi_j**(1-p) is at least 1, so only rounding takes
+    it below; raising rho_j/pi_j to the power p multiplies its rounding error
+    by p, which near p = 1e14 is of the order of D itself.
+    """
+    try:
+        return evaluate_bound(rho, pi, rn, cfg)
+    except ValueError as exc:
+        raise ConfigError(f"experiment.p={cfg.p!r} is too large for D + 1 to be computed in "
+                          f"doubles: {exc}") from exc
+
+
 def _certify(config: ExperimentConfig, setup: _Setup, indices: range) -> _Certified:
     rn, rbar, rho = _fit(config, setup, indices)
     pi, cfg = setup.pi, setup.cfg
@@ -360,7 +377,7 @@ def _certify(config: ExperimentConfig, setup: _Setup, indices: range) -> _Certif
     with np.errstate(divide="ignore", over="ignore"):
         erm_div = pi.weights[erm] ** (1.0 - cfg.p)
     reports = {
-        "rho_hat": evaluate_bound(rho, pi, rn, cfg),
+        "rho_hat": _evaluate_bound(rho, pi, rn, cfg),
         "prior": certificate(expectation(pi, rn), np.ones(len(rn)), cfg),
         "erm": certificate(rn[np.arange(len(rn)), erm], erm_div, cfg),
     }
@@ -388,7 +405,7 @@ def run_bound(config: ExperimentConfig) -> RunResult:
     gamma_star = None
     if complexity.satisfied:
         gamma_star = optimal_gamma(complexity.d, cfg.p, cfg.budget)
-        reports["pi_gamma"] = evaluate_bound(catoni_pi_gamma(rn, pi, gamma_star), pi, rn, cfg)
+        reports["pi_gamma"] = _evaluate_bound(catoni_pi_gamma(rn, pi, gamma_star), pi, rn, cfg)
 
     records = [{"type": "bound", "rho": name, **dataclasses.asdict(report), **setup.constants}
                for name, report in reports.items()]
@@ -509,6 +526,14 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     M/m, ``markov_layer`` m/M_crit and their product ``constant_slack``
     M/M_crit.
     """
+    columns, summary, constants = _coverage(config)
+    records = [{"type": "replication", **dict(zip(columns, row)), **constants}
+               for row in zip(*(column.tolist() for column in columns.values()))]
+    return RunResult(records, summary)
+
+
+def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, dict]:
+    """The record columns, the summary and the echoed constants of ``run_coverage``."""
     if config.replications < 50:
         raise ConfigError("experiment.replications: coverage runs need at least 50 replications")
     setup = _setup(config)
@@ -528,8 +553,6 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
         done = [certify_block(block) for block in blocks]
     columns = {name: np.concatenate([block[name] for block in done]) for name in done[0]}
     sup, moment = columns.pop("sup"), float(np.mean(columns.pop("moment")))
-    records = [{"type": "replication", **dict(zip(columns, row)), **setup.constants}
-               for row in zip(*(column.tolist() for column in columns.values()))]
 
     # Population-side quantities are deterministic for the configuration; the
     # population level spends the budget 2**q * M / delta.
@@ -566,7 +589,7 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
         "timestamp": _timestamp(),
     }
     summary.update(setup.constants)
-    return RunResult(records, summary)
+    return columns, summary, setup.constants
 
 
 # ---------------------------------------------------------------------------
@@ -587,21 +610,19 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list) -> list[dict]:
     for value in values:
         # replace() reruns the config validation on the swept value.
         cfg_v = dataclasses.replace(config, **{axis: _coerce(value, hint, f"sweep {axis}")})
-        report = run_coverage(cfg_v)
-        margins_prior = [r["margin_prior"] for r in report.records]
-        margins_rho = [r["margin_rho_hat"] for r in report.records]
+        columns, summary, _ = _coverage(cfg_v)
         rows.append({
             "axis": axis,
             "value": value,
             "n": cfg_v.n,
             "delta": cfg_v.delta,
             "p": cfg_v.p,
-            "coverage_two_sided": report.summary["coverage_two_sided"],
-            "coverage_oracle": report.summary["coverage_oracle"],
-            "median_margin": float(np.median(margins_prior)),
-            "median_margin_rho_hat": float(np.median(margins_rho)),
-            "mean_slack": report.summary["mean_slack"],
-            "moment_bound": report.summary["moment_bound"],
+            "coverage_two_sided": summary["coverage_two_sided"],
+            "coverage_oracle": summary["coverage_oracle"],
+            "median_margin": float(np.median(columns["margin_prior"])),
+            "median_margin_rho_hat": float(np.median(columns["margin_rho_hat"])),
+            "mean_slack": summary["mean_slack"],
+            "moment_bound": summary["moment_bound"],
         })
     return rows
 
@@ -634,13 +655,65 @@ def _timestamp() -> str:
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def dump_record(record: dict) -> str:
-    """Canonical one-line JSON; infinities use the Python JSON dialect."""
+def dump_record(record) -> str:
+    """Canonical one-line JSON of a record, or of one value in a record.
+
+    This encoder defines the record format: sorted keys, ``", "`` and
+    ``": "`` separators, floats by their shortest round-trip repr and
+    infinities and NaN in the Python JSON dialect.
+    """
     return _RECORD_ENCODER.encode(record)
 
 
+def _field_texts(values) -> list[str]:
+    """``dump_record`` of each value, made in one pass where the value types
+    allow: plain finite floats and plain ints by repr, as the encoder writes
+    them, and non-empty lists of one length position by position."""
+    kinds = set(map(type, values))
+    if kinds == {float} and math.isfinite(sum(values)):  # a finite sum rules out inf and NaN
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {list} and len(set(map(len, values))) == 1 and values[0]:
+        positions = [_field_texts(position) for position in zip(*values)]
+        return ["[" + ", ".join(row) + "]" for row in zip(*positions)]
+    return [dump_record(value) for value in values]
+
+
+def records_text(records: list[dict]) -> str:
+    """``"".join(dump_record(r) + "\\n" for r in records)``, made field by field.
+
+    Each run of records with one key set shares a line template of its
+    sorted keys; a value that is the same object in every record of the run
+    is encoded once into that template, and every other field is encoded in
+    one pass over its values. Runs with a non-string key go record by record.
+    """
+    chunks = []
+    for keys, run in groupby(records, dict.keys):
+        run = list(run)
+        if not all(type(key) is str for key in keys):
+            chunks += [dump_record(record) + "\n" for record in run]
+            continue
+        literal, parts, fields = "{", [], []
+        for i, key in enumerate(sorted(keys)):
+            values = [record[key] for record in run]
+            literal += (", " if i else "") + dump_record(key) + ": "
+            if all(map(is_, values, repeat(values[0]))):
+                literal += dump_record(values[0])
+            else:
+                parts.append(literal)
+                fields.append(_field_texts(values))
+                literal = ""
+        parts.append(literal + "}\n")
+        columns = [repeat(parts[0], len(run))]
+        for field, part in zip(fields, parts[1:]):
+            columns += [field, repeat(part)]
+        chunks.append("".join(chain.from_iterable(zip(*columns))))
+    return "".join(chunks)
+
+
 def write_records(records: list[dict], path: str | Path) -> None:
-    Path(path).write_text("".join(dump_record(r) + "\n" for r in records))
+    Path(path).write_text(records_text(records))
 
 
 def write_outputs(prefix: str | Path, records: list[dict], summary: dict,

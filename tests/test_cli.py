@@ -141,6 +141,8 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("erm_finite_class", "regime.sigma2=1e308", ["regime (subgaussian)"]),
     ("coverage_ar1_t7", "regime.davydov_factor=1e308", ["regime (mixing_unbounded)"]),
     ("bound_demo", "experiment.p=1e300", ["experiment.p"]),
+    # rho_hat's D + 1 rounds below 1 at this p.
+    ("bound_demo", "experiment.p=1e14", ["experiment.p"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"
