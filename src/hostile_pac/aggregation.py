@@ -19,6 +19,10 @@ proof holds: the sublevel-mass exponent d certifies on the gamma grid, and
 the proof point gamma = (level - min)/2 lies inside the grid's gamma
 interval with sublevel mass at least gamma**d.
 
+Every routine takes rows: per-atom values and aggregation weights of shape
+(rows, K), one row per dataset, and returns one entry per row. One dataset
+is the one-row case, ``rn[None]`` in and ``[0]`` or ``.row(0)`` out.
+
 An infinite divergence is propagated, not raised: the certificate is then
 vacuous but valid, and sweep outputs stay rectangular.
 """
@@ -32,7 +36,7 @@ import numpy as np
 
 from .divergence import power_divergence_plus_one
 from .moments import MomentBound
-from .param_space import DiscreteDistribution
+from .param_space import DiscreteDistribution, _rows
 
 CONJUGACY_TOL = 1e-12
 RBAR_RESIDUAL_TOL = 1e-10
@@ -78,17 +82,16 @@ class BoundConfig:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated certificate pieces for one aggregation distribution, or one
-    array entry per row when the certificates are evaluated in rows."""
+    """Evaluated certificate pieces, one array entry per row of aggregation weights."""
 
-    rn_integral: float
-    margin: float
-    upper: float
-    lower: float
-    divergence_plus_one: float
+    rn_integral: np.ndarray
+    margin: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    divergence_plus_one: np.ndarray
 
     def row(self, i: int) -> BoundReport:
-        """The certificate of row ``i`` of a report evaluated in rows."""
+        """The certificate of row ``i``, as floats."""
         return BoundReport(**{k: float(v[i]) for k, v in vars(self).items()})
 
 
@@ -101,31 +104,24 @@ class ComplexityEstimate:
     gamma**d; any larger exponent is then certified as well since the grid
     lies in (0, 1). Degenerate inputs whose sublevels hold every supported
     atom at every grid point certify every exponent and report the cap.
-    ``satisfied`` is False when no exponent is found up to the cap. For values
-    given in rows, both fields are arrays with one entry per row.
+    ``satisfied`` is False when no exponent is found up to the cap. Both
+    fields are arrays with one entry per row of values.
     """
 
-    d: float
-    satisfied: bool
+    d: np.ndarray
+    satisfied: np.ndarray
 
     def row(self, i: int) -> ComplexityEstimate:
-        """The estimate of row ``i`` of an estimate made in rows."""
+        """The estimate of row ``i``, as a float and a bool."""
         return ComplexityEstimate(float(self.d[i]), bool(self.satisfied[i]))
 
 
-def _rows(values) -> tuple[np.ndarray, bool]:
-    """``values`` as float rows, one per dataset, and whether it was a single vector."""
-    values = np.asarray(values, dtype=float)
-    return np.atleast_2d(values), values.ndim == 1
-
-
-def pac_margin(cfg: BoundConfig, div_plus_one) -> float | np.ndarray:
+def pac_margin(cfg: BoundConfig, div_plus_one) -> np.ndarray:
     """(M / delta)**(1/q) * (D + 1)**(1/p), elementwise over D + 1; infinity propagates."""
     div_plus_one = np.asarray(div_plus_one, dtype=float)
     if not (div_plus_one >= 1.0 - CONJUGACY_TOL).all():  # NaN fails too
         raise ValueError("divergence-plus-one must be at least 1")
-    margin = cfg.budget ** (1.0 / cfg.q) * np.maximum(div_plus_one, 1.0) ** (1.0 / cfg.p)
-    return float(margin) if margin.ndim == 0 else margin
+    return cfg.budget ** (1.0 / cfg.q) * np.maximum(div_plus_one, 1.0) ** (1.0 / cfg.p)
 
 
 def certificate(rn_integral, div_plus_one, cfg: BoundConfig) -> BoundReport:
@@ -135,23 +131,19 @@ def certificate(rn_integral, div_plus_one, cfg: BoundConfig) -> BoundReport:
                        lower=rn_integral - margin, divergence_plus_one=div_plus_one)
 
 
-def evaluate_bound(rho: DiscreteDistribution | np.ndarray, pi: DiscreteDistribution,
-                   rn: np.ndarray, cfg: BoundConfig) -> BoundReport:
-    """Two-sided certificate for a fixed aggregation distribution.
-
-    Given rows of r_n and one row of aggregation weights per row, the report
-    holds one certificate per row.
-    """
-    rows, single = _rows(rn)
-    weights = np.atleast_2d(rho.weights if isinstance(rho, DiscreteDistribution) else rho)
-    if weights.shape != rows.shape or rows.shape[1] != len(pi):
-        raise ValueError("rho, pi and the risk vector must share one atom set")
-    report = certificate(_row_dots(weights, rows),
-                         power_divergence_plus_one(weights, pi.weights, cfg.p), cfg)
-    return report.row(0) if single else report
+def evaluate_bound(rho: np.ndarray, pi: DiscreteDistribution, rn: np.ndarray,
+                   cfg: BoundConfig) -> BoundReport:
+    """Two-sided certificate of each row of aggregation weights ``rho`` at the
+    same row of r_n."""
+    rows, weights = _rows(rn, len(pi)), _rows(rho, len(pi))
+    if len(weights) != len(rows):
+        raise ValueError("rho and the risks need one row per dataset each")
+    return certificate(_row_dots(weights, rows),
+                       power_divergence_plus_one(weights, pi.weights, cfg.p), cfg)
 
 
-def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray, q: float) -> tuple:
+def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray,
+                      q: float) -> tuple[np.ndarray, np.ndarray]:
     """(E_pi gap_+**q, E_pi gap_-**q) for the per-atom gap R - r_n, per row of gaps.
 
     By Hoelder duality in L^p(pi), sup over all rho of
@@ -160,9 +152,8 @@ def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray, q: float) -> tupl
     pi * gap_-**(q-1). So the certificate holds for every rho at once
     exactly when that larger moment is at most M/delta.
     """
-    upper = np.maximum(gap, 0.0) ** q @ pi_weights
-    lower = np.maximum(-gap, 0.0) ** q @ pi_weights
-    return (float(upper), float(lower)) if np.ndim(upper) == 0 else (upper, lower)
+    gap = _rows(gap, len(pi_weights))
+    return np.maximum(gap, 0.0) ** q @ pi_weights, np.maximum(-gap, 0.0) ** q @ pi_weights
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,12 +190,9 @@ def _last_bit_root(risks: np.ndarray, weights: np.ndarray, q: float, budget: flo
                       f"{residual:.3e} vs budget {budget:.3e}")
 
 
-def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
-               budget: float) -> float | np.ndarray:
-    """Smallest level u with s(u) = sum_j pi_j [u - rn_j]_+ ** q = T, the budget.
-
-    Given rows of risks, one level per row (an array); given one risk vector,
-    a float.
+def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float) -> np.ndarray:
+    """Smallest level u with s(u) = sum_j pi_j [u - rn_j]_+ ** q = T, the budget,
+    one per row of risks.
 
     Newton on g = s ** (1/q), the weighted L^q norm of [u - rn]_+: convex, and
     increasing above the supported minimum of rn. With W_k and m_k the mass and
@@ -222,9 +210,7 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
     stop the iterate a double or two off that root, up to
     ``RBAR_LAST_BIT_STEPS`` neighbouring doubles toward it are tried too.
     """
-    rows, single = _rows(rn)
-    if rows.shape[1] != len(pi):
-        raise ValueError("risk vector and prior sizes differ")
+    rows = _rows(rn, len(pi))
     if not 0 < budget < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget}")
     if not q > 1:
@@ -259,42 +245,39 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float,
                 break
     for i in np.flatnonzero(~(np.abs(spend - budget) <= RBAR_RESIDUAL_TOL * budget)):
         u[i] = _last_bit_root(risks[i:i + 1], weights[i:i + 1], q, budget, u[i], spend[i])
-    return float(u[0]) if single else u
+    return u
 
 
-def rho_hat(rn: np.ndarray, pi: DiscreteDistribution, p: float,
-            rbar) -> DiscreteDistribution | np.ndarray:
-    """Optimal weights, proportional to pi_j * [rbar - rn_j]_+ ** (1/(p-1)).
-
-    Atoms at or above the level get exactly zero mass, so the support is
-    contained in {rn < rbar}. Given rows of risks and one level per row, the
-    weights come back as rows of an array; given one risk vector, as a
-    distribution.
-    """
-    rows, single = _rows(rn)
-    if rows.shape[1] != len(pi):
-        raise ValueError("risk vector and prior sizes differ")
-    raw = pi.weights * np.maximum(np.reshape(rbar, (-1, 1)) - rows, 0.0) ** (1.0 / (p - 1.0))
+def _normalized(raw: np.ndarray, empty: str) -> np.ndarray:
+    """Rows of nonnegative weights scaled to sum to one, or ValueError ``empty``."""
     total = raw.sum(axis=1, keepdims=True)
     if not (total > 0).all():
-        raise ValueError("degenerate level: no prior mass below rbar")
-    return DiscreteDistribution(raw[0] / total[0]) if single else raw / total
+        raise ValueError(empty)
+    return raw / total
 
 
-def catoni_pi_gamma(rn: np.ndarray, pi: DiscreteDistribution,
-                    gamma: float) -> DiscreteDistribution:
-    """Prior restricted to the gamma-sublevel of rn, renormalized."""
+def rho_hat(rn: np.ndarray, pi: DiscreteDistribution, p: float, rbar) -> np.ndarray:
+    """Optimal weights, proportional to pi_j * [rbar - rn_j]_+ ** (1/(p-1)),
+    one row per row of risks and its level.
+
+    Atoms at or above the level get exactly zero mass, so the support is
+    contained in {rn < rbar}.
+    """
+    rows = _rows(rn, len(pi))
+    raw = pi.weights * np.maximum(np.reshape(rbar, (-1, 1)) - rows, 0.0) ** (1.0 / (p - 1.0))
+    return _normalized(raw, "degenerate level: no prior mass below rbar")
+
+
+def catoni_pi_gamma(rn: np.ndarray, pi: DiscreteDistribution, gamma: float) -> np.ndarray:
+    """Prior restricted to the gamma-sublevel of each row of rn, renormalized."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    rn = np.asarray(rn, dtype=float)
-    if rn.shape[0] != len(pi):
-        raise ValueError("risk vector and prior sizes differ")
-    keep = rn <= rn.min() + gamma
-    raw = pi.weights * keep
-    total = raw.sum()
-    if not total > 0:
-        raise ValueError("sublevel set carries no prior mass")
-    return DiscreteDistribution(raw / total)
+    rows = _rows(rn, len(pi))
+    keep = rows <= rows.min(axis=1, keepdims=True) + gamma
+    weights = _normalized(pi.weights * keep, "sublevel set carries no prior mass")
+    # Normalized a second time: the first pass rounds, and the pi_gamma
+    # records of ``bound`` carry the bits of the second.
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def optimal_gamma(d: float, p: float, budget: float) -> float:
@@ -308,13 +291,12 @@ def optimal_gamma(d: float, p: float, budget: float) -> float:
     return (exponent_weight * budget) ** (1.0 / (1.0 + exponent_weight))
 
 
-def erm_index(rn: np.ndarray) -> int | np.ndarray:
+def erm_index(rn: np.ndarray) -> np.ndarray:
     """Index of the smallest empirical risk, per row of risks; ties go to the smallest index."""
-    rn = np.asarray(rn, dtype=float)
-    if rn.shape[-1] == 0:
+    rows = _rows(rn)
+    if rows.shape[1] == 0:
         raise ValueError("empty risk vector")
-    index = np.argmin(rn, axis=-1)
-    return int(index) if rn.ndim == 1 else index
+    return np.argmin(rows, axis=1)
 
 
 def _sublevel_masses(rows: np.ndarray, weights: np.ndarray,
@@ -341,17 +323,15 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     max log(mass) / log(gamma) rounded up to ``COMPLEXITY_RESOLUTION``, plus
     one step of it where rounding misses a grid point by an ulp of gamma**d.
     A d that still fails, or exceeds ``COMPLEXITY_CAP`` (meaningless for a
-    discrete prior), is reported unsatisfied. Given rows of values, each row
-    is certified on its own.
+    discrete prior), is reported unsatisfied. Each row of values is
+    certified on its own.
     """
     grid = np.sort(np.asarray(gamma_grid, dtype=float).ravel())
     if grid.size == 0:
         raise ValueError("gamma grid must be nonempty")
     if np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise ValueError("gamma grid must lie strictly inside (0, 1)")
-    rows, single = _rows(values)
-    if rows.shape[1] != len(pi):
-        raise ValueError("value vector and prior sizes differ")
+    rows = _rows(values, len(pi))
     masses, full_points = _sublevel_masses(rows, pi.weights, grid)
     empty = (masses <= 0.0).any(axis=1)
     # Full sublevels at every grid point: every exponent works.
@@ -362,14 +342,13 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     d = COMPLEXITY_RESOLUTION * np.maximum(1.0, np.ceil(threshold / COMPLEXITY_RESOLUTION))
     d = np.where((masses >= grid ** d[:, None]).all(axis=1), d, d + COMPLEXITY_RESOLUTION)
     holds = ~empty & (d <= COMPLEXITY_CAP) & (masses >= grid ** d[:, None]).all(axis=1)
-    estimate = ComplexityEstimate(np.where(full | ~holds, COMPLEXITY_CAP, d), full | holds)
-    return estimate.row(0) if single else estimate
+    return ComplexityEstimate(np.where(full | ~holds, COMPLEXITY_CAP, d), full | holds)
 
 
-def oracle_bound(r_min, budget: float, q: float, d) -> float | np.ndarray:
+def oracle_bound(r_min, budget: float, q: float, d) -> np.ndarray:
     """min r + 2 * T ** (1 / (q + d)), T the budget spent by the bounded level.
 
-    Elementwise over ``r_min`` and ``d``.
+    Elementwise over ``r_min`` and ``d``, one of each per row.
     """
     if not 0 < budget < math.inf or q <= 1 or np.any(np.less(d, 0)):
         raise ValueError("invalid oracle-bound inputs")
@@ -377,19 +356,18 @@ def oracle_bound(r_min, budget: float, q: float, d) -> float | np.ndarray:
 
 
 def certified_oracle(values: np.ndarray, pi: DiscreteDistribution, gamma_grid: np.ndarray,
-                     level, budget: float, q: float) -> tuple:
+                     level, budget: float, q: float) -> tuple[ComplexityEstimate, np.ndarray]:
     """Sublevel-mass exponent of ``values`` and the oracle bound on ``level``.
 
-    The bound is certified, and returned, only when the exponent d certifies
-    on the grid and the proof point gamma = (level - min) / 2 lies inside the
-    grid's gamma interval with sublevel mass at least gamma**d (the grid is
-    checked only at its points); it is None otherwise. ``level`` is the solve
-    of ``values`` at the same budget T, so T >= mass(gamma) * gamma**q >=
-    gamma**(q + d) gives level <= the bound. Given rows of values and one
-    level per row, the estimate holds arrays and the bounds are an array,
-    NaN where uncertified.
+    One of each per row of values and its level. The bound is certified
+    only when the exponent d certifies on the grid and the proof point
+    gamma = (level - min) / 2 lies inside the grid's gamma interval with
+    sublevel mass at least gamma**d (the grid is checked only at its points);
+    it is NaN otherwise. ``level`` is the solve of ``values`` at the same
+    budget T, so T >= mass(gamma) * gamma**q >= gamma**(q + d) gives
+    level <= the bound.
     """
-    rows, single = _rows(values)
+    rows = _rows(values, len(pi))
     complexity = verify_complexity(rows, pi, gamma_grid)
     floor = rows.min(axis=1)
     bound = oracle_bound(floor, budget, q, complexity.d)  # checks T and q even if uncertified
@@ -399,7 +377,4 @@ def certified_oracle(values: np.ndarray, pi: DiscreteDistribution, gamma_grid: n
         with np.errstate(over="ignore"):  # at a gamma off the grid, whose row is out already
             certified &= (_sublevel_masses(rows, pi.weights, gamma[:, None])[0][:, 0]
                           >= gamma ** complexity.d)
-    oracle = np.where(certified, bound, np.nan)
-    if single:
-        return complexity.row(0), float(oracle[0]) if certified[0] else None
-    return complexity, oracle
+    return complexity, np.where(certified, bound, np.nan)

@@ -201,29 +201,16 @@ def _ar1_path(a: float, y0: float | np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _stack(rows: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dataset draws (x, y) written into (rows, n, k) and (rows, n) block
-    arrays; a single dataset is viewed, not copied."""
-    if len(rows) == 1:
-        x, y = rows[0]
-        return x[None], y[None]
-    x = np.empty((len(rows), *rows[0][0].shape))
-    y = np.empty((len(rows), *rows[0][1].shape))
-    for i, (xi, yi) in enumerate(rows):
-        x[i], y[i] = xi, yi
-    return x, y
-
-
 def _draw(spec: GeneratorSpec, n: int,
           rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """One dataset per generator, as x of shape (rows, n, k) and y of shape (rows, n)."""
     if isinstance(spec, IidLinearRegression):
         theta = np.asarray(spec.theta_star)
-        rows = []
-        for rng in rngs:
-            x = _draw_x(spec.x_law, n, spec.dim, rng)
-            rows.append((x, x @ theta + _draw_noise(spec.noise, n, rng)))
-        return _stack(rows)
+        x, y = np.empty((len(rngs), n, spec.dim)), np.empty((len(rngs), n))
+        for i, rng in enumerate(rngs):
+            x[i] = _draw_x(spec.x_law, n, spec.dim, rng)
+            y[i] = x[i] @ theta + _draw_noise(spec.noise, n, rng)
+        return x, y
     if isinstance(spec, AR1):
         if n < 2:
             raise ValueError("AR(1) needs n >= 2")
@@ -249,13 +236,13 @@ def _draw(spec: GeneratorSpec, n: int,
         return x, y
     if isinstance(spec, BoundedClassification):
         theta = np.asarray(spec.theta_star)
-        rows = []
-        for rng in rngs:
-            x = _draw_x(spec.x_law, n, spec.dim, rng)
-            labels = np.where(x @ theta >= 0.0, 1.0, -1.0)
+        x, y = np.empty((len(rngs), n, spec.dim)), np.empty((len(rngs), n))
+        for i, rng in enumerate(rngs):
+            x[i] = _draw_x(spec.x_law, n, spec.dim, rng)
+            labels = np.where(x[i] @ theta >= 0.0, 1.0, -1.0)
             flips = rng.random(n) < spec.flip_prob
-            rows.append((x, labels * np.where(flips, -1.0, 1.0)))
-        return _stack(rows)
+            y[i] = labels * np.where(flips, -1.0, 1.0)
+        return x, y
     raise TypeError(f"unknown generator spec: {type(spec).__name__}")
 
 

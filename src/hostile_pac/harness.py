@@ -396,7 +396,7 @@ def run_bound(config: ExperimentConfig) -> RunResult:
     setup = _setup(config)
     pi, cfg = setup.pi, setup.cfg
     fit = _certify(config, setup, range(1))
-    rn, complexity = fit.rn[0], fit.complexity.row(0)
+    complexity = fit.complexity.row(0)
     if config.require_complexity and not complexity.satisfied:
         raise AssumptionError(
             "prior-mass exponent failed to certify on the configured gamma grid"
@@ -405,7 +405,8 @@ def run_bound(config: ExperimentConfig) -> RunResult:
     gamma_star = None
     if complexity.satisfied:
         gamma_star = optimal_gamma(complexity.d, cfg.p, cfg.budget)
-        reports["pi_gamma"] = _evaluate_bound(catoni_pi_gamma(rn, pi, gamma_star), pi, rn, cfg)
+        pi_gamma = catoni_pi_gamma(fit.rn, pi, gamma_star)
+        reports["pi_gamma"] = _evaluate_bound(pi_gamma, pi, fit.rn, cfg).row(0)
 
     records = [{"type": "bound", "rho": name, **dataclasses.asdict(report), **setup.constants}
                for name, report in reports.items()]
@@ -425,15 +426,15 @@ def run_bound(config: ExperimentConfig) -> RunResult:
 def run_aggregate(config: ExperimentConfig) -> RunResult:
     """Optimal aggregation weights for one dataset, one record per atom."""
     setup = _setup(config)
-    rn, rbar, rho = (rows[0] for rows in _fit(config, setup, range(1)))
+    rn, rbar, rho = _fit(config, setup, range(1))
     records = [{"type": "atom", "index": j, "coords": coords, "prior_weight": prior_weight,
                 "rho_hat_weight": weight, "rn": risk}
                for j, (coords, prior_weight, weight, risk) in enumerate(zip(
-                   setup.atoms.coords.tolist(), setup.pi.weights.tolist(), rho.tolist(),
-                   rn.tolist()))]
+                   setup.atoms.coords.tolist(), setup.pi.weights.tolist(), rho[0].tolist(),
+                   rn[0].tolist()))]
     summary = {"type": "summary", "command": "aggregate",
-               "rbar": float(rbar), "erm_index": erm_index(rn),
-               "rn_integral_rho_hat": float(rho @ rn),
+               "rbar": float(rbar[0]), "erm_index": int(erm_index(rn)[0]),
+               "rn_integral_rho_hat": float(rho[0] @ rn[0]),
                "timestamp": _timestamp()}
     summary.update(setup.constants)
     return RunResult(records, summary)
@@ -557,9 +558,11 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
     # Population-side quantities are deterministic for the configuration; the
     # population level spends the budget 2**q * M / delta.
     pop_budget = cfg.moment.value * 2.0 ** cfg.q / cfg.delta
-    rbar_pop = solve_rbar(true_values, pi, cfg.q, pop_budget)
-    pop_complexity, oracle_pop = certified_oracle(true_values, pi, np.asarray(config.gamma_grid),
-                                                  rbar_pop, pop_budget, cfg.q)
+    rbar_pop = solve_rbar(true_values[None], pi, cfg.q, pop_budget)
+    pop_complexity, oracle_pop = certified_oracle(true_values[None], pi,
+                                                  np.asarray(config.gamma_grid), rbar_pop,
+                                                  pop_budget, cfg.q)
+    pop_complexity, oracle_pop = pop_complexity.row(0), float(oracle_pop[0])
 
     slack = columns["slack_rho_hat"]
     finite_slack = slack[np.isfinite(slack)]
@@ -579,8 +582,8 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
         "certified_fraction": float(np.mean(certified)),
         "population_complexity_d": pop_complexity.d,
         "population_complexity_satisfied": pop_complexity.satisfied,
-        "rbar_population": rbar_pop,
-        "oracle_population_bound": oracle_pop,
+        "rbar_population": float(rbar_pop[0]),
+        "oracle_population_bound": None if math.isnan(oracle_pop) else oracle_pop,
         "realized_moment": moment,
         "critical_moment": critical,
         "constant_slack": _ratio(cfg.moment.value, critical),

@@ -50,7 +50,8 @@ class MomentBound:
 
 def _check_independent_rows(config: ExperimentConfig, kind: str) -> None:
     if isinstance(config.generator, datagen.AR1):
-        raise ValueError(f"the {kind} regime requires independent rows, not AR(1)")
+        raise ValueError(f"generator.kind: the {kind} regime requires independent rows, "
+                         "not ar1")
 
 
 def _check_noise_moment(config: ExperimentConfig, order: int, key: str) -> None:
@@ -80,8 +81,8 @@ class VarianceRegime:
         if self.s2 in ("kappa", "exact") and not (
                 isinstance(config.generator, datagen.IidLinearRegression)
                 and isinstance(config.loss, SquaredLoss)):
-            raise ValueError("analytic s2 modes apply to i.i.d. squared-loss regression; "
-                             "supply a numeric s2 otherwise")
+            raise ValueError(f"regime.s2: {self.s2} applies to i.i.d. squared-loss regression "
+                             "only; supply a numeric s2 otherwise")
         if self.s2 in ("kappa", "exact"):
             _check_noise_moment(config, 4, f"regime.s2: {self.s2}")
 
@@ -141,7 +142,7 @@ class _MixingRegime:
 
     def _check_envelope(self, config: ExperimentConfig) -> None:
         if not isinstance(config.generator, datagen.AR1):
-            raise ValueError("mixing regimes require the AR(1) generator")
+            raise ValueError("generator.kind: mixing regimes require the ar1 generator")
         if abs(config.p - 2.0) > 1e-12:
             raise ValueError("experiment.p must be 2: mixing regimes certify q = 2")
         if config.generator.mixing is None:
@@ -171,7 +172,8 @@ class MixingBoundedRegime(_MixingRegime):
     def check(self, config: ExperimentConfig) -> None:
         self._check_envelope(config)
         if not isinstance(config.loss, ZeroOneLoss):
-            raise ValueError("mixing_bounded requires losses in [0, 1]: use the zero-one loss")
+            raise ValueError("experiment.loss: mixing_bounded requires losses in [0, 1]: "
+                             "use zero_one")
 
     def resolve(self, config: ExperimentConfig, atoms: AtomSet,
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:

@@ -1,10 +1,11 @@
 """Parameter atoms and discrete probability distributions over them.
 
 Every parameter-space integral in this package is an exact finite sum over
-an ordered atom set; priors and aggregation distributions are plain weight
-vectors aligned with the atoms by position. Atom order is fixed at
-construction time and stable across the whole pipeline, so indices (e.g. the
-empirical-risk minimizer) are reproducible.
+an ordered atom set. The prior is a :class:`DiscreteDistribution`; per-atom
+values and aggregation weights come as rows of shape (rows, K), one row per
+dataset, aligned with the atoms by position (see :func:`_rows`). Atom order
+is fixed at construction time and stable across the whole pipeline, so
+indices (e.g. the empirical-risk minimizer) are reproducible.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class AtomSet:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Probability weights aligned with an :class:`AtomSet`.
+    """Prior probability weights aligned with an :class:`AtomSet`.
 
     Weights must be nonnegative and sum to one; sums within ``WEIGHT_SUM_TOL``
     of one are silently renormalized, anything further off is rejected.
@@ -72,12 +73,6 @@ class DiscreteDistribution:
     @classmethod
     def uniform(cls, size: int) -> "DiscreteDistribution":
         return cls(np.full(size, 1.0 / size))
-
-    @classmethod
-    def dirac(cls, size: int, index: int) -> "DiscreteDistribution":
-        w = np.zeros(size)
-        w[index] = 1.0
-        return cls(w)
 
 
 @dataclass(frozen=True)
@@ -186,10 +181,17 @@ def _sampled_atoms(spec: IidSamplePrior, seed: int) -> AtomSet:
     return AtomSet(rng.uniform(-spec.scale, spec.scale, (spec.count, spec.dim)))
 
 
-def expectation(dist: DiscreteDistribution, values: np.ndarray) -> float | np.ndarray:
-    """Weighted average of per-atom values, sum_j w_j * v_j; one per row of 2-D ``values``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != dist.weights.shape:
-        raise ValueError(f"length mismatch: {values.shape} values vs {dist.weights.shape} weights")
-    total = values @ dist.weights
-    return float(total) if total.ndim == 0 else total
+def _rows(values, size: int | None = None) -> np.ndarray:
+    """``values`` as float rows of shape (rows, K), one per dataset, with K =
+    ``size`` atoms when given; the one shape check of the certificate chain."""
+    rows = np.asarray(values, dtype=float)
+    if rows.ndim != 2 or size not in (None, rows.shape[1]):
+        atoms = "K" if size is None else f"K = {size}"
+        raise ValueError(f"expected rows of shape (rows, {atoms}), one per dataset; "
+                         f"got shape {rows.shape}")
+    return rows
+
+
+def expectation(dist: DiscreteDistribution, values: np.ndarray) -> np.ndarray:
+    """Weighted average of per-atom values, sum_j w_j * v_j, one per row of ``values``."""
+    return _rows(values, len(dist)) @ dist.weights

@@ -42,16 +42,18 @@ def optimized_erm_margin(sigma2: float, n: int, num_atoms: int, delta: float) ->
 
 
 def minimized_objective_identity(rn: np.ndarray, pi: DiscreteDistribution,
-                                 cfg: BoundConfig) -> tuple[float, DiscreteDistribution, float]:
-    """Solve for the level, build the optimal weights, and evaluate them.
+                                 cfg: BoundConfig) -> tuple[float, np.ndarray, float]:
+    """Solve for the level, build the optimal weights, and evaluate them, for
+    one risk vector ``rn``.
 
-    Returns ``(rbar, rho, objective)`` where the objective is the upper
-    certificate at rho; it coincides with rbar up to solver precision.
+    Returns ``(rbar, rho, objective)`` where rho is the weight vector and the
+    objective is the upper certificate at rho; it coincides with rbar up to
+    solver precision.
     """
-    rbar = solve_rbar(rn, pi, cfg.q, cfg.budget)
-    rho = rho_hat(rn, pi, cfg.p, rbar)
-    objective = evaluate_bound(rho, pi, rn, cfg).upper
-    return rbar, rho, objective
+    rbar = solve_rbar(rn[None], pi, cfg.q, cfg.budget)
+    rho = rho_hat(rn[None], pi, cfg.p, rbar)
+    objective = evaluate_bound(rho, pi, rn[None], cfg).upper
+    return float(rbar[0]), rho[0], float(objective[0])
 
 
 def stationary_pairs(spec: AR1, n: int, rng: np.random.Generator) -> Dataset:

@@ -60,7 +60,7 @@ def test_criterion_02_hoelder_core():
         pi = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         rho = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         deltas = rng.uniform(0.0, 1.0, size)
-        lhs = expectation(rho, deltas)
+        lhs = expectation(rho, deltas[None])[0]
         rhs = float(pi.weights @ deltas**q) ** (1.0 / q) * (
             f_divergence(rho, pi, PhiP(p)) + 1.0) ** (1.0 / p)
         min_slack = min(min_slack, rhs - lhs)
@@ -80,13 +80,13 @@ def test_criterion_03_level_solver():
         rn = rng.uniform(0.0, 1.0, size)
         q = float(rng.uniform(1.1, 3.0))
         budget = 10.0 ** rng.uniform(-6, 1)
-        root = solve_rbar(rn, pi, q, budget)
+        root = solve_rbar(rn[None], pi, q, budget)[0]
         spend = float(pi.weights @ np.maximum(root - rn, 0.0) ** q)
         worst_residual = max(worst_residual, abs(spend - budget) / budget)
     two_atom = DiscreteDistribution.uniform(2)
     errs = [
-        abs(solve_rbar(np.array([0.0, 1.0]), two_atom, 2.0, 0.125) - 0.5),
-        abs(solve_rbar(np.array([0.0, 1.0]), two_atom, 2.0, 0.625)
+        abs(solve_rbar(np.array([[0.0, 1.0]]), two_atom, 2.0, 0.125)[0] - 0.5),
+        abs(solve_rbar(np.array([[0.0, 1.0]]), two_atom, 2.0, 0.625)[0]
             - (1.0 + math.sqrt(1.5)) / 2.0),
     ]
     elapsed = time.perf_counter() - start
@@ -108,9 +108,9 @@ def test_criterion_04_minimizer_identity():
         pi = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         rn = rng.uniform(0.0, 1.0, size)
         budget = 10.0 ** rng.uniform(-4, -1)
-        rbar = solve_rbar(rn, pi, q, budget)
-        rho = rho_hat(rn, pi, p, rbar)
-        objective = expectation(rho, rn) + budget ** (1.0 / q) * (
+        rbar = solve_rbar(rn[None], pi, q, budget)[0]
+        rho = DiscreteDistribution(rho_hat(rn[None], pi, p, rbar)[0])
+        objective = expectation(rho, rn[None])[0] + budget ** (1.0 / q) * (
             f_divergence(rho, pi, PhiP(p)) + 1.0) ** (1.0 / p)
         worst_identity = max(worst_identity, abs(objective - rbar) / rbar)
         probes = rng.dirichlet(np.ones(size), size=1_000)
@@ -135,11 +135,11 @@ def test_criterion_05_scaling_equivariance():
         pi = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         rn = rng.uniform(0.0, 1.0, size)
         budget = 10.0 ** rng.uniform(-4, -1)
-        base_level = solve_rbar(rn, pi, q, budget)
-        base_weights = rho_hat(rn, pi, p, base_level).weights
+        base_level = solve_rbar(rn[None], pi, q, budget)[0]
+        base_weights = rho_hat(rn[None], pi, p, base_level)[0]
         for c in (0.1, 10.0):
-            level = solve_rbar(c * rn, pi, q, budget * c**q)
-            weights = rho_hat(c * rn, pi, p, level).weights
+            level = solve_rbar(c * rn[None], pi, q, budget * c**q)[0]
+            weights = rho_hat(c * rn[None], pi, p, level)[0]
             worst_level = max(worst_level, abs(level - c * base_level) / max(1.0, c))
             worst_weight = max(worst_weight, float(np.max(np.abs(weights - base_weights))))
     ok = worst_level <= 1e-10 and worst_weight <= 1e-10
@@ -298,7 +298,7 @@ def test_criterion_11_finite_class_subgaussian_path():
     bound = moment_subgaussian(sigma2, n, opt.q)
     cfg = BoundConfig(p=opt.q / (opt.q - 1.0), delta=delta, moment=bound)
     margin = pac_margin(cfg, divergence_plus_one_uniform(
-        DiscreteDistribution.dirac(size, 0), size, cfg.p))
+        DiscreteDistribution(np.eye(size)[0]), size, cfg.p))
     oracle = optimized_erm_margin(sigma2, n, size, delta)
     formula_err = abs(margin - oracle)
 

@@ -43,7 +43,7 @@ def test_pac_margin_examples():
 def test_evaluate_bound_prior_case():
     pi = DiscreteDistribution.uniform(4)
     rn = np.full(4, 0.5)
-    report = evaluate_bound(pi, pi, rn, _cfg(value=0.04))
+    report = evaluate_bound(pi.weights[None], pi, rn[None], _cfg(value=0.04)).row(0)
     assert report.rn_integral == pytest.approx(0.5)
     assert report.margin == pytest.approx(math.sqrt(0.4), rel=1e-12)
     assert report.upper == pytest.approx(0.5 + math.sqrt(0.4), rel=1e-12)
@@ -52,8 +52,8 @@ def test_evaluate_bound_prior_case():
 
 def test_evaluate_bound_null_atom_dirac():
     pi = DiscreteDistribution(np.array([0.0, 1.0]))
-    dirac = DiscreteDistribution.dirac(2, 0)
-    report = evaluate_bound(dirac, pi, np.array([0.1, 0.9]), _cfg())
+    dirac = np.eye(2)[[0]]
+    report = evaluate_bound(dirac, pi, np.array([[0.1, 0.9]]), _cfg()).row(0)
     assert math.isinf(report.margin) and math.isinf(report.upper)
     assert report.lower == -math.inf
 
@@ -65,40 +65,63 @@ def test_evaluate_bound_erm_matches_finite_class_margin():
     pi = DiscreteDistribution.uniform(size)
     rn = np.linspace(0.2, 0.9, size)
     cfg = _cfg(p=p, value=0.001, delta=0.1)  # budget 0.01
-    report = evaluate_bound(DiscreteDistribution.dirac(size, 0), pi, rn, cfg)
+    report = evaluate_bound(np.eye(size)[[0]], pi, rn[None], cfg).row(0)
     direct = size ** (1.0 - 1.0 / p) * (0.001 / 0.1) ** 0.5
     assert report.margin == pytest.approx(direct, rel=1e-12)
     assert report.margin == pytest.approx(0.1 * math.sqrt(10.0), rel=1e-12)
 
 
+_PI3 = DiscreteDistribution.uniform(3)
+_ONE_ROW = {
+    "solve_rbar": lambda v: solve_rbar(v, _PI3, 2.0, 0.1),
+    "rho_hat": lambda v: rho_hat(v, _PI3, 2.0, 0.8),
+    "evaluate_bound-rn": lambda v: evaluate_bound(_PI3.weights[None], _PI3, v, _cfg()),
+    "evaluate_bound-rho": lambda v: evaluate_bound(_PI3.weights, _PI3, v[None], _cfg()),
+    "verify_complexity": lambda v: verify_complexity(v, _PI3, np.array([0.5])),
+    "certified_oracle": lambda v: certified_oracle(v, _PI3, np.array([0.5]), 0.8, 0.1, 2.0),
+    "erm_index": erm_index,
+    "catoni_pi_gamma": lambda v: catoni_pi_gamma(v, _PI3, 0.2),
+    "deviation_moments": lambda v: deviation_moments(v, _PI3.weights, 2.0),
+    "power_divergence_plus_one": lambda v: power_divergence_plus_one(v, _PI3.weights, 2.0),
+    "expectation": lambda v: expectation(_PI3, v),
+}
+
+
+@pytest.mark.parametrize("call", _ONE_ROW.values(), ids=_ONE_ROW.keys())
+def test_routines_take_rows_only(call):
+    # One dataset is one row: a bare vector is a shape error, not a second signature.
+    with pytest.raises(ValueError, match=r"shape \(rows, K"):
+        call(np.array([0.0, 0.5, 1.0]))
+
+
 def test_solve_rbar_closed_forms():
     pi = DiscreteDistribution.uniform(2)
-    rn = np.array([0.0, 1.0])
-    assert solve_rbar(rn, pi, 2.0, 0.125) == pytest.approx(0.5, abs=1e-10)
-    assert solve_rbar(rn, pi, 2.0, 0.625) == pytest.approx(
+    rn = np.array([[0.0, 1.0]])
+    assert solve_rbar(rn, pi, 2.0, 0.125)[0] == pytest.approx(0.5, abs=1e-10)
+    assert solve_rbar(rn, pi, 2.0, 0.625)[0] == pytest.approx(
         (1.0 + math.sqrt(1.5)) / 2.0, abs=1e-10)
     single = DiscreteDistribution(np.array([1.0]))
-    assert solve_rbar(np.array([0.7]), single, 3.0, 0.002) == pytest.approx(
+    assert solve_rbar(np.array([[0.7]]), single, 3.0, 0.002)[0] == pytest.approx(
         0.7 + 0.002 ** (1.0 / 3.0), abs=1e-10)
     # A 1e-300 weight on the minimizer: the other atom alone spends the budget.
     tiny_floor = DiscreteDistribution(np.array([1e-300, 1.0 - 1e-300]))
-    assert solve_rbar(rn, tiny_floor, 2.0, 0.01) == pytest.approx(1.1, rel=1e-12)
+    assert solve_rbar(rn, tiny_floor, 2.0, 0.01)[0] == pytest.approx(1.1, rel=1e-12)
 
 
 def test_solve_rbar_errors():
     pi = DiscreteDistribution.uniform(2)
     with pytest.raises(ValueError):
-        solve_rbar(np.array([0.0, 1.0]), pi, 2.0, 0.0)
+        solve_rbar(np.array([[0.0, 1.0]]), pi, 2.0, 0.0)
     with pytest.raises(ValueError):
-        solve_rbar(np.array([np.inf, np.inf]), pi, 2.0, 1.0)
+        solve_rbar(np.array([[np.inf, np.inf]]), pi, 2.0, 1.0)
     masked = DiscreteDistribution(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        solve_rbar(np.array([np.inf, 0.0]), masked, 2.0, 1.0)
+        solve_rbar(np.array([[np.inf, 0.0]]), masked, 2.0, 1.0)
     # A NaN or -inf risk on a supported atom has no level; off the support it is ignored.
     for bad in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="NaN or -inf"):
-            solve_rbar(np.array([0.0, bad]), pi, 2.0, 0.2)
-        assert solve_rbar(np.array([0.5, bad]), masked, 2.0, 0.2) == pytest.approx(
+            solve_rbar(np.array([[0.0, bad]]), pi, 2.0, 0.2)
+        assert solve_rbar(np.array([[0.5, bad]]), masked, 2.0, 0.2)[0] == pytest.approx(
             0.5 + math.sqrt(0.2), rel=1e-14)
 
 
@@ -106,7 +129,7 @@ def test_solve_rbar_errors():
 def test_budget_must_be_positive(budget):
     # NaN passes a `budget <= 0` test and inf passes `budget > 0`, so each function
     # must test `not 0 < budget < inf`.
-    pi, rn = DiscreteDistribution.uniform(2), np.array([0.0, 1.0])
+    pi, rn = DiscreteDistribution.uniform(2), np.array([[0.0, 1.0]])
     with pytest.raises(ValueError):
         solve_rbar(rn, pi, 2.0, budget)
     with pytest.raises(ValueError):
@@ -125,7 +148,7 @@ def test_solve_rbar_random_residuals():
         rn = rng.uniform(0.0, 1.0, size)
         q = float(rng.uniform(1.1, 3.0))
         budget = 10.0 ** rng.uniform(-6, 1)
-        root = solve_rbar(rn, pi, q, budget)
+        root = solve_rbar(rn[None], pi, q, budget)[0]
         spend = float(pi.weights @ np.maximum(root - rn, 0.0) ** q)
         assert abs(spend - budget) <= 1e-10 * budget
 
@@ -160,7 +183,7 @@ def test_solve_rbar_certifies_the_last_bit(rn):
     # The level sits ~7e-6 above the lowest risk, closer than a double there can
     # bring the spend to within 1e-10 T; it is the root to the last bit instead.
     rn, weights, q, target = np.array(rn), np.full(2, 0.5), 1.42, 2.5e-8
-    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, target)
+    rbar = solve_rbar(rn[None], DiscreteDistribution(weights), q, target)[0]
     spend = _spend(rn, weights, q, rbar)
     assert spend >= target > _spend(rn, weights, q, np.nextafter(rbar, -np.inf))
     assert abs(spend - target) > 1e-10 * target
@@ -171,7 +194,7 @@ def test_solve_rbar_steps_onto_the_last_bit_root():
     # short of T; the solve steps up to the double that spends it.
     rn, weights = np.array([7528.546752461672]), np.ones(1)
     q, budget = 2.504694217327672, 5.3322714857060166e-11 / 0.1
-    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, budget)
+    rbar = solve_rbar(rn[None], DiscreteDistribution(weights), q, budget)[0]
     assert rbar == 7528.546950941618
     assert _spend(rn, weights, q, rbar) >= budget > _spend(rn, weights, q, np.nextafter(rbar, -np.inf))
 
@@ -200,17 +223,17 @@ def _level_problems(draw):
 @given(problem=_level_problems(), q=st.floats(1.01, 40.0))
 def test_solve_rbar_properties(problem, q):
     rn, weights, target = problem
-    rbar = solve_rbar(rn, DiscreteDistribution(weights), q, target)
+    rbar = solve_rbar(rn[None], DiscreteDistribution(weights), q, target)[0]
     assert abs(_spend(rn, weights, q, rbar) - target) <= 1e-10 * target
     floor = rn[weights > 0].min()
     assert _spend(rn, weights, q, rbar - 1e-6 * (rbar - floor)) < target
-    at_two = solve_rbar(rn, DiscreteDistribution(weights), 2.0, target)
+    at_two = solve_rbar(rn[None], DiscreteDistribution(weights), 2.0, target)[0]
     assert at_two == pytest.approx(_rbar_reference_q2(rn, weights, target), rel=1e-12)
 
 
 def _hoelder_ratio(rho, gap, weights, p):
     """|E_rho gap| / (D(rho, pi) + 1)**(1/p); 0 when rho leaves pi's support."""
-    return abs(rho @ gap) / power_divergence_plus_one(rho, weights, p) ** (1.0 / p)
+    return abs(rho @ gap) / power_divergence_plus_one(rho[None], weights, p)[0] ** (1.0 / p)
 
 
 @st.composite
@@ -234,7 +257,7 @@ def _gap_problems(draw):
 def test_deviation_moments_decide_the_sup_over_every_rho(problem):
     gap, weights, q, seed = problem
     p = q / (q - 1.0)
-    upper_side, lower_side = deviation_moments(gap, weights, q)
+    upper_side, lower_side = (side[0] for side in deviation_moments(gap[None], weights, q))
     assert upper_side + lower_side == pytest.approx(weights @ np.abs(gap) ** q, rel=1e-12)
     sup = max(upper_side, lower_side) ** (1.0 / q)
     # Each side is attained at rho proportional to pi * gap_(+/-)**(q - 1).
@@ -270,12 +293,12 @@ def test_spend_function_monotone():
 def test_rho_hat_examples():
     pi = DiscreteDistribution.uniform(2)
     rn = np.array([0.0, 1.0])
-    assert np.allclose(rho_hat(rn, pi, 2.0, 0.5).weights, [1.0, 0.0])
+    assert np.allclose(rho_hat(rn[None], pi, 2.0, 0.5)[0], [1.0, 0.0])
     rbar = 1.1123724356957945  # root of u^2 - u - 0.125
-    weights = rho_hat(rn, pi, 2.0, rbar).weights
+    weights = rho_hat(rn[None], pi, 2.0, rbar)[0]
     assert np.allclose(weights, [0.9082482904638630, 0.0917517095361370], atol=1e-12)
-    constant = rho_hat(np.full(5, 0.3), DiscreteDistribution.uniform(5), 2.0, 0.8)
-    assert np.allclose(constant.weights, 0.2)
+    constant = rho_hat(np.full((1, 5), 0.3), DiscreteDistribution.uniform(5), 2.0, 0.8)
+    assert np.allclose(constant[0], 0.2)
 
 
 def test_rho_hat_support_strictly_below_level():
@@ -284,9 +307,9 @@ def test_rho_hat_support_strictly_below_level():
         size = int(rng.integers(2, 30))
         pi = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         rn = rng.uniform(0, 1, size)
-        rbar = solve_rbar(rn, pi, 2.0, 10.0 ** rng.uniform(-5, -1) / 0.1)
-        rho = rho_hat(rn, pi, 2.0, rbar)
-        assert np.all(rn[rho.weights > 0] < rbar)
+        rbar = solve_rbar(rn[None], pi, 2.0, 10.0 ** rng.uniform(-5, -1) / 0.1)[0]
+        rho = rho_hat(rn[None], pi, 2.0, rbar)[0]
+        assert np.all(rn[rho > 0] < rbar)
 
 
 def test_minimized_objective_identity_examples():
@@ -295,15 +318,15 @@ def test_minimized_objective_identity_examples():
     cfg = _cfg(p=2.0, delta=0.1, value=0.0125)
     rbar, rho, objective = minimized_objective_identity(rn, pi, cfg)
     assert rbar == pytest.approx(0.5, abs=1e-10)
-    assert np.allclose(rho.weights, [1.0, 0.0])
+    assert np.allclose(rho, [1.0, 0.0])
     assert objective == pytest.approx(rbar, rel=1e-8)
-    prior_objective = expectation(pi, rn) + pac_margin(cfg, 1.0)
+    prior_objective = expectation(pi, rn[None])[0] + pac_margin(cfg, 1.0)
     assert prior_objective == pytest.approx(0.5 + math.sqrt(0.125), rel=1e-12)
     assert prior_objective >= objective
     # Constant risks: the optimizer is the prior itself.
     rn_const = np.full(2, 0.3)
     rbar_c, rho_c, objective_c = minimized_objective_identity(rn_const, pi, cfg)
-    assert np.allclose(rho_c.weights, pi.weights)
+    assert np.allclose(rho_c, pi.weights)
     assert objective_c == pytest.approx(0.3 + 0.125 ** 0.5, rel=1e-10)
 
 
@@ -321,7 +344,7 @@ def test_minimizer_beats_random_probes():
         probes = rng.dirichlet(np.ones(size), size=100)
         for row in probes:
             probe = DiscreteDistribution(row)
-            probe_objective = expectation(probe, rn) + pac_margin(
+            probe_objective = expectation(probe, rn[None])[0] + pac_margin(
                 cfg, f_divergence(probe, pi, PhiP(p)) + 1.0)
             assert probe_objective >= objective - 1e-9
 
@@ -332,21 +355,21 @@ def test_scaling_equivariance():
     rn = rng.uniform(0, 1, 12)
     q, p = 2.0, 2.0
     budget = 0.01
-    base_rbar = solve_rbar(rn, pi, q, budget)
-    base_weights = rho_hat(rn, pi, p, base_rbar).weights
+    base_rbar = solve_rbar(rn[None], pi, q, budget)[0]
+    base_weights = rho_hat(rn[None], pi, p, base_rbar)[0]
     for c in (0.1, 10.0):
-        scaled_rbar = solve_rbar(c * rn, pi, q, budget * c**q)
+        scaled_rbar = solve_rbar(c * rn[None], pi, q, budget * c**q)[0]
         assert scaled_rbar == pytest.approx(c * base_rbar, abs=1e-10 * max(1.0, c))
-        scaled_weights = rho_hat(c * rn, pi, p, scaled_rbar).weights
+        scaled_weights = rho_hat(c * rn[None], pi, p, scaled_rbar)[0]
         assert np.max(np.abs(scaled_weights - base_weights)) <= 1e-10
 
 
 def test_catoni_examples():
     pi = DiscreteDistribution.uniform(3)
-    rn = np.array([0.0, 0.1, 1.0])
-    assert np.allclose(catoni_pi_gamma(rn, pi, 0.2).weights, [0.5, 0.5, 0.0])
-    assert np.allclose(catoni_pi_gamma(rn, pi, 0.0).weights, [1.0, 0.0, 0.0])
-    assert np.allclose(catoni_pi_gamma(rn, pi, 1.5).weights, pi.weights)
+    rn = np.array([[0.0, 0.1, 1.0]])
+    assert np.allclose(catoni_pi_gamma(rn, pi, 0.2)[0], [0.5, 0.5, 0.0])
+    assert np.allclose(catoni_pi_gamma(rn, pi, 0.0)[0], [1.0, 0.0, 0.0])
+    assert np.allclose(catoni_pi_gamma(rn, pi, 1.5)[0], pi.weights)
     with pytest.raises(ValueError):
         catoni_pi_gamma(rn, pi, -0.1)
 
@@ -359,12 +382,12 @@ def test_optimal_gamma_examples():
 
 
 def test_erm_index_examples():
-    assert erm_index(np.array([0.3, 0.1, 0.1])) == 1
-    assert erm_index(np.array([5.0])) == 0
+    assert erm_index(np.array([[0.3, 0.1, 0.1]]))[0] == 1
+    assert erm_index(np.array([[5.0]]))[0] == 0
     decreasing = np.linspace(1.0, 0.0, 13)
-    assert erm_index(decreasing) == 12
+    assert erm_index(decreasing[None])[0] == 12
     with pytest.raises(ValueError):
-        erm_index(np.array([]))
+        erm_index(np.empty((1, 0)))
 
 
 def _brute_force_min_d(values, pi, grid, resolution=1e-4):
@@ -381,7 +404,7 @@ def test_verify_complexity_counting_oracle():
     pi = DiscreteDistribution.uniform(100)
     values = np.arange(100) / 100.0
     grid = np.arange(1, 10) / 10.0
-    est = verify_complexity(values, pi, grid)
+    est = verify_complexity(values[None], pi, grid).row(0)
     assert est.satisfied
     brute = _brute_force_min_d(values, pi, grid)
     assert abs(est.d - brute) <= 2e-3
@@ -393,19 +416,20 @@ def test_verify_complexity_counting_oracle():
 
 
 def test_verify_complexity_degenerate_and_two_atom():
-    flat = verify_complexity(np.zeros(5), DiscreteDistribution.uniform(5), np.array([0.3]))
+    flat = verify_complexity(np.zeros((1, 5)), DiscreteDistribution.uniform(5),
+                             np.array([0.3])).row(0)
     assert flat.satisfied and flat.d == 64.0
-    two = verify_complexity(np.array([0.0, 1.0]), DiscreteDistribution.uniform(2),
-                            np.array([0.5]))
+    two = verify_complexity(np.array([[0.0, 1.0]]), DiscreteDistribution.uniform(2),
+                            np.array([0.5])).row(0)
     assert two.satisfied
     assert two.d == pytest.approx(1.0, abs=2e-3)
 
 
 def test_verify_complexity_unsatisfiable():
     pi = DiscreteDistribution(np.array([0.001, 0.999]))
-    values = np.array([0.0, 5.0])
+    values = np.array([[0.0, 5.0]])
     # mass(0.9) = 0.001 < 0.9**64, so no exponent below the cap certifies.
-    est = verify_complexity(values, pi, np.array([0.9]))
+    est = verify_complexity(values, pi, np.array([0.9])).row(0)
     assert not est.satisfied
     with pytest.raises(ValueError):
         verify_complexity(values, pi, np.array([]))
@@ -428,33 +452,40 @@ def test_oracle_bound_examples():
         0.3 + 4.0 * math.sqrt(0.1), rel=1e-12)
 
 
+def _certified_oracle_one(values, pi, grid, level, budget, q):
+    """``certified_oracle`` of one row of values: its estimate and its oracle."""
+    complexity, oracle = certified_oracle(values[None], pi, grid, level, budget, q)
+    return complexity.row(0), float(oracle[0])
+
+
 def test_certified_oracle_needs_the_proof_point_inside_the_interval():
     pi = DiscreteDistribution(np.array([0.5, 0.5]))
     values = np.array([0.0, 1.0])
     grid = np.array([0.1, 0.5])  # sublevel mass 1/2 at both points: d = 1
     for level, certified in ((0.2, True), (1.0, True), (0.1, False), (1.2, False)):
-        complexity, oracle = certified_oracle(values, pi, grid, level, 1e-2, 2.0)
+        complexity, oracle = _certified_oracle_one(values, pi, grid, level, 1e-2, 2.0)
         assert complexity.satisfied and complexity.d == pytest.approx(1.0)
         if certified:
             assert oracle == pytest.approx(2.0 * 1e-2 ** (1.0 / 3.0), rel=1e-12)
         else:
-            assert oracle is None
+            assert math.isnan(oracle)
     # The grid is checked only at its points: here mass(0.3) = 0.3**8 sets
     # d = 8, but the proof point 0.45 lies between the points with mass
     # 0.3**8 < 0.45**8, and the interval-only rule would report 0.75 < 0.9.
     pi = DiscreteDistribution(np.array([0.3**8, 1.0 - 0.3**8]))
     values = np.array([0.0, 0.95])
     budget = 0.3**8 * 0.9**2
-    level = solve_rbar(values, pi, 2.0, budget)
+    level = solve_rbar(values[None], pi, 2.0, budget)[0]
     assert level == pytest.approx(0.9, rel=1e-12)
-    complexity, oracle = certified_oracle(values, pi, np.array([0.3, 0.96]), level, budget, 2.0)
+    complexity, oracle = _certified_oracle_one(values, pi, np.array([0.3, 0.96]), level, budget,
+                                               2.0)
     assert complexity.satisfied and complexity.d == pytest.approx(8.0, abs=2e-3)
-    assert oracle is None
+    assert math.isnan(oracle)
     assert oracle_bound(0.0, budget, 2.0, complexity.d) < level
     # An exponent that does not certify never yields an oracle.
     lopsided = DiscreteDistribution(np.array([0.001, 0.999]))
-    complexity, oracle = certified_oracle(values, lopsided, np.array([0.9]), 1.0, 1e-2, 2.0)
-    assert not complexity.satisfied and oracle is None
+    complexity, oracle = _certified_oracle_one(values, lopsided, np.array([0.9]), 1.0, 1e-2, 2.0)
+    assert not complexity.satisfied and math.isnan(oracle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,7 +497,7 @@ def test_hoelder_core_inequality(seed, p):
     pi = DiscreteDistribution(rng.dirichlet(np.ones(size)))
     rho = DiscreteDistribution(rng.dirichlet(np.ones(size)))
     deltas = rng.uniform(0, 1, size)
-    lhs = expectation(rho, deltas)
+    lhs = expectation(rho, deltas[None])[0]
     rhs = float(pi.weights @ deltas**q) ** (1.0 / q) * (
         f_divergence(rho, pi, PhiP(p)) + 1.0) ** (1.0 / p)
     assert rhs - lhs >= -1e-12

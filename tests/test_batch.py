@@ -90,7 +90,7 @@ def test_empirical_risk_rows_match_one_dataset(seed, rows, n, k, num_atoms, dupl
         # The minimizer is the same wherever that precision resolves it.
         lowest = np.sort(reference)[:2]
         if lowest.size == 1 or lowest[1] - lowest[0] > 2e-12 * scale.max():
-            assert erm_index(row) == erm_index(reference)
+            assert erm_index(row[None])[0] == erm_index(reference[None])[0]
     for loss in (ZeroOneLoss(), ZeroOneLoss(0.3)):
         table_rows = empirical_risks(stacked, atoms, loss)
         assert table_rows.shape == (rows, num_atoms)
@@ -139,7 +139,7 @@ def test_level_rows_match_one_dataset(problem, q):
     levels = solve_rbar(block, pi, q, budget)
     assert levels.shape == (len(block),)
     np.testing.assert_allclose(levels, references, rtol=1e-12, atol=0)
-    assert [solve_rbar(row, pi, q, budget) for row in block] == pytest.approx(
+    assert [solve_rbar(row[None], pi, q, budget)[0] for row in block] == pytest.approx(
         references, rel=1e-12, abs=0)
 
 
@@ -167,8 +167,8 @@ def test_complexity_rows_match_one_dataset(problem):
     for i, row in enumerate(block):
         reference = verify_complexity_one(row, pi, grid)
         assert estimate.row(i) == reference
-        assert verify_complexity(row, pi, grid) == reference
-    assert erm_index(block).tolist() == [erm_index(row) for row in block]
+        assert verify_complexity(row[None], pi, grid).row(0) == reference
+    assert erm_index(block).tolist() == [erm_index(row[None])[0] for row in block]
 
 
 @pytest.mark.parametrize("weights", [
@@ -184,7 +184,6 @@ def test_full_sublevel_is_decided_by_its_atoms(weights):
     values, grid = np.array([0.0] * 7 + [0.05]), np.array([0.03125])
     # Every supported atom lies at 0, inside the sublevel: it is full.
     expected = ComplexityEstimate(64.0, True)
-    assert verify_complexity(values, pi, grid) == expected
     assert verify_complexity(values[None], pi, grid).row(0) == expected
     assert verify_complexity_one(values, pi, grid) == expected
 
@@ -201,6 +200,6 @@ def test_rounded_threshold_that_misses_by_an_ulp_takes_one_step(gamma, weights, 
     rounded = 1e-3 * math.ceil(math.log(weights[0]) / math.log(gamma) / 1e-3)
     assert weights[0] < gamma ** rounded and rounded + 1e-3 == d
     expected = ComplexityEstimate(d, True)
-    assert verify_complexity(values, pi, grid) == expected
+    assert verify_complexity(values[None], pi, grid).row(0) == expected
     assert verify_complexity(np.stack([values, values]), pi, grid).row(1) == expected
     assert verify_complexity_one(values, pi, grid) == expected

@@ -143,6 +143,11 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("bound_demo", "experiment.p=1e300", ["experiment.p"]),
     # rho_hat's D + 1 rounds below 1 at this p.
     ("bound_demo", "experiment.p=1e14", ["experiment.p"]),
+    # A regime paired with a generator or loss it does not cover.
+    ("coverage_ar1_t7", 'regime={"kind":"variance","s2":1.0}', ["generator.kind"]),
+    ("bound_demo", 'regime={"kind":"mixing_bounded"}', ["generator.kind"]),
+    ("bound_demo", "experiment.loss=zero_one", ["regime.s2"]),
+    ("coverage_ar1_t7", 'regime={"kind":"mixing_bounded"}', ["experiment.loss"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"

@@ -87,13 +87,13 @@ def test_distribution_invariants():
 
 def test_expectation_examples():
     dist = DiscreteDistribution(np.array([0.25, 0.75]))
-    assert expectation(dist, np.array([4.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
-    const = np.full(2, 3.7)
-    assert expectation(dist, const) == pytest.approx(3.7, abs=1e-12)
-    dirac = DiscreteDistribution.dirac(4, 2)
-    assert expectation(dirac, np.array([1.0, 2.0, 3.0, 4.0])) == 3.0
+    assert expectation(dist, np.array([[4.0, 0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
+    const = np.full((1, 2), 3.7)
+    assert expectation(dist, const)[0] == pytest.approx(3.7, abs=1e-12)
+    dirac = DiscreteDistribution(np.eye(4)[2])
+    assert expectation(dirac, np.array([[1.0, 2.0, 3.0, 4.0]]))[0] == 3.0
     with pytest.raises(ValueError):
-        expectation(dist, np.array([1.0, 2.0, 3.0]))
+        expectation(dist, np.array([[1.0, 2.0, 3.0]]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,8 +109,8 @@ def test_expectation_is_linear(weights, a, b, seed):
     rng = np.random.default_rng(seed)
     v = rng.uniform(-100, 100, len(weights))
     u = rng.uniform(-100, 100, len(weights))
-    lhs = expectation(dist, a * v + b * u)
-    rhs = a * expectation(dist, v) + b * expectation(dist, u)
+    lhs = expectation(dist, (a * v + b * u)[None])[0]
+    rhs = a * expectation(dist, v[None])[0] + b * expectation(dist, u[None])[0]
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
 
 
