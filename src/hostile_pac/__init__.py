@@ -17,9 +17,7 @@ from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       true_risk_closed_form)
 from .divergence import PhiP, f_divergence
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, MomentBound, RegimeSpec,
-                      SubGaussianRegime, VarianceRegime, empirical_moment_estimate,
-                      geometric_alpha_sum, moment_iid_variance, moment_mixing_bounded,
-                      moment_mixing_unbounded, moment_subgaussian, optimal_q_finite)
+                      SubGaussianRegime, VarianceRegime, empirical_moment_estimate)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, UniformGridPrior,
                           build_prior, expectation)

@@ -319,15 +319,17 @@ def _sum_moments(x: list, y: list) -> list:
             for m in range(1, len(x))]
 
 
-def _residual_moments(spec: IidLinearRegression | AR1, atoms: AtomSet,
-                      top: int) -> list[np.ndarray]:
+def residual_moments(spec: IidLinearRegression | AR1, atoms: AtomSet,
+                     top: int) -> list[np.ndarray]:
     """[E u**2, E u**4, ...] up to order ``top`` per atom, u = y - <theta, x>.
 
-    For i.i.d. regression u is the score <theta_star - theta, x> plus the
-    noise; for AR(1) it is (a - theta_1) y_lag plus the innovation, shifted by
-    the constant -theta_0. Raises :class:`MomentDoesNotExistError` when a
-    noise moment up to ``top`` diverges, and :class:`NoClosedFormError` for a
-    sixth moment under a non-Gaussian design.
+    The squared loss is u**2, so these are its moments E loss**k: the true
+    risk is E u**2, the loss variance E u**4 - (E u**2)**2 and the third loss
+    moment E u**6. For i.i.d. regression u is the score <theta_star - theta, x>
+    plus the noise; for AR(1) it is (a - theta_1) y_lag plus the innovation,
+    shifted by the constant -theta_0. Raises :class:`MomentDoesNotExistError`
+    when a noise moment up to ``top`` diverges, and :class:`NoClosedFormError`
+    for a sixth moment under a non-Gaussian design.
     """
     if atoms.dim != spec.dim:
         raise ValueError("atom dimension does not match the generator")
@@ -348,7 +350,7 @@ def kappa_moments(spec: IidLinearRegression) -> tuple[float, float]:
     :class:`MomentDoesNotExistError` when the fourth noise moment diverges.
     """
     zero = AtomSet(np.zeros((1, spec.dim)))
-    return float(_residual_moments(spec, zero, 4)[1][0]), _x_norm4(spec.x_law, spec.dim)
+    return float(residual_moments(spec, zero, 4)[1][0]), _x_norm4(spec.x_law, spec.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +409,7 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -
     if atoms.dim != spec.dim:
         raise ValueError("atom dimension does not match the generator")
     if isinstance(spec, (IidLinearRegression, AR1)) and isinstance(loss, SquaredLoss):
-        return _residual_moments(spec, atoms, 2)[0]
+        return residual_moments(spec, atoms, 2)[0]
     if isinstance(spec, BoundedClassification) and isinstance(loss, ZeroOneLoss):
         if loss.threshold == 0.0 and isinstance(spec.x_law, IsotropicGaussianX):
             return _classification_risk(spec, atoms)
@@ -417,30 +419,3 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -
     raise NoClosedFormError(
         f"no closed-form risk for {type(spec).__name__} with {type(loss).__name__}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Loss-moment closed forms consumed by the bound machinery
-# ---------------------------------------------------------------------------
-
-def squared_loss_variances(spec: IidLinearRegression, atoms: AtomSet) -> np.ndarray:
-    """Exact Var[loss(theta)] per atom for i.i.d. squared-loss regression.
-
-    With u = <theta_star - theta, x> + eps the loss is u^2, so the variance
-    is E u^4 - (E u^2)^2.
-    """
-    if not isinstance(spec, IidLinearRegression):
-        raise TypeError("exact loss variances are only defined for i.i.d. regression")
-    eu2, eu4 = _residual_moments(spec, atoms, 4)
-    return eu4 - eu2**2
-
-
-def squared_loss_third_moments(spec: GeneratorSpec, atoms: AtomSet) -> np.ndarray:
-    """Exact E[loss(theta)**3] per atom for the squared loss.
-
-    This is E u**6 of the residual u. Requires sixth noise moments (dof > 6
-    under Student-t) and, for i.i.d. regression, a Gaussian design.
-    """
-    if isinstance(spec, (IidLinearRegression, AR1)):
-        return _residual_moments(spec, atoms, 6)[2]
-    raise NoClosedFormError("third loss moments implemented for regression generators only")

@@ -298,10 +298,13 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
     kind = _REGIME_KIND[type(config.regime)]
     try:
         p, bound, constants = config.regime.resolve(config, atoms, pi)
+        cfg = BoundConfig(p=p, delta=config.delta, moment=bound)
+        if not 0 < cfg.budget < math.inf:
+            raise ValueError(f"experiment.delta={config.delta!r}: the budget M/delta must be "
+                             f"positive and finite, got M = {bound.value!r}")
     except ValueError as exc:  # a finite constant whose moment bound overflows, say
         raise ConfigError(f"regime ({kind}): {exc}") from exc
-    echoed = {"regime": kind, "c1": None, "c2": None, **constants}
-    return BoundConfig(p=p, delta=config.delta, moment=bound), echoed
+    return cfg, {"regime": kind, "c1": None, "c2": None, **constants}
 
 
 class _Setup(NamedTuple):
@@ -539,6 +542,13 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
         raise ConfigError("experiment.replications: coverage runs need at least 50 replications")
     setup = _setup(config)
     pi, cfg = setup.pi, setup.cfg
+    # The population level, fixed by the configuration, spends the budget 2**q * M / delta.
+    with np.errstate(over="ignore"):
+        pop_budget = float(cfg.moment.value * np.float64(2.0) ** cfg.q / cfg.delta)
+    if not pop_budget < math.inf:
+        raise ConfigError(f"regime ({setup.constants['regime']}): regime.q or experiment.p "
+                          f"sets q={cfg.q!r}, at which the population budget 2**q * M/delta "
+                          f"overflows with experiment.delta={cfg.delta!r}")
     try:
         true_values = datagen.true_risk_closed_form(config.generator, setup.atoms, config.loss)
     except NoClosedFormError as exc:
@@ -555,9 +565,6 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
     columns = {name: np.concatenate([block[name] for block in done]) for name in done[0]}
     sup, moment = columns.pop("sup"), float(np.mean(columns.pop("moment")))
 
-    # Population-side quantities are deterministic for the configuration; the
-    # population level spends the budget 2**q * M / delta.
-    pop_budget = cfg.moment.value * 2.0 ** cfg.q / cfg.delta
     rbar_pop = solve_rbar(true_values[None], pi, cfg.q, pop_budget)
     pop_complexity, oracle_pop = certified_oracle(true_values[None], pi,
                                                   np.asarray(config.gamma_grid), rbar_pop,

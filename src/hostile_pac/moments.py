@@ -6,10 +6,10 @@ variance (i.i.d.), a sub-Gaussian parameter, or alpha-mixing coefficient
 sums for dependent rows. The exponent q travels with the bound so it can
 never be paired with a mismatched Hoelder split downstream.
 
-Each regime class is the one home of its rules: its fields are the keys of
-the config's ``regime`` section, ``check`` raises a ``ValueError`` naming
-the offending key, and ``resolve`` returns p, the :class:`MomentBound` (from
-a ``moment_*`` formula) and the analytic constants echoed into every record.
+Each regime class is the one home of its rules and its formula: its fields
+are the keys of the config's ``regime`` section, ``check`` raises a
+``ValueError`` naming the offending key, and ``resolve`` returns p, the
+:class:`MomentBound` and the analytic constants echoed into every record.
 
 ``empirical_moment_estimate`` is the one data-driven routine here; it exists
 to validate the theoretical bounds in experiments and must never feed a
@@ -64,12 +64,13 @@ def _check_noise_moment(config: ExperimentConfig, order: int, key: str) -> None:
 
 @dataclass(frozen=True)
 class VarianceRegime:
-    """The ``variance`` regime: i.i.d. rows, q <= 2, integrated loss variance s2.
+    """The ``variance`` regime: i.i.d. rows, M = (s2 / n)**(q/2), s2 the integrated loss variance.
 
-    ``s2`` is a number, or ``"kappa"`` for the majorant 8 (E y**4 + tau E||X||**4),
-    tau = sum_j pi_j ||theta_j||**4, or ``"exact"`` for the exact integrated loss
-    variance (both for i.i.d. squared-loss regression only). p is ``experiment.p``
-    and q its conjugate.
+    The Jensen step behind the bound needs q <= 2, so p = ``experiment.p`` is
+    at least 2 and q is its conjugate. ``s2`` is a number, or ``"kappa"`` for
+    the majorant 8 (E y**4 + tau E||X||**4), tau = sum_j pi_j ||theta_j||**4,
+    or ``"exact"`` for sum_j pi_j Var[loss(theta_j)] = sum_j pi_j (E u**4 -
+    (E u**2)**2) of the residual u (both for i.i.d. squared-loss regression only).
     """
 
     s2: float | Literal["kappa", "exact"] = "kappa"
@@ -95,20 +96,24 @@ class VarianceRegime:
             s2 = 8.0 * (ey4 + tau * ex4)
             constants = {"s2": s2, "s2_mode": "kappa", "tau": tau, "ey4": ey4, "ex4": ex4}
         elif self.s2 == "exact":
-            s2 = float(pi.weights @ datagen.squared_loss_variances(config.generator, atoms))
+            eu2, eu4 = datagen.residual_moments(config.generator, atoms, 4)
+            s2 = float(pi.weights @ (eu4 - eu2**2))
             constants = {"s2": s2, "s2_mode": "exact"}
         else:
             s2 = float(self.s2)
             constants = {"s2": s2, "s2_mode": "given"}
-        return config.p, moment_iid_variance(s2, config.n, config.p / (config.p - 1.0)), constants
+        q = config.p / (config.p - 1.0)
+        return config.p, MomentBound((s2 / config.n) ** (q / 2.0), q), constants
 
 
 @dataclass(frozen=True)
 class SubGaussianRegime:
     """The ``subgaussian`` regime: per-atom losses sub-Gaussian with parameter sigma2.
 
+    M = 2 (q sigma2 / n)**(q/2), which the moment inequality gives for q >= 2.
     q defaults to the conjugate of p, and ``optimize_q`` (which excludes an
-    explicit ``q``) uses the finite-class optimized exponent; p is q/(q-1).
+    explicit ``q``) takes the finite-class optimum q = 2 log(2K / delta),
+    clamped up to 2 with ``q_clamped`` set; p is q/(q-1).
     """
 
     sigma2: float
@@ -129,12 +134,14 @@ class SubGaussianRegime:
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
         constants: dict = {}
         if self.optimize_q:
-            opt = optimal_q_finite(len(atoms), config.delta)
-            q, constants["q_clamped"] = opt.q, opt.clamped
+            q = 2.0 * math.log(2.0 * len(atoms) / config.delta)
+            q, constants["q_clamped"] = max(q, 2.0), q < 2.0
         else:
             q = self.q if self.q is not None else config.p / (config.p - 1.0)
         constants.update(sigma2=self.sigma2, q=q)
-        return q / (q - 1.0), moment_subgaussian(self.sigma2, config.n, q), constants
+        with np.errstate(over="ignore"):  # an overflow fails as an infinite bound
+            value = 2.0 * float(np.float64(q * self.sigma2 / config.n) ** (q / 2.0))
+        return q / (q - 1.0), MomentBound(value, q), constants
 
 
 class _MixingRegime:
@@ -152,19 +159,29 @@ class _MixingRegime:
                              "envelope, which would otherwise give a zero moment bound")
 
     def _alpha_sum(self, config: ExperimentConfig, power: float) -> tuple[float, dict]:
-        """Sum of alpha_j**(1/power), and the envelope echoed as c1, c2."""
+        """Sum of alpha_j**(1/power), and the envelope echoed as c1, c2.
+
+        Under ``"envelope"`` this is 2 c1**(1/power) / (1 - exp(-c2/power)),
+        the majorized two-sided sum of (c1 exp(-c2 |j|))**(1/power) over j,
+        which dominates the exact sum at every truncation level.
+        """
         envelope = config.generator.mixing
-        alpha_sum = (geometric_alpha_sum(envelope.c1, envelope.c2, power)
-                     if self.alpha_sum == "envelope" else float(self.alpha_sum))
-        return alpha_sum, {"c1": envelope.c1, "c2": envelope.c2}
+        constants = {"c1": envelope.c1, "c2": envelope.c2}
+        if self.alpha_sum != "envelope":
+            return float(self.alpha_sum), constants
+        gap = 1.0 - math.exp(-envelope.c2 / power)
+        if gap == 0:
+            raise ValueError(f"generator.mixing.c2={envelope.c2!r} is so small that "
+                             f"1 - exp(-c2/{power!r}) rounds to 0")
+        return 2.0 * envelope.c1 ** (1.0 / power) / gap, constants
 
 
 @dataclass(frozen=True)
 class MixingBoundedRegime(_MixingRegime):
     """The ``mixing_bounded`` regime: losses in [0, 1], summable alpha-mixing.
 
-    ``alpha_sum`` is a number, or ``"envelope"`` for the majorized sum of the
-    generator's assumed geometric envelope.
+    M = alpha_sum / n at q = 2. ``alpha_sum`` is a number, or ``"envelope"``
+    for the majorized sum of the generator's assumed geometric envelope.
     """
 
     alpha_sum: float | Literal["envelope"] = "envelope"
@@ -179,20 +196,22 @@ class MixingBoundedRegime(_MixingRegime):
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
         alpha_sum, constants = self._alpha_sum(config, 1.0)
         constants["alpha_sum"] = alpha_sum
-        return 2.0, moment_mixing_bounded(alpha_sum, config.n), constants
+        return 2.0, MomentBound(alpha_sum / config.n, 2.0), constants
 
 
 @dataclass(frozen=True)
 class MixingUnboundedRegime(_MixingRegime):
     """The ``mixing_unbounded`` regime: unbounded losses under alpha-mixing.
 
-    The covariance inequality needs exponents r >= 1, s >= 2 with
+    M = davydov_factor * moment_integral * alpha_frac_sum / n at q = 2. The
+    covariance inequality needs exponents r >= 1, s >= 2 with
     1/r + 2/s = 1. ``alpha_sum`` is the sum of alpha_j**(1/r), or
     ``"envelope"``; ``moment_integral`` is the prior integral of
     {E[loss**s]}**(2/s), a number, or ``"analytic"`` for the closed form
-    (squared loss at s = 3 only). The displayed proposition constant
-    corresponds to ``davydov_factor=1``; the proof's covariance step carries
-    a factor 8, which is the conservative default.
+    (squared loss at s = 3 only, where E[loss**3] is E u**6 of the residual u).
+    The displayed proposition constant corresponds to ``davydov_factor=1``;
+    the proof's covariance step carries a factor 8, which is the conservative
+    default.
     """
 
     r: float = 3.0
@@ -218,101 +237,17 @@ class MixingUnboundedRegime(_MixingRegime):
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
         alpha_frac_sum, constants = self._alpha_sum(config, self.r)
         if self.moment_integral == "analytic":
-            third = datagen.squared_loss_third_moments(config.generator, atoms)
+            third = datagen.residual_moments(config.generator, atoms, 6)[2]
             moment_integral = float(pi.weights @ third ** (2.0 / 3.0))
         else:
             moment_integral = float(self.moment_integral)
         constants.update(r=self.r, s=self.s, moment_integral=moment_integral,
                          alpha_frac_sum=alpha_frac_sum, davydov_factor=self.davydov_factor)
-        bound = moment_mixing_unbounded(moment_integral, alpha_frac_sum, self.davydov_factor,
-                                        config.n)
-        return 2.0, bound, constants
+        value = self.davydov_factor * moment_integral * alpha_frac_sum / config.n
+        return 2.0, MomentBound(value, 2.0), constants
 
 
 RegimeSpec = VarianceRegime | SubGaussianRegime | MixingBoundedRegime | MixingUnboundedRegime
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be positive")
-
-
-def moment_iid_variance(s2: float, n: int, q: float) -> MomentBound:
-    """(s2 / n) ** (q / 2) for 1 < q <= 2.
-
-    The Jensen step behind this bound needs q/2 <= 1, so larger q is
-    rejected rather than silently extrapolated.
-    """
-    _check_n(n)
-    if not 1 < q <= 2:
-        raise ValueError("the integrated-variance route requires 1 < q <= 2")
-    if s2 < 0:
-        raise ValueError("s2 must be nonnegative")
-    return MomentBound((s2 / n) ** (q / 2.0), q)
-
-
-def moment_subgaussian(sigma2: float, n: int, q: float) -> MomentBound:
-    """2 * (q * sigma2 / n) ** (q / 2) for q >= 2."""
-    _check_n(n)
-    if q < 2:
-        raise ValueError("the sub-Gaussian moment inequality requires q >= 2")
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    return MomentBound(2.0 * (q * sigma2 / n) ** (q / 2.0), q)
-
-
-def moment_mixing_bounded(alpha_sum: float, n: int) -> MomentBound:
-    """alpha_sum / n at q = 2; the caller asserts losses lie in [0, 1]."""
-    _check_n(n)
-    if alpha_sum < 0:
-        raise ValueError("alpha_sum must be nonnegative")
-    return MomentBound(alpha_sum / n, 2.0)
-
-
-def moment_mixing_unbounded(moment_integral: float, alpha_frac_sum: float,
-                            davydov_factor: float, n: int) -> MomentBound:
-    """davydov_factor * moment_integral * alpha_frac_sum / n at q = 2."""
-    _check_n(n)
-    if not moment_integral >= 0 or not alpha_frac_sum >= 0:
-        raise ValueError("moment_integral and alpha_frac_sum must be nonnegative")
-    return MomentBound(davydov_factor * moment_integral * alpha_frac_sum / n, 2.0)
-
-
-def geometric_alpha_sum(c1: float, c2: float, power: float = 1.0) -> float:
-    """Majorized two-sided sum of (c1 * exp(-c2 |j|)) ** (1/power) over j.
-
-    Returns 2 * c1**(1/power) / (1 - exp(-c2/power)), which dominates the
-    exact sum for every truncation level.
-    """
-    if c1 < 0:
-        raise ValueError("c1 must be nonnegative")
-    if c2 <= 0:
-        raise ValueError("c2 must be positive")
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    if c1 == 0:
-        return 0.0
-    return 2.0 * c1 ** (1.0 / power) / (1.0 - math.exp(-c2 / power))
-
-
-@dataclass(frozen=True)
-class OptimalQ:
-    """Exponent choice for the finite-class sub-Gaussian route."""
-
-    q: float
-    clamped: bool
-
-
-def optimal_q_finite(num_atoms: int, delta: float) -> OptimalQ:
-    """q = 2 * log(2K / delta), clamped up to 2 (with a flag) if below."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if num_atoms < 1:
-        raise ValueError("need at least one atom")
-    q = 2.0 * math.log(2.0 * num_atoms / delta)
-    if q < 2.0:
-        return OptimalQ(2.0, True)
-    return OptimalQ(q, False)
 
 
 def empirical_moment_estimate(tables: list[np.ndarray], true_values: np.ndarray,

@@ -115,10 +115,9 @@ def empirical_risk(table: np.ndarray) -> np.ndarray:
 
 
 def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray:
-    """Empirical risk r_n of every atom on ``data``.
-
-    For one dataset the risks come back as a vector; for a stacked dataset,
-    as rows, one per dataset.
+    """Empirical risk r_n of every atom on each dataset of a stacked ``data``,
+    as rows of shape (rows, K), one per dataset. One dataset is the one-row
+    stack, x[None] and y[None] in and ``[0]`` out.
 
     For the squared loss, let R be the triangular factor of the augmented
     design [x | y] (the thin QR of its n x (k+1) columns). Its first k rows
@@ -135,8 +134,10 @@ def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray
     The other losses average each dataset's table, one table at a time.
     """
     _check_dims(data, atoms)
-    single = data.y.ndim == 1
-    x, y = (data.x[None], data.y[None]) if single else (data.x, data.y)
+    if data.x.ndim != 3:
+        raise ValueError(f"empirical_risks takes a stacked dataset, x of shape (rows, n, k), "
+                         f"got shape {data.x.shape}")
+    x, y = data.x, data.y
     if not isinstance(loss, SquaredLoss):
         risks = np.stack([empirical_risk(_loss_table(xi, yi, atoms.coords, loss))
                           for xi, yi in zip(x, y)])
@@ -148,4 +149,4 @@ def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray
                  + np.einsum("ijk,ijk->ij", fit, fit)) / x.shape[1]
         if not np.all(np.isfinite(risks)):
             raise ValueError("empirical risks must be finite")
-    return risks[0] if single else risks
+    return risks

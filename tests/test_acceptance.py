@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hostile_pac.aggregation import (BoundConfig, deviation_moments, pac_margin, rho_hat,
+from hostile_pac.aggregation import (deviation_moments, pac_margin, rho_hat,
                                      solve_rbar)
 from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise,
                                  IidLinearRegression, IsotropicGaussianX,
@@ -20,8 +20,7 @@ from hostile_pac.divergence import PhiP, f_divergence
 from hostile_pac.harness import (ExperimentConfig, fit_loglog_slope, resolve_moment,
                                  run_coverage, run_sweep)
 from hostile_pac.moments import (MixingBoundedRegime, MixingUnboundedRegime,
-                                 SubGaussianRegime, VarianceRegime, moment_subgaussian,
-                                 optimal_q_finite)
+                                 SubGaussianRegime, VarianceRegime)
 from hostile_pac.param_space import (DiscreteDistribution, IidSamplePrior,
                                      build_prior, expectation)
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, empirical_risks
@@ -294,14 +293,6 @@ def test_criterion_10_moment_bound_validity():
 
 def test_criterion_11_finite_class_subgaussian_path():
     size, delta, n, sigma2 = 10, 0.05, 200, 0.25
-    opt = optimal_q_finite(size, delta)
-    bound = moment_subgaussian(sigma2, n, opt.q)
-    cfg = BoundConfig(p=opt.q / (opt.q - 1.0), delta=delta, moment=bound)
-    margin = pac_margin(cfg, divergence_plus_one_uniform(
-        DiscreteDistribution(np.eye(size)[0]), size, cfg.p))
-    oracle = optimized_erm_margin(sigma2, n, size, delta)
-    formula_err = abs(margin - oracle)
-
     config = ExperimentConfig(
         generator=BoundedClassification(theta_star=(1.0, -0.5),
                                         x_law=IsotropicGaussianX(1.0),
@@ -316,6 +307,12 @@ def test_criterion_11_finite_class_subgaussian_path():
         seed=1010,
         gamma_grid=(0.1, 0.5),
     )
+    cfg, _ = resolve_moment(config, *build_prior(config.prior, config.seed))
+    margin = pac_margin(cfg, divergence_plus_one_uniform(
+        DiscreteDistribution(np.eye(size)[0]), size, cfg.p))
+    oracle = optimized_erm_margin(sigma2, n, size, delta)
+    formula_err = abs(margin - oracle)
+
     report = run_coverage(config)
     pipeline_margin = report.records[0]["margin_erm"]
     pipeline_err = abs(pipeline_margin - oracle)

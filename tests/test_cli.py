@@ -148,6 +148,14 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("bound_demo", 'regime={"kind":"mixing_bounded"}', ["generator.kind"]),
     ("bound_demo", "experiment.loss=zero_one", ["regime.s2"]),
     ("coverage_ar1_t7", 'regime={"kind":"mixing_bounded"}', ["experiment.loss"]),
+    # A bound that overflows in Python's float power, and an envelope sum whose
+    # 1 - exp(-c2/r) rounds to 0.
+    ("erm_finite_class", "regime.optimize_q=false regime.q=2000",
+     ["regime (subgaussian): bound value must be finite and nonnegative, got inf"]),
+    ("coverage_ar1_t7", "generator.mixing.c2=1e-17", ["generator.mixing.c2"]),
+    # A budget M/delta that overflows, and one whose M underflows to 0.
+    ("coverage_ar1_t7", "experiment.delta=1e-320", ["regime (mixing_unbounded)", "experiment.delta"]),
+    ("erm_finite_class", "regime.sigma2=1e-320", ["regime (subgaussian)", "experiment.delta"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"
@@ -176,6 +184,20 @@ def test_overflowing_prior_moment_fails_with_one_line(capsys):
         assert main(["bound", "--config", str(path), "--set", "prior.scale=1e200"]) == 1
     assert capsys.readouterr().err == ("config error: regime (variance): bound value must be "
                                        "finite and nonnegative, got inf\n")
+
+
+def test_population_budget_overflow_names_the_key(capsys):
+    # bound spends M/delta, which is finite here; coverage's population level
+    # spends 2**q * M/delta, which overflows.
+    path = ROOT / "configs" / "erm_finite_class.yaml"
+    sets = ["--set", "regime.optimize_q=false", "--set", "regime.q=1000",
+            "--set", "experiment.replications=50"]
+    assert main(["bound", "--config", str(path), *sets]) == 0
+    capsys.readouterr()
+    assert main(["coverage", "--config", str(path), *sets]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: regime (subgaussian): ") and err.count("\n") == 1
+    assert "regime.q" in err and "experiment.delta" in err
 
 
 def test_coverage_replication_floor_names_the_key(capsys):

@@ -8,10 +8,8 @@ from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise,
                                  IidLinearRegression, IsotropicGaussianX,
                                  MixingBoundSpec, MomentDoesNotExistError,
                                  NoClosedFormError, StudentTNoise, UniformBoxX,
-                                 _ar1_path, _ar1_y_moments, _residual_moments,
-                                 generate, kappa_moments, noise_moment,
-                                 squared_loss_third_moments, squared_loss_variances,
-                                 true_risk_closed_form)
+                                 _ar1_path, _ar1_y_moments, generate, kappa_moments,
+                                 noise_moment, residual_moments, true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
 from oracles import ar1_sign_risk_quad, stationary_pairs, true_risk_mc
@@ -156,13 +154,13 @@ ZERO = AtomSet(np.zeros((1, 2)))  # the residual of the zero atom is y itself
 
 
 def test_analytic_moments_iid_regression():
-    ey2, ey4 = (float(m[0]) for m in _residual_moments(IID_T5, ZERO, 4))
+    ey2, ey4 = (float(m[0]) for m in residual_moments(IID_T5, ZERO, 4))
     w2 = 0.5**2 + 0.3**2
     e2, e4 = 5.0 / 3.0, 25.0
     assert ey2 == pytest.approx(w2 + e2)
     assert ey4 == pytest.approx(3 * w2**2 + 6 * w2 * e2 + e4)
     with pytest.raises(MomentDoesNotExistError):  # sixth t(5) moment does not exist
-        _residual_moments(IID_T5, ZERO, 6)
+        residual_moments(IID_T5, ZERO, 6)
     # k (k + 2) for unit-scale Gaussian in 2d
     assert kappa_moments(IID_T5) == (ey4, pytest.approx(2 * 4))
 
@@ -170,7 +168,7 @@ def test_analytic_moments_iid_regression():
 def test_analytic_moments_iid_monte_carlo():
     spec = IidLinearRegression(theta_star=(0.4, 0.2), x_law=UniformBoxX(1.5),
                                noise=GaussianNoise(variance=0.3))
-    ey2 = float(_residual_moments(spec, ZERO, 2)[0][0])
+    ey2 = float(residual_moments(spec, ZERO, 2)[0][0])
     ey4, ex4 = kappa_moments(spec)
     data = generate(spec, 2_000_000, seed=77)
     for value, xs in ((ey2, data.y**2), (ey4, data.y**4),
@@ -181,7 +179,7 @@ def test_analytic_moments_iid_monte_carlo():
 
 def test_ar1_moments_gaussian_closed_form():
     # Stationary Gaussian checks: m4 = 3 m2^2 and m6 = 15 m2^3.
-    ey2, ey4, ey6 = (float(m[0]) for m in _residual_moments(AR_GAUSS, ZERO, 6))
+    ey2, ey4, ey6 = (float(m[0]) for m in residual_moments(AR_GAUSS, ZERO, 6))
     m2 = 1.0 / (1.0 - 0.25)
     assert ey2 == pytest.approx(m2)
     assert ey4 == pytest.approx(3 * m2**2, rel=1e-12)
@@ -191,7 +189,7 @@ def test_ar1_moments_gaussian_closed_form():
 def test_ar1_fourth_moment_matches_moving_average_formula():
     # Independent derivation through the MA representation:
     # m4 = 3 (E e^2)^2 [1/(1-a^2)^2 - 1/(1-a^4)] + E e^4 / (1 - a^4).
-    ey4 = float(_residual_moments(AR_T7, ZERO, 4)[1][0])
+    ey4 = float(residual_moments(AR_T7, ZERO, 4)[1][0])
     a = 0.5
     e2 = noise_moment(AR_T7.noise, 2)
     e4 = noise_moment(AR_T7.noise, 4)
@@ -284,7 +282,8 @@ def test_squared_loss_variance_closed_form_vs_monte_carlo():
     spec = IidLinearRegression(theta_star=(0.5, -0.3), x_law=IsotropicGaussianX(1.0),
                                noise=GaussianNoise(variance=0.5))
     atoms = AtomSet(np.array([[0.5, -0.3], [0.0, 0.0], [-0.4, 0.8]]))
-    exact = squared_loss_variances(spec, atoms)
+    eu2, eu4 = residual_moments(spec, atoms, 4)
+    exact = eu4 - eu2**2
     data = generate(spec, 2_000_000, seed=55)
     table = compute_loss_table(data, atoms, SquaredLoss())
     sample = table.var(axis=0)
@@ -317,14 +316,15 @@ def test_residual_closed_forms_match_hand_expansion(spec):
     atoms = AtomSet(np.random.default_rng(3).normal(0.0, 0.8, (200, 2)))
     eu2, eu4, eu6 = np.array([_hand_expanded_residual_moments(spec, t) for t in atoms.coords]).T
     np.testing.assert_allclose(true_risk_closed_form(spec, atoms, SquaredLoss()), eu2, rtol=1e-13)
-    np.testing.assert_allclose(squared_loss_third_moments(spec, atoms), eu6, rtol=1e-13)
+    closed2, closed4, closed6 = residual_moments(spec, atoms, 6)
+    np.testing.assert_allclose(closed6, eu6, rtol=1e-13)
     if isinstance(spec, IidLinearRegression):
-        np.testing.assert_allclose(squared_loss_variances(spec, atoms), eu4 - eu2**2, rtol=1e-13)
+        np.testing.assert_allclose(closed4 - closed2**2, eu4 - eu2**2, rtol=1e-13)
 
 
 def test_squared_loss_third_moment_vs_monte_carlo():
     atoms = AtomSet(np.array([[0.0, 0.5], [0.2, 0.1], [-0.3, 0.7]]))
-    exact = squared_loss_third_moments(AR_GAUSS, atoms)
+    exact = residual_moments(AR_GAUSS, atoms, 6)[2]
     data_spec = AR1(a=0.5, noise=GaussianNoise(variance=1.0))
     # Estimate E[loss^3] by raising per-draw losses to the third power:
     rng = np.random.default_rng(17)

@@ -15,7 +15,7 @@ from hostile_pac.harness import (COVERAGE_BLOCK_ATOMS, AssumptionError, ConfigEr
                                  run_coverage, run_sweep, write_sweep_csv, _setup)
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, MixingBoundSpec, StudentTNoise)
-from hostile_pac.moments import MixingUnboundedRegime, VarianceRegime, optimal_q_finite
+from hostile_pac.moments import MixingUnboundedRegime, VarianceRegime
 from hostile_pac.param_space import (ExplicitPrior, IidSamplePrior, UniformGridPrior,
                                      build_prior)
 from hostile_pac import risk
@@ -206,7 +206,7 @@ def test_subgaussian_exponent_used_as_given(regime):
     raw = yaml.safe_load(BASE_YAML)
     raw["regime"] = {"kind": "subgaussian", "sigma2": 0.25, **regime}
     setup = _setup(config_from_dict(raw))
-    expected = regime.get("q") or optimal_q_finite(30, 0.1).q  # BASE_YAML: 30 atoms, delta 0.1
+    expected = regime.get("q") or 2.0 * math.log(2.0 * 30 / 0.1)  # BASE_YAML: 30 atoms, delta 0.1
     assert setup.cfg.q == setup.cfg.moment.q == setup.constants["q"] == expected
 
 

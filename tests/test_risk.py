@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,8 @@ def test_loss_table_dimension_mismatch():
     with pytest.raises(ValueError):
         compute_loss_table(data, AtomSet(np.array([[1.0]])), SquaredLoss())
     with pytest.raises(ValueError):
-        empirical_risks(data, AtomSet(np.array([[1.0]])), SquaredLoss())
+        empirical_risks(Dataset(x=data.x[None], y=data.y[None]), AtomSet(np.array([[1.0]])),
+                        SquaredLoss())
 
 
 _HUGE = IidLinearRegression(theta_star=(1e200, 0.0), x_law=IsotropicGaussianX(1.0),
@@ -95,7 +97,7 @@ def test_squared_closed_form_matches_table(seed, n, k, num_atoms, duplicate, off
     coords = rng.standard_normal((num_atoms, k))
     y = x @ coords[0] if exact else rng.standard_normal(n) + shift
     data, atoms = Dataset(x=x, y=y), AtomSet(coords)
-    closed = empirical_risks(data, atoms, SquaredLoss())
+    closed = empirical_risks(Dataset(x=x[None], y=y[None]), atoms, SquaredLoss())[0]
     table = empirical_risk(compute_loss_table(data, atoms, SquaredLoss()))
     assert np.all(closed >= 0)
     # Both routes round at the size of the terms of y - <theta, x>.
@@ -111,11 +113,18 @@ def test_empirical_risks_other_losses_average_the_table():
     atoms = AtomSet(rng.standard_normal((5, 2)))
     for loss in (ZeroOneLoss(), ZeroOneLoss(0.3)):
         table = compute_loss_table(data, atoms, loss)
-        assert np.array_equal(empirical_risks(data, atoms, loss), empirical_risk(table))
+        stacked = Dataset(x=data.x[None], y=data.y[None])
+        assert np.array_equal(empirical_risks(stacked, atoms, loss)[0], empirical_risk(table))
+
+
+def test_empirical_risks_take_stacked_datasets_only():
+    lone = Dataset(x=np.ones((3, 1)), y=np.zeros(3))
+    with pytest.raises(ValueError, match=re.escape("(rows, n, k)")):
+        empirical_risks(lone, AtomSet(np.array([[1.0]])), SquaredLoss())
 
 
 def test_empirical_risks_must_be_finite():
-    huge = Dataset(x=np.array([[1e200]]), y=np.array([0.0]))
+    huge = Dataset(x=np.array([[[1e200]]]), y=np.array([[0.0]]))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         empirical_risks(huge, AtomSet(np.array([[1e200]])), SquaredLoss())
 
@@ -128,8 +137,8 @@ def test_empirical_risk_examples():
     assert np.allclose(table.ravel(), [0.0, 1.0, 4.0])
     assert empirical_risk(table)[0] == pytest.approx(5.0 / 3.0)
     # Closed form: theta0 = mean(y) = 0, e0 . e0 = 2, R = sqrt(3), so (2 + 3 * 1**2) / 3.
-    closed = empirical_risks(Dataset(x=np.ones((3, 1)), y=np.array([1.0, 0.0, -1.0])),
-                             AtomSet(np.array([[1.0]])), SquaredLoss())
+    closed = empirical_risks(Dataset(x=np.ones((1, 3, 1)), y=np.array([[1.0, 0.0, -1.0]])),
+                             AtomSet(np.array([[1.0]])), SquaredLoss())[0]
     assert closed[0] == pytest.approx(5.0 / 3.0, rel=1e-14)
 
     single = compute_loss_table(Dataset(x=np.array([[1.0]]), y=np.array([2.0])),
