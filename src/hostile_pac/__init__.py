@@ -13,7 +13,7 @@ from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate,
                           verify_complexity)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
-                      StudentTNoise, UniformBoxX, generate, kappa_moments,
+                      StudentTNoise, generate, kappa_moments,
                       true_risk_closed_form)
 from .divergence import PhiP, f_divergence
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, MomentBound, RegimeSpec,

@@ -88,18 +88,7 @@ class IsotropicGaussianX:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
 
-@dataclass(frozen=True)
-class UniformBoxX:
-    """Coordinates drawn independently from [-halfwidth, halfwidth]."""
-
-    halfwidth: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.halfwidth >= 0:
-            raise ValueError(f"halfwidth must be nonnegative, got {self.halfwidth}")
-
-
-XLaw = IsotropicGaussianX | UniformBoxX
+XLaw = IsotropicGaussianX
 
 
 @dataclass(frozen=True)
@@ -174,12 +163,6 @@ class BoundedClassification:
 GeneratorSpec = IidLinearRegression | AR1 | BoundedClassification
 
 
-def _draw_x(law: XLaw, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(law, IsotropicGaussianX):
-        return rng.standard_normal((n, dim)) * law.scale
-    return rng.uniform(-law.halfwidth, law.halfwidth, (n, dim))
-
-
 def _draw_noise(noise: NoiseLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(noise, GaussianNoise):
         return rng.normal(0.0, math.sqrt(noise.variance), n)
@@ -208,7 +191,7 @@ def _draw(spec: GeneratorSpec, n: int,
         theta = np.asarray(spec.theta_star)
         x, y = np.empty((len(rngs), n, spec.dim)), np.empty((len(rngs), n))
         for i, rng in enumerate(rngs):
-            x[i] = _draw_x(spec.x_law, n, spec.dim, rng)
+            x[i] = rng.standard_normal((n, spec.dim)) * spec.x_law.scale
             y[i] = x[i] @ theta + _draw_noise(spec.noise, n, rng)
         return x, y
     if isinstance(spec, AR1):
@@ -238,7 +221,7 @@ def _draw(spec: GeneratorSpec, n: int,
         theta = np.asarray(spec.theta_star)
         x, y = np.empty((len(rngs), n, spec.dim)), np.empty((len(rngs), n))
         for i, rng in enumerate(rngs):
-            x[i] = _draw_x(spec.x_law, n, spec.dim, rng)
+            x[i] = rng.standard_normal((n, spec.dim)) * spec.x_law.scale
             labels = np.where(x[i] @ theta >= 0.0, 1.0, -1.0)
             flips = rng.random(n) < spec.flip_prob
             y[i] = labels * np.where(flips, -1.0, 1.0)
@@ -267,31 +250,6 @@ def generate(spec: GeneratorSpec, n: int, seed: int | np.random.SeedSequence | l
 # ---------------------------------------------------------------------------
 # Closed-form moments
 # ---------------------------------------------------------------------------
-
-def _score_moments(law: XLaw, w: np.ndarray, top: int) -> list[np.ndarray]:
-    """[E s**2, E s**4, ...] up to order ``top`` of s = <w_j, X>, per row w_j of w.
-
-    Sixth moments are implemented for Gaussian designs only.
-    """
-    sq = np.sum(w**2, axis=1)
-    if isinstance(law, IsotropicGaussianX):
-        m2 = law.scale**2 * sq
-        return [m2, 3 * m2**2, 15 * m2**3][:top // 2]
-    if top > 4:
-        raise NoClosedFormError("sixth score moments implemented for Gaussian designs only")
-    b = law.halfwidth
-    quart = np.sum(w**4, axis=1)
-    m2 = (b**2 / 3.0) * sq
-    return [m2, (b**4 / 5.0) * quart + (b**4 / 3.0) * (sq**2 - quart)][:top // 2]
-
-
-def _x_norm4(law: XLaw, dim: int) -> float:
-    """E ||X||^4 for the symmetric designs above."""
-    if isinstance(law, IsotropicGaussianX):
-        return law.scale**4 * dim * (dim + 2)
-    b = law.halfwidth
-    return dim * b**4 / 5.0 + dim * (dim - 1) * b**4 / 9.0
-
 
 def _ar1_y_moments(spec: AR1, order: int) -> float:
     """Stationary E[y**order] via the recursion moment identities."""
@@ -328,14 +286,16 @@ def residual_moments(spec: IidLinearRegression | AR1, atoms: AtomSet,
     moment E u**6. For i.i.d. regression u is the score <theta_star - theta, x>
     plus the noise; for AR(1) it is (a - theta_1) y_lag plus the innovation,
     shifted by the constant -theta_0. Raises :class:`MomentDoesNotExistError`
-    when a noise moment up to ``top`` diverges, and :class:`NoClosedFormError`
-    for a sixth moment under a non-Gaussian design.
+    when a noise moment up to ``top`` diverges.
     """
     if atoms.dim != spec.dim:
         raise ValueError("atom dimension does not match the generator")
     orders = range(2, top + 1, 2)
     if isinstance(spec, IidLinearRegression):
-        score = _score_moments(spec.x_law, np.asarray(spec.theta_star) - atoms.coords, top)
+        # The score is N(0, m2) under the Gaussian design; np.float64 overflows to inf.
+        w = np.asarray(spec.theta_star) - atoms.coords
+        m2 = np.float64(spec.x_law.scale) ** 2 * np.sum(w**2, axis=1)
+        score = [m2, 3 * m2**2, 15 * m2**3][:top // 2]
         return _sum_moments(score, [noise_moment(spec.noise, k) for k in orders])
     intercept, lag_w = atoms.coords[:, 0], atoms.coords[:, 1]
     lag = [(spec.a - lag_w) ** k * _ar1_y_moments(spec, k) for k in orders]
@@ -350,7 +310,9 @@ def kappa_moments(spec: IidLinearRegression) -> tuple[float, float]:
     :class:`MomentDoesNotExistError` when the fourth noise moment diverges.
     """
     zero = AtomSet(np.zeros((1, spec.dim)))
-    return float(residual_moments(spec, zero, 4)[1][0]), _x_norm4(spec.x_law, spec.dim)
+    k = spec.dim
+    ex4 = float(np.float64(spec.x_law.scale) ** 4 * k * (k + 2))  # overflows to inf
+    return float(residual_moments(spec, zero, 4)[1][0]), ex4
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +364,17 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -
     """Exact expected risk per atom, when a closed form exists.
 
     Regression generators support the squared loss; the classification
-    generator supports the zero-one loss at threshold 0 under a Gaussian
-    design; Gaussian AR(1) additionally supports the zero-one loss at any
-    threshold. Raises :class:`NoClosedFormError` otherwise.
+    generator supports the zero-one loss at threshold 0; Gaussian AR(1)
+    additionally supports the zero-one loss at any threshold. Raises
+    :class:`NoClosedFormError` otherwise.
     """
     if atoms.dim != spec.dim:
         raise ValueError("atom dimension does not match the generator")
     if isinstance(spec, (IidLinearRegression, AR1)) and isinstance(loss, SquaredLoss):
         return residual_moments(spec, atoms, 2)[0]
-    if isinstance(spec, BoundedClassification) and isinstance(loss, ZeroOneLoss):
-        if loss.threshold == 0.0 and isinstance(spec.x_law, IsotropicGaussianX):
-            return _classification_risk(spec, atoms)
+    if (isinstance(spec, BoundedClassification) and isinstance(loss, ZeroOneLoss)
+            and loss.threshold == 0.0):
+        return _classification_risk(spec, atoms)
     if isinstance(spec, AR1) and isinstance(loss, ZeroOneLoss):
         if isinstance(spec.noise, GaussianNoise) and spec.noise.variance > 0:
             return _ar1_sign_risk(spec, atoms, loss.threshold)

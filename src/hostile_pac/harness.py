@@ -19,7 +19,7 @@ coverage takes fixed blocks of ``COVERAGE_BLOCK_ATOMS // K`` rows. Dataset
 do not depend on the worker count, so neither do the results.
 
 Each regime's load-time rules and moment constant live on its class in
-:mod:`hostile_pac.moments`, called by ``_validate_cross_fields`` and
+:mod:`hostile_pac.moments`, called by ``ExperimentConfig``'s load-time check and
 ``resolve_moment``. All regime constants entering a bound are analytic
 (closed forms from the generator spec and prior); nothing is estimated from
 the data that the bound is then applied to. Every output record repeats the
@@ -50,8 +50,7 @@ from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate, catoni_p
                           certificate, certified_oracle, deviation_moments, erm_index,
                           evaluate_bound, optimal_gamma, rho_hat, solve_rbar)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
-                      IidLinearRegression, IsotropicGaussianX, NoClosedFormError, StudentTNoise,
-                      UniformBoxX)
+                      IidLinearRegression, IsotropicGaussianX, NoClosedFormError, StudentTNoise)
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, RegimeSpec, SubGaussianRegime,
                       VarianceRegime)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior, IidSamplePrior,
@@ -87,38 +86,43 @@ class ExperimentConfig:
     require_complexity: bool = False
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("experiment.seed must be nonnegative")
-        if self.n < 1:
-            raise ConfigError("experiment.n must be positive")
-        if self.workers < 1:
-            raise ConfigError("experiment.workers must be positive")
-        if not 0 < self.delta < 1:
-            raise ConfigError("experiment.delta must lie in (0, 1)")
-        if not self.p > 1:
-            raise ConfigError("experiment.p must exceed 1")
-        if not self.p / (self.p - 1.0) > 1:
-            raise ConfigError(f"experiment.p={self.p!r} is so large that q = p/(p-1) rounds to 1")
-        _validate_cross_fields(self)
-
-
-def _validate_cross_fields(cfg: ExperimentConfig) -> None:
-    """The regime's own rules, then those of every regime."""
-    try:
-        cfg.regime.check(cfg)
-        for key, value in vars(cfg.regime).items():
-            if isinstance(value, float) and not value > 0:
-                raise ValueError(f"regime.{key} must be positive, got {value}")
-        if isinstance(cfg.generator, AR1) and cfg.n < 2:
-            raise ValueError("experiment.n must be at least 2 for AR(1)")
-        if cfg.prior.dim != cfg.generator.dim:
-            key = {UniformGridPrior: "bounds", ExplicitPrior: "atoms"}.get(type(cfg.prior), "dim")
-            raise ValueError(f"prior.{key}: the prior's atoms have dimension {cfg.prior.dim}, "
-                             f"the generator's parameters {cfg.generator.dim}")
-        if not cfg.gamma_grid or not all(0 < g < 1 for g in cfg.gamma_grid):
-            raise ValueError("experiment.gamma_grid must be nonempty, with values inside (0, 1)")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        """Every load-time rule: the experiment's own values, the regime's
+        rules, then those of every regime."""
+        try:
+            if self.seed < 0:
+                raise ValueError("experiment.seed must be nonnegative")
+            if self.n < 1:
+                raise ValueError("experiment.n must be positive")
+            most = np.iinfo(np.intp).max // (8 * self.generator.dim)
+            if self.n > most:  # numpy cannot index one dataset's n x k doubles
+                raise ValueError(f"experiment.n must be at most {most}, the most rows of "
+                                 f"{self.generator.dim} doubles that one array can hold")
+            if self.workers < 1:
+                raise ValueError("experiment.workers must be positive")
+            if not 0 < self.delta < 1:
+                raise ValueError("experiment.delta must lie in (0, 1)")
+            if not self.p > 1:
+                raise ValueError("experiment.p must exceed 1")
+            if not self.p / (self.p - 1.0) > 1:
+                raise ValueError(f"experiment.p={self.p!r} is so large that q = p/(p-1) "
+                                 "rounds to 1")
+            self.regime.check(self)
+            for key, value in vars(self.regime).items():
+                if isinstance(value, float) and not value > 0:
+                    raise ValueError(f"regime.{key} must be positive, got {value}")
+            if isinstance(self.generator, AR1) and self.n < 2:
+                raise ValueError("experiment.n must be at least 2 for AR(1)")
+            if self.prior.dim != self.generator.dim:
+                key = {UniformGridPrior: "bounds", ExplicitPrior: "atoms"}.get(type(self.prior),
+                                                                                "dim")
+                raise ValueError(f"prior.{key}: the prior's atoms have dimension "
+                                 f"{self.prior.dim}, the generator's parameters "
+                                 f"{self.generator.dim}")
+            if not self.gamma_grid or not all(0 < g < 1 for g in self.gamma_grid):
+                raise ValueError("experiment.gamma_grid must be nonempty, with values inside "
+                                 "(0, 1)")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,7 @@ _KINDS = {
     GeneratorSpec: {"iid_regression": IidLinearRegression, "ar1": AR1,
                     "classification": BoundedClassification},
     datagen.NoiseLaw: {"gaussian": GaussianNoise, "student_t": StudentTNoise},
-    datagen.XLaw: {"gaussian": IsotropicGaussianX, "uniform": UniformBoxX},
+    datagen.XLaw: {"gaussian": IsotropicGaussianX},
     PriorSpec: {"uniform_grid": UniformGridPrior, "iid_sample": IidSamplePrior,
                 "explicit": ExplicitPrior},
     LossKind: {"squared": SquaredLoss, "zero_one": ZeroOneLoss},
@@ -297,7 +301,8 @@ def resolve_moment(config: ExperimentConfig, atoms: AtomSet,
     of the analytic constants it used; (c1, c2) are null without mixing."""
     kind = _REGIME_KIND[type(config.regime)]
     try:
-        p, bound, constants = config.regime.resolve(config, atoms, pi)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows fail as non-finite values
+            p, bound, constants = config.regime.resolve(config, atoms, pi)
         cfg = BoundConfig(p=p, delta=config.delta, moment=bound)
         if not 0 < cfg.budget < math.inf:
             raise ValueError(f"experiment.delta={config.delta!r}: the budget M/delta must be "

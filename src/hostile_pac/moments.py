@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from . import datagen
-from .param_space import AtomSet, DiscreteDistribution
+from .param_space import AtomSet, DiscreteDistribution, ExplicitPrior, UniformGridPrior
 from .risk import SquaredLoss, ZeroOneLoss, empirical_risk
 
 if TYPE_CHECKING:
@@ -52,6 +52,18 @@ def _check_independent_rows(config: ExperimentConfig, kind: str) -> None:
     if isinstance(config.generator, datagen.AR1):
         raise ValueError(f"generator.kind: the {kind} regime requires independent rows, "
                          "not ar1")
+
+
+def _closed_form(config: ExperimentConfig, key: str, value: float) -> float:
+    """``value``, the constant at ``key`` made from closed-form moments of the
+    generator and the prior, if finite; the error names the scales that overflow it."""
+    if math.isfinite(value):
+        return value
+    prior = {UniformGridPrior: "bounds", ExplicitPrior: "atoms"}.get(type(config.prior), "scale")
+    design = ("generator.theta_star, generator.x_law.scale, "
+              if isinstance(config.generator, datagen.IidLinearRegression) else "")
+    raise ValueError(f"{key}: the closed-form moments give {value} in doubles; lower "
+                     f"{design}generator.noise or prior.{prior}")
 
 
 def _check_noise_moment(config: ExperimentConfig, order: int, key: str) -> None:
@@ -91,13 +103,12 @@ class VarianceRegime:
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
         if self.s2 == "kappa":
             ey4, ex4 = datagen.kappa_moments(config.generator)
-            with np.errstate(over="ignore"):  # an infinite tau fails as an infinite bound
-                tau = float(pi.weights @ np.linalg.norm(atoms.coords, axis=1) ** 4)
-            s2 = 8.0 * (ey4 + tau * ex4)
+            tau = float(pi.weights @ np.linalg.norm(atoms.coords, axis=1) ** 4)
+            s2 = _closed_form(config, "regime.s2: kappa", 8.0 * (ey4 + tau * ex4))
             constants = {"s2": s2, "s2_mode": "kappa", "tau": tau, "ey4": ey4, "ex4": ex4}
         elif self.s2 == "exact":
             eu2, eu4 = datagen.residual_moments(config.generator, atoms, 4)
-            s2 = float(pi.weights @ (eu4 - eu2**2))
+            s2 = _closed_form(config, "regime.s2: exact", float(pi.weights @ (eu4 - eu2**2)))
             constants = {"s2": s2, "s2_mode": "exact"}
         else:
             s2 = float(self.s2)
@@ -139,8 +150,7 @@ class SubGaussianRegime:
         else:
             q = self.q if self.q is not None else config.p / (config.p - 1.0)
         constants.update(sigma2=self.sigma2, q=q)
-        with np.errstate(over="ignore"):  # an overflow fails as an infinite bound
-            value = 2.0 * float(np.float64(q * self.sigma2 / config.n) ** (q / 2.0))
+        value = 2.0 * float(np.float64(q * self.sigma2 / config.n) ** (q / 2.0))
         return q / (q - 1.0), MomentBound(value, q), constants
 
 
@@ -238,7 +248,8 @@ class MixingUnboundedRegime(_MixingRegime):
         alpha_frac_sum, constants = self._alpha_sum(config, self.r)
         if self.moment_integral == "analytic":
             third = datagen.residual_moments(config.generator, atoms, 6)[2]
-            moment_integral = float(pi.weights @ third ** (2.0 / 3.0))
+            moment_integral = _closed_form(config, "regime.moment_integral: analytic",
+                                           float(pi.weights @ third ** (2.0 / 3.0)))
         else:
             moment_integral = float(self.moment_integral)
         constants.update(r=self.r, s=self.s, moment_integral=moment_integral,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -107,25 +106,19 @@ class UniformGridPrior:
 
 @dataclass(frozen=True)
 class IidSamplePrior:
-    """Uniform weights on atoms sampled i.i.d. from a base law.
-
-    ``law`` is ``"gaussian"`` (isotropic, std ``scale``) or ``"uniform"``
-    (box ``[-scale, scale]^dim``); ``scale = 0`` puts every atom at the
-    origin. A ``seed`` stored here takes precedence over the seed passed to
-    :func:`build_prior`.
+    """Uniform weights on atoms sampled i.i.d. from the isotropic Gaussian of
+    std ``scale``; ``scale = 0`` puts every atom at the origin. A ``seed``
+    stored here takes precedence over the seed passed to :func:`build_prior`.
     """
 
     count: int
     dim: int
-    law: Literal["gaussian", "uniform"] = "gaussian"
     scale: float = 1.0
     seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.count < 2:
             raise ValueError(f"count must be at least 2, got {self.count}")
-        if self.law not in ("gaussian", "uniform"):
-            raise ValueError(f"law must be gaussian or uniform, got {self.law!r}")
         if not self.scale >= 0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
         if self.seed is not None and self.seed < 0:
@@ -176,9 +169,7 @@ def _grid_atoms(spec: UniformGridPrior) -> AtomSet:
 
 def _sampled_atoms(spec: IidSamplePrior, seed: int) -> AtomSet:
     rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
-    if spec.law == "gaussian":
-        return AtomSet(rng.standard_normal((spec.count, spec.dim)) * spec.scale)
-    return AtomSet(rng.uniform(-spec.scale, spec.scale, (spec.count, spec.dim)))
+    return AtomSet(rng.standard_normal((spec.count, spec.dim)) * spec.scale)
 
 
 def _rows(values, size: int | None = None) -> np.ndarray:

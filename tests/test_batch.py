@@ -14,12 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 from hostile_pac.aggregation import (ComplexityEstimate, SolverError, erm_index, solve_rbar,
                                      verify_complexity)
 from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise, IidLinearRegression,
-                                 IsotropicGaussianX, StudentTNoise, UniformBoxX, generate)
+                                 IsotropicGaussianX, StudentTNoise, generate)
 from hostile_pac.param_space import AtomSet, DiscreteDistribution
 from hostile_pac.risk import Dataset, SquaredLoss, ZeroOneLoss, empirical_risks
 from oracles import empirical_risks_one, solve_rbar_one, verify_complexity_one
 
-_X_LAWS = (IsotropicGaussianX(1.3), UniformBoxX(2.0))
+_X_LAWS = (IsotropicGaussianX(1.3),)
 _NOISES = (GaussianNoise(0.5), StudentTNoise(dof=5.0, scale=0.7))
 _SPECS = {
     **{f"iid-{type(x).__name__}-{type(e).__name__}": IidLinearRegression((0.5, -0.3, 2.0), x, e)

@@ -134,9 +134,8 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("bound_demo", "prior.scale=.inf", ["prior.scale"]),
     # Negative seeds and scales, rejected where each spec is built.
     ("bound_demo", "prior.seed=-1", ["prior: seed"]),
-    ("bound_demo", "prior.law=uniform prior.scale=-1", ["prior: scale"]),
-    ("coverage_iid_t5", 'generator.x_law={"kind":"uniform","halfwidth":-1}',
-     ["generator.x_law: halfwidth"]),
+    ("bound_demo", "prior.scale=-1", ["prior: scale"]),
+    ("coverage_iid_t5", "generator.x_law.scale=-1", ["generator.x_law: scale"]),
     # Finite constants whose moment bound overflows name the regime section.
     ("erm_finite_class", "regime.sigma2=1e308", ["regime (subgaussian)"]),
     ("coverage_ar1_t7", "regime.davydov_factor=1e308", ["regime (mixing_unbounded)"]),
@@ -156,6 +155,18 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     # A budget M/delta that overflows, and one whose M underflows to 0.
     ("coverage_ar1_t7", "experiment.delta=1e-320", ["regime (mixing_unbounded)", "experiment.delta"]),
     ("erm_finite_class", "regime.sigma2=1e-320", ["regime (subgaussian)", "experiment.delta"]),
+    # The design is Gaussian and so is the prior's base law.
+    ("coverage_iid_t5", 'generator.x_law={"kind":"uniform"}', ["generator.x_law.kind"]),
+    ("bound_demo", "prior.law=gaussian", ["unknown keys: prior.law"]),
+    # Closed-form moments that overflow in doubles: at a float power, in a sum of
+    # moments, and in E u**4 - (E u**2)**2 = inf - inf; a warning would fail the test.
+    ("coverage_iid_t5", "generator.x_law.scale=1e200",
+     ["regime (variance)", "generator.x_law.scale"]),
+    ("coverage_ar1_t7", "prior.scale=1e60", ["regime (mixing_unbounded)", "prior.scale"]),
+    ("oracle_rate_gaussian", "prior.scale=1e200", ["regime (variance)", "prior.scale"]),
+    # Sample sizes beyond numpy's index type and beyond its largest array.
+    ("bound_demo", "experiment.n=1000000000000000000000", ["experiment.n"]),
+    ("bound_demo", f"experiment.n={2**62}", ["experiment.n"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"
@@ -182,8 +193,10 @@ def test_overflowing_prior_moment_fails_with_one_line(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["bound", "--config", str(path), "--set", "prior.scale=1e200"]) == 1
-    assert capsys.readouterr().err == ("config error: regime (variance): bound value must be "
-                                       "finite and nonnegative, got inf\n")
+    assert capsys.readouterr().err == (
+        "config error: regime (variance): regime.s2: kappa: the closed-form moments give inf "
+        "in doubles; lower generator.theta_star, generator.x_law.scale, generator.noise or "
+        "prior.scale\n")
 
 
 def test_population_budget_overflow_names_the_key(capsys):

@@ -7,7 +7,7 @@ from scipy import integrate, stats
 from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise,
                                  IidLinearRegression, IsotropicGaussianX,
                                  MixingBoundSpec, MomentDoesNotExistError,
-                                 NoClosedFormError, StudentTNoise, UniformBoxX,
+                                 NoClosedFormError, StudentTNoise,
                                  _ar1_path, _ar1_y_moments, generate, kappa_moments,
                                  noise_moment, residual_moments, true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
@@ -34,7 +34,7 @@ def test_generate_deterministic():
 
 
 def test_generate_noiseless_regression_is_exact():
-    spec = IidLinearRegression(theta_star=(2.0, -1.0), x_law=UniformBoxX(1.0),
+    spec = IidLinearRegression(theta_star=(2.0, -1.0), x_law=IsotropicGaussianX(1.0),
                                noise=GaussianNoise(variance=0.0))
     data = generate(spec, 100, seed=0)
     assert np.allclose(data.y, data.x @ np.array([2.0, -1.0]))
@@ -91,12 +91,10 @@ def test_spec_validation():
         BoundedClassification(theta_star=(1.0,), x_law=IsotropicGaussianX(), flip_prob=0.5)
     with pytest.raises(ValueError):
         MixingBoundSpec(c1=-1.0, c2=1.0)
-    with pytest.raises(ValueError, match="halfwidth must be nonnegative"):
-        UniformBoxX(halfwidth=-1.0)
     with pytest.raises(ValueError, match="scale must be nonnegative"):
         IsotropicGaussianX(scale=-1.0)
-    # Width zero is a point-mass design.
-    spec = IidLinearRegression(theta_star=(1.0,), x_law=UniformBoxX(0.0),
+    # Scale zero is a point-mass design.
+    spec = IidLinearRegression(theta_star=(1.0,), x_law=IsotropicGaussianX(0.0),
                                noise=GaussianNoise(variance=1.0))
     assert not generate(spec, 3, seed=0).x.any()
 
@@ -166,7 +164,7 @@ def test_analytic_moments_iid_regression():
 
 
 def test_analytic_moments_iid_monte_carlo():
-    spec = IidLinearRegression(theta_star=(0.4, 0.2), x_law=UniformBoxX(1.5),
+    spec = IidLinearRegression(theta_star=(0.4, 0.2), x_law=IsotropicGaussianX(1.5),
                                noise=GaussianNoise(variance=0.3))
     ey2 = float(residual_moments(spec, ZERO, 2)[0][0])
     ey4, ex4 = kappa_moments(spec)

@@ -218,6 +218,17 @@ def test_shipped_configs_load_and_set_up(path):
     assert setup.cfg.moment.value > 0
 
 
+def test_readme_configuration_example_loads():
+    # The example under "Configuration format" is a config the parser accepts as printed.
+    section = (ROOT / "README.md").read_text().split("## Configuration format", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    config = config_from_dict(yaml.safe_load(example))
+    assert config.generator.x_law == IsotropicGaussianX(1.0)
+    assert config.prior == IidSamplePrior(count=100, dim=2, scale=1.0, seed=101)
+    assert config.regime == VarianceRegime("kappa")
+    assert _setup(config).cfg.moment.value > 0
+
+
 def test_config_unknown_kind_names_the_key():
     raw = yaml.safe_load(BASE_YAML)
     raw["generator"]["noise"] = {"kind": "cauchy"}

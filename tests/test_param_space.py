@@ -27,17 +27,16 @@ def test_explicit_prior_passthrough():
 
 
 def test_sampled_prior_deterministic():
-    spec = IidSamplePrior(count=100, dim=3, law="gaussian", scale=1.0, seed=7)
+    spec = IidSamplePrior(count=100, dim=3, scale=1.0, seed=7)
     a1, _ = build_prior(spec, seed=123)
     a2, _ = build_prior(spec, seed=456)  # spec seed wins
     assert np.array_equal(a1.coords, a2.coords)
-    spec_noseed = IidSamplePrior(count=50, dim=2, law="uniform", scale=2.0)
+    spec_noseed = IidSamplePrior(count=50, dim=2, scale=2.0)
     b1, _ = build_prior(spec_noseed, seed=9)
     b2, _ = build_prior(spec_noseed, seed=9)
     b3, _ = build_prior(spec_noseed, seed=10)
     assert np.array_equal(b1.coords, b2.coords)
     assert not np.array_equal(b1.coords, b3.coords)
-    assert np.all(np.abs(b1.coords) <= 2.0)
 
 
 def test_sampled_prior_uniform_weights():
@@ -64,11 +63,10 @@ def test_grid_prior_errors():
     (UniformGridPrior, {"bounds": ((0.0, 1.0), (0.0, 1.0)), "points_per_axis": 0},
      "points_per_axis"),
     (IidSamplePrior, {"count": 1, "dim": 1}, "count"),
-    (IidSamplePrior, {"count": 5, "dim": 1, "law": "cauchy"}, "law"),
-    (IidSamplePrior, {"count": 5, "dim": 1, "law": "uniform", "scale": -1.0}, "scale"),
+    (IidSamplePrior, {"count": 5, "dim": 1, "scale": -1.0}, "scale"),
     (IidSamplePrior, {"count": 5, "dim": 1, "seed": -1}, "seed"),
     (ExplicitPrior, {"atoms": np.zeros((2, 1)), "weights": np.ones(3) / 3}, "weights"),
-], ids=["grid-axes", "grid-points", "sample-count", "sample-law", "sample-scale", "sample-seed",
+], ids=["grid-axes", "grid-points", "sample-count", "sample-scale", "sample-seed",
         "explicit-weights"])
 def test_prior_specs_reject_bad_values_on_construction(spec, kwargs, field):
     with pytest.raises(ValueError, match=field):
