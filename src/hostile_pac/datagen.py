@@ -59,22 +59,25 @@ NoiseLaw = GaussianNoise | StudentTNoise
 
 
 def noise_moment(noise: NoiseLaw, order: int) -> float:
-    """E[eps**order] for even order in {2, 4, 6}; odd moments vanish by symmetry."""
+    """E[eps**order] for even order in {2, 4, 6}, inf past the largest double;
+    odd moments vanish by symmetry."""
     if order not in (2, 4, 6):
         raise ValueError("supported orders: 2, 4, 6")
-    if isinstance(noise, GaussianNoise):
-        v = noise.variance
-        return {2: v, 4: 3 * v**2, 6: 15 * v**3}[order]
-    nu, s = noise.dof, noise.scale
-    if nu <= order:
+    if isinstance(noise, StudentTNoise) and noise.dof <= order:
         raise MomentDoesNotExistError(
-            f"Student-t moment of order {order} requires dof > {order}, got {nu}"
+            f"Student-t moment of order {order} requires dof > {order}, got {noise.dof}"
         )
-    if order == 2:
-        return s**2 * nu / (nu - 2)
-    if order == 4:
-        return 3 * s**4 * nu**2 / ((nu - 2) * (nu - 4))
-    return 15 * s**6 * nu**3 / ((nu - 2) * (nu - 4) * (nu - 6))
+    try:  # Python's float power raises where numpy's would give inf
+        if isinstance(noise, GaussianNoise):
+            return (1, 3, 15)[order // 2 - 1] * noise.variance ** (order // 2)
+        nu, s = noise.dof, noise.scale
+        if order == 2:
+            return s**2 * nu / (nu - 2)
+        if order == 4:
+            return 3 * s**4 * nu**2 / ((nu - 2) * (nu - 4))
+        return 15 * s**6 * nu**3 / ((nu - 2) * (nu - 4) * (nu - 6))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -186,45 +189,51 @@ def _ar1_path(a: float, y0: float | np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _draw(spec: GeneratorSpec, n: int,
           rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """One dataset per generator, as x of shape (rows, n, k) and y of shape (rows, n)."""
-    if isinstance(spec, IidLinearRegression):
-        theta = np.asarray(spec.theta_star)
-        x, y = np.empty((len(rngs), n, spec.dim)), np.empty((len(rngs), n))
+    """One dataset per generator, as x of shape (rows, n, k) and y of shape (rows, n).
+
+    Per row, the only work is the generator's fills, in its stream order; the
+    arithmetic on them runs once per block, in place where it can.
+    """
+    rows = len(rngs)
+    if isinstance(spec, (IidLinearRegression, BoundedClassification)):
+        regression = isinstance(spec, IidLinearRegression)
+        x, draws = np.empty((rows, n, spec.dim)), np.empty((rows, n))
         for i, rng in enumerate(rngs):
-            x[i] = rng.standard_normal((n, spec.dim)) * spec.x_law.scale
-            y[i] = x[i] @ theta + _draw_noise(spec.noise, n, rng)
-        return x, y
+            rng.standard_normal(out=x[i])
+            if regression:
+                draws[i] = _draw_noise(spec.noise, n, rng)
+            else:
+                rng.random(out=draws[i])
+        x *= spec.x_law.scale
+        score = x @ np.asarray(spec.theta_star)
+        if regression:
+            return x, np.add(draws, score, out=draws)
+        return x, np.where((score >= 0.0) != (draws < spec.flip_prob), 1.0, -1.0)
     if isinstance(spec, AR1):
         if n < 2:
             raise ValueError("AR(1) needs n >= 2")
-        eps = np.empty((len(rngs), n))
+        eps = np.empty((rows, n))
         if isinstance(spec.noise, GaussianNoise):
             stationary_sd = math.sqrt(spec.noise.variance / (1.0 - spec.a**2))
-            y0 = np.empty(len(rngs))
+            y0 = np.empty(rows)
             for i, rng in enumerate(rngs):
                 y0[i] = rng.normal(0.0, stationary_sd)
                 eps[i] = _draw_noise(spec.noise, n, rng)
         else:
-            # No closed-form stationary law for t innovations: burn in instead.
-            burn = np.empty((len(rngs), AR1_BURN_IN))
+            # No closed-form stationary law for t innovations: burn in instead,
+            # keeping only the last value, sum_j a**j * burn_{-1-j}. Integer
+            # exponents keep a negative a exact; a pairwise sum per row keeps
+            # each row's bits independent of the block.
+            burn = np.empty((rows, AR1_BURN_IN))
             for i, rng in enumerate(rngs):
                 burn[i] = _draw_noise(spec.noise, AR1_BURN_IN, rng)
                 eps[i] = _draw_noise(spec.noise, n, rng)
-            y0 = _ar1_path(spec.a, 0.0, burn)[:, -1]
+            y0 = (burn * spec.a ** np.arange(AR1_BURN_IN - 1, -1, -1)).sum(axis=1)
         y = _ar1_path(spec.a, y0, eps)
-        x = np.empty((len(rngs), n, 2))
+        x = np.empty((rows, n, 2))
         x[:, :, 0] = 1.0
         x[:, 0, 1] = y0
         x[:, 1:, 1] = y[:, :-1]
-        return x, y
-    if isinstance(spec, BoundedClassification):
-        theta = np.asarray(spec.theta_star)
-        x, y = np.empty((len(rngs), n, spec.dim)), np.empty((len(rngs), n))
-        for i, rng in enumerate(rngs):
-            x[i] = rng.standard_normal((n, spec.dim)) * spec.x_law.scale
-            labels = np.where(x[i] @ theta >= 0.0, 1.0, -1.0)
-            flips = rng.random(n) < spec.flip_prob
-            y[i] = labels * np.where(flips, -1.0, 1.0)
         return x, y
     raise TypeError(f"unknown generator spec: {type(spec).__name__}")
 
@@ -235,8 +244,9 @@ def generate(spec: GeneratorSpec, n: int, seed: int | np.random.SeedSequence | l
     ``seed`` is anything ``np.random.default_rng`` takes (a list of ints is
     one entropy seed), or a list of ``SeedSequence``s, which gives a stacked
     dataset with one row per seed. Each row draws what a lone ``generate``
-    of its seed draws, in the same order and with the same arithmetic, and
-    the block is validated once.
+    of its seed draws, in the same order and with the same arithmetic: per
+    row only the generator's fills run, and the arithmetic on them and the
+    validation run once per block.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -67,11 +67,16 @@ def _closed_form(config: ExperimentConfig, key: str, value: float) -> float:
 
 
 def _check_noise_moment(config: ExperimentConfig, order: int, key: str) -> None:
+    noise = config.generator.noise
     try:
-        datagen.noise_moment(config.generator.noise, order)
+        moment = datagen.noise_moment(noise, order)
     except datagen.MomentDoesNotExistError as exc:
         raise ValueError(f"{key} needs noise moments of order {order} ({exc}); "
                          "raise generator.noise.dof or supply a number") from exc
+    if not math.isfinite(moment):
+        scale = "variance" if isinstance(noise, datagen.GaussianNoise) else "scale"
+        raise ValueError(f"{key} needs noise moments of order {order}, which overflow "
+                         f"doubles; lower generator.noise.{scale} or supply a number")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The only predictor family is linear, f_theta(x) = <theta, x>. Empirical
 risks come from :func:`empirical_risks`: a closed form for the squared loss,
 the column means of the n x K loss table for the other losses. The table, a
 plain array, stays the reference for every loss and the input of the
-per-observation routines (replicated moment estimates). Row order of a
+per-observation routines (replicated moment estimates). A zero-one table is
+boolean, one byte per entry; the squared-loss table is float. Row order of a
 dataset is significant (dependence structure lives in the order).
 """
 
@@ -84,7 +85,9 @@ def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndar
     stacked to (rows, n, K) for a stacked dataset.
 
     The squared loss is computed in place in the one array of predictions,
-    and can overflow; the zero-one loss holds only 0 and 1.
+    and can overflow. The zero-one table is the boolean mismatch mask, True
+    where the predicted label misses; its column means are the float means
+    of 0 and 1, bit for bit, since sums of 0 and 1 are exact.
     """
     _check_dims(data, atoms)
     return _loss_table(data.x, data.y, atoms.coords, loss)
@@ -100,10 +103,8 @@ def _loss_table(x: np.ndarray, y: np.ndarray, coords: np.ndarray, loss: LossKind
         if not np.isfinite(table.max()):
             raise ValueError("loss entries must be finite")
     elif isinstance(loss, ZeroOneLoss):
-        mismatch = table >= loss.threshold
-        del table
-        np.not_equal(mismatch, y >= 0.0, out=mismatch)
-        table = mismatch.astype(float)
+        table = table >= loss.threshold
+        np.not_equal(table, y >= 0.0, out=table)
     else:
         raise TypeError(f"unknown loss kind: {type(loss).__name__}")
     return table

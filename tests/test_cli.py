@@ -199,6 +199,21 @@ def test_overflowing_prior_moment_fails_with_one_line(capsys):
         "prior.scale\n")
 
 
+@pytest.mark.parametrize("config, override, key", [
+    ("bound_demo", "generator.noise.scale=1e80", "generator.noise.scale"),
+    ("coverage_ar1_t7", "generator.noise.scale=1e60", "generator.noise.scale"),
+    ("oracle_rate_gaussian", "generator.noise.variance=1e200", "generator.noise.variance"),
+])
+def test_overflowing_noise_moment_fails_with_one_line(config, override, key, capsys):
+    # The regime's analytic constant needs a noise moment past the largest double.
+    path = ROOT / "configs" / f"{config}.yaml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound", "--config", str(path), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
+
+
 def test_population_budget_overflow_names_the_key(capsys):
     # bound spends M/delta, which is finite here; coverage's population level
     # spends 2**q * M/delta, which overflows.

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise,
+from hostile_pac.datagen import (AR1, AR1_BURN_IN, BoundedClassification, GaussianNoise,
                                  IidLinearRegression, IsotropicGaussianX,
                                  MixingBoundSpec, MomentDoesNotExistError,
                                  NoClosedFormError, StudentTNoise,
-                                 _ar1_path, _ar1_y_moments, generate, kappa_moments,
+                                 _ar1_path, _ar1_y_moments, _draw_noise, generate, kappa_moments,
                                  noise_moment, residual_moments, true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
@@ -53,6 +53,37 @@ def test_ar1_path_matches_loop():
                 prev = a * prev + e
                 slow[i] = prev
             assert np.allclose(fast, slow, rtol=0, atol=1e-12), (a, n)
+
+
+# Drawn with seed 0 by the per-row arithmetic that the block arithmetic replaced.
+_X6 = [[0.1634492874214113, -0.17173632227869245], [0.8325494455762668, 0.13637015229895164],
+       [-0.6963701851094443, 0.4700735713823302], [1.6952000586691784, 1.2312052520680148],
+       [-0.9148558065490904, -1.6450479123598682], [-0.8102568012985579, 0.05372377315141668]]
+_AR6 = [0.15747063714437864, -0.2283876277921321, 0.7326827717431983, -0.4190524230994834,
+        -0.18578055657153986, 0.45346683884222855, 0.8489063102399521]
+
+
+@pytest.mark.parametrize("spec, x, y", [
+    (IidLinearRegression((0.5, -0.3), IsotropicGaussianX(1.3), StudentTNoise(dof=5.0, scale=0.7)),
+     _X6, [-1.7534613065070794, -0.29533630401761235, -0.2639864976006637, 1.7908310757906483,
+           0.6942934106053983, -1.2379414137143363]),
+    (BoundedClassification((1.0, -0.5), IsotropicGaussianX(1.3), 0.3),
+     _X6, [1.0, -1.0, -1.0, -1.0, -1.0, -1.0]),
+    (AR1(a=-0.7, noise=GaussianNoise(0.8)), [[1.0, lag] for lag in _AR6[:-1]], _AR6[1:]),
+], ids=["iid", "classification", "ar1-gaussian"])
+def test_generate_keeps_its_bits(spec, x, y):
+    data = generate(spec, 6, seed=0)
+    assert data.x.tolist() == x and data.y.tolist() == y
+
+
+@pytest.mark.parametrize("a", [0.95, -0.95])
+def test_ar1_burn_in_is_the_last_value_of_the_recursion(a):
+    spec = AR1(a=a, noise=StudentTNoise(dof=7.0, scale=0.5))
+    rng = np.random.default_rng(9)
+    y0 = 0.0
+    for e in _draw_noise(spec.noise, AR1_BURN_IN, rng):
+        y0 = a * y0 + e
+    assert generate(spec, 5, seed=9).x[0, 1] == pytest.approx(y0, rel=1e-12, abs=1e-14)
 
 
 def test_ar1_design_is_intercept_and_lag():
@@ -126,6 +157,14 @@ def test_noise_moment_nonexistence():
         noise_moment(StudentTNoise(dof=5.0), 6)
     with pytest.raises(MomentDoesNotExistError):
         noise_moment(StudentTNoise(dof=4.0), 4)
+
+
+def test_noise_moment_past_the_largest_double_is_inf():
+    assert noise_moment(StudentTNoise(dof=7.0, scale=1e80), 4) == math.inf
+    assert noise_moment(StudentTNoise(dof=7.0, scale=1e60), 6) == math.inf
+    assert noise_moment(GaussianNoise(variance=1e200), 4) == math.inf
+    # Only the requested order is raised to its power.
+    assert noise_moment(GaussianNoise(variance=1e110), 2) == 1e110
 
 
 def test_moment_consistency_monte_carlo():

@@ -74,6 +74,34 @@ def test_loss_table_keeps_one_table_alive(loss):
         tracemalloc.stop()
     assert table.shape == (n, num_atoms)
     assert peak < 1.5 * n * num_atoms * 8
+    if isinstance(loss, ZeroOneLoss):
+        assert table.nbytes == n * num_atoms
+
+
+def test_zero_one_table_is_boolean():
+    rng = np.random.default_rng(7)
+    data = Dataset(x=rng.standard_normal((3, 40, 2)), y=rng.standard_normal((3, 40)))
+    atoms = AtomSet(rng.standard_normal((9, 2)))
+    for part in (data, Dataset(x=data.x[0], y=data.y[0])):
+        table = compute_loss_table(part, atoms, ZeroOneLoss(0.2))
+        assert table.dtype == bool and table.nbytes == part.y.size * len(atoms)
+    assert compute_loss_table(data, atoms, SquaredLoss()).dtype == np.float64
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=300),
+    k=st.integers(min_value=1, max_value=4),
+    num_atoms=st.integers(min_value=1, max_value=12),
+    threshold=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_boolean_table_means_keep_the_float_bits(seed, n, k, num_atoms, threshold):
+    rng = np.random.default_rng(seed)
+    data = Dataset(x=rng.standard_normal((n, k)), y=rng.standard_normal(n))
+    table = compute_loss_table(data, AtomSet(rng.standard_normal((num_atoms, k))),
+                               ZeroOneLoss(threshold))
+    assert empirical_risk(table).tobytes() == table.astype(float).mean(axis=0).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
