@@ -19,8 +19,7 @@ from .divergence import PhiP, f_divergence
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, MomentBound, RegimeSpec,
                       SubGaussianRegime, VarianceRegime, empirical_moment_estimate)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
-                          IidSamplePrior, PriorSpec, UniformGridPrior,
-                          build_prior, expectation)
+                          IidSamplePrior, PriorSpec, build_prior, expectation)
 from .risk import (Dataset, LossKind, SquaredLoss, ZeroOneLoss, compute_loss_table,
                    empirical_risk, empirical_risks)
 

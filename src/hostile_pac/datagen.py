@@ -73,9 +73,9 @@ def noise_moment(noise: NoiseLaw, order: int) -> float:
         nu, s = noise.dof, noise.scale
         if order == 2:
             return s**2 * nu / (nu - 2)
-        if order == 4:
-            return 3 * s**4 * nu**2 / ((nu - 2) * (nu - 4))
-        return 15 * s**6 * nu**3 / ((nu - 2) * (nu - 4) * (nu - 6))
+        if order == 4:  # one factor nu / (nu - m) at a time, finite at any dof
+            return 3 * s**4 * nu / (nu - 2) * nu / (nu - 4)
+        return 15 * s**6 * nu / (nu - 2) * nu / (nu - 4) * nu / (nu - 6)
     except OverflowError:
         return math.inf
 

@@ -14,9 +14,9 @@ their levels rbar and rho_hat weights;
 ``_certify`` adds, for ``bound`` and coverage, the ERM, the sublevel-mass
 exponent, the certified oracle and the rho_hat, prior and ERM certificates,
 row by row. ``bound`` and ``aggregate`` take the one-row range of dataset 0;
-coverage takes fixed blocks of ``COVERAGE_BLOCK_ATOMS // K`` rows. Dataset
-``index`` draws from the seed sequence ``[seed, 0, index]``, and the blocks
-do not depend on the worker count, so neither do the results.
+coverage takes fixed blocks of ``COVERAGE_BLOCK_ATOMS // K`` rows, one after
+another in one process. Dataset ``index`` draws from the seed sequence
+``[seed, 0, index]``, so the data do not depend on the block size.
 
 Each regime's load-time rules and moment constant live on its class in
 :mod:`hostile_pac.moments`, called by ``ExperimentConfig``'s load-time check and
@@ -32,10 +32,9 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import cache
 from itertools import chain, groupby, repeat
 from operator import is_
 from pathlib import Path
@@ -52,9 +51,9 @@ from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate, catoni_p
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, NoClosedFormError, StudentTNoise)
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, RegimeSpec, SubGaussianRegime,
-                      VarianceRegime)
+                      VarianceRegime, scale_keys)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior, IidSamplePrior,
-                          PriorSpec, UniformGridPrior, build_prior, expectation)
+                          PriorSpec, build_prior, expectation)
 from .risk import LossKind, SquaredLoss, ZeroOneLoss, empirical_risks
 
 
@@ -82,7 +81,6 @@ class ExperimentConfig:
     replications: int = 100
     seed: int = 0
     gamma_grid: tuple[float, ...] = tuple(np.linspace(0.05, 0.9, 10).tolist())
-    workers: int = 1
     require_complexity: bool = False
 
     def __post_init__(self) -> None:
@@ -97,8 +95,6 @@ class ExperimentConfig:
             if self.n > most:  # numpy cannot index one dataset's n x k doubles
                 raise ValueError(f"experiment.n must be at most {most}, the most rows of "
                                  f"{self.generator.dim} doubles that one array can hold")
-            if self.workers < 1:
-                raise ValueError("experiment.workers must be positive")
             if not 0 < self.delta < 1:
                 raise ValueError("experiment.delta must lie in (0, 1)")
             if not self.p > 1:
@@ -113,8 +109,7 @@ class ExperimentConfig:
             if isinstance(self.generator, AR1) and self.n < 2:
                 raise ValueError("experiment.n must be at least 2 for AR(1)")
             if self.prior.dim != self.generator.dim:
-                key = {UniformGridPrior: "bounds", ExplicitPrior: "atoms"}.get(type(self.prior),
-                                                                                "dim")
+                key = "atoms" if isinstance(self.prior, ExplicitPrior) else "dim"
                 raise ValueError(f"prior.{key}: the prior's atoms have dimension "
                                  f"{self.prior.dim}, the generator's parameters "
                                  f"{self.generator.dim}")
@@ -134,8 +129,7 @@ _KINDS = {
                     "classification": BoundedClassification},
     datagen.NoiseLaw: {"gaussian": GaussianNoise, "student_t": StudentTNoise},
     datagen.XLaw: {"gaussian": IsotropicGaussianX},
-    PriorSpec: {"uniform_grid": UniformGridPrior, "iid_sample": IidSamplePrior,
-                "explicit": ExplicitPrior},
+    PriorSpec: {"iid_sample": IidSamplePrior, "explicit": ExplicitPrior},
     LossKind: {"squared": SquaredLoss, "zero_one": ZeroOneLoss},
     RegimeSpec: {"variance": VarianceRegime, "subgaussian": SubGaussianRegime,
                  "mixing_bounded": MixingBoundedRegime,
@@ -189,13 +183,9 @@ def _coerce(value, hint, where: str):
     elif origin is Literal:
         if isinstance(value, str) and value in args:
             return value
-    elif origin is tuple:
+    elif origin is tuple:  # tuple[X, ...]
         if isinstance(value, (list, tuple)):
-            if args[-1] is Ellipsis:
-                args = args[:1] * len(value)
-            if len(value) == len(args):
-                return tuple(_coerce(v, a, f"{where}[{i}]")
-                             for i, (v, a) in enumerate(zip(value, args)))
+            return tuple(_coerce(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
     elif dataclasses.is_dataclass(hint):
         return _build(hint, value, where)
     elif hint is np.ndarray:
@@ -253,6 +243,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if exp.pop("probes", 0) != 0:  # retired key; perfbench/configs still write probes: 0
         raise ConfigError("experiment.probes is retired: coverage decides the event over "
                           "every rho exactly, so only probes: 0 is accepted")
+    if "workers" in exp:  # retired key; perfbench still writes experiment.workers=1|2
+        if _coerce(exp.pop("workers"), int, "experiment.workers") < 1:
+            raise ConfigError("experiment.workers must be positive")
     if isinstance(exp.get("loss"), str):
         exp["loss"] = {"kind": exp["loss"]}
     if isinstance(exp.get("gamma_grid"), dict):
@@ -340,9 +333,14 @@ def _fit(config: ExperimentConfig, setup: _Setup,
          indices: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical risks r_n of datasets ``indices``, one row each, their
     levels rbar and rho_hat weights."""
-    data = datagen.generate(config.generator, config.n,
-                            [np.random.SeedSequence([config.seed, 0, index]) for index in indices])
-    rn = empirical_risks(data, setup.atoms, config.loss)
+    seeds = [np.random.SeedSequence([config.seed, 0, index]) for index in indices]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows fail as non-finite values
+            rn = empirical_risks(datagen.generate(config.generator, config.n, seeds),
+                                 setup.atoms, config.loss)
+    except ValueError as exc:  # non-finite data or risks
+        raise ConfigError(f"the data overflow doubles ({exc}); lower "
+                          f"{scale_keys(config)}") from exc
     rbar = solve_rbar(rn, setup.pi, setup.cfg.q, setup.cfg.budget)
     return rn, rbar, rho_hat(rn, setup.pi, setup.cfg.p, rbar)
 
@@ -524,8 +522,11 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     hit/miss decisions carry no oracle noise.
 
     Replications are certified in fixed blocks of
-    ``max(1, COVERAGE_BLOCK_ATOMS // K)`` rows, and the worker pool maps
-    blocks, so the output does not depend on ``experiment.workers``.
+    ``max(1, COVERAGE_BLOCK_ATOMS // K)`` rows, one block after another. Each
+    dataset draws from its own seed sequence; only the fields made by a
+    product of the block's rows with one shared vector (``rho_hat_true_integral``,
+    ``slack_rho_hat``, ``sup_ratio`` and the summary's moments) can move in
+    their last bits with the block size.
 
     The summary splits the slack of the moment constant M by layer:
     ``realized_moment`` m = mean E_pi |gap|**q, ``critical_moment``
@@ -561,12 +562,7 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
     rows = max(1, COVERAGE_BLOCK_ATOMS // len(setup.atoms))
     blocks = [range(start, min(start + rows, config.replications))
               for start in range(0, config.replications, rows)]
-    certify_block = partial(_replication_block, config, setup, true_values)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            done = list(pool.map(certify_block, blocks))
-    else:
-        done = [certify_block(block) for block in blocks]
+    done = [_replication_block(config, setup, true_values, block) for block in blocks]
     columns = {name: np.concatenate([block[name] for block in done]) for name in done[0]}
     sup, moment = columns.pop("sup"), float(np.mean(columns.pop("moment")))
 

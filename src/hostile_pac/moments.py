@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from . import datagen
-from .param_space import AtomSet, DiscreteDistribution, ExplicitPrior, UniformGridPrior
+from .param_space import AtomSet, DiscreteDistribution, ExplicitPrior
 from .risk import SquaredLoss, ZeroOneLoss, empirical_risk
 
 if TYPE_CHECKING:
@@ -54,16 +54,22 @@ def _check_independent_rows(config: ExperimentConfig, kind: str) -> None:
                          "not ar1")
 
 
+def scale_keys(config: ExperimentConfig) -> str:
+    """The config keys that set the size of the data and of their moments,
+    listed for an error that asks to lower one of them."""
+    keys = [f"generator.{key}" for key in ("theta_star", "x_law.scale", "noise")
+            if hasattr(config.generator, key.split(".")[0])]
+    prior = "atoms" if isinstance(config.prior, ExplicitPrior) else "scale"
+    return f"{', '.join(keys)} or prior.{prior}"
+
+
 def _closed_form(config: ExperimentConfig, key: str, value: float) -> float:
     """``value``, the constant at ``key`` made from closed-form moments of the
     generator and the prior, if finite; the error names the scales that overflow it."""
     if math.isfinite(value):
         return value
-    prior = {UniformGridPrior: "bounds", ExplicitPrior: "atoms"}.get(type(config.prior), "scale")
-    design = ("generator.theta_star, generator.x_law.scale, "
-              if isinstance(config.generator, datagen.IidLinearRegression) else "")
     raise ValueError(f"{key}: the closed-form moments give {value} in doubles; lower "
-                     f"{design}generator.noise or prior.{prior}")
+                     f"{scale_keys(config)}")
 
 
 def _check_noise_moment(config: ExperimentConfig, order: int, key: str) -> None:

@@ -10,7 +10,6 @@ indices (e.g. the empirical-risk minimizer) are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,36 +74,6 @@ class DiscreteDistribution:
 
 
 @dataclass(frozen=True)
-class UniformGridPrior:
-    """Uniform weights on a rectangular grid, one (lo, hi) pair per coordinate.
-
-    Atoms are enumerated in row-major coordinate order (first coordinate
-    varies slowest). A single ``points_per_axis`` is stored as one count per
-    axis.
-    """
-
-    bounds: tuple[tuple[float, float], ...]
-    points_per_axis: int | tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ppa = self.points_per_axis
-        counts = (ppa,) * self.dim if isinstance(ppa, int) else tuple(ppa)
-        object.__setattr__(self, "points_per_axis", counts)
-        if not self.bounds:
-            raise ValueError("bounds needs at least one coordinate")
-        if not np.all(np.isfinite(self.bounds)):
-            raise ValueError("bounds must be finite")
-        if len(counts) != self.dim:
-            raise ValueError("points_per_axis does not match the number of coordinates in bounds")
-        if min(counts) < 1 or math.prod(counts) < 2:
-            raise ValueError("points_per_axis needs a point on every axis and 2 atoms in all")
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
-
-
-@dataclass(frozen=True)
 class IidSamplePrior:
     """Uniform weights on atoms sampled i.i.d. from the isotropic Gaussian of
     std ``scale``; ``scale = 0`` puts every atom at the origin. A ``seed``
@@ -141,35 +110,22 @@ class ExplicitPrior:
         return AtomSet(self.atoms).dim
 
 
-PriorSpec = UniformGridPrior | IidSamplePrior | ExplicitPrior
+PriorSpec = IidSamplePrior | ExplicitPrior
 
 
 def build_prior(spec: PriorSpec, seed: int = 0) -> tuple[AtomSet, DiscreteDistribution]:
     """Materialize a prior specification into an atom set and weight vector.
 
-    Deterministic given ``(spec, seed)``. Grid and sampled priors carry
-    uniform weights ``1/K``.
+    Deterministic given ``(spec, seed)``. A sampled prior carries uniform
+    weights ``1/K``.
     """
     if isinstance(spec, ExplicitPrior):
         return AtomSet(spec.atoms), DiscreteDistribution(spec.weights)
-    if isinstance(spec, UniformGridPrior):
-        atoms = _grid_atoms(spec)
-    elif isinstance(spec, IidSamplePrior):
-        atoms = _sampled_atoms(spec, seed)
-    else:
+    if not isinstance(spec, IidSamplePrior):
         raise TypeError(f"unknown prior spec: {type(spec).__name__}")
-    return atoms, DiscreteDistribution.uniform(len(atoms))
-
-
-def _grid_atoms(spec: UniformGridPrior) -> AtomSet:
-    axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(spec.bounds, spec.points_per_axis)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return AtomSet(np.stack([g.ravel() for g in mesh], axis=-1))
-
-
-def _sampled_atoms(spec: IidSamplePrior, seed: int) -> AtomSet:
     rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
-    return AtomSet(rng.standard_normal((spec.count, spec.dim)) * spec.scale)
+    atoms = AtomSet(rng.standard_normal((spec.count, spec.dim)) * spec.scale)
+    return atoms, DiscreteDistribution.uniform(len(atoms))
 
 
 def _rows(values, size: int | None = None) -> np.ndarray:

@@ -167,6 +167,9 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     # Sample sizes beyond numpy's index type and beyond its largest array.
     ("bound_demo", "experiment.n=1000000000000000000000", ["experiment.n"]),
     ("bound_demo", f"experiment.n={2**62}", ["experiment.n"]),
+    # The grid prior is gone; the retired workers key still takes only positive counts.
+    ("bound_demo", "prior.kind=uniform_grid", ["prior.kind"]),
+    ("bound_demo", "experiment.workers=0", ["experiment.workers"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"
@@ -212,6 +215,26 @@ def test_overflowing_noise_moment_fails_with_one_line(config, override, key, cap
         assert main(["bound", "--config", str(path), "--set", override]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("config, override, keys", [
+    ("bound_demo", "regime.s2=1 generator.noise.scale=1e160", "generator.noise"),
+    ("bound_demo", "regime.s2=1 generator.x_law.scale=1e308", "generator.x_law.scale"),
+    ("bound_demo", "regime.s2=1 prior.scale=1e200", "prior.scale"),
+    ("coverage_ar1_t7", "regime.moment_integral=1 generator.noise.scale=1e160",
+     "generator.noise or prior.scale"),
+])
+def test_overflowing_data_fails_with_one_line(config, override, keys, capsys):
+    # A numeric regime constant leaves no closed-form moment to overflow first:
+    # the drawn data or their empirical risks overflow instead.
+    path = ROOT / "configs" / f"{config}.yaml"
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound", "--config", str(path), *sets]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the data overflow doubles") and err.count("\n") == 1
+    assert keys in err
 
 
 def test_population_budget_overflow_names_the_key(capsys):
@@ -265,6 +288,14 @@ def test_retired_probes_key_loads_only_at_zero(config_path, capsys, value, code)
                  "--set", f"experiment.probes={value}"]) == code
     if code:
         assert "config error: experiment.probes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, code", [("1", 0), ("2", 0), ("0", 1), ("true", 1)])
+def test_retired_workers_key_loads_at_any_positive_count(config_path, capsys, value, code):
+    assert main(["bound", "--config", str(config_path),
+                 "--set", f"experiment.workers={value}"]) == code
+    if code:
+        assert "config error: experiment.workers" in capsys.readouterr().err
 
 
 def test_override_on_empty_file_is_a_config_error(tmp_path, capsys):

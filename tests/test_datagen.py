@@ -167,6 +167,16 @@ def test_noise_moment_past_the_largest_double_is_inf():
     assert noise_moment(GaussianNoise(variance=1e110), 2) == 1e110
 
 
+def test_noise_moment_at_a_huge_dof_is_the_gaussian_limit():
+    # nu**2 and nu**3 overflow at this dof; the moments tend to the Gaussian 1, 3, 15.
+    huge = StudentTNoise(dof=1e200, scale=1.0)
+    assert [noise_moment(huge, order) for order in (2, 4, 6)] == pytest.approx([1.0, 3.0, 15.0])
+    # The bundled Student-t laws keep their bits.
+    assert noise_moment(StudentTNoise(dof=5.0, scale=1.0), 4) == 25.0
+    t7 = StudentTNoise(dof=7.0, scale=0.5)
+    assert (noise_moment(t7, 4), noise_moment(t7, 6)) == (0.6125, 5.359375)
+
+
 def test_moment_consistency_monte_carlo():
     draws = 10_000_000
     rng = np.random.default_rng(321)

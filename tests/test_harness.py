@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from hostile_pac.harness import (COVERAGE_BLOCK_ATOMS, AssumptionError, ConfigError,
+from hostile_pac import harness
+from hostile_pac.harness import (AssumptionError, ConfigError,
                                  ExperimentConfig,
                                  apply_overrides, config_from_dict,
                                  dump_record, fit_loglog_slope, load_config,
@@ -16,8 +17,7 @@ from hostile_pac.harness import (COVERAGE_BLOCK_ATOMS, AssumptionError, ConfigEr
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, MixingBoundSpec, StudentTNoise)
 from hostile_pac.moments import MixingUnboundedRegime, VarianceRegime
-from hostile_pac.param_space import (ExplicitPrior, IidSamplePrior, UniformGridPrior,
-                                     build_prior)
+from hostile_pac.param_space import ExplicitPrior, IidSamplePrior, build_prior
 from hostile_pac import risk
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss
 
@@ -139,7 +139,7 @@ def test_config_rejects_bad_values_naming_the_key(section, key, value, named):
 
 @pytest.mark.parametrize("prior, named", [
     ({"kind": "iid_sample", "count": 30, "dim": 1}, "prior.dim"),
-    ({"kind": "uniform_grid", "bounds": [[-1, 1]] * 3, "points_per_axis": 3}, "prior.bounds"),
+    ({"kind": "explicit", "atoms": [[0.0, 1.0, 2.0]] * 2, "weights": [0.5, 0.5]}, "prior.atoms"),
     ({"kind": "explicit", "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]}, "prior.atoms"),
 ])
 def test_prior_dimension_must_match_the_generator(prior, named):
@@ -241,7 +241,7 @@ def test_config_defaults_come_from_the_dataclasses():
     for key in ("seed", "replications", "p", "gamma_grid"):
         del raw["experiment"][key]
     config = config_from_dict(raw)
-    assert (config.seed, config.replications, config.p, config.workers) == (0, 100, 2.0, 1)
+    assert (config.seed, config.replications, config.p) == (0, 100, 2.0)
     assert config.gamma_grid == tuple(np.linspace(0.05, 0.9, 10).tolist())
 
 
@@ -548,17 +548,35 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
     assert r3.summary["coverage_two_sided"] == 1.0
 
 
-def test_run_coverage_worker_equivalence():
-    # A 1000-atom prior makes blocks of 4 rows: 13 blocks, the last of 2 rows,
-    # split unevenly over 3 workers.
-    config = base_config(replications=50, prior=IidSamplePrior(count=1000, dim=2, scale=1.0))
-    assert COVERAGE_BLOCK_ATOMS // 1000 == 4
-    serial = run_coverage(config)
-    parallel = run_coverage(dataclasses.replace(config, workers=3))
-    assert [dump_record(a) for a in serial.records] == [dump_record(b) for b in parallel.records]
-    # The slack summary is built from values the workers return beside the records.
-    assert ({k: v for k, v in serial.summary.items() if k != "timestamp"}
-            == {k: v for k, v in parallel.summary.items() if k != "timestamp"})
+def test_run_coverage_block_size_equivalence(monkeypatch):
+    # The 50 replications fit one block of the 30-atom prior; blocks of 7 rows
+    # leave a last block of 1, and blocks of 16 rows one of 2. Each dataset
+    # draws from its own seed sequence and the chain works row by row, so
+    # every field keeps its bytes, except those made by a product of the
+    # block's rows with one shared vector: BLAS sums a row in an order that
+    # depends on its place in the block, which moves them by an ulp or so.
+    matvec = {"rho_hat_true_integral", "slack_rho_hat", "sup_ratio", "mean_slack",
+              "realized_moment", "critical_moment", "constant_slack", "constant_layer",
+              "markov_layer"}
+    config = base_config(replications=50)
+    atoms = config.prior.count
+    assert harness.COVERAGE_BLOCK_ATOMS // atoms >= 50
+    runs = [run_coverage(config)]
+    for rows in (7, 16):
+        monkeypatch.setattr(harness, "COVERAGE_BLOCK_ATOMS", rows * atoms)
+        runs.append(run_coverage(config))
+    one_block = runs[0]
+    for run in runs[1:]:
+        # The slack summary is built from values the blocks return beside the records.
+        pairs = [*zip(one_block.records, run.records), (one_block.summary, run.summary)]
+        assert len(pairs) == 51
+        for expected, record in pairs:
+            assert expected.keys() == record.keys()
+            for key in expected.keys() - {"timestamp"}:
+                if key in matvec:
+                    assert record[key] == pytest.approx(expected[key], rel=1e-13), key
+                else:
+                    assert dump_record(record[key]) == dump_record(expected[key]), key
 
 
 def test_run_sweep_rows_and_csv(tmp_path):

@@ -1,4 +1,5 @@
-"""The package never loads scipy: every command runs on numpy alone."""
+"""The package never loads scipy or a process pool: every command runs on numpy
+alone, in one process."""
 
 import subprocess
 import sys
@@ -8,7 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import sys
-sys.modules["scipy"] = None  # any scipy import now raises ImportError
+for name in ("scipy", "multiprocessing", "concurrent.futures"):
+    sys.modules[name] = None  # any import of it now raises ImportError
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import hostile_pac

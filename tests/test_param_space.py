@@ -3,21 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hostile_pac.param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
-                                     IidSamplePrior, UniformGridPrior, build_prior,
-                                     expectation)
-
-
-def test_grid_prior_enumeration_and_weights():
-    atoms, pi = build_prior(UniformGridPrior(bounds=((-1.0, 1.0),), points_per_axis=3))
-    assert np.allclose(atoms.coords.ravel(), [-1.0, 0.0, 1.0])
-    assert np.allclose(pi.weights, [1 / 3] * 3)
-
-
-def test_grid_prior_row_major_order():
-    atoms, _ = build_prior(UniformGridPrior(bounds=((0.0, 1.0), (0.0, 10.0)),
-                                            points_per_axis=2))
-    # First coordinate varies slowest.
-    assert np.allclose(atoms.coords, [[0, 0], [0, 10], [1, 0], [1, 10]])
+                                     IidSamplePrior, build_prior, expectation)
 
 
 def test_explicit_prior_passthrough():
@@ -47,26 +33,12 @@ def test_sampled_prior_uniform_weights():
     assert not atoms.coords.any()
 
 
-def test_grid_prior_errors():
-    with pytest.raises(ValueError):
-        build_prior(UniformGridPrior(bounds=(), points_per_axis=3))
-    with pytest.raises(ValueError):
-        build_prior(UniformGridPrior(bounds=((0.0, np.inf),), points_per_axis=3))
-    with pytest.raises(ValueError):
-        build_prior(UniformGridPrior(bounds=((0.0, 1.0),), points_per_axis=1))
-    with pytest.raises(ValueError):
-        build_prior(IidSamplePrior(count=1, dim=1))
-
-
 @pytest.mark.parametrize("spec, kwargs, field", [
-    (UniformGridPrior, {"bounds": ((0.0, 1.0),), "points_per_axis": (2, 2)}, "points_per_axis"),
-    (UniformGridPrior, {"bounds": ((0.0, 1.0), (0.0, 1.0)), "points_per_axis": 0},
-     "points_per_axis"),
     (IidSamplePrior, {"count": 1, "dim": 1}, "count"),
     (IidSamplePrior, {"count": 5, "dim": 1, "scale": -1.0}, "scale"),
     (IidSamplePrior, {"count": 5, "dim": 1, "seed": -1}, "seed"),
     (ExplicitPrior, {"atoms": np.zeros((2, 1)), "weights": np.ones(3) / 3}, "weights"),
-], ids=["grid-axes", "grid-points", "sample-count", "sample-scale", "sample-seed",
+], ids=["sample-count", "sample-scale", "sample-seed",
         "explicit-weights"])
 def test_prior_specs_reject_bad_values_on_construction(spec, kwargs, field):
     with pytest.raises(ValueError, match=field):
