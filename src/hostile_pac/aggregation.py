@@ -36,7 +36,7 @@ import numpy as np
 
 from .divergence import power_divergence_plus_one
 from .moments import MomentBound
-from .param_space import DiscreteDistribution, _rows
+from .param_space import DiscreteDistribution, _row_dots, _rows
 
 CONJUGACY_TOL = 1e-12
 RBAR_RESIDUAL_TOL = 1e-10
@@ -153,12 +153,8 @@ def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray,
     exactly when that larger moment is at most M/delta.
     """
     gap = _rows(gap, len(pi_weights))
-    return np.maximum(gap, 0.0) ** q @ pi_weights, np.maximum(-gap, 0.0) ** q @ pi_weights
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``a`` with the same row of ``b``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return (_row_dots(np.maximum(gap, 0.0) ** q, pi_weights),
+            _row_dots(np.maximum(-gap, 0.0) ** q, pi_weights))
 
 
 def _spend_and_slope(levels: np.ndarray, risks: np.ndarray, weights: np.ndarray,
@@ -202,7 +198,7 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
     is never the least). Each row is sorted once. Tangents of the convex g lie
     below it, so the iterates fall monotonically onto the root without
     passing it, and a row stops at the first step that no longer decreases its
-    iterate; each iteration reads only the columns below the highest start.
+    iterate; each step sums the row's own sorted support, whatever its block.
     Atoms with infinite risk never spend. The iterate is accepted when its
     spend is within ``RBAR_RESIDUAL_TOL`` of T, or when it is the root to the
     last bit: s(u) >= T > s(u-), u- the next double below u. A level a hair
@@ -231,11 +227,9 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
         u = (np.cumsum(weights * risks, axis=1) / mass + (budget / mass) ** (1.0 / q)).min(axis=1)
         spend, step = np.zeros_like(u), np.zeros_like(u)
         live = np.ones(u.shape, dtype=bool)
-        # The iterates only fall, so no row spends beyond the atoms below its start.
-        width = int((risks < u[:, None]).sum(axis=1).max())
         for _ in range(RBAR_MAX_ITER):
             np.subtract(u, step, out=u, where=live)
-            row_spend, slope = _spend_and_slope(u, risks[:, :width], weights[:, :width], q)
+            row_spend, slope = _spend_and_slope(u, risks, weights, q)
             np.copyto(spend, row_spend, where=live)
             # (g - T ** (1/q)) / g', with g' = s ** (1/q - 1) * slope; a row
             # whose level spends nothing has slope 0, a NaN step, and stops.
@@ -274,14 +268,11 @@ def catoni_pi_gamma(rn: np.ndarray, pi: DiscreteDistribution, gamma: float) -> n
         raise ValueError("gamma must be nonnegative")
     rows = _rows(rn, len(pi))
     keep = rows <= rows.min(axis=1, keepdims=True) + gamma
-    weights = _normalized(pi.weights * keep, "sublevel set carries no prior mass")
-    # Normalized a second time: the first pass rounds, and the pi_gamma
-    # records of ``bound`` carry the bits of the second.
-    return weights / weights.sum(axis=1, keepdims=True)
+    return _normalized(pi.weights * keep, "sublevel set carries no prior mass")
 
 
 def optimal_gamma(d: float, p: float, budget: float) -> float:
-    """Width minimizing the sublevel-restriction bound.
+    """The gamma minimizing the sublevel-restriction bound.
 
     gamma = (d (1 - 1/p) T) ** (1 / (1 + d (1 - 1/p))), T the budget.
     """
@@ -300,15 +291,15 @@ def erm_index(rn: np.ndarray) -> np.ndarray:
 
 
 def _sublevel_masses(rows: np.ndarray, weights: np.ndarray,
-                     widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prior mass of {values <= min + width} for each row and each width, and
+                     gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prior mass of {values <= min + gamma} for each row and each gamma, and
     whether that sublevel is full: no supported atom lies above it.
 
-    ``widths`` is one set of widths for every row, or a column with one width
+    ``gammas`` is one set of gammas for every row, or a column with one gamma
     per row. A full sublevel's mass is exactly 1; the others sum the weights
     in atom order with zeros off the sublevel.
     """
-    levels = rows.min(axis=1)[:, None] + widths
+    levels = rows.min(axis=1)[:, None] + gammas
     masses = np.where(rows[:, None, :] <= levels[:, :, None], weights, 0.0).sum(axis=-1)
     full = np.where(weights > 0.0, rows, -np.inf).max(axis=1)[:, None] <= levels
     return np.where(full, 1.0, masses), full

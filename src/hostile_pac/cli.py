@@ -70,7 +70,10 @@ def _emit(records: list[dict], summary: dict, out: str | None,
     if out is None:
         sys.stdout.write(harness.records_text([*records, summary]))
         return
-    paths = harness.write_outputs(out, records, summary, csv_rows)
+    try:
+        paths = harness.write_outputs(out, records, summary, csv_rows)
+    except OSError as exc:  # a prefix under a file, say
+        raise harness.ConfigError(f"--out {out}: {exc}") from exc
     print("wrote " + " and ".join(map(str, paths)))
 
 

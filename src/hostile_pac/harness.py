@@ -16,7 +16,8 @@ exponent, the certified oracle and the rho_hat, prior and ERM certificates,
 row by row. ``bound`` and ``aggregate`` take the one-row range of dataset 0;
 coverage takes fixed blocks of ``COVERAGE_BLOCK_ATOMS // K`` rows, one after
 another in one process. Dataset ``index`` draws from the seed sequence
-``[seed, 0, index]``, so the data do not depend on the block size.
+``[seed, 0, index]``, and every row sum reads its own row only, so no output
+depends on the block size.
 
 Each regime's load-time rules and moment constant live on its class in
 :mod:`hostile_pac.moments`, called by ``ExperimentConfig``'s load-time check and
@@ -53,7 +54,7 @@ from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, RegimeSpec, SubGaussianRegime,
                       VarianceRegime, scale_keys)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior, IidSamplePrior,
-                          PriorSpec, build_prior, expectation)
+                          PriorSpec, _row_dots, build_prior, expectation)
 from .risk import LossKind, SquaredLoss, ZeroOneLoss, empirical_risks
 
 
@@ -440,7 +441,7 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
                    rn[0].tolist()))]
     summary = {"type": "summary", "command": "aggregate",
                "rbar": float(rbar[0]), "erm_index": int(erm_index(rn)[0]),
-               "rn_integral_rho_hat": float(rho[0] @ rn[0]),
+               "rn_integral_rho_hat": float(_row_dots(rho, rn)[0]),
                "timestamp": _timestamp()}
     summary.update(setup.constants)
     return RunResult(records, summary)
@@ -465,7 +466,7 @@ def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.
     cfg = setup.cfg
     at_rho, at_erm = fit.reports["rho_hat"], fit.reports["erm"]
 
-    rho_true = fit.rho @ true_values
+    rho_true = _row_dots(fit.rho, true_values)
     dev_rho = np.abs(rho_true - at_rho.rn_integral)
     hit_rho = dev_rho <= at_rho.margin
 
@@ -523,10 +524,9 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
 
     Replications are certified in fixed blocks of
     ``max(1, COVERAGE_BLOCK_ATOMS // K)`` rows, one block after another. Each
-    dataset draws from its own seed sequence; only the fields made by a
-    product of the block's rows with one shared vector (``rho_hat_true_integral``,
-    ``slack_rho_hat``, ``sup_ratio`` and the summary's moments) can move in
-    their last bits with the block size.
+    dataset draws from its own seed sequence and every row sum reads its own
+    row only, so every record and summary field is the same at any block
+    size; the block size bounds memory only.
 
     The summary splits the slack of the moment constant M by layer:
     ``realized_moment`` m = mean E_pi |gap|**q, ``critical_moment``

@@ -139,6 +139,12 @@ def _rows(values, size: int | None = None) -> np.ndarray:
     return rows
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``, or with ``b`` when
+    it is one vector: the one weighted row sum, reading its own row only."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
 def expectation(dist: DiscreteDistribution, values: np.ndarray) -> np.ndarray:
     """Weighted average of per-atom values, sum_j w_j * v_j, one per row of ``values``."""
-    return _rows(values, len(dist)) @ dist.weights
+    return _row_dots(_rows(values, len(dist)), dist.weights)

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hostile_pac.aggregation import (ComplexityEstimate, SolverError, erm_index, solve_rbar,
+from hostile_pac.aggregation import (BoundConfig, ComplexityEstimate, SolverError,
+                                     deviation_moments, erm_index, evaluate_bound, solve_rbar,
                                      verify_complexity)
 from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, StudentTNoise, generate)
-from hostile_pac.param_space import AtomSet, DiscreteDistribution
+from hostile_pac.moments import MomentBound
+from hostile_pac.param_space import AtomSet, DiscreteDistribution, expectation
 from hostile_pac.risk import Dataset, SquaredLoss, ZeroOneLoss, empirical_risks
 from oracles import empirical_risks_one, solve_rbar_one, verify_complexity_one
 
@@ -33,6 +35,14 @@ _SPECS = {
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# A coverage-sized block: 40 rows of K = 100 risks on a uniform prior. A row
+# sum that depends on the row's place in the block (a BLAS matrix-vector
+# product, or a sum over a width set by the other rows) moves some of its
+# entries by an ulp against the same row alone.
+_SEEDED_RISKS = np.random.default_rng(2016).uniform(0.0, 2.0, (40, 100))
+_UNIFORM_100 = DiscreteDistribution.uniform(100)
 
 
 @pytest.mark.parametrize("spec", _SPECS.values(), ids=_SPECS.keys())
@@ -124,6 +134,7 @@ def _risk_blocks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(problem=_risk_blocks(), q=st.floats(1.01, 40.0))
+@example(problem=(_SEEDED_RISKS, _UNIFORM_100, 0.05), q=2.0)
 def test_level_rows_match_one_dataset(problem, q):
     block, pi, budget = problem
     references = []
@@ -139,8 +150,9 @@ def test_level_rows_match_one_dataset(problem, q):
     levels = solve_rbar(block, pi, q, budget)
     assert levels.shape == (len(block),)
     np.testing.assert_allclose(levels, references, rtol=1e-12, atol=0)
-    assert [solve_rbar(row[None], pi, q, budget)[0] for row in block] == pytest.approx(
-        references, rel=1e-12, abs=0)
+    # A row's level is the same double in any block.
+    assert _same_bits(levels, np.concatenate([solve_rbar(row[None], pi, q, budget)
+                                              for row in block]))
 
 
 @st.composite
@@ -160,6 +172,7 @@ def _value_blocks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(problem=_value_blocks())
+@example(problem=(_SEEDED_RISKS, _UNIFORM_100, np.array([0.1, 0.5])))
 def test_complexity_rows_match_one_dataset(problem):
     block, pi, grid = problem
     estimate = verify_complexity(block, pi, grid)
@@ -169,6 +182,18 @@ def test_complexity_rows_match_one_dataset(problem):
         assert estimate.row(i) == reference
         assert verify_complexity(row[None], pi, grid).row(0) == reference
     assert erm_index(block).tolist() == [erm_index(row[None])[0] for row in block]
+    # The weighted row sums of the chain give a row the same bits in any block.
+    assert _same_bits(expectation(pi, block),
+                      np.concatenate([expectation(pi, row[None]) for row in block]))
+    gap = block - 1.0
+    assert _same_bits(np.array(deviation_moments(gap, pi.weights, 2.5)),
+                      np.hstack([deviation_moments(row[None], pi.weights, 2.5) for row in gap]))
+    rho = pi.weights * (1.0 + block)
+    rho /= rho.sum(axis=1, keepdims=True)
+    cfg = BoundConfig(p=2.0, delta=0.1, moment=MomentBound(0.01, 2.0))
+    report = evaluate_bound(rho, pi, block, cfg)
+    for i, row in enumerate(block):
+        assert report.row(i) == evaluate_bound(rho[i:i + 1], pi, row[None], cfg).row(0)
 
 
 @pytest.mark.parametrize("weights", [

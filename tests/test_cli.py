@@ -298,6 +298,21 @@ def test_retired_workers_key_loads_at_any_positive_count(config_path, capsys, va
         assert "config error: experiment.workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+def test_unwritable_out_prefix_fails_with_one_line(config_path, tmp_path, capsys, command):
+    # The prefix's directory would sit where a file already is.
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    sweep = ["--axis", "n", "--values", "100"] if command == "sweep" else []
+    assert main([command, "--config", str(config_path), *sweep,
+                 "--out", str(blocker / "run")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: --out {blocker / 'run'}: ")
+    assert blocker.read_text() == ""
+
+
 def test_override_on_empty_file_is_a_config_error(tmp_path, capsys):
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
