@@ -159,19 +159,19 @@ def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray,
 
 def _spend_and_slope(levels: np.ndarray, risks: np.ndarray, weights: np.ndarray,
                      q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, s(level) and s'(level) / q over the row's atoms."""
+    """Per row, s(level) and s'(level) / q, each summed over the row's atoms in atom order."""
     gaps = levels[:, None] - risks
     np.maximum(gaps, 0.0, out=gaps)
     powered = gaps ** (q - 1.0)
-    slope = _row_dots(weights, powered)
+    slope = _row_dots(powered, weights)
     powered *= gaps
-    return _row_dots(weights, powered), slope
+    return _row_dots(powered, weights), slope
 
 
 def _last_bit_root(risks: np.ndarray, weights: np.ndarray, q: float, budget: float,
                    u: float, spend: float) -> float:
     """Accept ``u`` or a neighbouring double as the last-bit root of one row
-    (``risks`` and ``weights`` of shape (1, K)), or raise SolverError."""
+    (``risks`` of shape (1, K), ``weights`` the K prior weights), or raise SolverError."""
     def spend_at(level: float) -> float:
         return float(_spend_and_slope(np.array([level]), risks, weights, q)[0][0])
 
@@ -191,19 +191,19 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
     one per row of risks.
 
     Newton on g = s ** (1/q), the weighted L^q norm of [u - rn]_+: convex, and
-    increasing above the supported minimum of rn. With W_k and m_k the mass and
-    pi-mean of the k lowest supported atoms, Jensen gives
-    s(u) >= W_k [u - m_k]_+ ** q, so each m_k + (T / W_k) ** (1/q) lies at or
-    above the root; the least is the start (a bracket past the largest double
-    is never the least). Each row is sorted once. Tangents of the convex g lie
-    below it, so the iterates fall monotonically onto the root without
-    passing it, and a row stops at the first step that no longer decreases its
-    iterate; each step sums the row's own sorted support, whatever its block.
-    Atoms with infinite risk never spend. The iterate is accepted when its
-    spend is within ``RBAR_RESIDUAL_TOL`` of T, or when it is the root to the
-    last bit: s(u) >= T > s(u-), u- the next double below u. A level a hair
-    above the lowest risks may meet only the second test; since rounding can
-    stop the iterate a double or two off that root, up to
+    increasing above the supported minimum of rn. With W and m the mass and
+    pi-mean of a set of supported atoms, Jensen gives s(u) >= W [u - m]_+ ** q,
+    so m + (T / W) ** (1/q) lies at or above the root. The start is the lesser
+    bracket of the finite atoms and of the atoms tied at the row minimum (a
+    bracket past the largest double is never the lesser). Tangents of the
+    convex g lie below it, so the iterates fall monotonically onto the root
+    without passing it, and a row stops at the first step that no longer
+    decreases its iterate; every mass, mean and spend sums the row's own atoms
+    in atom order. Atoms with infinite risk never spend. The iterate is
+    accepted when its spend is within ``RBAR_RESIDUAL_TOL`` of T, or when it
+    is the root to the last bit: s(u) >= T > s(u-), u- the next double below
+    u. A level a hair above the lowest risks may meet only the second test;
+    since rounding can stop the iterate a double or two off that root, up to
     ``RBAR_LAST_BIT_STEPS`` neighbouring doubles toward it are tried too.
     """
     rows = _rows(rn, len(pi))
@@ -218,13 +218,13 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
         raise ValueError("risks on prior-supported atoms must not be NaN or -inf")
     if not (lowest < np.inf).all():
         raise ValueError("all prior mass sits on atoms with non-finite risk")
-    order = np.argsort(risks, axis=1)
-    weights = pi.weights[support][order]
-    risks = risks.take(order + risks.shape[1] * np.arange(len(risks))[:, None])
-    mass = np.cumsum(weights, axis=1)
+    weights, finite = pi.weights[support], np.isfinite(risks)
+    mass = _row_dots(finite.astype(float), weights)
+    tied = _row_dots((risks == lowest[:, None]).astype(float), weights)  # mass at the minimum
     root = budget ** (1 / q)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u = (np.cumsum(weights * risks, axis=1) / mass + (budget / mass) ** (1.0 / q)).min(axis=1)
+        mean = _row_dots(np.where(finite, risks, 0.0), weights) / mass
+        u = np.minimum(mean + (budget / mass) ** (1 / q), lowest + (budget / tied) ** (1 / q))
         spend, step = np.zeros_like(u), np.zeros_like(u)
         live = np.ones(u.shape, dtype=bool)
         for _ in range(RBAR_MAX_ITER):
@@ -238,7 +238,7 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
             if not live.any():
                 break
     for i in np.flatnonzero(~(np.abs(spend - budget) <= RBAR_RESIDUAL_TOL * budget)):
-        u[i] = _last_bit_root(risks[i:i + 1], weights[i:i + 1], q, budget, u[i], spend[i])
+        u[i] = _last_bit_root(risks[i:i + 1], weights, q, budget, u[i], spend[i])
     return u
 
 
@@ -317,7 +317,7 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     discrete prior), is reported unsatisfied. Each row of values is
     certified on its own.
     """
-    grid = np.sort(np.asarray(gamma_grid, dtype=float).ravel())
+    grid = np.asarray(gamma_grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("gamma grid must be nonempty")
     if np.any(grid <= 0.0) or np.any(grid >= 1.0):

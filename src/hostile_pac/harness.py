@@ -558,7 +558,8 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
     try:
         true_values = datagen.true_risk_closed_form(config.generator, setup.atoms, config.loss)
     except NoClosedFormError as exc:
-        raise ConfigError(f"coverage requires a closed-form true risk: {exc}") from exc
+        raise ConfigError(f"experiment.loss and generator.kind: coverage requires a "
+                          f"closed-form true risk: {exc}") from exc
     rows = max(1, COVERAGE_BLOCK_ATOMS // len(setup.atoms))
     blocks = [range(start, min(start + rows, config.replications))
               for start in range(0, config.replications, rows)]
@@ -611,7 +612,8 @@ SWEEP_AXES = ("n", "delta", "p")
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values: list) -> list[dict]:
-    """Coverage summaries along one axis; one row per value."""
+    """Coverage summaries along one axis; one row per value, with the n,
+    delta and p that its bound used."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
@@ -625,9 +627,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list) -> list[dict]:
         rows.append({
             "axis": axis,
             "value": value,
-            "n": cfg_v.n,
-            "delta": cfg_v.delta,
-            "p": cfg_v.p,
+            **{key: summary[key] for key in SWEEP_AXES},  # the values the bound used
             "coverage_two_sided": summary["coverage_two_sided"],
             "coverage_oracle": summary["coverage_oracle"],
             "median_margin": float(np.median(columns["margin_prior"])),

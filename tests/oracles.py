@@ -146,22 +146,25 @@ def empirical_risks_one(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.nda
 
 
 def solve_rbar_one(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float) -> float:
-    """The level solve on one risk vector: Newton on the sorted supported
-    atoms from the least Jensen bracket, each spend a dot product over the
-    atoms below the level, then the last-bit acceptance and walk."""
+    """The level solve on one risk vector: Newton from the lesser Jensen
+    bracket of the finite supported atoms and of those tied at the minimum,
+    each spend a dot product over the sorted supported atoms below the level,
+    then the last-bit acceptance and walk."""
     support = pi.weights > 0
     risks, weights = rn[support], pi.weights[support]
     order = np.argsort(risks)
     risks, weights = risks[order], weights[order]
-    mass = np.cumsum(weights)
 
     def spend_and_slope(level: float) -> tuple[float, float]:
         gaps = level - risks[:np.searchsorted(risks, level)]
         powered = gaps ** (q - 1.0)
         return float(weights[:gaps.size] @ (powered * gaps)), float(weights[:gaps.size] @ powered)
 
+    finite, tied = np.isfinite(risks), risks == risks[0]
+    mass, floor_mass = weights[finite].sum(), weights[tied].sum()
     with np.errstate(over="ignore"):
-        u = float(np.min(np.cumsum(weights * risks) / mass + (budget / mass) ** (1.0 / q)))
+        u = min(float(weights[finite] @ risks[finite]) / mass + (budget / mass) ** (1.0 / q),
+                risks[0] + (budget / floor_mass) ** (1.0 / q))
     step = 0.0
     for _ in range(RBAR_MAX_ITER):
         u -= step

@@ -231,6 +231,23 @@ def test_solve_rbar_properties(problem, q):
     assert at_two == pytest.approx(_rbar_reference_q2(rn, weights, target), rel=1e-12)
 
 
+@pytest.mark.parametrize("q, target, rn, weights, level", [
+    (1.0897021451523405, 1.1057768674609696e-10, [0.1, 0.0],
+     [0.9416900744916612, 0.05830992550833881], 9.906246590249285e-09),
+    (1.01, 2.726306409067364e-09, [0.2317896365919192, 0.05224269189968473],
+     [0.4310570824856829, 0.568942917514317], 0.052242697692333515),
+])
+def test_solve_rbar_starts_at_the_floor_bracket(q, target, rn, weights, level):
+    # q near 1 and a level a hair above the minimum: from the finite atoms'
+    # mean bracket alone Newton stops short of the last-bit root; the bracket
+    # of the atoms at the minimum starts it close enough.
+    rn, weights = np.array(rn), np.array(weights)
+    rbar = solve_rbar(rn[None], DiscreteDistribution(weights), q, target)[0]
+    assert rbar == pytest.approx(level, rel=1e-12)
+    assert _spend(rn, weights, q, rbar) >= target > _spend(rn, weights, q,
+                                                           np.nextafter(rbar, -np.inf))
+
+
 def _hoelder_ratio(rho, gap, weights, p):
     """|E_rho gap| / (D(rho, pi) + 1)**(1/p); 0 when rho leaves pi's support."""
     return abs(rho @ gap) / power_divergence_plus_one(rho[None], weights, p)[0] ** (1.0 / p)

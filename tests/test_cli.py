@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hostile_pac.aggregation import SolverError
 from hostile_pac.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -256,6 +257,30 @@ def test_coverage_replication_floor_names_the_key(capsys):
     assert main(["coverage", "--config", str(path), "--set", "experiment.replications=10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "experiment.replications" in err
+
+
+@pytest.mark.parametrize("config, override", [
+    ("bound_demo", "regime.s2=1 experiment.loss=zero_one"),
+    ("erm_finite_class", "experiment.loss.threshold=0.5"),
+])
+def test_coverage_without_closed_form_risk_names_the_keys(config, override, capsys):
+    path = ROOT / "configs" / f"{config}.yaml"
+    sets = [arg for item in [*override.split(), "experiment.replications=50"]
+            for arg in ("--set", item)]
+    assert main(["coverage", "--config", str(path), *sets]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "experiment.loss" in err and "generator.kind" in err
+
+
+def test_solver_failure_exit_code(config_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SolverError("level solve did not reach residual tolerance")
+
+    monkeypatch.setattr("hostile_pac.harness.solve_rbar", fail)
+    assert main(["bound", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -613,6 +613,17 @@ def test_run_sweep_delta_scaling():
     assert margins[2] / margins[1] == pytest.approx(math.sqrt(10.0), rel=1e-9)
 
 
+def test_run_sweep_rows_report_the_p_the_bound_used():
+    # An optimized sub-Gaussian q fixes p whatever the swept value; each row
+    # echoes the p its bound used, as its summary does.
+    config = load_config(ROOT / "configs" / "erm_finite_class.yaml",
+                         ["experiment.replications=50"])
+    rows = run_sweep(config, "p", [3, 5])
+    used = _setup(config).cfg.p
+    assert [row["value"] for row in rows] == [3, 5]
+    assert [row["p"] for row in rows] == [used, used] and used not in (3, 5)
+
+
 def test_run_sweep_validation():
     config = base_config()
     with pytest.raises(ConfigError):
