@@ -125,8 +125,8 @@ def pac_margin(cfg: BoundConfig, div_plus_one) -> np.ndarray:
 
 
 def certificate(rn_integral, div_plus_one, cfg: BoundConfig) -> BoundReport:
-    """Two-sided certificate at a known r_n integral and D + 1, elementwise."""
-    margin = pac_margin(cfg, div_plus_one)
+    """Two-sided certificate at a known r_n integral and D + 1 (at least 1), elementwise."""
+    margin, div_plus_one = pac_margin(cfg, div_plus_one), np.maximum(div_plus_one, 1.0)
     return BoundReport(rn_integral=rn_integral, margin=margin, upper=rn_integral + margin,
                        lower=rn_integral - margin, divergence_plus_one=div_plus_one)
 

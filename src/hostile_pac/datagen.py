@@ -21,7 +21,7 @@ import numpy as np
 from .param_space import AtomSet
 from .risk import Dataset, LossKind, SquaredLoss, ZeroOneLoss
 
-AR1_BURN_IN = 1000  # used when the stationary law has no closed form
+AR1_BURN_IN = 1000  # draws per burn-in chunk, where the stationary law has no closed form
 
 
 class NoClosedFormError(Exception):
@@ -59,23 +59,24 @@ NoiseLaw = GaussianNoise | StudentTNoise
 
 
 def noise_moment(noise: NoiseLaw, order: int) -> float:
-    """E[eps**order] for even order in {2, 4, 6}, inf past the largest double;
-    odd moments vanish by symmetry."""
-    if order not in (2, 4, 6):
-        raise ValueError("supported orders: 2, 4, 6")
+    """E[eps**order] for even order >= 2, inf past the largest double: (order - 1)!!
+    times v**(order/2) for a Gaussian, or times s**order and nu / (nu - m) for each
+    even m <= order for a Student-t, one factor at a time so it stays finite at any dof.
+    The Student-t moment exists only for dof > order; odd moments vanish by symmetry."""
+    if order < 2 or order % 2:
+        raise ValueError(f"noise moments are served for even orders >= 2, got {order}")
     if isinstance(noise, StudentTNoise) and noise.dof <= order:
         raise MomentDoesNotExistError(
             f"Student-t moment of order {order} requires dof > {order}, got {noise.dof}"
         )
+    double_factorial = math.prod(range(order - 1, 0, -2))
     try:  # Python's float power raises where numpy's would give inf
         if isinstance(noise, GaussianNoise):
-            return (1, 3, 15)[order // 2 - 1] * noise.variance ** (order // 2)
-        nu, s = noise.dof, noise.scale
-        if order == 2:
-            return s**2 * nu / (nu - 2)
-        if order == 4:  # one factor nu / (nu - m) at a time, finite at any dof
-            return 3 * s**4 * nu / (nu - 2) * nu / (nu - 4)
-        return 15 * s**6 * nu / (nu - 2) * nu / (nu - 4) * nu / (nu - 6)
+            return double_factorial * noise.variance ** (order // 2)
+        moment = double_factorial * noise.scale**order
+        for m in range(2, order + 1, 2):
+            moment = moment * noise.dof / (noise.dof - m)
+        return moment
     except OverflowError:
         return math.inf
 
@@ -212,23 +213,26 @@ def _draw(spec: GeneratorSpec, n: int,
     if isinstance(spec, AR1):
         if n < 2:
             raise ValueError("AR(1) needs n >= 2")
-        eps = np.empty((rows, n))
+        eps, y0 = np.empty((rows, n)), np.zeros(rows)
         if isinstance(spec.noise, GaussianNoise):
-            stationary_sd = math.sqrt(spec.noise.variance / (1.0 - spec.a**2))
-            y0 = np.empty(rows)
+            stationary_sd = math.sqrt(_ar1_y_moments(spec, 2))
             for i, rng in enumerate(rngs):
                 y0[i] = rng.normal(0.0, stationary_sd)
                 eps[i] = _draw_noise(spec.noise, n, rng)
         else:
-            # No closed-form stationary law for t innovations: burn in instead,
-            # keeping only the last value, sum_j a**j * burn_{-1-j}. Integer
-            # exponents keep a negative a exact; a pairwise sum per row keeps
-            # each row's bits independent of the block.
-            burn = np.empty((rows, AR1_BURN_IN))
+            # No closed-form stationary law for t innovations: burn in from 0 until
+            # the start misses a**(2 steps) <= 2**-53 of the stationary variance,
+            # folding each chunk in as drawn by its pairwise sum_j a**j chunk_{-1-j}
+            # (one chunk for |a| <= 2**(-53/2000), about 0.9818; Horner past that).
+            chunks = 1
+            while abs(spec.a) ** (2 * AR1_BURN_IN * chunks) > 2.0**-53:
+                chunks *= 2
+            powers = spec.a ** np.arange(AR1_BURN_IN - 1, -1, -1)
             for i, rng in enumerate(rngs):
-                burn[i] = _draw_noise(spec.noise, AR1_BURN_IN, rng)
+                for _ in range(chunks):
+                    y0[i] = spec.a**AR1_BURN_IN * y0[i] + (
+                        _draw_noise(spec.noise, AR1_BURN_IN, rng) * powers).sum()
                 eps[i] = _draw_noise(spec.noise, n, rng)
-            y0 = (burn * spec.a ** np.arange(AR1_BURN_IN - 1, -1, -1)).sum(axis=1)
         y = _ar1_path(spec.a, y0, eps)
         x = np.empty((rows, n, 2))
         x[:, :, 0] = 1.0
@@ -262,18 +266,14 @@ def generate(spec: GeneratorSpec, n: int, seed: int | np.random.SeedSequence | l
 # ---------------------------------------------------------------------------
 
 def _ar1_y_moments(spec: AR1, order: int) -> float:
-    """Stationary E[y**order] via the recursion moment identities."""
-    a = spec.a
-    e2 = noise_moment(spec.noise, 2)
-    m2 = e2 / (1.0 - a**2)
-    if order == 2:
-        return m2
-    e4 = noise_moment(spec.noise, 4)
-    m4 = (6 * a**2 * m2 * e2 + e4) / (1.0 - a**4)
-    if order == 4:
-        return m4
-    e6 = noise_moment(spec.noise, 6)
-    return (15 * a**4 * m4 * e2 + 15 * a**2 * m2 * e4 + e6) / (1.0 - a**6)
+    """Stationary E[y**order], even order: y = a * y_lag + eps in law, so
+    E y**2m (1 - a**2m) is ``_sum_moments``' sum over the lower orders of y_lag."""
+    noise = [noise_moment(spec.noise, k) for k in range(2, order + 1, 2)]
+    lag = []  # E (a * y_lag)**2m of the orders solved so far
+    for m in range(1, order // 2 + 1):
+        moment = _sum_moments([*lag, 0.0], noise[:m])[-1] / (1.0 - spec.a ** (2 * m))
+        lag.append(spec.a ** (2 * m) * moment)
+    return moment
 
 
 def _sum_moments(x: list, y: list) -> list:
@@ -301,16 +301,16 @@ def residual_moments(spec: IidLinearRegression | AR1, atoms: AtomSet,
     if atoms.dim != spec.dim:
         raise ValueError("atom dimension does not match the generator")
     orders = range(2, top + 1, 2)
+    noise = [noise_moment(spec.noise, k) for k in orders]
     if isinstance(spec, IidLinearRegression):
         # The score is N(0, m2) under the Gaussian design; np.float64 overflows to inf.
         w = np.asarray(spec.theta_star) - atoms.coords
         m2 = np.float64(spec.x_law.scale) ** 2 * np.sum(w**2, axis=1)
-        score = [m2, 3 * m2**2, 15 * m2**3][:top // 2]
-        return _sum_moments(score, [noise_moment(spec.noise, k) for k in orders])
+        return _sum_moments([noise_moment(GaussianNoise(), k) * m2 ** (k // 2)
+                             for k in orders], noise)
     intercept, lag_w = atoms.coords[:, 0], atoms.coords[:, 1]
     lag = [(spec.a - lag_w) ** k * _ar1_y_moments(spec, k) for k in orders]
-    centered = _sum_moments(lag, [noise_moment(spec.noise, k) for k in orders])
-    return _sum_moments(centered, [intercept**k for k in orders])
+    return _sum_moments(_sum_moments(lag, noise), [intercept**k for k in orders])
 
 
 def kappa_moments(spec: IidLinearRegression) -> tuple[float, float]:
@@ -360,7 +360,7 @@ def _ar1_sign_risk(spec: AR1, atoms: AtomSet, threshold: float) -> np.ndarray:
     nodes in proportion to atanh|a| (at least 40) are exact to 1e-14 for every |a| < 1.
     """
     intercept, slope = atoms.coords[:, 0], atoms.coords[:, 1]
-    lag_sd = math.sqrt(spec.noise.variance / (1.0 - spec.a**2))
+    lag_sd = math.sqrt(_ar1_y_moments(spec, 2))
     h = np.divide(threshold - intercept, np.abs(slope) * lag_sd,
                   out=np.zeros(len(atoms)), where=slope != 0.0)
     upper = math.atanh(spec.a)

@@ -9,7 +9,8 @@ from hostile_pac.aggregation import (COMPLEXITY_CAP, COMPLEXITY_RESOLUTION, RBAR
                                      RBAR_MAX_ITER, RBAR_RESIDUAL_TOL, BoundConfig,
                                      ComplexityEstimate, SolverError, evaluate_bound, rho_hat,
                                      solve_rbar)
-from hostile_pac.datagen import AR1, GeneratorSpec, _draw_noise, generate
+from hostile_pac.datagen import (AR1, GaussianNoise, GeneratorSpec, _draw_noise, generate,
+                                 noise_moment)
 from hostile_pac.param_space import AtomSet, DiscreteDistribution
 from hostile_pac.risk import (Dataset, LossKind, SquaredLoss, ZeroOneLoss, compute_loss_table,
                               empirical_risk)
@@ -60,12 +61,16 @@ def stationary_pairs(spec: AR1, n: int, rng: np.random.Generator) -> Dataset:
     """Independent draws of consecutive stationary pairs (y_lag, y).
 
     The lag is sampled exactly through the truncated moving-average
-    representation; the truncation error is below machine precision.
+    representation; the truncation error is below machine precision. With
+    Gaussian innovations that sum is itself one normal draw at the summed
+    variance v * sum_{j < depth} a**(2j).
     """
-    if spec.a == 0.0:
-        lag = _draw_noise(spec.noise, n, rng)
+    depth = 1 if spec.a == 0.0 else int(
+        math.ceil(math.log(MA_TRUNCATION_TOL) / math.log(abs(spec.a))))
+    if isinstance(spec.noise, GaussianNoise):
+        variance = spec.noise.variance * sum(spec.a ** (2 * j) for j in range(depth))
+        lag = rng.normal(0.0, math.sqrt(variance), n)
     else:
-        depth = int(math.ceil(math.log(MA_TRUNCATION_TOL) / math.log(abs(spec.a))))
         lag = np.zeros(n)
         coeff = 1.0
         for _ in range(depth):
@@ -73,6 +78,20 @@ def stationary_pairs(spec: AR1, n: int, rng: np.random.Generator) -> Dataset:
             coeff *= spec.a
     y = spec.a * lag + _draw_noise(spec.noise, n, rng)
     return Dataset(x=np.column_stack([np.ones(n), lag]), y=y)
+
+
+def ar1_y_moments_hand(spec: AR1) -> tuple[float, float, float]:
+    """Stationary E y**2, E y**4, E y**6 of AR(1), each identity expanded by hand.
+
+    From y = a y_lag + eps in law with odd moments zero:
+    m2 = e2 / (1 - a**2), m4 = (6 a**2 m2 e2 + e4) / (1 - a**4) and
+    m6 = (15 a**4 m4 e2 + 15 a**2 m2 e4 + e6) / (1 - a**6).
+    """
+    a = spec.a
+    e2, e4, e6 = (noise_moment(spec.noise, k) for k in (2, 4, 6))
+    m2 = e2 / (1.0 - a**2)
+    m4 = (6 * a**2 * m2 * e2 + e4) / (1.0 - a**4)
+    return m2, m4, (15 * a**4 * m4 * e2 + 15 * a**2 * m2 * e4 + e6) / (1.0 - a**6)
 
 
 def true_risk_mc(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind,

@@ -238,6 +238,19 @@ def test_overflowing_data_fails_with_one_line(config, override, keys, capsys):
     assert keys in err
 
 
+@pytest.mark.parametrize("override", ["prior.scale=0", "experiment.n=1"])
+def test_reported_divergence_plus_one_is_at_least_one(override, capsys):
+    # Both overrides make pi_gamma equal to pi, where D + 1 = 1 rounds to just below 1.
+    path = ROOT / "configs" / "bound_demo.yaml"
+    records = []
+    for command in ("bound", "aggregate"):
+        assert main([command, "--config", str(path), "--set", override]) == 0
+        records += [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    reported = [r for r in records if "divergence_plus_one" in r]
+    assert reported and all(r["divergence_plus_one"] >= 1.0 for r in reported)
+    assert [r["divergence_plus_one"] for r in reported if r.get("rho") == "pi_gamma"] == [1.0]
+
+
 def test_population_budget_overflow_names_the_key(capsys):
     # bound spends M/delta, which is finite here; coverage's population level
     # spends 2**q * M/delta, which overflows.

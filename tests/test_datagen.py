@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from hostile_pac.datagen import (AR1, AR1_BURN_IN, BoundedClassification, GaussianNoise,
@@ -12,7 +13,7 @@ from hostile_pac.datagen import (AR1, AR1_BURN_IN, BoundedClassification, Gaussi
                                  noise_moment, residual_moments, true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
-from oracles import ar1_sign_risk_quad, stationary_pairs, true_risk_mc
+from oracles import ar1_sign_risk_quad, ar1_y_moments_hand, stationary_pairs, true_risk_mc
 
 
 IID_T5 = IidLinearRegression(theta_star=(0.5, -0.3), x_law=IsotropicGaussianX(1.0),
@@ -76,14 +77,30 @@ def test_generate_keeps_its_bits(spec, x, y):
     assert data.x.tolist() == x and data.y.tolist() == y
 
 
-@pytest.mark.parametrize("a", [0.95, -0.95])
-def test_ar1_burn_in_is_the_last_value_of_the_recursion(a):
+@pytest.mark.parametrize("a, chunks", [(0.95, 1), (-0.95, 1), (0.99, 2), (-0.999, 32)],
+                         ids=["0.95", "-0.95", "0.99", "-0.999"])
+def test_ar1_burn_in_is_the_last_value_of_the_recursion(a, chunks):
+    # The burn-in runs whole chunks until a**(2 steps) <= 2**-53.
     spec = AR1(a=a, noise=StudentTNoise(dof=7.0, scale=0.5))
     rng = np.random.default_rng(9)
     y0 = 0.0
-    for e in _draw_noise(spec.noise, AR1_BURN_IN, rng):
+    for e in _draw_noise(spec.noise, chunks * AR1_BURN_IN, rng):
         y0 = a * y0 + e
-    assert generate(spec, 5, seed=9).x[0, 1] == pytest.approx(y0, rel=1e-12, abs=1e-14)
+    data = generate(spec, 5, seed=9)
+    assert data.x[0, 1] == pytest.approx(y0, rel=1e-12, abs=1e-14)
+    # The path then continues the same stream.
+    assert data.y[0] == pytest.approx(a * y0 + _draw_noise(spec.noise, 1, rng)[0], rel=1e-12)
+
+
+def test_student_t_ar1_starts_in_the_stationary_law():
+    # One 1,000-step burn-in would leave 1 - a**2000 = 0.865 of the stationary variance.
+    spec = AR1(a=0.999, noise=StudentTNoise(dof=7.0, scale=0.5))
+    datasets = 4000
+    seeds = [np.random.SeedSequence([2026, 0, i]) for i in range(datasets)]
+    y0 = generate(spec, 2, seeds).x[:, 0, 1]
+    squares = (y0 - y0.mean()) ** 2
+    se = squares.std() / math.sqrt(datasets)
+    assert abs(squares.mean() - _ar1_y_moments(spec, 2)) <= 4 * se
 
 
 def test_ar1_design_is_intercept_and_lag():
@@ -152,11 +169,28 @@ def test_noise_moment_formulas_against_quadrature():
     assert noise_moment(g, 6) == pytest.approx(120.0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(order=st.sampled_from([2, 4, 6, 8, 10]), variance=st.floats(0.0, 1e3),
+       excess=st.floats(0.5, 40.0), scale=st.floats(0.1, 3.0))
+def test_noise_moment_at_every_even_order(order, variance, excess, scale):
+    # (order - 1)!! = order! / (2**(order/2) (order/2)!), counted apart from the package.
+    double_factorial = math.factorial(order) // (2 ** (order // 2) * math.factorial(order // 2))
+    gaussian = noise_moment(GaussianNoise(variance), order)
+    assert gaussian == double_factorial * variance ** (order // 2)
+    dof = order + excess
+    assert noise_moment(StudentTNoise(dof, scale), order) == pytest.approx(
+        _t_moment_quadrature(dof, order) * scale**order, rel=1e-8)
+
+
 def test_noise_moment_nonexistence():
     with pytest.raises(MomentDoesNotExistError):
         noise_moment(StudentTNoise(dof=5.0), 6)
     with pytest.raises(MomentDoesNotExistError):
         noise_moment(StudentTNoise(dof=4.0), 4)
+    for order in (0, 1, 3, 5, -2):  # only even orders >= 2 are served
+        for noise in (GaussianNoise(1.0), StudentTNoise(dof=30.0)):
+            with pytest.raises(ValueError, match="even orders >= 2"):
+                noise_moment(noise, order)
 
 
 def test_noise_moment_past_the_largest_double_is_inf():
@@ -175,26 +209,6 @@ def test_noise_moment_at_a_huge_dof_is_the_gaussian_limit():
     assert noise_moment(StudentTNoise(dof=5.0, scale=1.0), 4) == 25.0
     t7 = StudentTNoise(dof=7.0, scale=0.5)
     assert (noise_moment(t7, 4), noise_moment(t7, 6)) == (0.6125, 5.359375)
-
-
-def test_moment_consistency_monte_carlo():
-    draws = 10_000_000
-    rng = np.random.default_rng(321)
-    samples = {
-        GaussianNoise(variance=1.5): math.sqrt(1.5) * rng.standard_normal(draws),
-        StudentTNoise(dof=5.0, scale=1.0): rng.standard_t(5.0, draws),
-        StudentTNoise(dof=7.0, scale=0.5): 0.5 * rng.standard_t(7.0, draws),
-    }
-    orders = {GaussianNoise(variance=1.5): (2, 4, 6),
-              StudentTNoise(dof=5.0, scale=1.0): (2,),
-              StudentTNoise(dof=7.0, scale=0.5): (2, 4)}
-    # Orders are checked only where the MC standard error itself is finite,
-    # i.e. the 2*order moment exists.
-    for noise, xs in samples.items():
-        for order in orders[noise]:
-            powered = xs**order
-            se = powered.std() / math.sqrt(draws)
-            assert abs(powered.mean() - noise_moment(noise, order)) <= 4 * se
 
 
 ZERO = AtomSet(np.zeros((1, 2)))  # the residual of the zero atom is y itself
@@ -342,7 +356,7 @@ def _hand_expanded_residual_moments(spec, theta):
     """E u**2, E u**4, E u**6 of one atom's residual, expanded term by term."""
     e2, e4, e6 = (noise_moment(spec.noise, k) for k in (2, 4, 6))
     if isinstance(spec, AR1):
-        m2, m4, m6 = (_ar1_y_moments(spec, k) for k in (2, 4, 6))
+        m2, m4, m6 = ar1_y_moments_hand(spec)
         c, t0 = spec.a - theta[1], theta[0]
         v2 = c**2 * m2 + e2
         v4 = c**4 * m4 + 6 * c**2 * m2 * e2 + e4
@@ -367,6 +381,15 @@ def test_residual_closed_forms_match_hand_expansion(spec):
     np.testing.assert_allclose(closed6, eu6, rtol=1e-13)
     if isinstance(spec, IidLinearRegression):
         np.testing.assert_allclose(closed4 - closed2**2, eu4 - eu2**2, rtol=1e-13)
+
+
+@pytest.mark.parametrize("noise", [GaussianNoise(variance=1.3), StudentTNoise(dof=7.0, scale=0.5)],
+                         ids=["gaussian", "t7"])
+@pytest.mark.parametrize("a", [-0.95, -0.5, 0.3, 0.5, 0.9, 0.999])
+def test_ar1_y_moments_match_hand_expansion(a, noise):
+    spec = AR1(a=a, noise=noise)
+    np.testing.assert_allclose([_ar1_y_moments(spec, k) for k in (2, 4, 6)],
+                               ar1_y_moments_hand(spec), rtol=1e-13)
 
 
 def test_squared_loss_third_moment_vs_monte_carlo():
