@@ -169,13 +169,17 @@ def _spend_and_slope(levels: np.ndarray, risks: np.ndarray, weights: np.ndarray,
 
 
 def _last_bit_root(risks: np.ndarray, weights: np.ndarray, q: float, budget: float,
-                   u: float, spend: float) -> float:
+                   u: float, spend: float, step: float) -> float:
     """Accept ``u`` or a neighbouring double as the last-bit root of one row
-    (``risks`` of shape (1, K), ``weights`` the K prior weights), or raise SolverError."""
+    (``risks`` of shape (1, K), ``weights`` the K prior weights), or raise
+    SolverError; ``spend`` and the Newton ``step`` are those at ``u``."""
     def spend_at(level: float) -> float:
         return float(_spend_and_slope(np.array([level]), risks, weights, q)[0][0])
 
     residual = abs(spend - budget)
+    if spend < budget and u < u - step < math.inf:  # a tangent from below; NaN at slope 0
+        u -= step
+        spend = spend_at(u)
     toward = np.inf if spend < budget else -np.inf
     for _ in range(RBAR_LAST_BIT_STEPS):
         if spend >= budget > spend_at(np.nextafter(u, -np.inf)):
@@ -203,8 +207,9 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
     accepted when its spend is within ``RBAR_RESIDUAL_TOL`` of T, or when it
     is the root to the last bit: s(u) >= T > s(u-), u- the next double below
     u. A level a hair above the lowest risks may meet only the second test;
-    since rounding can stop the iterate a double or two off that root, up to
-    ``RBAR_LAST_BIT_STEPS`` neighbouring doubles toward it are tried too.
+    rounding can stop the iterate below that root, so such a row takes one
+    more tangent step up, which lands at or past it, and then tries up to
+    ``RBAR_LAST_BIT_STEPS`` neighbouring doubles toward it.
     """
     rows = _rows(rn, len(pi))
     if not 0 < budget < math.inf:
@@ -238,7 +243,7 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
             if not live.any():
                 break
     for i in np.flatnonzero(~(np.abs(spend - budget) <= RBAR_RESIDUAL_TOL * budget)):
-        u[i] = _last_bit_root(risks[i:i + 1], weights, q, budget, u[i], spend[i])
+        u[i] = _last_bit_root(risks[i:i + 1], weights, q, budget, u[i], spend[i], step[i])
     return u
 
 

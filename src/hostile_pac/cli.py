@@ -7,10 +7,9 @@ Subcommands::
     hostile-pac coverage  --config cfg.yaml ...
     hostile-pac sweep     --config cfg.yaml --axis n --values 100,400,1600 ...
 
-Without ``--out``, replication/bound records are printed to stdout as JSON
-lines followed by a summary record; with ``--out PREFIX`` the records land in
-``PREFIX.records.jsonl``, the summary in ``PREFIX.summary.json``, and sweeps
-additionally write ``PREFIX.csv``.
+Every command returns records and a summary record, written as canonical JSON
+lines that depend on the configuration and seed alone: to stdout, summary
+last, or with ``--out PREFIX`` to ``PREFIX.records.jsonl`` and ``PREFIX.summary.json``.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure,
 3 assumption violated.
@@ -65,13 +64,12 @@ def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
     return harness.load_config(args.config, overrides)
 
 
-def _emit(records: list[dict], summary: dict, out: str | None,
-          csv_rows: list[dict] | None = None) -> None:
+def _emit(records: list[dict], summary: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(harness.records_text([*records, summary]))
         return
     try:
-        paths = harness.write_outputs(out, records, summary, csv_rows)
+        paths = harness.write_outputs(out, records, summary)
     except OSError as exc:  # a prefix under a file, say
         raise harness.ConfigError(f"--out {out}: {exc}") from exc
     print("wrote " + " and ".join(map(str, paths)))
@@ -81,15 +79,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load(args)
-        if args.command != "sweep":  # bound, aggregate and coverage
-            _emit(*getattr(harness, f"run_{args.command}")(config), args.out)
-        else:
+        if args.command == "sweep":
             values = [yaml.safe_load(v) for v in args.values.split(",")]
-            rows = harness.run_sweep(config, args.axis, values)
-            summary = {"type": "summary", "command": "sweep", "axis": args.axis,
-                       "rows": len(rows), "timestamp": harness._timestamp()}
-            _emit([{"type": "sweep_row", **row} for row in rows], summary, args.out,
-                  csv_rows=rows)
+            result = harness.run_sweep(config, args.axis, values)
+        else:  # bound, aggregate and coverage
+            result = getattr(harness, f"run_{args.command}")(config)
+        _emit(*result, args.out)
     except ValueError as exc:  # ConfigError and the library's own value checks
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -29,12 +29,10 @@ constants and the assumed mixing envelope (c1, c2) under which it was produced.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import cache
 from itertools import chain, groupby, repeat
 from operator import is_
@@ -423,10 +421,8 @@ def run_bound(config: ExperimentConfig) -> RunResult:
         "erm_index": int(fit.erm[0]), "rbar": float(fit.rbar[0]),
         "oracle_empirical": None if math.isnan(oracle) else oracle,
         "complexity_d": complexity.d, "complexity_satisfied": complexity.satisfied,
-        "gamma_star": gamma_star,
-        "timestamp": _timestamp(),
+        "gamma_star": gamma_star, **setup.constants,
     }
-    summary.update(setup.constants)
     return RunResult(records, summary)
 
 
@@ -441,9 +437,7 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
                    rn[0].tolist()))]
     summary = {"type": "summary", "command": "aggregate",
                "rbar": float(rbar[0]), "erm_index": int(erm_index(rn)[0]),
-               "rn_integral_rho_hat": float(_row_dots(rho, rn)[0]),
-               "timestamp": _timestamp()}
-    summary.update(setup.constants)
+               "rn_integral_rho_hat": float(_row_dots(rho, rn)[0]), **setup.constants}
     return RunResult(records, summary)
 
 
@@ -597,10 +591,8 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
         "critical_moment": critical,
         "constant_slack": _ratio(cfg.moment.value, critical),
         "constant_layer": _ratio(cfg.moment.value, moment),
-        "markov_layer": _ratio(moment, critical),
-        "timestamp": _timestamp(),
+        "markov_layer": _ratio(moment, critical), **setup.constants,
     }
-    summary.update(setup.constants)
     return columns, summary, setup.constants
 
 
@@ -611,22 +603,21 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
 SWEEP_AXES = ("n", "delta", "p")
 
 
-def run_sweep(config: ExperimentConfig, axis: str, values: list) -> list[dict]:
-    """Coverage summaries along one axis; one row per value, with the n,
-    delta and p that its bound used."""
+def run_sweep(config: ExperimentConfig, axis: str, values: list) -> RunResult:
+    """Coverage summaries along one axis: one ``sweep_row`` record per value,
+    with the n, delta and p that its bound used."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     hint = _hints(ExperimentConfig)[axis]
-    rows = []
+    records = []
     for value in values:
         # replace() reruns the config validation on the swept value.
         cfg_v = dataclasses.replace(config, **{axis: _coerce(value, hint, f"sweep {axis}")})
         columns, summary, _ = _coverage(cfg_v)
-        rows.append({
-            "axis": axis,
-            "value": value,
+        records.append({
+            "type": "sweep_row", "axis": axis, "value": value,
             **{key: summary[key] for key in SWEEP_AXES},  # the values the bound used
             "coverage_two_sided": summary["coverage_two_sided"],
             "coverage_oracle": summary["coverage_oracle"],
@@ -635,7 +626,8 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list) -> list[dict]:
             "mean_slack": summary["mean_slack"],
             "moment_bound": summary["moment_bound"],
         })
-    return rows
+    return RunResult(records, {"type": "summary", "command": "sweep", "axis": axis,
+                               "rows": len(records)})
 
 
 def fit_loglog_slope(xs, ys) -> float:
@@ -645,23 +637,9 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    """CSV with a header row, one sweep row per line; floats by repr, None empty."""
-    if not rows:
-        raise ValueError("no rows to write")
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # Record output
 # ---------------------------------------------------------------------------
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -727,10 +705,9 @@ def write_records(records: list[dict], path: str | Path) -> None:
     Path(path).write_text(records_text(records))
 
 
-def write_outputs(prefix: str | Path, records: list[dict], summary: dict,
-                  csv_rows: list[dict] | None = None) -> list[Path]:
-    """Write ``PREFIX.records.jsonl``, ``PREFIX.summary.json`` and, given
-    ``csv_rows``, ``PREFIX.csv``; return the paths written.
+def write_outputs(prefix: str | Path, records: list[dict], summary: dict) -> list[Path]:
+    """Write ``PREFIX.records.jsonl`` and ``PREFIX.summary.json``, both in the
+    canonical record format of :func:`dump_record`; return the paths written.
 
     The suffixes are appended, so prefixes that differ after a dot
     (``run.w1``, ``run.w2``) never share a file.
@@ -739,7 +716,4 @@ def write_outputs(prefix: str | Path, records: list[dict], summary: dict,
     paths[0].parent.mkdir(parents=True, exist_ok=True)
     write_records(records, paths[0])
     paths[1].write_text(dump_record(summary) + "\n")
-    if csv_rows is not None:
-        paths.append(Path(f"{prefix}.csv"))
-        write_sweep_csv(csv_rows, paths[2])
     return paths

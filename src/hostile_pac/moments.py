@@ -142,12 +142,16 @@ class SubGaussianRegime:
     q: float | None = None
     optimize_q: bool = False
 
+    def _given_q(self, config: ExperimentConfig) -> tuple[str, float]:
+        """The key that sets q without ``optimize_q``, and q."""
+        return (("regime.q", self.q) if self.q is not None
+                else ("experiment.p", config.p / (config.p - 1.0)))
+
     def check(self, config: ExperimentConfig) -> None:
         _check_independent_rows(config, "subgaussian")
         if self.optimize_q and self.q is not None:
             raise ValueError("regime.q cannot be combined with regime.optimize_q, which sets q")
-        key, q = (("regime.q", self.q) if self.q is not None
-                  else ("experiment.p", config.p / (config.p - 1.0)))
+        key, q = self._given_q(config)
         if not self.optimize_q and q < 2:
             raise ValueError(f"{key}: the sub-Gaussian moment inequality requires q >= 2 "
                              f"(q = p/(p-1) unless regime.q is set), got q={q}")
@@ -156,12 +160,15 @@ class SubGaussianRegime:
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
         constants: dict = {}
         if self.optimize_q:
-            q = 2.0 * math.log(2.0 * len(atoms) / config.delta)
+            key, q = "regime.optimize_q", 2.0 * math.log(2.0 * len(atoms) / config.delta)
             q, constants["q_clamped"] = max(q, 2.0), q < 2.0
         else:
-            q = self.q if self.q is not None else config.p / (config.p - 1.0)
+            key, q = self._given_q(config)
         constants.update(sigma2=self.sigma2, q=q)
         value = 2.0 * float(np.float64(q * self.sigma2 / config.n) ** (q / 2.0))
+        if not math.isfinite(value):
+            raise ValueError(f"{key}, regime.sigma2 and experiment.n: M = 2 (q sigma2 / n)"
+                             f"**(q/2) overflows doubles at q={q!r}")
         return q / (q - 1.0), MomentBound(value, q), constants
 
 

@@ -168,7 +168,7 @@ def solve_rbar_one(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: f
     """The level solve on one risk vector: Newton from the lesser Jensen
     bracket of the finite supported atoms and of those tied at the minimum,
     each spend a dot product over the sorted supported atoms below the level,
-    then the last-bit acceptance and walk."""
+    then the last-bit acceptance, one tangent step up and walk."""
     support = pi.weights > 0
     risks, weights = rn[support], pi.weights[support]
     order = np.argsort(risks)
@@ -194,6 +194,9 @@ def solve_rbar_one(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: f
     residual = abs(spend - budget)
     if residual <= RBAR_RESIDUAL_TOL * budget:
         return u
+    if spend < budget and u < u - step < math.inf:  # one tangent step up, at or past the root
+        u -= step
+        spend = spend_and_slope(u)[0]
     toward = np.inf if spend < budget else -np.inf
     for _ in range(RBAR_LAST_BIT_STEPS):
         if spend >= budget > spend_and_slope(float(np.nextafter(u, -np.inf)))[0]:

@@ -232,7 +232,7 @@ def test_criterion_09_rate_shape():
     import dataclasses
     base = dataclasses.replace(CRIT6_CONFIG, replications=50, seed=909)
     values = [100, 400, 1600, 6400]
-    rows = run_sweep(base, "n", values)
+    rows = run_sweep(base, "n", values).records
     slope = fit_loglog_slope(values, [row["median_margin"] for row in rows])
     ok = -0.6 <= slope <= -0.4
     _report(9, "margin rate in n", ok, f"log-log slope {slope:.4f}")

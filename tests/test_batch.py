@@ -135,6 +135,11 @@ def _risk_blocks(draw):
 @settings(max_examples=200, deadline=None)
 @given(problem=_risk_blocks(), q=st.floats(1.01, 40.0))
 @example(problem=(_SEEDED_RISKS, _UNIFORM_100, 0.05), q=2.0)
+# Newton's rounded first step stops 28 doubles below the last-bit root, and
+# its next step points up; that step reaches the root.
+@example(problem=(np.array([[0.5, 0, 0.5625, 0.015625, 0, 1, 0, 0, 0.5]]),
+                  DiscreteDistribution(np.array([2, 2e-300, 2, 2, 0, 1, 0, 0, 2]) / 9), 2.5e-8),
+         q=1.125)
 def test_level_rows_match_one_dataset(problem, q):
     block, pi, budget = problem
     references = []

@@ -74,14 +74,16 @@ def test_aggregate_and_coverage(config_path, capsys):
     assert summary["replications"] == 50
 
 
-def test_sweep_csv(config_path, tmp_path, capsys):
+def test_sweep_outputs(config_path, tmp_path, capsys):
     prefix = tmp_path / "sweep"
     code = main(["sweep", "--config", str(config_path), "--axis", "n",
                  "--values", "100,400", "--out", str(prefix)])
     assert code == 0
-    csv_lines = prefix.with_suffix(".csv").read_text().splitlines()
-    assert csv_lines[0].split(",")[0] == "axis"
-    assert len(csv_lines) == 3
+    lines = Path(f"{prefix}.records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["type"] for line in lines] == ["sweep_row", "sweep_row"]
+    assert json.loads(Path(f"{prefix}.summary.json").read_text())["command"] == "sweep"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "experiment.yaml", "sweep.records.jsonl", "sweep.summary.json"]
 
 
 def test_seed_flag_overrides(config_path, capsys):
@@ -137,8 +139,10 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     ("bound_demo", "prior.seed=-1", ["prior: seed"]),
     ("bound_demo", "prior.scale=-1", ["prior: scale"]),
     ("coverage_iid_t5", "generator.x_law.scale=-1", ["generator.x_law: scale"]),
-    # Finite constants whose moment bound overflows name the regime section.
-    ("erm_finite_class", "regime.sigma2=1e308", ["regime (subgaussian)"]),
+    # Finite constants whose moment bound overflows: the sub-Gaussian M names the
+    # keys that set it, the others the regime section.
+    ("erm_finite_class", "regime.sigma2=1e308",
+     ["regime.optimize_q", "regime.sigma2", "experiment.n"]),
     ("coverage_ar1_t7", "regime.davydov_factor=1e308", ["regime (mixing_unbounded)"]),
     ("bound_demo", "experiment.p=1e300", ["experiment.p"]),
     # rho_hat's D + 1 rounds below 1 at this p.
@@ -151,7 +155,7 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     # A bound that overflows in Python's float power, and an envelope sum whose
     # 1 - exp(-c2/r) rounds to 0.
     ("erm_finite_class", "regime.optimize_q=false regime.q=2000",
-     ["regime (subgaussian): bound value must be finite and nonnegative, got inf"]),
+     ["regime.q", "regime.sigma2", "experiment.n"]),
     ("coverage_ar1_t7", "generator.mixing.c2=1e-17", ["generator.mixing.c2"]),
     # A budget M/delta that overflows, and one whose M underflows to 0.
     ("coverage_ar1_t7", "experiment.delta=1e-320", ["regime (mixing_unbounded)", "experiment.delta"]),
@@ -177,7 +181,8 @@ def test_regime_value_errors_name_the_key(config, override, named, capsys):
     sets = [arg for item in override.split() for arg in ("--set", item)]
     assert main(["bound", "--config", str(path), *sets]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and all(key in err for key in named)
+    assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert all(key in err for key in named)
 
 
 def test_huge_finite_budget_warns_nothing(capsys):

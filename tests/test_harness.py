@@ -13,7 +13,7 @@ from hostile_pac.harness import (AssumptionError, ConfigError,
                                  apply_overrides, config_from_dict,
                                  dump_record, fit_loglog_slope, load_config,
                                  resolve_moment, run_aggregate, run_bound,
-                                 run_coverage, run_sweep, write_sweep_csv, _setup)
+                                 run_coverage, run_sweep, _setup)
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, MixingBoundSpec, StudentTNoise)
 from hostile_pac.moments import MixingUnboundedRegime, VarianceRegime
@@ -546,11 +546,7 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
     r1 = run_coverage(config)
     r2 = run_coverage(config)
     assert [dump_record(a) for a in r1.records] == [dump_record(b) for b in r2.records]
-    s1 = dict(r1.summary)
-    s2 = dict(r2.summary)
-    s1.pop("timestamp")
-    s2.pop("timestamp")
-    assert dump_record(s1) == dump_record(s2)
+    assert dump_record(r1.summary) == dump_record(r2.summary)
 
     # Inflating the moment bound can only widen margins: coverage is monotone.
     inflated = base_config(replications=50, regime=VarianceRegime(s2=1e6))
@@ -579,35 +575,23 @@ def test_run_coverage_block_size_equivalence(monkeypatch):
         assert len(pairs) == 51
         for expected, record in pairs:
             assert expected.keys() == record.keys()
-            for key in expected.keys() - {"timestamp"}:
+            for key in expected:
                 assert dump_record(record[key]) == dump_record(expected[key]), key
 
 
-def test_run_sweep_rows_and_csv(tmp_path):
+def test_run_sweep_rows():
     config = base_config()
-    rows = run_sweep(config, "n", [100, 400])
-    assert len(rows) == 2
-    assert rows[0]["n"] == 100 and rows[1]["n"] == 400
+    rows, summary = run_sweep(config, "n", [100, 400])
+    assert summary == {"type": "summary", "command": "sweep", "axis": "n", "rows": 2}
+    assert [(row["type"], row["n"]) for row in rows] == [("sweep_row", 100), ("sweep_row", 400)]
     # Margin scales like n**(-1/2) when the moment constant is analytic.
     ratio = rows[1]["median_margin"] / rows[0]["median_margin"]
     assert ratio == pytest.approx(0.5, rel=1e-9)
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("axis,value,n,delta,p,coverage_two_sided")
-    assert len(lines) == 3
-    # Floats by repr, None as an empty cell, infinities as inf.
-    odd = dict(rows[0], coverage_oracle=None, mean_slack=math.inf, median_margin=0.1 + 0.2)
-    write_sweep_csv([odd], path)
-    assert path.read_text().splitlines()[1] == ",".join(
-        ["n", "100", "100", repr(config.delta), repr(config.p), repr(rows[0]["coverage_two_sided"]),
-         "", "0.30000000000000004", repr(rows[0]["median_margin_rho_hat"]), "inf",
-         repr(rows[0]["moment_bound"])])
 
 
 def test_run_sweep_delta_scaling():
     config = base_config()
-    rows = run_sweep(config, "delta", [0.5, 0.05, 0.005])
+    rows = run_sweep(config, "delta", [0.5, 0.05, 0.005]).records
     margins = [row["median_margin"] for row in rows]
     assert margins[1] / margins[0] == pytest.approx(math.sqrt(10.0), rel=1e-9)
     assert margins[2] / margins[1] == pytest.approx(math.sqrt(10.0), rel=1e-9)
@@ -618,7 +602,7 @@ def test_run_sweep_rows_report_the_p_the_bound_used():
     # echoes the p its bound used, as its summary does.
     config = load_config(ROOT / "configs" / "erm_finite_class.yaml",
                          ["experiment.replications=50"])
-    rows = run_sweep(config, "p", [3, 5])
+    rows = run_sweep(config, "p", [3, 5]).records
     used = _setup(config).cfg.p
     assert [row["value"] for row in rows] == [3, 5]
     assert [row["p"] for row in rows] == [used, used] and used not in (3, 5)
