@@ -302,11 +302,12 @@ def _sublevel_masses(rows: np.ndarray, weights: np.ndarray,
 
     ``gammas`` is one set of gammas for every row, or a column with one gamma
     per row. A full sublevel's mass is exactly 1; the others sum the weights
-    in atom order with zeros off the sublevel.
+    in atom order with zeros off the sublevel: the weights are finite and
+    nonnegative, so mask times weight is the weight or +0.0.
     """
     levels = rows.min(axis=1)[:, None] + gammas
-    masses = np.where(rows[:, None, :] <= levels[:, :, None], weights, 0.0).sum(axis=-1)
-    full = np.where(weights > 0.0, rows, -np.inf).max(axis=1)[:, None] <= levels
+    masses = ((rows[:, None, :] <= levels[:, :, None]) * weights).sum(axis=-1)
+    full = rows.max(axis=1, where=weights > 0.0, initial=-np.inf)[:, None] <= levels
     return np.where(full, 1.0, masses), full
 
 

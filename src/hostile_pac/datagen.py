@@ -22,6 +22,7 @@ from .param_space import AtomSet
 from .risk import Dataset, LossKind, SquaredLoss, ZeroOneLoss
 
 AR1_BURN_IN = 1000  # draws per burn-in chunk, where the stationary law has no closed form
+AR1_MAX_BURN_IN_CHUNKS = 1024  # about 10**6 draws per dataset, for |a| up to about 0.99998
 
 
 class NoClosedFormError(Exception):
@@ -188,6 +189,24 @@ def _ar1_path(a: float, y0: float | np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def burn_in_chunks(a: float) -> int:
+    """Chunks of ``AR1_BURN_IN`` draws that a burn-in from 0 takes at coefficient ``a``:
+    the fewest, a power of two, after which the start misses a**(2 steps) <= 2**-53
+    of the stationary variance (one chunk for |a| <= 2**(-53/2000), about 0.9818)."""
+    chunks = 1
+    while abs(a) ** (2 * AR1_BURN_IN * chunks) > 2.0**-53:
+        chunks *= 2
+    return chunks
+
+
+def largest_burn_in_a() -> float:
+    """The largest |a| whose burn-in takes at most ``AR1_MAX_BURN_IN_CHUNKS`` chunks."""
+    a = 2.0 ** (-53 / (2 * AR1_BURN_IN * AR1_MAX_BURN_IN_CHUNKS))  # an ulp above it
+    while burn_in_chunks(a) > AR1_MAX_BURN_IN_CHUNKS:
+        a = math.nextafter(a, 0.0)
+    return a
+
+
 def _draw(spec: GeneratorSpec, n: int,
           rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """One dataset per generator, as x of shape (rows, n, k) and y of shape (rows, n).
@@ -220,13 +239,10 @@ def _draw(spec: GeneratorSpec, n: int,
                 y0[i] = rng.normal(0.0, stationary_sd)
                 eps[i] = _draw_noise(spec.noise, n, rng)
         else:
-            # No closed-form stationary law for t innovations: burn in from 0 until
-            # the start misses a**(2 steps) <= 2**-53 of the stationary variance,
+            # No closed-form stationary law for t innovations: burn in from 0,
             # folding each chunk in as drawn by its pairwise sum_j a**j chunk_{-1-j}
-            # (one chunk for |a| <= 2**(-53/2000), about 0.9818; Horner past that).
-            chunks = 1
-            while abs(spec.a) ** (2 * AR1_BURN_IN * chunks) > 2.0**-53:
-                chunks *= 2
+            # (Horner over the chunks).
+            chunks = burn_in_chunks(spec.a)
             powers = spec.a ** np.arange(AR1_BURN_IN - 1, -1, -1)
             for i, rng in enumerate(rngs):
                 for _ in range(chunks):

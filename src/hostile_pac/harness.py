@@ -101,6 +101,12 @@ class ExperimentConfig:
             if not self.p / (self.p - 1.0) > 1:
                 raise ValueError(f"experiment.p={self.p!r} is so large that q = p/(p-1) "
                                  "rounds to 1")
+            if (isinstance(self.generator, AR1) and isinstance(self.generator.noise, StudentTNoise)
+                    and datagen.burn_in_chunks(self.generator.a) > datagen.AR1_MAX_BURN_IN_CHUNKS):
+                raise ValueError(
+                    f"generator.a={self.generator.a!r}: a Student-t AR(1) burns in over at most "
+                    f"{datagen.AR1_MAX_BURN_IN_CHUNKS} chunks of {datagen.AR1_BURN_IN} draws, "
+                    f"so the largest |a| accepted is {datagen.largest_burn_in_a()!r}")
             self.regime.check(self)
             for key, value in vars(self.regime).items():
                 if isinstance(value, float) and not value > 0:
@@ -328,11 +334,25 @@ def _setup(config: ExperimentConfig) -> _Setup:
     return _Setup(atoms, pi, cfg, constants)
 
 
+def _seed_sequences(seed: int, indices: range) -> list[np.random.SeedSequence]:
+    """The seed sequence ``[seed, 0, index]`` of each dataset index, every index below 2**32.
+
+    numpy reads that entropy as the little-endian 32-bit words of the seed
+    (0 is the one word 0), then 0 and the index; the words of the whole
+    range are built as one uint32 array, a row per index.
+    """
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(indices), len(words) + 2), dtype=np.uint32)
+    entropy[:, :-1] = [*words, 0]
+    entropy[:, -1] = indices
+    return [np.random.SeedSequence(row) for row in entropy]
+
+
 def _fit(config: ExperimentConfig, setup: _Setup,
          indices: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical risks r_n of datasets ``indices``, one row each, their
     levels rbar and rho_hat weights."""
-    seeds = [np.random.SeedSequence([config.seed, 0, index]) for index in indices]
+    seeds = _seed_sequences(config.seed, indices)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflows fail as non-finite values
             rn = empirical_risks(datagen.generate(config.generator, config.n, seeds),
@@ -448,7 +468,9 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
 # Atom-rows per coverage block. A block certifies max(1, COVERAGE_BLOCK_ATOMS // K)
 # replications at once as (rows, K) arrays, which bounds its memory at any K;
 # one block of every replication raised peak memory and ran slower at K = 10**4.
-COVERAGE_BLOCK_ATOMS = 4096
+# Each block pays a fixed cost of some 440 Python-level calls; 12,288 spreads it
+# over 122 rows at K = 100 and still gives K = 10**4 one row per block.
+COVERAGE_BLOCK_ATOMS = 12288
 
 
 def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.ndarray,
@@ -540,6 +562,9 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
     """The record columns, the summary and the echoed constants of ``run_coverage``."""
     if config.replications < 50:
         raise ConfigError("experiment.replications: coverage runs need at least 50 replications")
+    if config.replications > 2**32:  # a dataset index is one 32-bit seed word
+        raise ConfigError("experiment.replications: coverage runs take at most 2**32 "
+                          "replications")
     setup = _setup(config)
     pi, cfg = setup.pi, setup.cfg
     # The population level, fixed by the configuration, spends the budget 2**q * M / delta.

@@ -227,3 +227,14 @@ def verify_complexity_one(values: np.ndarray, pi: DiscreteDistribution,
     if d > COMPLEXITY_CAP:
         return ComplexityEstimate(COMPLEXITY_CAP, False)
     return ComplexityEstimate(d, True)
+
+
+def sublevel_masses_where(rows: np.ndarray, weights: np.ndarray,
+                          gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sublevel masses and fullness with every selection an ``np.where``: the
+    weights on {values <= min + gamma} and zeros elsewhere, summed in atom
+    order, and the largest value over the supported atoms with -inf elsewhere."""
+    levels = rows.min(axis=1)[:, None] + gammas
+    masses = np.where(rows[:, None, :] <= levels[:, :, None], weights, 0.0).sum(axis=-1)
+    full = np.where(weights > 0.0, rows, -np.inf).max(axis=1)[:, None] <= levels
+    return np.where(full, 1.0, masses), full

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hostile_pac.aggregation import (BoundConfig, SolverError, catoni_pi_gamma,
+from hostile_pac.aggregation import (BoundConfig, SolverError, _sublevel_masses, catoni_pi_gamma,
                                      certified_oracle, deviation_moments, erm_index,
                                      evaluate_bound, optimal_gamma, oracle_bound, pac_margin,
                                      rho_hat, solve_rbar, verify_complexity)
 from hostile_pac.divergence import PhiP, f_divergence, power_divergence_plus_one
 from hostile_pac.moments import MomentBound
 from hostile_pac.param_space import DiscreteDistribution, expectation
-from oracles import minimized_objective_identity
+from oracles import minimized_objective_identity, sublevel_masses_where
 
 
 def _cfg(p=2.0, delta=0.1, value=0.004, q=None):
@@ -452,6 +452,36 @@ def test_verify_complexity_unsatisfiable():
         verify_complexity(values, pi, np.array([]))
     with pytest.raises(ValueError):
         verify_complexity(values, pi, np.array([1.5]))
+
+
+@st.composite
+def _sublevel_problems(draw):
+    """Rows of risks with ties at the minimum and +inf atoms, non-uniform weights
+    with zeros, and either a gamma grid or one gamma per row."""
+    rows, size = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    risks = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.0, 0.25, np.inf]) | st.floats(0.0, 2.0),
+        min_size=rows * size, max_size=rows * size))).reshape(rows, size)
+    weights = np.array(draw(st.lists(st.sampled_from([0.0]) | st.floats(1e-3, 1.0),
+                                     min_size=size, max_size=size)))
+    weights[draw(st.integers(0, size - 1))] = 1.0  # some atom is supported
+    gamma = st.floats(1e-3, 0.999)
+    if draw(st.booleans()):
+        gammas = np.array(draw(st.lists(gamma, min_size=1, max_size=10)))
+    else:
+        gammas = np.array(draw(st.lists(gamma, min_size=rows, max_size=rows)))[:, None]
+    return risks, weights / weights.sum(), gammas
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_sublevel_problems())
+def test_sublevel_masses_match_the_where_reference_bit_for_bit(problem):
+    # Mask times weight is the weight or +0.0, so every sum keeps its bits.
+    risks, weights, gammas = problem
+    masses, full = _sublevel_masses(risks, weights, gammas)
+    expected_masses, expected_full = sublevel_masses_where(risks, weights, gammas)
+    assert masses.tobytes() == expected_masses.tobytes()
+    assert np.array_equal(full, expected_full)
 
 
 def test_oracle_bound_examples():

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 import yaml
 
-from hostile_pac import harness
+from hostile_pac import datagen, harness
 from hostile_pac.harness import (AssumptionError, ConfigError,
                                  ExperimentConfig,
                                  apply_overrides, config_from_dict,
                                  dump_record, fit_loglog_slope, load_config,
                                  resolve_moment, run_aggregate, run_bound,
-                                 run_coverage, run_sweep, _setup)
+                                 run_coverage, run_sweep, _seed_sequences, _setup)
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, MixingBoundSpec, StudentTNoise)
 from hostile_pac.moments import MixingUnboundedRegime, VarianceRegime
@@ -135,6 +135,23 @@ def test_config_rejects_bad_values_naming_the_key(section, key, value, named):
             np.errstate(over="ignore"):
         _setup(config_from_dict(raw))
     assert section != "regime" or "unknown keys" not in str(info.value)
+
+
+def test_student_t_ar1_burn_in_is_capped_naming_generator_a():
+    path = ROOT / "configs" / "coverage_ar1_t7.yaml"
+    largest = datagen.largest_burn_in_a()
+    assert 0.99998 < largest < 0.99999
+    assert datagen.burn_in_chunks(largest) == datagen.AR1_MAX_BURN_IN_CHUNKS
+    assert datagen.burn_in_chunks(math.nextafter(largest, 1.0)) > datagen.AR1_MAX_BURN_IN_CHUNKS
+    for a in (largest, -largest, 0.999):
+        assert load_config(path, [f"generator.a={a!r}"]).generator.a == a
+    for a in (0.99999, -math.nextafter(largest, 1.0)):
+        with pytest.raises(ConfigError, match=re.escape("generator.a")) as info:
+            load_config(path, [f"generator.a={a!r}"])
+        assert repr(largest) in str(info.value)
+    # Gaussian innovations start in their closed-form stationary law, with no burn-in.
+    gaussian = ["generator.a=0.99999", "generator.noise={kind: gaussian, variance: 0.25}"]
+    assert load_config(path, gaussian).generator.a == 0.99999
 
 
 @pytest.mark.parametrize("prior, named", [
@@ -510,6 +527,9 @@ def test_squared_loss_coverage_never_builds_the_loss_table(monkeypatch):
 def test_run_coverage_requires_50_replications():
     with pytest.raises(ConfigError):
         run_coverage(base_config(replications=10))
+    # A dataset index is one 32-bit seed word.
+    with pytest.raises(ConfigError, match="at most 2\\*\\*32"):
+        run_coverage(base_config(replications=2**32 + 1))
 
 
 def test_run_coverage_two_sided_implies_rho_hat():
@@ -558,25 +578,47 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
 def test_run_coverage_block_size_equivalence(monkeypatch):
     # The 50 replications fit one block of the 30-atom prior; one-row blocks
     # certify each alone, blocks of 7 rows leave a last block of 1, and
-    # blocks of 16 rows one of 2. Each dataset draws from its own seed
-    # sequence and every row sum reads its own row only, so every field of
-    # every record and of the summary keeps its bytes.
+    # blocks of 16 rows one of 2; at K = 3,000 the default block holds a few
+    # rows and is compared with one-row blocks. Each dataset draws from its
+    # own seed sequence and every row sum reads its own row only, so every
+    # field of every record and of the summary keeps its bytes.
+    default_atoms = harness.COVERAGE_BLOCK_ATOMS
     config = base_config(replications=50)
     atoms = config.prior.count
-    assert harness.COVERAGE_BLOCK_ATOMS // atoms >= 50
-    runs = [run_coverage(config)]
+    assert default_atoms // atoms >= 50
+    one_block = run_coverage(config)
+    compared = []
     for rows in (1, 7, 16):
         monkeypatch.setattr(harness, "COVERAGE_BLOCK_ATOMS", rows * atoms)
-        runs.append(run_coverage(config))
-    one_block = runs[0]
-    for run in runs[1:]:
+        compared.append((one_block, run_coverage(config)))
+    wide = base_config(replications=50, prior=dataclasses.replace(config.prior, count=3000))
+    assert default_atoms // 3000 > 1
+    monkeypatch.setattr(harness, "COVERAGE_BLOCK_ATOMS", default_atoms)
+    default_blocks = run_coverage(wide)
+    monkeypatch.setattr(harness, "COVERAGE_BLOCK_ATOMS", 3000)
+    compared.append((default_blocks, run_coverage(wide)))
+    for expected_run, run in compared:
         # The slack summary is built from values the blocks return beside the records.
-        pairs = [*zip(one_block.records, run.records), (one_block.summary, run.summary)]
+        pairs = [*zip(expected_run.records, run.records), (expected_run.summary, run.summary)]
         assert len(pairs) == 51
         for expected, record in pairs:
             assert expected.keys() == record.keys()
             for key in expected:
                 assert dump_record(record[key]) == dump_record(expected[key]), key
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**64 + 7])
+def test_seed_sequences_are_those_of_the_seed_index_list(seed):
+    # 2**64 reads as the words [0, 0, 1]: the zero words below the top one
+    # are part of the entropy.
+    for index in (0, 1, 2**32 - 1):
+        block = _seed_sequences(seed, range(index, index + 1))
+        assert len(block) == 1
+        assert np.array_equal(block[0].generate_state(8),
+                              np.random.SeedSequence([seed, 0, index]).generate_state(8))
+    for got, index in zip(_seed_sequences(seed, range(5, 9)), range(5, 9)):
+        assert np.array_equal(got.generate_state(8),
+                              np.random.SeedSequence([seed, 0, index]).generate_state(8))
 
 
 def test_run_sweep_rows():
