@@ -15,12 +15,10 @@ from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
                       StudentTNoise, generate, kappa_moments,
                       true_risk_closed_form)
-from .divergence import PhiP, f_divergence
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, MomentBound, RegimeSpec,
-                      SubGaussianRegime, VarianceRegime, empirical_moment_estimate)
+                      SubGaussianRegime, VarianceRegime)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,
                           IidSamplePrior, PriorSpec, build_prior, expectation)
-from .risk import (Dataset, LossKind, SquaredLoss, ZeroOneLoss, compute_loss_table,
-                   empirical_risk, empirical_risks)
+from .risk import Dataset, LossKind, SquaredLoss, ZeroOneLoss, empirical_risks
 
 __version__ = "0.1.0"

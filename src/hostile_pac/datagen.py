@@ -392,7 +392,8 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -
     Regression generators support the squared loss; the classification
     generator supports the zero-one loss at threshold 0; Gaussian AR(1)
     additionally supports the zero-one loss at any threshold. Raises
-    :class:`NoClosedFormError` otherwise.
+    :class:`NoClosedFormError` otherwise, naming the config key that rules
+    the closed form out.
     """
     if atoms.dim != spec.dim:
         raise ValueError("atom dimension does not match the generator")
@@ -404,6 +405,7 @@ def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -
     if isinstance(spec, AR1) and isinstance(loss, ZeroOneLoss):
         if isinstance(spec.noise, GaussianNoise) and spec.noise.variance > 0:
             return _ar1_sign_risk(spec, atoms, loss.threshold)
-    raise NoClosedFormError(
-        f"no closed-form risk for {type(spec).__name__} with {type(loss).__name__}"
-    )
+        raise NoClosedFormError("generator.noise: the zero-one risk of AR1 has a closed form "
+                                "only under Gaussian innovations of positive variance")
+    raise NoClosedFormError(f"experiment.loss and generator.kind: no closed-form risk for "
+                            f"{type(spec).__name__} with {type(loss).__name__}")

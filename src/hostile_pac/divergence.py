@@ -1,44 +1,25 @@
 """Csiszar's power f-divergence between discrete distributions on a shared atom set.
 
-The generator is f(x) = x**p - 1 for p > 1 (chi-square is ``PhiP(2)``).
+The generator is f(x) = x**p - 1 for p > 1 (chi-square at p = 2).
 Non-absolute-continuity returns ``inf`` rather than raising: a bound
 evaluated at an infinite divergence is vacuously true and downstream code
 propagates the infinity. The divergence is computed in one place,
 :func:`power_divergence_plus_one`, in the D + 1 form the certificates use.
-:func:`f_divergence` returns D itself; no part of the certificate chain calls
-it, and it stays only while the benchmark's tracer (``perfbench/tracing.py``)
-looks it up by name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .param_space import DiscreteDistribution, _rows
 
 
-@dataclass(frozen=True)
-class PhiP:
-    """Power generator f(x) = x**p - 1, requires p > 1."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not self.p > 1:
-            raise ValueError("PhiP requires p > 1")
-
-
-def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution,
-                 kind: PhiP) -> float:
-    """D_f(rho, pi) = sum_j pi_j f(rho_j / pi_j), or +inf without domination.
-
-    Atoms where both weights vanish contribute nothing.
-    """
-    if len(rho) != len(pi):
-        raise ValueError("distributions live on different atom sets")
-    return float(power_divergence_plus_one(rho.weights[None], pi.weights, kind.p)[0]) - 1.0
+def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution, p: float) -> float:
+    """D = (D + 1) - 1 at p > 1. No package code calls it; the benchmark's
+    tracer (``perfbench/tracing.py``) resolves it by name."""
+    if not p > 1:
+        raise ValueError(f"the power divergence requires p > 1, got p={p!r}")
+    return float(power_divergence_plus_one(rho.weights[None], pi.weights, p)[0]) - 1.0
 
 
 def power_divergence_plus_one(rho: np.ndarray, pi_weights: np.ndarray, p: float) -> np.ndarray:

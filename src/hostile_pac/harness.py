@@ -44,9 +44,9 @@ import numpy as np
 import yaml
 
 from . import datagen
-from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate, catoni_pi_gamma,
-                          certificate, certified_oracle, deviation_moments, erm_index,
-                          evaluate_bound, optimal_gamma, rho_hat, solve_rbar)
+from .aggregation import (CONJUGACY_TOL, BoundConfig, BoundReport, ComplexityEstimate,
+                          catoni_pi_gamma, certificate, certified_oracle, deviation_moments,
+                          erm_index, evaluate_bound, optimal_gamma, rho_hat, solve_rbar)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, NoClosedFormError, StudentTNoise)
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, RegimeSpec, SubGaussianRegime,
@@ -577,8 +577,7 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
     try:
         true_values = datagen.true_risk_closed_form(config.generator, setup.atoms, config.loss)
     except NoClosedFormError as exc:
-        raise ConfigError(f"experiment.loss and generator.kind: coverage requires a "
-                          f"closed-form true risk: {exc}") from exc
+        raise ConfigError(f"{exc}; coverage requires a closed-form true risk") from exc
     rows = max(1, COVERAGE_BLOCK_ATOMS // len(setup.atoms))
     blocks = [range(start, min(start + rows, config.replications))
               for start in range(0, config.replications, rows)]
@@ -630,7 +629,8 @@ SWEEP_AXES = ("n", "delta", "p")
 
 def run_sweep(config: ExperimentConfig, axis: str, values: list) -> RunResult:
     """Coverage summaries along one axis: one ``sweep_row`` record per value,
-    with the n, delta and p that its bound used."""
+    with the n, delta and p that its bound used. A swept p that the bound
+    ignores is a ``ConfigError`` naming the key that set q."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
@@ -641,6 +641,12 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list) -> RunResult:
         # replace() reruns the config validation on the swept value.
         cfg_v = dataclasses.replace(config, **{axis: _coerce(value, hint, f"sweep {axis}")})
         columns, summary, _ = _coverage(cfg_v)
+        # Only the sub-Gaussian regime takes q from elsewhere than p. Compare q with p's
+        # conjugate, not p itself: p -> q -> p may move p by an ulp.
+        if axis == "p" and abs(1.0 / cfg_v.p + 1.0 / summary["q"] - 1.0) > CONJUGACY_TOL:
+            key = "regime.optimize_q" if config.regime.optimize_q else "regime.q"
+            raise ConfigError(f"{key} sets q={summary['q']!r}, so the bound ignores the "
+                              f"swept experiment.p={cfg_v.p!r}")
         records.append({
             "type": "sweep_row", "axis": axis, "value": value,
             **{key: summary[key] for key in SWEEP_AXES},  # the values the bound used

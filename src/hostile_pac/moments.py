@@ -281,19 +281,15 @@ RegimeSpec = VarianceRegime | SubGaussianRegime | MixingBoundedRegime | MixingUn
 
 def empirical_moment_estimate(tables: list[np.ndarray], true_values: np.ndarray,
                               pi: DiscreteDistribution, q: float) -> float:
-    """Monte Carlo estimate of the deviation moment from replicated tables.
-
-    Averages sum_j pi_j |r_n(theta_j) - R(theta_j)|**q over the tables.
-    Validation only: the estimate shares data with the risks it is compared
-    against and must never be substituted into a guarantee.
-    """
+    """Monte Carlo estimate of the deviation moment from replicated tables: the
+    mean of E_pi |R - r_n|**q, both ``deviation_moments`` sides, as coverage's
+    ``realized_moment``. Validation only; no package code calls it, and the
+    benchmark's moment workload calls and traces it by name."""
+    # aggregation imports this module, so this import waits for the call.
+    from .aggregation import deviation_moments
     if len(tables) < 2:
         raise ValueError("need at least 2 replicated tables")
-    true_values = np.asarray(true_values, dtype=float)
-    acc = 0.0
-    for table in tables:
-        risks = empirical_risk(table)
-        if risks.shape != true_values.shape or len(pi) != risks.shape[0]:
-            raise ValueError("table, true-risk vector and prior sizes do not match")
-        acc += float(pi.weights @ np.abs(risks - true_values) ** q)
-    return acc / len(tables)
+    risks = np.stack([empirical_risk(table) for table in tables])
+    if risks.shape[1:] != np.shape(true_values):
+        raise ValueError("table and true-risk vector sizes do not match")
+    return float(np.mean(np.add(*deviation_moments(true_values - risks, pi.weights, q))))

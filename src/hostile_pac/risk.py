@@ -87,7 +87,8 @@ def compute_loss_table(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndar
     The squared loss is computed in place in the one array of predictions,
     and can overflow. The zero-one table is the boolean mismatch mask, True
     where the predicted label misses; its column means are the float means
-    of 0 and 1, bit for bit, since sums of 0 and 1 are exact.
+    of 0 and 1, bit for bit, since sums of 0 and 1 are exact. Kept for the
+    benchmark and ``tests/oracles.py``; the certificate chain does not call it.
     """
     _check_dims(data, atoms)
     return _loss_table(data.x, data.y, atoms.coords, loss)
@@ -111,7 +112,8 @@ def _loss_table(x: np.ndarray, y: np.ndarray, coords: np.ndarray, loss: LossKind
 
 
 def empirical_risk(table: np.ndarray) -> np.ndarray:
-    """Column means of the loss table: average loss of each atom."""
+    """Column means of the loss table: average loss of each atom. Kept
+    for the benchmark and ``tests/oracles.py``; the certificate chain does not call it."""
     return table.mean(axis=0)
 
 
@@ -140,7 +142,7 @@ def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray
                          f"got shape {data.x.shape}")
     x, y = data.x, data.y
     if not isinstance(loss, SquaredLoss):
-        risks = np.stack([empirical_risk(_loss_table(xi, yi, atoms.coords, loss))
+        risks = np.stack([_loss_table(xi, yi, atoms.coords, loss).mean(axis=0)
                           for xi, yi in zip(x, y)])
     else:
         r, k = np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r"), atoms.dim

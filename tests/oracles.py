@@ -21,14 +21,30 @@ MA_TRUNCATION_TOL = 1e-16  # tail mass cutoff for exact stationary sampling
 def divergence_plus_one_uniform(rho: DiscreteDistribution, size: int, p: float) -> float:
     """Closed form K**(p-1) * sum_j rho_j**p for a uniform reference measure.
 
-    Equals ``f_divergence(rho, uniform, PhiP(p)) + 1`` and serves as its
-    independent check.
+    Equals ``power_divergence_plus_one`` against the uniform weights and
+    serves as its independent check.
     """
     if p <= 1:
         raise ValueError("requires p > 1")
     if len(rho) != size:
         raise ValueError("distribution size does not match the uniform reference")
     return float(size ** (p - 1.0) * np.sum(rho.weights**p))
+
+
+def divergence_plus_one_direct(rho: DiscreteDistribution, pi: DiscreteDistribution,
+                               p: float) -> float:
+    """The definition sum_j pi_j (rho_j / pi_j)**p of D + 1 for a pi of full support."""
+    if not (pi.weights > 0).all():
+        raise ValueError("requires pi of full support")
+    return float(np.sum(pi.weights * (rho.weights / pi.weights) ** p))
+
+
+def moment_estimate_by_table(tables: list[np.ndarray], true_values: np.ndarray,
+                             pi: DiscreteDistribution, q: float) -> float:
+    """The mean over tables of sum_j pi_j |r_n(theta_j) - R(theta_j)|**q, one
+    weighted sum of |gap|**q per table."""
+    return sum(float(pi.weights @ np.abs(empirical_risk(table) - true_values) ** q)
+               for table in tables) / len(tables)
 
 
 def optimized_erm_margin(sigma2: float, n: int, num_atoms: int, delta: float) -> float:

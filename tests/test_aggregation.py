@@ -8,7 +8,7 @@ from hostile_pac.aggregation import (BoundConfig, SolverError, _sublevel_masses,
                                      certified_oracle, deviation_moments, erm_index,
                                      evaluate_bound, optimal_gamma, oracle_bound, pac_margin,
                                      rho_hat, solve_rbar, verify_complexity)
-from hostile_pac.divergence import PhiP, f_divergence, power_divergence_plus_one
+from hostile_pac.divergence import power_divergence_plus_one
 from hostile_pac.moments import MomentBound
 from hostile_pac.param_space import DiscreteDistribution, expectation
 from oracles import minimized_objective_identity, sublevel_masses_where
@@ -362,7 +362,7 @@ def test_minimizer_beats_random_probes():
         for row in probes:
             probe = DiscreteDistribution(row)
             probe_objective = expectation(probe, rn[None])[0] + pac_margin(
-                cfg, f_divergence(probe, pi, PhiP(p)) + 1.0)
+                cfg, power_divergence_plus_one(probe.weights[None], pi.weights, p)[0])
             assert probe_objective >= objective - 1e-9
 
 
@@ -546,5 +546,5 @@ def test_hoelder_core_inequality(seed, p):
     deltas = rng.uniform(0, 1, size)
     lhs = expectation(rho, deltas[None])[0]
     rhs = float(pi.weights @ deltas**q) ** (1.0 / q) * (
-        f_divergence(rho, pi, PhiP(p)) + 1.0) ** (1.0 / p)
+        power_divergence_plus_one(rho.weights[None], pi.weights, p)[0]) ** (1.0 / p)
     assert rhs - lhs >= -1e-12

@@ -291,6 +291,27 @@ def test_coverage_without_closed_form_risk_names_the_keys(config, override, caps
     assert "experiment.loss" in err and "generator.kind" in err
 
 
+@pytest.mark.parametrize("noise", [None, '{"kind":"gaussian","variance":0.0}'])
+def test_coverage_without_closed_form_ar1_sign_risk_names_the_noise(noise, capsys):
+    # The AR(1) zero-one risk has a closed form; the innovations rule it out.
+    sets = ['regime={"kind":"mixing_bounded"}', "experiment.loss=zero_one",
+            "experiment.replications=50", *([f"generator.noise={noise}"] if noise else [])]
+    argv = ["coverage", "--config", str(ROOT / "configs" / "coverage_ar1_t7.yaml")]
+    assert main([*argv, *(arg for item in sets for arg in ("--set", item))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: generator.noise: ") and err.count("\n") == 1
+    assert "experiment.loss" not in err and "generator.kind" not in err
+
+
+def test_sweep_over_a_p_the_regime_ignores_names_the_key(capsys):
+    argv = ["sweep", "--config", str(ROOT / "configs" / "erm_finite_class.yaml"), "--axis", "p",
+            "--values", "3,5", "--set", "experiment.replications=50"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("config error: regime.optimize_q ") and "experiment.p" in err
+
+
 def test_solver_failure_exit_code(config_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise SolverError("level solve did not reach residual tolerance")

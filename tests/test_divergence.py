@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hostile_pac.divergence import PhiP, f_divergence, power_divergence_plus_one
+from hostile_pac.divergence import f_divergence, power_divergence_plus_one
 from hostile_pac.param_space import DiscreteDistribution
-from oracles import divergence_plus_one_uniform
+from oracles import divergence_plus_one_direct, divergence_plus_one_uniform
 
 
 def _dist(values):
@@ -14,36 +14,40 @@ def _dist(values):
     return DiscreteDistribution(w / w.sum())
 
 
+def _plus_one(rho: DiscreteDistribution, pi: DiscreteDistribution, p: float) -> float:
+    return float(power_divergence_plus_one(rho.weights[None], pi.weights, p)[0])
+
+
 def test_zero_at_equality():
-    for kind in (PhiP(1.5), PhiP(3.0)):
+    for p in (1.5, 3.0):
         d = _dist([0.2, 0.3, 0.5])
-        assert f_divergence(d, d, kind) == pytest.approx(0.0, abs=1e-14)
+        assert _plus_one(d, d, p) - 1.0 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_dirac_against_uniform_power_two():
     pi = DiscreteDistribution.uniform(10)
     dirac = DiscreteDistribution(np.eye(10)[3])
-    assert f_divergence(dirac, pi, PhiP(2.0)) == pytest.approx(9.0, rel=1e-13)
+    assert _plus_one(dirac, pi, 2.0) - 1.0 == pytest.approx(9.0, rel=1e-13)
 
 
 def test_hand_computed_chi_square():
     rho = _dist([0.5, 0.5])
     pi = _dist([0.25, 0.75])
-    assert f_divergence(rho, pi, PhiP(2.0)) == pytest.approx(1.0 / 3.0, rel=1e-13)
+    assert _plus_one(rho, pi, 2.0) - 1.0 == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
 def test_mass_on_null_atom_is_infinite():
     rho = _dist([0.5, 0.5])
     pi = DiscreteDistribution(np.array([1.0, 0.0]))
-    assert math.isinf(f_divergence(rho, pi, PhiP(2.0)))
+    assert math.isinf(_plus_one(rho, pi, 2.0))
     # Shared null atoms contribute nothing.
     rho0 = DiscreteDistribution(np.array([1.0, 0.0]))
-    assert f_divergence(rho0, pi, PhiP(2.0)) == pytest.approx(0.0, abs=1e-14)
+    assert _plus_one(rho0, pi, 2.0) - 1.0 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mismatched_atom_sets_error():
     with pytest.raises(ValueError):
-        f_divergence(_dist([1.0]), _dist([0.5, 0.5]), PhiP(2.0))
+        _plus_one(_dist([1.0]), _dist([0.5, 0.5]), 2.0)
     with pytest.raises(ValueError):
         divergence_plus_one_uniform(_dist([0.5, 0.5]), 3, 2.0)
 
@@ -57,9 +61,16 @@ def test_uniform_closed_form_examples():
         divergence_plus_one_uniform(half, 4, 1.0)
 
 
-def test_phip_requires_p_above_one():
+def test_f_divergence_is_d_plus_one_minus_one_and_requires_p_above_one():
+    rng = np.random.default_rng(5)
+    for p in (1.5, 2.0, 3.0):
+        rho, pi = (DiscreteDistribution(rng.dirichlet(np.ones(7))) for _ in range(2))
+        assert f_divergence(rho, pi, p) == _plus_one(rho, pi, p) - 1.0
+    for p in (1.0, 0.5, -2.0, math.nan):
+        with pytest.raises(ValueError):
+            f_divergence(rho, pi, p)
     with pytest.raises(ValueError):
-        PhiP(1.0)
+        f_divergence(_dist([1.0]), _dist([0.5, 0.5]), 2.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,7 +86,7 @@ def test_nonnegativity(raw_rho, raw_pi, p):
         rho_w = np.ones(size)
     rho = _dist(rho_w)
     pi = _dist(raw_pi[:size])
-    assert f_divergence(rho, pi, PhiP(p)) >= -1e-12
+    assert _plus_one(rho, pi, p) - 1.0 >= -1e-12
 
 
 def test_closed_form_agreement_random():
@@ -84,10 +95,9 @@ def test_closed_form_agreement_random():
         size = int(rng.integers(2, 51))
         p = float(rng.choice([1.5, 2.0, 3.0]))
         rho = DiscreteDistribution(rng.dirichlet(np.ones(size)))
-        pi = DiscreteDistribution.uniform(size)
-        direct = f_divergence(rho, pi, PhiP(p)) + 1.0
+        value = _plus_one(rho, DiscreteDistribution.uniform(size), p)
         closed = divergence_plus_one_uniform(rho, size, p)
-        assert abs(direct - closed) <= 1e-12 * closed
+        assert abs(value - closed) <= 1e-12 * closed
 
 
 def test_strict_positivity_near_equality():
@@ -97,8 +107,8 @@ def test_strict_positivity_near_equality():
     bump = np.zeros(6)
     bump[0], bump[1] = 1e-8, -1e-8
     rho = DiscreteDistribution(base + bump)
-    for kind in (PhiP(1.5), PhiP(2.0), PhiP(3.0)):
-        assert f_divergence(rho, pi, kind) > 0.0
+    for p in (1.5, 2.0, 3.0):
+        assert _plus_one(rho, pi, p) > 1.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,12 +127,9 @@ def test_power_divergence_plus_one_matches_references(raw_rho, raw_pi, p):
     uniform = DiscreteDistribution.uniform(size)
 
     closed = divergence_plus_one_uniform(rho, size, p)
-    assert power_divergence_plus_one(rho.weights[None], uniform.weights, p)[0] == pytest.approx(
-        closed, rel=1e-12)
-    value = power_divergence_plus_one(rho.weights[None], pi.weights, p)[0]
-    assert abs(value - (f_divergence(rho, pi, PhiP(p)) + 1.0)) <= 1e-12 * value
-    # The definition sum_j pi_j (rho_j / pi_j)**p, computed independently.
-    direct = float(np.sum(pi.weights * (rho.weights / pi.weights) ** p))
+    assert _plus_one(rho, uniform, p) == pytest.approx(closed, rel=1e-12)
+    value = _plus_one(rho, pi, p)
+    direct = divergence_plus_one_direct(rho, pi, p)
     assert abs(value - direct) <= 1e-12 * direct
 
     # Mass off the support of pi is +inf.
@@ -130,8 +137,7 @@ def test_power_divergence_plus_one_matches_references(raw_rho, raw_pi, p):
     off_pi = DiscreteDistribution(off / off.sum())
     off_value = power_divergence_plus_one(rho.weights[None], off_pi.weights, p)[0]
     assert math.isinf(off_value) == (rho.weights[-1] > 0)
-    assert math.isinf(power_divergence_plus_one(pi.weights[None], off_pi.weights, p)[0])
-    assert math.isinf(f_divergence(pi, off_pi, PhiP(p)))
+    assert math.isinf(_plus_one(pi, off_pi, p))
 
 
 def test_large_p_with_empty_atom_stays_finite():

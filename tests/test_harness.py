@@ -640,14 +640,30 @@ def test_run_sweep_delta_scaling():
 
 
 def test_run_sweep_rows_report_the_p_the_bound_used():
-    # An optimized sub-Gaussian q fixes p whatever the swept value; each row
-    # echoes the p its bound used, as its summary does.
+    # The mixing regimes certify p = 2 and accept a p within 1e-12 of it; each
+    # row echoes the p its bound used, as its summary does.
+    config = load_config(ROOT / "configs" / "coverage_ar1_t7.yaml",
+                         ["experiment.replications=50"])
+    rows = run_sweep(config, "p", [2.0000000000001, 2]).records
+    assert [row["value"] for row in rows] == [2.0000000000001, 2]
+    assert [row["p"] for row in rows] == [2.0, 2.0]
+    # Under the variance regime the bound uses the swept p itself.
+    rows = run_sweep(base_config(), "p", [3, 5]).records
+    assert [row["p"] for row in rows] == [3.0, 5.0]
+
+
+def test_run_sweep_refuses_a_p_that_the_bound_ignores():
     config = load_config(ROOT / "configs" / "erm_finite_class.yaml",
                          ["experiment.replications=50"])
-    rows = run_sweep(config, "p", [3, 5]).records
-    used = _setup(config).cfg.p
-    assert [row["value"] for row in rows] == [3, 5]
-    assert [row["p"] for row in rows] == [used, used] and used not in (3, 5)
+    with pytest.raises(ConfigError, match=r"^regime\.optimize_q sets q=11\.98"):
+        run_sweep(config, "p", [3, 5])
+    given_q = dataclasses.replace(config, regime=dataclasses.replace(
+        config.regime, optimize_q=False, q=4.0))
+    with pytest.raises(ConfigError, match=r"^regime\.q sets q=4\.0,"):
+        run_sweep(given_q, "p", [1.5])
+    # A p whose conjugate is the given q passes, though q/(q-1) need not give p back.
+    rows = run_sweep(given_q, "p", [4.0 / 3.0]).records
+    assert [row["p"] for row in rows] == [4.0 / 3.0]
 
 
 def test_run_sweep_validation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hostile_pac.aggregation import deviation_moments
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression, IsotropicGaussianX,
                                  MixingBoundSpec, generate, true_risk_closed_form)
 from hostile_pac.harness import ConfigError, ExperimentConfig, load_config, resolve_moment
@@ -14,7 +15,7 @@ from hostile_pac.moments import (MixingBoundedRegime, MixingUnboundedRegime, Mom
 from hostile_pac.param_space import (DiscreteDistribution, ExplicitPrior, IidSamplePrior,
                                      build_prior)
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
-from oracles import optimized_erm_margin
+from oracles import moment_estimate_by_table, optimized_erm_margin
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -225,6 +226,31 @@ def test_empirical_moment_estimate_examples():
         empirical_moment_estimate([flat], target, pi, 2.0)
     with pytest.raises(ValueError):
         empirical_moment_estimate([flat, flat], np.array([0.3, 0.1]), pi, 2.0)
+
+
+# Entries are 0 or at least 1e-3, so no |gap|**q lands among the subnormals,
+# where rounding differs by more than rel 1e-12.
+_ENTRY = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), num_tables=st.integers(2, 5), rows=st.integers(1, 4),
+       num_atoms=st.integers(1, 8), q=st.floats(min_value=1.01, max_value=12.0))
+def test_empirical_moment_estimate_is_the_realized_moment(data, num_tables, rows, num_atoms, q):
+    tables = [np.array(data.draw(st.lists(_ENTRY, min_size=rows * num_atoms,
+                                          max_size=rows * num_atoms))).reshape(rows, num_atoms)
+              for _ in range(num_tables)]
+    target = np.array(data.draw(st.lists(_ENTRY, min_size=num_atoms, max_size=num_atoms)))
+    raw = np.array(data.draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
+                                      min_size=num_atoms, max_size=num_atoms)))
+    pi = DiscreteDistribution(raw / raw.sum())
+    estimate = empirical_moment_estimate(tables, target, pi, q)
+    # Coverage's realized_moment: the mean of both deviation_moments sides added.
+    gaps = target - np.stack([table.mean(axis=0) for table in tables])
+    realized = float(np.mean(np.add(*deviation_moments(gaps, pi.weights, q))))
+    assert estimate == pytest.approx(realized, rel=1e-12, abs=0.0)
+    assert estimate == pytest.approx(moment_estimate_by_table(tables, target, pi, q),
+                                     rel=1e-12, abs=0.0)
 
 
 def test_empirical_estimate_below_variance_bound():
