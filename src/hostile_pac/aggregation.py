@@ -303,10 +303,12 @@ def _sublevel_masses(rows: np.ndarray, weights: np.ndarray,
     ``gammas`` is one set of gammas for every row, or a column with one gamma
     per row. A full sublevel's mass is exactly 1; the others sum the weights
     in atom order with zeros off the sublevel: the weights are finite and
-    nonnegative, so mask times weight is the weight or +0.0.
+    nonnegative, so mask times weight is the weight or +0.0. One gamma is
+    summed at a time, so the temporaries are (rows, K), not (rows, G, K).
     """
     levels = rows.min(axis=1)[:, None] + gammas
-    masses = ((rows[:, None, :] <= levels[:, :, None]) * weights).sum(axis=-1)
+    masses = np.stack([((rows <= level[:, None]) * weights).sum(axis=-1) for level in levels.T],
+                      axis=1)
     full = rows.max(axis=1, where=weights > 0.0, initial=-np.inf)[:, None] <= levels
     return np.where(full, 1.0, masses), full
 

@@ -14,10 +14,11 @@ their levels rbar and rho_hat weights;
 ``_certify`` adds, for ``bound`` and coverage, the ERM, the sublevel-mass
 exponent, the certified oracle and the rho_hat, prior and ERM certificates,
 row by row. ``bound`` and ``aggregate`` take the one-row range of dataset 0;
-coverage takes fixed blocks of ``COVERAGE_BLOCK_ATOMS // K`` rows, one after
-another in one process. Dataset ``index`` draws from the seed sequence
-``[seed, 0, index]``, and every row sum reads its own row only, so no output
-depends on the block size.
+coverage takes fixed blocks of ``COVERAGE_BLOCK_VALUES // (K + n (k + 1))``
+rows (K atoms of dimension k, n observations), one after another in one
+process. Dataset ``index`` draws from the seed sequence ``[seed, 0, index]``,
+and every row sum reads its own row only, so no output depends on the block
+size.
 
 Each regime's load-time rules and moment constant live on its class in
 :mod:`hostile_pac.moments`, called by ``ExperimentConfig``'s load-time check and
@@ -465,12 +466,14 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
 # Coverage experiments
 # ---------------------------------------------------------------------------
 
-# Atom-rows per coverage block. A block certifies max(1, COVERAGE_BLOCK_ATOMS // K)
-# replications at once as (rows, K) arrays, which bounds its memory at any K;
-# one block of every replication raised peak memory and ran slower at K = 10**4.
-# Each block pays a fixed cost of some 440 Python-level calls; 12,288 spreads it
-# over 122 rows at K = 100 and still gives K = 10**4 one row per block.
-COVERAGE_BLOCK_ATOMS = 12288
+# Values per coverage block. A replication holds K values per atom-wide array and
+# n (k + 1) data values (x and y, and again in the stacked [x | y] of its QR), so a
+# block certifies max(1, COVERAGE_BLOCK_VALUES // (K + n (k + 1))) replications at
+# once, which bounds its memory at any K and n; one block of every replication
+# raised peak memory and ran slower at K = 10**4. Each block pays a fixed cost of
+# some 440 Python-level calls; 86,016 spreads it over 122 rows at K = 100, n = 200
+# and 3 at the scale point K = 10**4, n = 5000 (k = 2).
+COVERAGE_BLOCK_VALUES = 86016
 
 
 def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.ndarray,
@@ -539,7 +542,8 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     hit/miss decisions carry no oracle noise.
 
     Replications are certified in fixed blocks of
-    ``max(1, COVERAGE_BLOCK_ATOMS // K)`` rows, one block after another. Each
+    ``max(1, COVERAGE_BLOCK_VALUES // (K + n (k + 1)))`` rows, K atoms of
+    dimension k and n observations each, one block after another. Each
     dataset draws from its own seed sequence and every row sum reads its own
     row only, so every record and summary field is the same at any block
     size; the block size bounds memory only.
@@ -578,7 +582,7 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
         true_values = datagen.true_risk_closed_form(config.generator, setup.atoms, config.loss)
     except NoClosedFormError as exc:
         raise ConfigError(f"{exc}; coverage requires a closed-form true risk") from exc
-    rows = max(1, COVERAGE_BLOCK_ATOMS // len(setup.atoms))
+    rows = max(1, COVERAGE_BLOCK_VALUES // (len(setup.atoms) + config.n * (setup.atoms.dim + 1)))
     blocks = [range(start, min(start + rows, config.replications))
               for start in range(0, config.replications, rows)]
     done = [_replication_block(config, setup, true_values, block) for block in blocks]

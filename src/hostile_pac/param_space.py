@@ -124,7 +124,8 @@ def build_prior(spec: PriorSpec, seed: int = 0) -> tuple[AtomSet, DiscreteDistri
     if not isinstance(spec, IidSamplePrior):
         raise TypeError(f"unknown prior spec: {type(spec).__name__}")
     rng = np.random.default_rng(spec.seed if spec.seed is not None else seed)
-    atoms = AtomSet(rng.standard_normal((spec.count, spec.dim)) * spec.scale)
+    # + 0.0 turns the -0.0 of a negative draw times scale 0 into the origin's +0.0.
+    atoms = AtomSet(rng.standard_normal((spec.count, spec.dim)) * spec.scale + 0.0)
     return atoms, DiscreteDistribution.uniform(len(atoms))
 
 

@@ -133,7 +133,8 @@ def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray
     The identity is exact for every design (n <= k and collinear columns
     included), needs no least-squares solve, and as a sum of squares it is
     never negative. It costs O(n k^2 + K k^2) per dataset instead of the
-    O(n K) of the loss table; a stacked dataset takes one stacked QR.
+    O(n K) of the loss table; a stacked dataset takes one stacked QR and one
+    (rows, k, K) product for the fit R_x theta - z of every atom.
     The other losses average each dataset's table, one table at a time.
     """
     _check_dims(data, atoms)
@@ -146,10 +147,13 @@ def empirical_risks(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.ndarray
                           for xi, yi in zip(x, y)])
     else:
         r, k = np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r"), atoms.dim
-        fit = atoms.coords @ r[:, :k, :k].swapaxes(-1, -2) - r[:, None, :k, k]
+        # R has min(n, k + 1) rows, so the fit is (rows, min(n, k), K).
+        fit = r[:, :k, :k] @ atoms.coords.T
+        fit -= r[:, :k, k:]
         rho = r[:, k:, k]
-        risks = (np.einsum("ij,ij->i", rho, rho)[:, None]
-                 + np.einsum("ijk,ijk->ij", fit, fit)) / x.shape[1]
+        risks = np.einsum("ijk,ijk->ik", fit, fit)
+        risks += np.einsum("ij,ij->i", rho, rho)[:, None]
+        risks /= x.shape[1]
         if not np.all(np.isfinite(risks)):
             raise ValueError("empirical risks must be finite")
     return risks

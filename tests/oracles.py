@@ -180,6 +180,18 @@ def empirical_risks_one(data: Dataset, atoms: AtomSet, loss: LossKind) -> np.nda
     return (e0 @ e0 + np.einsum("ij,ij->i", fit, fit)) / len(data)
 
 
+def squared_risks_broadcast(x: np.ndarray, y: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The squared-loss r_n of stacked datasets from the triangular factor of
+    [x | y], the fit broadcast as (rows, K, k) ``coords @ R_x^T - z`` and its
+    squares summed by ``einsum`` over the last axis."""
+    k = coords.shape[1]
+    r = np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r")
+    fit = coords @ r[:, :k, :k].swapaxes(-1, -2) - r[:, None, :k, k]
+    rho = r[:, k:, k]
+    return (np.einsum("ij,ij->i", rho, rho)[:, None]
+            + np.einsum("ijk,ijk->ij", fit, fit)) / x.shape[1]
+
+
 def solve_rbar_one(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float) -> float:
     """The level solve on one risk vector: Newton from the lesser Jensen
     bracket of the finite supported atoms and of those tied at the minimum,

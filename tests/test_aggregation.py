@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,6 +483,24 @@ def test_sublevel_masses_match_the_where_reference_bit_for_bit(problem):
     expected_masses, expected_full = sublevel_masses_where(risks, weights, gammas)
     assert masses.tobytes() == expected_masses.tobytes()
     assert np.array_equal(full, expected_full)
+
+
+def test_verify_complexity_holds_no_grid_wide_temporary():
+    # Masses are summed one gamma at a time: the temporaries are (rows, K), not
+    # (rows, G, K), so a 10-point grid on three 10**4-atom rows stays within two
+    # (rows, K) float arrays.
+    rows, size = 3, 10_000
+    values = np.random.default_rng(11).uniform(0.0, 1.0, (rows, size))
+    pi = DiscreteDistribution.uniform(size)
+    grid = np.linspace(0.05, 0.8, 10)
+    tracemalloc.start()
+    try:
+        estimate = verify_complexity(values, pi, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate.d.shape == (rows,)
+    assert peak < 2 * rows * size * 8
 
 
 def test_oracle_bound_examples():

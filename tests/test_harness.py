@@ -576,27 +576,32 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
 
 
 def test_run_coverage_block_size_equivalence(monkeypatch):
-    # The 50 replications fit one block of the 30-atom prior; one-row blocks
-    # certify each alone, blocks of 7 rows leave a last block of 1, and
-    # blocks of 16 rows one of 2; at K = 3,000 the default block holds a few
-    # rows and is compared with one-row blocks. Each dataset draws from its
+    # A replication counts K + n (k + 1) values. The 50 replications fit one
+    # block of the 30-atom prior; one-row blocks certify each alone, blocks of
+    # 7 rows leave a last block of 1, and blocks of 16 rows one of 2. At
+    # K = 3,000 the default block holds 23 rows at n = 200 and 14 at n = 1,000,
+    # and each is compared with one-row blocks. Each dataset draws from its
     # own seed sequence and every row sum reads its own row only, so every
     # field of every record and of the summary keeps its bytes.
-    default_atoms = harness.COVERAGE_BLOCK_ATOMS
+    def values(config):
+        return config.prior.count + config.n * (config.prior.dim + 1)
+
+    default_values = harness.COVERAGE_BLOCK_VALUES
     config = base_config(replications=50)
-    atoms = config.prior.count
-    assert default_atoms // atoms >= 50
+    assert default_values // values(config) >= 50
     one_block = run_coverage(config)
     compared = []
     for rows in (1, 7, 16):
-        monkeypatch.setattr(harness, "COVERAGE_BLOCK_ATOMS", rows * atoms)
+        monkeypatch.setattr(harness, "COVERAGE_BLOCK_VALUES", rows * values(config))
         compared.append((one_block, run_coverage(config)))
-    wide = base_config(replications=50, prior=dataclasses.replace(config.prior, count=3000))
-    assert default_atoms // 3000 > 1
-    monkeypatch.setattr(harness, "COVERAGE_BLOCK_ATOMS", default_atoms)
-    default_blocks = run_coverage(wide)
-    monkeypatch.setattr(harness, "COVERAGE_BLOCK_ATOMS", 3000)
-    compared.append((default_blocks, run_coverage(wide)))
+    wide_prior = dataclasses.replace(config.prior, count=3000)
+    for n, default_rows in ((200, 23), (1000, 14)):
+        wide = base_config(replications=50, n=n, prior=wide_prior)
+        assert default_values // values(wide) == default_rows
+        monkeypatch.setattr(harness, "COVERAGE_BLOCK_VALUES", default_values)
+        default_blocks = run_coverage(wide)
+        monkeypatch.setattr(harness, "COVERAGE_BLOCK_VALUES", values(wide))
+        compared.append((default_blocks, run_coverage(wide)))
     for expected_run, run in compared:
         # The slack summary is built from values the blocks return beside the records.
         pairs = [*zip(expected_run.records, run.records), (expected_run.summary, run.summary)]

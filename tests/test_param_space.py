@@ -33,6 +33,20 @@ def test_sampled_prior_uniform_weights():
     assert not atoms.coords.any()
 
 
+def test_sampled_prior_origin_is_positive_zero():
+    # A negative draw times scale 0 is -0.0; the origin is +0.0 in every coordinate.
+    spec = IidSamplePrior(count=20, dim=3, scale=0.0, seed=5)
+    draws = np.random.default_rng(5).standard_normal((20, 3))
+    assert (draws < 0).any()
+    atoms, _ = build_prior(spec)
+    assert not np.signbit(atoms.coords).any()
+    assert atoms.coords.tobytes() == np.zeros((20, 3)).tobytes()
+    # Every nonzero coordinate keeps the bits of draw times scale.
+    for scale in (1.0, 0.37, 1e-300):
+        atoms, _ = build_prior(IidSamplePrior(count=20, dim=3, scale=scale, seed=5))
+        assert atoms.coords.tobytes() == (draws * scale).tobytes()
+
+
 @pytest.mark.parametrize("spec, kwargs, field", [
     (IidSamplePrior, {"count": 1, "dim": 1}, "count"),
     (IidSamplePrior, {"count": 5, "dim": 1, "scale": -1.0}, "scale"),

@@ -11,6 +11,7 @@ from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import (Dataset, SquaredLoss, ZeroOneLoss, compute_loss_table,
                               empirical_risk, empirical_risks)
+from oracles import squared_risks_broadcast
 
 
 def test_loss_table_hand_examples():
@@ -133,6 +134,34 @@ def test_squared_closed_form_matches_table(seed, n, k, num_atoms, duplicate, off
     assert np.all(np.abs(closed - table) <= 1e-12 * scale)
     if not (offset or exact):
         np.testing.assert_allclose(closed, table, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=12),
+    k=st.integers(min_value=1, max_value=5),
+    num_atoms=st.integers(min_value=1, max_value=300),
+    collinear=st.booleans(),
+)
+def test_squared_risks_keep_the_bits_of_the_broadcast_fit(seed, rows, n, k, num_atoms,
+                                                          collinear):
+    # The (rows, k, K) fit holds the same products as the broadcast (rows, K, k)
+    # one. At k <= 2 its squares have one summation order, so every bit agrees;
+    # at k >= 3 the two orders differ by rounding only. n <= k is included.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n, k))
+    if collinear:
+        x[..., -1] = 2.0 * x[..., 0]
+    y = rng.standard_normal((rows, n))
+    coords = rng.standard_normal((num_atoms, k))
+    risks = empirical_risks(Dataset(x=x, y=y), AtomSet(coords), SquaredLoss())
+    expected = squared_risks_broadcast(x, y, coords)
+    if k <= 2:
+        assert risks.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(risks, expected, rtol=1e-15, atol=0)
 
 
 def test_empirical_risks_other_losses_average_the_table():
