@@ -168,10 +168,22 @@ class BoundedClassification:
 GeneratorSpec = IidLinearRegression | AR1 | BoundedClassification
 
 
-def _draw_noise(noise: NoiseLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+def _unscaled_noise(noise: NoiseLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n noise draws, Student-t ones before ``_scale_noise`` applies their scale."""
     if isinstance(noise, GaussianNoise):
         return rng.normal(0.0, math.sqrt(noise.variance), n)
-    return rng.standard_t(noise.dof, n) * noise.scale
+    return rng.standard_t(noise.dof, n)
+
+
+def _scale_noise(noise: NoiseLaw, draws: np.ndarray) -> np.ndarray:
+    """``_unscaled_noise`` draws, of one row or a block of rows, scaled in place."""
+    if isinstance(noise, StudentTNoise):
+        draws *= noise.scale
+    return draws
+
+
+def _draw_noise(noise: NoiseLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    return _scale_noise(noise, _unscaled_noise(noise, n, rng))
 
 
 def _ar1_path(a: float, y0: float | np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -221,13 +233,13 @@ def _draw(spec: GeneratorSpec, n: int,
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=x[i])
             if regression:
-                draws[i] = _draw_noise(spec.noise, n, rng)
+                draws[i] = _unscaled_noise(spec.noise, n, rng)
             else:
                 rng.random(out=draws[i])
         x *= spec.x_law.scale
         score = x @ np.asarray(spec.theta_star)
         if regression:
-            return x, np.add(draws, score, out=draws)
+            return x, np.add(_scale_noise(spec.noise, draws), score, out=draws)
         return x, np.where((score >= 0.0) != (draws < spec.flip_prob), 1.0, -1.0)
     if isinstance(spec, AR1):
         if n < 2:
@@ -248,7 +260,8 @@ def _draw(spec: GeneratorSpec, n: int,
                 for _ in range(chunks):
                     y0[i] = spec.a**AR1_BURN_IN * y0[i] + (
                         _draw_noise(spec.noise, AR1_BURN_IN, rng) * powers).sum()
-                eps[i] = _draw_noise(spec.noise, n, rng)
+                eps[i] = _unscaled_noise(spec.noise, n, rng)
+            _scale_noise(spec.noise, eps)
         y = _ar1_path(spec.a, y0, eps)
         x = np.empty((rows, n, 2))
         x[:, :, 0] = 1.0
@@ -258,20 +271,22 @@ def _draw(spec: GeneratorSpec, n: int,
     raise TypeError(f"unknown generator spec: {type(spec).__name__}")
 
 
-def generate(spec: GeneratorSpec, n: int, seed: int | np.random.SeedSequence | list) -> Dataset:
+def generate(spec: GeneratorSpec, n: int, seed: int | list[int] | np.random.SeedSequence
+             | list[np.random.bit_generator.ISeedSequence]) -> Dataset:
     """Draw a dataset of length n; bit-reproducible for a fixed seed.
 
     ``seed`` is anything ``np.random.default_rng`` takes (a list of ints is
-    one entropy seed), or a list of ``SeedSequence``s, which gives a stacked
-    dataset with one row per seed. Each row draws what a lone ``generate``
-    of its seed draws, in the same order and with the same arithmetic: per
-    row only the generator's fills run, and the arithmetic on them and the
-    validation run once per block.
+    one entropy seed), or a list of ``numpy.random.bit_generator.ISeedSequence``
+    objects, such as ``SeedSequence``s, which gives a stacked dataset with
+    one row per seed. Each row draws what a lone ``generate`` of its seed
+    draws, in the same order and with the same arithmetic: per row only the
+    generator's fills run, and the arithmetic on them and the validation run
+    once per block.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if (isinstance(seed, (list, tuple)) and seed
-            and all(isinstance(s, np.random.SeedSequence) for s in seed)):
+            and all(isinstance(s, np.random.bit_generator.ISeedSequence) for s in seed)):
         return Dataset(*_draw(spec, n, [np.random.default_rng(s) for s in seed]))
     x, y = _draw(spec, n, [np.random.default_rng(seed)])
     return Dataset(x[0], y[0])

@@ -335,18 +335,110 @@ def _setup(config: ExperimentConfig) -> _Setup:
     return _Setup(atoms, pi, cfg, constants)
 
 
-def _seed_sequences(seed: int, indices: range) -> list[np.random.SeedSequence]:
+# numpy's SeedSequence hash (M. E. O'Neill's seed_seq, 2015) on uint32 words: a pool of
+# four words mixes the entropy in, and an output hash cycles the pool into state words.
+# A hash step XORs in a constant, multiplies by the next and folds the high half down;
+# the pool's constants run _INIT_A * _MULT_A**j, the output's _INIT_B * _MULT_B**j, and
+# two pool words meet as mix(x, y) = _MIX_L x - _MIX_R y, folded the same way.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _HALF = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHERS = [np.array([j for j in range(_POOL_SIZE) if j != i]) for i in range(_POOL_SIZE)]
+_PCG64_WORDS = 8  # PCG64 seeds itself from generate_state(4, np.uint64)
+
+
+@cache
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The constants init * mult**j mod 2**32, j = 0..steps, of ``steps`` hash steps,
+    read-only: every call with the same arguments shares them."""
+    constants = np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(steps + 1)], np.uint32)
+    constants.flags.writeable = False
+    return constants
+
+
+def _hashed(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """One hash step per constant but the last, ``words`` broadcast against them."""
+    out = words ^ constants[:-1]
+    out *= constants[1:]
+    out ^= out >> _HALF
+    return out
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mix(x, y), computed in the two arrays, which the caller no longer needs."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> _HALF
+    return x
+
+
+def _pools(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.pool`` of each row of uint32 entropy words, the rows zero-padded to
+    at least four words: numpy's ``mix_entropy``, every row at once."""
+    width = entropy.shape[1]
+    steps = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width)[:, None]
+    words = entropy.T  # a row per word, a column per dataset
+    pool = _hashed(words[:_POOL_SIZE], steps[:_POOL_SIZE + 1])
+    for src, dst in enumerate(_OTHERS):  # every pool word into every other
+        step = _POOL_SIZE + (_POOL_SIZE - 1) * src
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], steps[step:step + _POOL_SIZE]))
+    for src in range(_POOL_SIZE, width):  # the words past the pool, into every pool word
+        step = _POOL_SIZE * src
+        pool = _mixed(pool, _hashed(words[src], steps[step:step + _POOL_SIZE + 1]))
+    return pool.T
+
+
+def _state_words(pools: np.ndarray, count: int) -> np.ndarray:
+    """``SeedSequence.generate_state(count)`` of each pool: ``count`` uint32 words."""
+    cycled = pools.take(np.arange(count) % _POOL_SIZE, axis=1)
+    return _hashed(cycled, _hash_constants(_INIT_B, _MULT_B, count))
+
+
+@cache
+def _block_seed_class() -> type:
+    """The class of :func:`_seed_sequences`' seeds, made on first use: its base class
+    lives in ``numpy.random``, which importing this module leaves unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class BlockSeed(ISeedSequence):
+        """One dataset's ``SeedSequence``: its pool, and its first state words worked
+        out with the whole block's, enough for PCG64 to seed itself."""
+
+        def __init__(self, pool: np.ndarray, words: np.ndarray):
+            self.pool, self.words = pool, words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            dtype = np.dtype(dtype)
+            if dtype.type not in (np.uint32, np.uint64):
+                raise ValueError("only support uint32 or uint64")
+            count = n_words * (dtype.itemsize // 4)
+            state = (self.words[:count] if count <= len(self.words)
+                     else _state_words(self.pool[None], count)[0])
+            if dtype.itemsize == 8:  # little-endian pairs of words, as numpy reads them
+                return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+            return state.copy()
+
+    return BlockSeed
+
+
+def _seed_sequences(seed: int,
+                    indices: range) -> list[np.random.bit_generator.ISeedSequence]:
     """The seed sequence ``[seed, 0, index]`` of each dataset index, every index below 2**32.
 
     numpy reads that entropy as the little-endian 32-bit words of the seed
-    (0 is the one word 0), then 0 and the index; the words of the whole
-    range are built as one uint32 array, a row per index.
+    (0 is the one word 0), then 0 and the index. The words of the whole
+    range are one uint32 array, a row per index, and numpy's hash runs down
+    its columns: one pass gives every row's pool and PCG64 seed words, and
+    each row gets a light ``ISeedSequence`` that hands them out, the same
+    words as ``np.random.SeedSequence([seed, 0, index])`` gives.
     """
     words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.empty((len(indices), len(words) + 2), dtype=np.uint32)
-    entropy[:, :-1] = [*words, 0]
-    entropy[:, -1] = indices
-    return [np.random.SeedSequence(row) for row in entropy]
+    entropy = np.zeros((len(indices), max(len(words) + 2, _POOL_SIZE)), dtype=np.uint32)
+    entropy[:, :len(words) + 1] = [*words, 0]
+    entropy[:, len(words) + 1] = indices
+    pools = _pools(entropy)
+    return list(map(_block_seed_class(), pools, _state_words(pools, _PCG64_WORDS)))
 
 
 def _fit(config: ExperimentConfig, setup: _Setup,
@@ -557,8 +649,14 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     M/M_crit.
     """
     columns, summary, constants = _coverage(config)
-    records = [{"type": "replication", **dict(zip(columns, row)), **constants}
-               for row in zip(*(column.tolist() for column in columns.values()))]
+    # Copies of one template, filled column by column; a constant wins over a
+    # column of its name, as in {"type": ..., **columns, **constants}.
+    template = {"type": "replication", **dict.fromkeys(columns), **constants}
+    records = [template.copy() for _ in range(config.replications)]
+    for name, column in columns.items():
+        if name not in constants:
+            for record, value in zip(records, column.tolist()):
+                record[name] = value
     return RunResult(records, summary)
 
 
@@ -692,25 +790,42 @@ def dump_record(record) -> str:
 def _field_texts(values) -> list[str]:
     """``dump_record`` of each value, made in one pass where the value types
     allow: plain finite floats and plain ints by repr, as the encoder writes
-    them, and non-empty lists of one length position by position."""
+    them, bools by lookup and non-empty lists of one length position by
+    position."""
     kinds = set(map(type, values))
     if kinds == {float} and math.isfinite(sum(values)):  # a finite sum rules out inf and NaN
         return list(map(float.__repr__, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
+    if kinds == {bool}:
+        return list(map(("false", "true").__getitem__, values))
     if kinds == {list} and len(set(map(len, values))) == 1 and values[0]:
         positions = [_field_texts(position) for position in zip(*values)]
         return ["[" + ", ".join(row) + "]" for row in zip(*positions)]
     return [dump_record(value) for value in values]
 
 
+def _written_alike(values) -> bool:
+    """Whether ``dump_record`` writes every value as the first: the same object
+    throughout, or equal values of one type among int, str and float, the
+    floats not zero (0.0 and -0.0 are equal but written apart). A NaN equals
+    only itself, so distinct NaNs never count as equal."""
+    first, kind = values[0], type(values[0])
+    if all(map(is_, values, repeat(first))):
+        return True
+    return ((kind is int or kind is str or (kind is float and first != 0))
+            and all(map(is_, map(type, values), repeat(kind)))
+            and values.count(first) == len(values))
+
+
 def records_text(records: list[dict]) -> str:
     """``"".join(dump_record(r) + "\\n" for r in records)``, made field by field.
 
     Each run of records with one key set shares a line template of its
-    sorted keys; a value that is the same object in every record of the run
-    is encoded once into that template, and every other field is encoded in
-    one pass over its values. Runs with a non-string key go record by record.
+    sorted keys; a value written alike in every record of the run (the same
+    object, or equal plain values, see ``_written_alike``) is encoded once
+    into that template, and every other field is encoded in one pass over
+    its values. Runs with a non-string key go record by record.
     """
     chunks = []
     for keys, run in groupby(records, dict.keys):
@@ -722,7 +837,7 @@ def records_text(records: list[dict]) -> str:
         for i, key in enumerate(sorted(keys)):
             values = [record[key] for record in run]
             literal += (", " if i else "") + dump_record(key) + ": "
-            if all(map(is_, values, repeat(values[0]))):
+            if _written_alike(values):
                 literal += dump_record(values[0])
             else:
                 parts.append(literal)

@@ -16,6 +16,7 @@ from hostile_pac.aggregation import (BoundConfig, ComplexityEstimate, SolverErro
                                      verify_complexity)
 from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, StudentTNoise, generate)
+from hostile_pac.harness import _seed_sequences
 from hostile_pac.moments import MomentBound
 from hostile_pac.param_space import AtomSet, DiscreteDistribution, expectation
 from hostile_pac.risk import Dataset, SquaredLoss, ZeroOneLoss, empirical_risks
@@ -59,6 +60,26 @@ def test_stacked_rows_match_one_generate(spec, seed, n, indices):
         one = generate(spec, n, np.random.SeedSequence([seed, 0, index]))
         assert one.x.shape == (n, spec.dim) and one.y.shape == (n,)
         assert _same_bits(block.x[row], one.x) and _same_bits(block.y[row], one.y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**130 - 1), rows=st.integers(1, 300), data=st.data())
+@example(seed=0, rows=1, data=None)
+@example(seed=2**64 + 7, rows=3, data=None)  # five entropy words: numpy's extra-entropy mixing
+@example(seed=2**130 - 1, rows=2, data=None)  # seven
+def test_block_seeds_are_those_of_numpy(seed, rows, data):
+    start = data.draw(st.integers(0, 2**32 - rows)) if data else 2**32 - rows
+    block = _seed_sequences(seed, range(start, start + rows))
+    assert len(block) == rows
+    for index, got in enumerate(block, start):
+        expected = np.random.SeedSequence([seed, 0, index])
+        for args in ((8,), (4, np.uint64), (3,), (13,), (5, np.uint64)):
+            words, numpy_words = got.generate_state(*args), expected.generate_state(*args)
+            assert words.dtype == numpy_words.dtype and np.array_equal(words, numpy_words)
+        ours, numpys = np.random.default_rng(got), np.random.default_rng(expected)
+        assert ours.standard_normal() == numpys.standard_normal()
+        assert ours.standard_t(5.0) == numpys.standard_t(5.0)
+        assert ours.random() == numpys.random()
 
 
 def test_seed_forms_of_generate():

@@ -532,6 +532,22 @@ def test_run_coverage_requires_50_replications():
         run_coverage(base_config(replications=2**32 + 1))
 
 
+def test_run_coverage_records_merge_columns_then_constants(monkeypatch):
+    # A column named "type" replaces the record type, and a constant replaces a
+    # column of its name, as in {"type": "replication", **columns, **constants}.
+    config = base_config()
+    rows = np.arange(config.replications)
+    columns = {"index": rows, "type": rows % 3, "seed": rows + 0.5, "hit": rows % 2 == 0}
+    constants = {"seed": 42, "n": config.n}
+    monkeypatch.setattr(harness, "_coverage", lambda config: (columns, {"type": "summary"},
+                                                              constants))
+    records, _ = run_coverage(config)
+    expected = [{"type": "replication", **dict(zip(columns, row)), **constants}
+                for row in zip(*(column.tolist() for column in columns.values()))]
+    assert records == expected
+    assert [list(record) for record in records] == [list(record) for record in expected]
+
+
 def test_run_coverage_two_sided_implies_rho_hat():
     report = run_coverage(base_config())
     assert all(rec["hit_rho_hat"] for rec in report.records if rec["hit_two_sided"])

@@ -34,3 +34,24 @@ def test_package_runs_without_scipy():
     result = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "configs")],
                             capture_output=True, text=True, cwd=ROOT, stdin=subprocess.DEVNULL)
     assert result.returncode == 0, result.stderr
+
+
+SETUP_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import hostile_pac
+from hostile_pac.harness import load_config
+
+load_config(sys.argv[2] + "/coverage_iid_t5.yaml")
+loaded = sorted(name for name in sys.modules if name.startswith("numpy.random"))
+assert not loaded, loaded
+"""
+
+
+def test_import_and_load_config_leave_numpy_random_unloaded():
+    # Every command pays for its imports before any work; numpy.random loads
+    # with the first generator drawn, not before.
+    result = subprocess.run([sys.executable, "-c", SETUP_SCRIPT, str(ROOT / "src"),
+                             str(ROOT / "configs")],
+                            capture_output=True, text=True, cwd=ROOT, stdin=subprocess.DEVNULL)
+    assert result.returncode == 0, result.stderr

@@ -43,6 +43,24 @@ def _shaped(draw, size, items):
     return draw(st.lists(nested(shape), min_size=size, max_size=size))
 
 
+# Values that compare equal, which the writer may fold into a line template
+# only where dump_record writes them alike.
+EQUAL_VALUES = ([0.0, -0.0], [0.0, -0.0, 0, False], [1, True, 1.0], [math.nan], [2.5],
+                [-2.5, np.float64(-2.5)], [math.inf], [10**30], [2**53, 2.0**53], ["ab"], [None],
+                [[1.5, "x"]])
+
+
+def _fresh(value):
+    """An equal value in a new object, where Python does not share the value."""
+    if type(value) in (int, float):
+        return type(value)(repr(value))
+    if type(value) is str:
+        return "".join(list(value))
+    if type(value) is list:
+        return list(value)
+    return value
+
+
 # A column of a run, as a strategy of ``size`` values: the shapes the writer
 # encodes in one pass, and the mixed values it hands to dump_record.
 COLUMNS = (
@@ -55,6 +73,8 @@ COLUMNS = (
     lambda size: _shaped(size, FLOATS | st.integers()),
     lambda size: st.lists(st.lists(VALUES, max_size=3), min_size=size, max_size=size),  # ragged
     lambda size: st.lists(VALUES, min_size=size, max_size=size),
+    lambda size: st.sampled_from(EQUAL_VALUES).flatmap(  # equal, in distinct objects
+        lambda equal: st.lists(st.sampled_from(equal).map(_fresh), min_size=size, max_size=size)),
 )
 
 
