@@ -36,7 +36,7 @@ import numpy as np
 
 from .divergence import power_divergence_plus_one
 from .moments import MomentBound
-from .param_space import DiscreteDistribution, _row_dots, _rows
+from .param_space import DiscreteDistribution, _row_dots, _rows, _weights_and_support
 
 CONJUGACY_TOL = 1e-12
 RBAR_RESIDUAL_TOL = 1e-10
@@ -139,7 +139,7 @@ def evaluate_bound(rho: np.ndarray, pi: DiscreteDistribution, rn: np.ndarray,
     if len(weights) != len(rows):
         raise ValueError("rho and the risks need one row per dataset each")
     return certificate(_row_dots(weights, rows),
-                       power_divergence_plus_one(weights, pi.weights, cfg.p), cfg)
+                       power_divergence_plus_one(weights, pi, cfg.p), cfg)
 
 
 def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray,
@@ -153,16 +153,21 @@ def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray,
     exactly when that larger moment is at most M/delta.
     """
     gap = _rows(gap, len(pi_weights))
-    return (_row_dots(np.maximum(gap, 0.0) ** q, pi_weights),
-            _row_dots(np.maximum(-gap, 0.0) ** q, pi_weights))
+    side = np.maximum(gap, 0.0)
+    side **= q
+    upper = _row_dots(side, pi_weights)
+    np.maximum(np.negative(gap, out=side), 0.0, out=side)
+    side **= q
+    return upper, _row_dots(side, pi_weights)
 
 
 def _spend_and_slope(levels: np.ndarray, risks: np.ndarray, weights: np.ndarray,
-                     q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, s(level) and s'(level) / q, each summed over the row's atoms in atom order."""
-    gaps = levels[:, None] - risks
+                     q: float, gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, s(level) and s'(level) / q, each summed over the row's atoms in atom
+    order; the gaps are formed in ``gaps`` when it is given."""
+    gaps = np.subtract(levels[:, None], risks, out=gaps)
     np.maximum(gaps, 0.0, out=gaps)
-    powered = gaps ** (q - 1.0)
+    powered = gaps if q - 1.0 == 1.0 else gaps ** (q - 1.0)
     slope = _row_dots(powered, weights)
     powered *= gaps
     return _row_dots(powered, weights), slope
@@ -203,12 +208,14 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
     convex g lie below it, so the iterates fall monotonically onto the root
     without passing it, and a row stops at the first step that no longer
     decreases its iterate; every mass, mean and spend sums the row's own atoms
-    in atom order. Atoms with infinite risk never spend. The iterate is
-    accepted when its spend is within ``RBAR_RESIDUAL_TOL`` of T, or when it
-    is the root to the last bit: s(u) >= T > s(u-), u- the next double below
-    u. A level a hair above the lowest risks may meet only the second test;
-    rounding can stop the iterate below that root, so such a row takes one
-    more tangent step up, which lands at or past it, and then tries up to
+    in atom order. A full-support prior's rows are read in place, all-finite
+    risks take the mass of all ones, and the spends share one (rows, K) array,
+    the power q - 1 skipped at q = 2. Atoms with infinite risk never spend. The
+    iterate is accepted when its spend is within ``RBAR_RESIDUAL_TOL`` of T, or
+    when it is the root to the last bit: s(u) >= T > s(u-), u- the next double
+    below u. A level a hair above the lowest risks may meet only the second
+    test; rounding can stop the iterate below that root, so such a row takes
+    one more tangent step up, which lands at or past it, and then tries up to
     ``RBAR_LAST_BIT_STEPS`` neighbouring doubles toward it.
     """
     rows = _rows(rn, len(pi))
@@ -216,25 +223,30 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
         raise ValueError(f"budget must be positive and finite, got {budget}")
     if not q > 1:
         raise ValueError("q must exceed 1")
-    support = np.flatnonzero(pi.weights > 0)
-    risks = rows.take(support, axis=1)
+    risks, weights = np.ascontiguousarray(rows[:, pi.support]), pi.weights[pi.support]
     lowest = risks.min(axis=1)  # NaN if a row holds one
     if not (lowest > -np.inf).all():
         raise ValueError("risks on prior-supported atoms must not be NaN or -inf")
     if not (lowest < np.inf).all():
         raise ValueError("all prior mass sits on atoms with non-finite risk")
-    weights, finite = pi.weights[support], np.isfinite(risks)
-    mass = _row_dots(finite.astype(float), weights)
-    tied = _row_dots((risks == lowest[:, None]).astype(float), weights)  # mass at the minimum
+    scratch = np.equal(risks, lowest[:, None], out=np.empty(risks.shape))  # then the gaps
+    tied = _row_dots(scratch, weights)  # mass at the minimum
     root = budget ** (1 / q)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mean = _row_dots(np.where(finite, risks, 0.0), weights) / mass
+        mean = _row_dots(risks, weights)
+        if np.isfinite(mean).all():  # no +inf risk; an overflowing sum masks to the same bits
+            mass = _row_dots(np.ones((1, risks.shape[1])), weights)
+        else:
+            finite = np.isfinite(risks)
+            mass = _row_dots(finite.astype(float), weights)
+            mean = _row_dots(np.where(finite, risks, 0.0), weights)
+        mean /= mass
         u = np.minimum(mean + (budget / mass) ** (1 / q), lowest + (budget / tied) ** (1 / q))
         spend, step = np.zeros_like(u), np.zeros_like(u)
         live = np.ones(u.shape, dtype=bool)
         for _ in range(RBAR_MAX_ITER):
             np.subtract(u, step, out=u, where=live)
-            row_spend, slope = _spend_and_slope(u, risks, weights, q)
+            row_spend, slope = _spend_and_slope(u, risks, weights, q, scratch)
             np.copyto(spend, row_spend, where=live)
             # (g - T ** (1/q)) / g', with g' = s ** (1/q - 1) * slope; a row
             # whose level spends nothing has slope 0, a NaN step, and stops.
@@ -248,11 +260,11 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
 
 
 def _normalized(raw: np.ndarray, empty: str) -> np.ndarray:
-    """Rows of nonnegative weights scaled to sum to one, or ValueError ``empty``."""
+    """Rows of nonnegative weights scaled in place to sum to one, or ValueError ``empty``."""
     total = raw.sum(axis=1, keepdims=True)
     if not (total > 0).all():
         raise ValueError(empty)
-    return raw / total
+    return np.divide(raw, total, out=raw)
 
 
 def rho_hat(rn: np.ndarray, pi: DiscreteDistribution, p: float, rbar) -> np.ndarray:
@@ -260,10 +272,14 @@ def rho_hat(rn: np.ndarray, pi: DiscreteDistribution, p: float, rbar) -> np.ndar
     one row per row of risks and its level.
 
     Atoms at or above the level get exactly zero mass, so the support is
-    contained in {rn < rbar}.
+    contained in {rn < rbar}. At p = 2 the power 1, a mere copy, is skipped.
     """
     rows = _rows(rn, len(pi))
-    raw = pi.weights * np.maximum(np.reshape(rbar, (-1, 1)) - rows, 0.0) ** (1.0 / (p - 1.0))
+    raw, exponent = np.subtract(np.reshape(rbar, (-1, 1)), rows), 1.0 / (p - 1.0)
+    np.maximum(raw, 0.0, out=raw)
+    if exponent != 1.0:
+        raw **= exponent
+    raw *= pi.weights
     return _normalized(raw, "degenerate level: no prior mass below rbar")
 
 
@@ -295,21 +311,24 @@ def erm_index(rn: np.ndarray) -> np.ndarray:
     return np.argmin(rows, axis=1)
 
 
-def _sublevel_masses(rows: np.ndarray, weights: np.ndarray,
+def _sublevel_masses(rows: np.ndarray, pi: DiscreteDistribution | np.ndarray,
                      gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prior mass of {values <= min + gamma} for each row and each gamma, and
     whether that sublevel is full: no supported atom lies above it.
 
-    ``gammas`` is one set of gammas for every row, or a column with one gamma
-    per row. A full sublevel's mass is exactly 1; the others sum the weights
-    in atom order with zeros off the sublevel: the weights are finite and
-    nonnegative, so mask times weight is the weight or +0.0. One gamma is
-    summed at a time, so the temporaries are (rows, K), not (rows, G, K).
+    ``pi`` is the prior or its bare weights. ``gammas`` is one set of gammas
+    for every row, or a column with one gamma per row. A full sublevel's mass
+    is exactly 1; the others sum the weights in atom order with zeros off the
+    sublevel: the weights are finite and nonnegative, so mask times weight is
+    the weight or +0.0. One gamma is summed at a time in one (rows, K) array,
+    the mask written as 1.0 and 0.0 and multiplied by the weights in place.
     """
+    weights, support = _weights_and_support(pi)
     levels = rows.min(axis=1)[:, None] + gammas
-    masses = np.stack([((rows <= level[:, None]) * weights).sum(axis=-1) for level in levels.T],
-                      axis=1)
-    full = rows.max(axis=1, where=weights > 0.0, initial=-np.inf)[:, None] <= levels
+    product = np.empty(rows.shape)
+    masses = np.stack([np.multiply(np.less_equal(rows, level[:, None], out=product), weights,
+                                   out=product).sum(axis=-1) for level in levels.T], axis=1)
+    full = rows[:, support].max(axis=1, initial=-np.inf)[:, None] <= levels
     return np.where(full, 1.0, masses), full
 
 
@@ -331,7 +350,7 @@ def verify_complexity(values: np.ndarray, pi: DiscreteDistribution,
     if np.any(grid <= 0.0) or np.any(grid >= 1.0):
         raise ValueError("gamma grid must lie strictly inside (0, 1)")
     rows = _rows(values, len(pi))
-    masses, full_points = _sublevel_masses(rows, pi.weights, grid)
+    masses, full_points = _sublevel_masses(rows, pi, grid)
     empty = (masses <= 0.0).any(axis=1)
     # Full sublevels at every grid point: every exponent works.
     full = full_points.all(axis=1)
@@ -374,6 +393,6 @@ def certified_oracle(values: np.ndarray, pi: DiscreteDistribution, gamma_grid: n
     certified = complexity.satisfied & (min(gamma_grid) <= gamma) & (gamma <= max(gamma_grid))
     if certified.any():
         with np.errstate(over="ignore"):  # at a gamma off the grid, whose row is out already
-            certified &= (_sublevel_masses(rows, pi.weights, gamma[:, None])[0][:, 0]
+            certified &= (_sublevel_masses(rows, pi, gamma[:, None])[0][:, 0]
                           >= gamma ** complexity.d)
     return complexity, np.where(certified, bound, np.nan)

@@ -395,6 +395,11 @@ def _state_words(pools: np.ndarray, count: int) -> np.ndarray:
     return _hashed(cycled, _hash_constants(_INIT_B, _MULT_B, count))
 
 
+def _wide(words: np.ndarray) -> np.ndarray:
+    """uint32 state words as numpy reads them into uint64: little-endian pairs."""
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
 @cache
 def _block_seed_class() -> type:
     """The class of :func:`_seed_sequences`' seeds, made on first use: its base class
@@ -402,22 +407,20 @@ def _block_seed_class() -> type:
     from numpy.random.bit_generator import ISeedSequence
 
     class BlockSeed(ISeedSequence):
-        """One dataset's ``SeedSequence``: its pool, and its first state words worked
-        out with the whole block's, enough for PCG64 to seed itself."""
+        """One dataset's ``SeedSequence``: its pool, and the uint64 words PCG64 seeds
+        itself from, worked out with the whole block's; each call returns a new array."""
 
-        def __init__(self, pool: np.ndarray, words: np.ndarray):
-            self.pool, self.words = pool, words
+        def __init__(self, pool: np.ndarray, wide: np.ndarray):
+            self.pool, self.wide = pool, wide
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
             dtype = np.dtype(dtype)
             if dtype.type not in (np.uint32, np.uint64):
                 raise ValueError("only support uint32 or uint64")
-            count = n_words * (dtype.itemsize // 4)
-            state = (self.words[:count] if count <= len(self.words)
-                     else _state_words(self.pool[None], count)[0])
-            if dtype.itemsize == 8:  # little-endian pairs of words, as numpy reads them
-                return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
-            return state.copy()
+            if dtype.itemsize == 8 and n_words <= len(self.wide):
+                return self.wide[:n_words].copy()
+            state = _state_words(self.pool[None], n_words * (dtype.itemsize // 4))[0]
+            return state if dtype.itemsize == 4 else _wide(state)
 
     return BlockSeed
 
@@ -426,19 +429,19 @@ def _seed_sequences(seed: int,
                     indices: range) -> list[np.random.bit_generator.ISeedSequence]:
     """The seed sequence ``[seed, 0, index]`` of each dataset index, every index below 2**32.
 
-    numpy reads that entropy as the little-endian 32-bit words of the seed
-    (0 is the one word 0), then 0 and the index. The words of the whole
-    range are one uint32 array, a row per index, and numpy's hash runs down
-    its columns: one pass gives every row's pool and PCG64 seed words, and
-    each row gets a light ``ISeedSequence`` that hands them out, the same
-    words as ``np.random.SeedSequence([seed, 0, index])`` gives.
+    numpy reads that entropy as the little-endian 32-bit words of the seed (0
+    is the one word 0), then 0 and the index. The words of the whole range are
+    one uint32 array, a row per index, and numpy's hash runs down its columns:
+    one pass gives every row's pool and its PCG64 seed, four uint64 words, and
+    each row gets a light ``ISeedSequence`` that hands them out, the same words
+    as ``np.random.SeedSequence([seed, 0, index])`` gives.
     """
     words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.zeros((len(indices), max(len(words) + 2, _POOL_SIZE)), dtype=np.uint32)
     entropy[:, :len(words) + 1] = [*words, 0]
     entropy[:, len(words) + 1] = indices
     pools = _pools(entropy)
-    return list(map(_block_seed_class(), pools, _state_words(pools, _PCG64_WORDS)))
+    return list(map(_block_seed_class(), pools, _wide(_state_words(pools, _PCG64_WORDS))))
 
 
 def _fit(config: ExperimentConfig, setup: _Setup,

@@ -10,7 +10,7 @@ indices (e.g. the empirical-risk minimizer) are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,11 @@ class DiscreteDistribution:
 
     Weights must be nonnegative and sum to one; sums within ``WEIGHT_SUM_TOL``
     of one are silently renormalized, anything further off is rejected.
+    ``support`` indexes the positive weights: ``slice(None)``, a view, when all are.
     """
 
     weights: np.ndarray
+    support: slice | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float).ravel()
@@ -64,6 +66,7 @@ class DiscreteDistribution:
             raise ValueError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
         object.__setattr__(self, "weights", w / total)
         self.weights.setflags(write=False)
+        object.__setattr__(self, "support", _weights_and_support(self.weights)[1])
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -138,6 +141,14 @@ def _rows(values, size: int | None = None) -> np.ndarray:
         raise ValueError(f"expected rows of shape (rows, {atoms}), one per dataset; "
                          f"got shape {rows.shape}")
     return rows
+
+
+def _weights_and_support(
+        pi: DiscreteDistribution | np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
+    """A prior's weights and support, or bare weights and the index of the positive ones."""
+    if isinstance(pi, DiscreteDistribution):
+        return pi.weights, pi.support
+    return pi, slice(None) if (pi > 0).all() else np.flatnonzero(pi > 0)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from hostile_pac.aggregation import (COMPLEXITY_CAP, COMPLEXITY_RESOLUTION, RBAR
                                      solve_rbar)
 from hostile_pac.datagen import (AR1, GaussianNoise, GeneratorSpec, _draw_noise, generate,
                                  noise_moment)
-from hostile_pac.param_space import AtomSet, DiscreteDistribution
+from hostile_pac.param_space import AtomSet, DiscreteDistribution, _row_dots
 from hostile_pac.risk import (Dataset, LossKind, SquaredLoss, ZeroOneLoss, compute_loss_table,
                               empirical_risk)
 
@@ -265,4 +265,100 @@ def sublevel_masses_where(rows: np.ndarray, weights: np.ndarray,
     levels = rows.min(axis=1)[:, None] + gammas
     masses = np.where(rows[:, None, :] <= levels[:, :, None], weights, 0.0).sum(axis=-1)
     full = np.where(weights > 0.0, rows, -np.inf).max(axis=1)[:, None] <= levels
+    return np.where(full, 1.0, masses), full
+
+
+# The chain's K-wide routines as they read before the fast paths: every row
+# through a copy of its supported atoms, the mass and mean through masks, every
+# power taken, and each (rows, K) step a new array. The fast paths must give
+# these bits.
+
+def _spend_and_slope_general(levels: np.ndarray, risks: np.ndarray, weights: np.ndarray,
+                             q: float) -> tuple[np.ndarray, np.ndarray]:
+    gaps = levels[:, None] - risks
+    np.maximum(gaps, 0.0, out=gaps)
+    powered = gaps ** (q - 1.0)
+    slope = _row_dots(powered, weights)
+    powered *= gaps
+    return _row_dots(powered, weights), slope
+
+
+def solve_rbar_general(rn: np.ndarray, pi: DiscreteDistribution, q: float,
+                       budget: float) -> np.ndarray:
+    """``solve_rbar`` with every supported atom taken by copy, the finite mass and
+    mean by masks, and the power q - 1 taken at every q."""
+    support = np.flatnonzero(pi.weights > 0)
+    risks = rn.take(support, axis=1)
+    lowest = risks.min(axis=1)
+    weights, finite = pi.weights[support], np.isfinite(risks)
+    mass = _row_dots(finite.astype(float), weights)
+    tied = _row_dots((risks == lowest[:, None]).astype(float), weights)
+    root = budget ** (1 / q)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mean = _row_dots(np.where(finite, risks, 0.0), weights) / mass
+        u = np.minimum(mean + (budget / mass) ** (1 / q), lowest + (budget / tied) ** (1 / q))
+        spend, step = np.zeros_like(u), np.zeros_like(u)
+        live = np.ones(u.shape, dtype=bool)
+        for _ in range(RBAR_MAX_ITER):
+            np.subtract(u, step, out=u, where=live)
+            row_spend, slope = _spend_and_slope_general(u, risks, weights, q)
+            np.copyto(spend, row_spend, where=live)
+            step = (row_spend - root * row_spend ** (1 - 1 / q)) / slope
+            live &= u - step < u
+            if not live.any():
+                break
+    for i in np.flatnonzero(~(np.abs(spend - budget) <= RBAR_RESIDUAL_TOL * budget)):
+        def spend_at(level: float, i=i) -> float:
+            return float(_spend_and_slope_general(np.array([level]), risks[i:i + 1], weights,
+                                                  q)[0][0])
+        v, s = u[i], spend[i]
+        if s < budget and v < v - step[i] < math.inf:
+            v -= step[i]
+            s = spend_at(v)
+        toward = np.inf if s < budget else -np.inf
+        for _ in range(RBAR_LAST_BIT_STEPS):
+            if s >= budget > spend_at(np.nextafter(v, -np.inf)):
+                break
+            v = float(np.nextafter(v, toward))
+            s = spend_at(v)
+        else:
+            raise SolverError("level solve did not reach residual tolerance")
+        u[i] = v
+    return u
+
+
+def rho_hat_general(rn: np.ndarray, pi: DiscreteDistribution, p: float, rbar) -> np.ndarray:
+    """``rho_hat`` with the power 1/(p - 1) taken at every p, each step a new array."""
+    raw = pi.weights * np.maximum(np.reshape(rbar, (-1, 1)) - rn, 0.0) ** (1.0 / (p - 1.0))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def power_divergence_plus_one_general(rho: np.ndarray, pi_weights: np.ndarray,
+                                      p: float) -> np.ndarray:
+    """D + 1 with the supported and unsupported atoms each taken by copy."""
+    support = pi_weights > 0
+    off_support = rho.take(np.flatnonzero(~support), axis=1).sum(axis=1) > 0
+    rho, pi = rho.take(np.flatnonzero(support), axis=1), pi_weights[support]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = rho ** p * pi ** (1.0 - p)
+        overflow = ~np.isfinite(terms)
+        if overflow.any():
+            terms[overflow] = (pi * (rho / pi) ** p)[overflow]
+    return np.where(off_support, np.inf, terms.sum(axis=1))
+
+
+def deviation_moments_general(gap: np.ndarray, pi_weights: np.ndarray,
+                              q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both deviation moments, each side's positive part and power a new array."""
+    return (_row_dots(np.maximum(gap, 0.0) ** q, pi_weights),
+            _row_dots(np.maximum(-gap, 0.0) ** q, pi_weights))
+
+
+def sublevel_masses_general(rows: np.ndarray, weights: np.ndarray,
+                            gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sublevel masses with a new mask and a new product at every gamma."""
+    levels = rows.min(axis=1)[:, None] + gammas
+    masses = np.stack([((rows <= level[:, None]) * weights).sum(axis=-1) for level in levels.T],
+                      axis=1)
+    full = rows.max(axis=1, where=weights > 0.0, initial=-np.inf)[:, None] <= levels
     return np.where(full, 1.0, masses), full

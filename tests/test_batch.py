@@ -76,6 +76,9 @@ def test_block_seeds_are_those_of_numpy(seed, rows, data):
         for args in ((8,), (4, np.uint64), (3,), (13,), (5, np.uint64)):
             words, numpy_words = got.generate_state(*args), expected.generate_state(*args)
             assert words.dtype == numpy_words.dtype and np.array_equal(words, numpy_words)
+            # Each call returns a new array: writing into one leaves the next unchanged.
+            words += 1
+            assert np.array_equal(got.generate_state(*args), numpy_words)
         ours, numpys = np.random.default_rng(got), np.random.default_rng(expected)
         assert ours.standard_normal() == numpys.standard_normal()
         assert ours.standard_t(5.0) == numpys.standard_t(5.0)
