@@ -21,7 +21,9 @@ interval with sublevel mass at least gamma**d.
 
 Every routine takes rows: per-atom values and aggregation weights of shape
 (rows, K), one row per dataset, and returns one entry per row. One dataset
-is the one-row case, ``rn[None]`` in and ``[0]`` or ``.row(0)`` out.
+is the one-row case, ``rn[None]`` in and ``[0]`` or ``.row(0)`` out. The
+prior is always the :class:`DiscreteDistribution`, read through its
+``weights`` and, where atoms of zero weight matter, its ``support``.
 
 An infinite divergence is propagated, not raised: the certificate is then
 vacuous but valid, and sweep outputs stay rectangular.
@@ -36,7 +38,7 @@ import numpy as np
 
 from .divergence import power_divergence_plus_one
 from .moments import MomentBound
-from .param_space import DiscreteDistribution, _row_dots, _rows, _weights_and_support
+from .param_space import DiscreteDistribution, _row_dots, _rows
 
 CONJUGACY_TOL = 1e-12
 RBAR_RESIDUAL_TOL = 1e-10
@@ -142,9 +144,10 @@ def evaluate_bound(rho: np.ndarray, pi: DiscreteDistribution, rn: np.ndarray,
                        power_divergence_plus_one(weights, pi, cfg.p), cfg)
 
 
-def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray,
+def deviation_moments(gap: np.ndarray, pi: DiscreteDistribution,
                       q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(E_pi gap_+**q, E_pi gap_-**q) for the per-atom gap R - r_n, per row of gaps.
+    """(E_pi gap_+**q, E_pi gap_-**q) for the per-atom gap R - r_n, per row of
+    gaps, summed against the weights of the prior ``pi``.
 
     By Hoelder duality in L^p(pi), sup over all rho of
     |E_rho gap| / (D(rho, pi) + 1)**(1/p) is the q-th root of the larger
@@ -152,13 +155,13 @@ def deviation_moments(gap: np.ndarray, pi_weights: np.ndarray,
     pi * gap_-**(q-1). So the certificate holds for every rho at once
     exactly when that larger moment is at most M/delta.
     """
-    gap = _rows(gap, len(pi_weights))
+    gap = _rows(gap, len(pi))
     side = np.maximum(gap, 0.0)
     side **= q
-    upper = _row_dots(side, pi_weights)
+    upper = _row_dots(side, pi.weights)
     np.maximum(np.negative(gap, out=side), 0.0, out=side)
     side **= q
-    return upper, _row_dots(side, pi_weights)
+    return upper, _row_dots(side, pi.weights)
 
 
 def _spend_and_slope(levels: np.ndarray, risks: np.ndarray, weights: np.ndarray,
@@ -311,24 +314,23 @@ def erm_index(rn: np.ndarray) -> np.ndarray:
     return np.argmin(rows, axis=1)
 
 
-def _sublevel_masses(rows: np.ndarray, pi: DiscreteDistribution | np.ndarray,
+def _sublevel_masses(rows: np.ndarray, pi: DiscreteDistribution,
                      gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prior mass of {values <= min + gamma} for each row and each gamma, and
-    whether that sublevel is full: no supported atom lies above it.
+    whether that sublevel is full: it holds every atom of ``pi.support``.
 
-    ``pi`` is the prior or its bare weights. ``gammas`` is one set of gammas
-    for every row, or a column with one gamma per row. A full sublevel's mass
-    is exactly 1; the others sum the weights in atom order with zeros off the
-    sublevel: the weights are finite and nonnegative, so mask times weight is
-    the weight or +0.0. One gamma is summed at a time in one (rows, K) array,
-    the mask written as 1.0 and 0.0 and multiplied by the weights in place.
+    ``gammas`` is one set of gammas for every row, or a column with one gamma
+    per row. A full sublevel's mass is exactly 1; the others sum ``pi.weights``
+    in atom order with zeros off the sublevel: the weights are finite and
+    nonnegative, so mask times weight is the weight or +0.0. One gamma is
+    summed at a time in one (rows, K) array, the mask written as 1.0 and 0.0
+    and multiplied by the weights in place.
     """
-    weights, support = _weights_and_support(pi)
     levels = rows.min(axis=1)[:, None] + gammas
     product = np.empty(rows.shape)
-    masses = np.stack([np.multiply(np.less_equal(rows, level[:, None], out=product), weights,
+    masses = np.stack([np.multiply(np.less_equal(rows, level[:, None], out=product), pi.weights,
                                    out=product).sum(axis=-1) for level in levels.T], axis=1)
-    full = rows[:, support].max(axis=1, initial=-np.inf)[:, None] <= levels
+    full = rows[:, pi.support].max(axis=1, initial=-np.inf)[:, None] <= levels
     return np.where(full, 1.0, masses), full
 
 

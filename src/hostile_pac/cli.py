@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import yaml
-
 from . import harness
 from .aggregation import SolverError
 from .harness import AssumptionError
@@ -80,7 +78,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load(args)
         if args.command == "sweep":
-            values = [yaml.safe_load(v) for v in args.values.split(",")]
+            values = [harness.yaml_value(v, f"sweep {args.axis}: --values item")
+                      for v in args.values.split(",")]
             result = harness.run_sweep(config, args.axis, values)
         else:  # bound, aggregate and coverage
             result = getattr(harness, f"run_{args.command}")(config)

@@ -182,10 +182,6 @@ def _scale_noise(noise: NoiseLaw, draws: np.ndarray) -> np.ndarray:
     return draws
 
 
-def _draw_noise(noise: NoiseLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    return _scale_noise(noise, _unscaled_noise(noise, n, rng))
-
-
 def _ar1_path(a: float, y0: float | np.ndarray, y: np.ndarray) -> np.ndarray:
     """Recursion y_i = eps_i + a * y_{i-1} from y0, as a doubling scan along the
     last axis, in place: the float array ``y`` holds eps on entry and the path on return.
@@ -249,7 +245,7 @@ def _draw(spec: GeneratorSpec, n: int,
             stationary_sd = math.sqrt(_ar1_y_moments(spec, 2))
             for i, rng in enumerate(rngs):
                 y0[i] = rng.normal(0.0, stationary_sd)
-                eps[i] = _draw_noise(spec.noise, n, rng)
+                eps[i] = _unscaled_noise(spec.noise, n, rng)
         else:
             # No closed-form stationary law for t innovations: burn in from 0,
             # folding each chunk in as drawn by its pairwise sum_j a**j chunk_{-1-j}
@@ -258,11 +254,10 @@ def _draw(spec: GeneratorSpec, n: int,
             powers = spec.a ** np.arange(AR1_BURN_IN - 1, -1, -1)
             for i, rng in enumerate(rngs):
                 for _ in range(chunks):
-                    y0[i] = spec.a**AR1_BURN_IN * y0[i] + (
-                        _draw_noise(spec.noise, AR1_BURN_IN, rng) * powers).sum()
+                    chunk = _scale_noise(spec.noise, _unscaled_noise(spec.noise, AR1_BURN_IN, rng))
+                    y0[i] = spec.a**AR1_BURN_IN * y0[i] + (chunk * powers).sum()
                 eps[i] = _unscaled_noise(spec.noise, n, rng)
-            _scale_noise(spec.noise, eps)
-        y = _ar1_path(spec.a, y0, eps)
+        y = _ar1_path(spec.a, y0, _scale_noise(spec.noise, eps))
         x = np.empty((rows, n, 2))
         x[:, :, 0] = 1.0
         x[:, 0, 1] = y0

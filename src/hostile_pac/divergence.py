@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .param_space import DiscreteDistribution, _rows, _weights_and_support
+from .param_space import DiscreteDistribution, _rows
 
 
 def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution, p: float) -> float:
@@ -22,13 +22,12 @@ def f_divergence(rho: DiscreteDistribution, pi: DiscreteDistribution, p: float) 
     return float(power_divergence_plus_one(rho.weights[None], pi, p)[0]) - 1.0
 
 
-def power_divergence_plus_one(rho: np.ndarray, pi: DiscreteDistribution | np.ndarray,
-                              p: float) -> np.ndarray:
+def power_divergence_plus_one(rho: np.ndarray, pi: DiscreteDistribution, p: float) -> np.ndarray:
     """D + 1 = sum_j rho_j**p * pi_j**(1-p) of the power family, one per row of ``rho``.
 
-    ``rho`` holds one row of weights per distribution, aligned with the prior
-    ``pi`` or its bare weights; mass where pi has none gives +inf. Rows are
-    read in place when every weight is positive. A term whose pi_j**(1-p)
+    ``rho`` holds one row of weights per distribution, aligned with the atoms
+    of the prior ``pi``; mass off ``pi.support`` gives +inf. Rows are read in
+    place when every prior weight is positive. A term whose pi_j**(1-p)
     overflows is taken as pi_j * (rho_j/pi_j)**p, 0 at rho_j = 0.
 
     Raising rho_j/pi_j to the power p multiplies its relative rounding error
@@ -37,14 +36,13 @@ def power_divergence_plus_one(rho: np.ndarray, pi: DiscreteDistribution | np.nda
     and 1e11, against a 60-digit decimal sum, it reads 3.8e-12, 2.6e-9 and
     9.4e-7; near p = 1e14 it is of the order of D itself.
     """
-    weights, support = _weights_and_support(pi)
-    rho = _rows(rho, len(weights))
+    rho, support = _rows(rho, len(pi)), pi.support
     off_support = isinstance(support, np.ndarray) and np.delete(rho, support, 1).sum(1) > 0
-    rho, pi = np.ascontiguousarray(rho[:, support]), weights[support]
+    rho, weights = np.ascontiguousarray(rho[:, support]), pi.weights[support]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = rho ** p
-        terms *= pi ** (1.0 - p)
+        terms *= weights ** (1.0 - p)
         overflow = ~np.isfinite(terms)
         if overflow.any():
-            terms[overflow] = (pi * (rho / pi) ** p)[overflow]
+            terms[overflow] = (weights * (rho / weights) ** p)[overflow]
     return np.where(off_support, np.inf, terms.sum(axis=1))

@@ -30,6 +30,7 @@ constants and the assumed mixing envelope (c1, c2) under which it was produced.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -262,9 +263,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, exp, "experiment", **sections)
 
 
+def yaml_value(text: str, where: str):
+    """One command-line value read as YAML; ``where`` names its flag or key."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: {text!r} is not valid YAML") from exc
+
+
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply ``section.key=value`` strings onto a parsed config mapping."""
-    out = json.loads(json.dumps(raw))  # deep copy of plain data
+    out = copy.deepcopy(raw)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -273,7 +282,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         node = _mapping(out, "config root")
         for depth, part in enumerate(path):
             node = _mapping(node.setdefault(part, {}), ".".join(path[:depth + 1]))
-        node[key] = yaml.safe_load(value)
+        node[key] = yaml_value(value, f"--set {dotted}")
     return out
 
 
@@ -344,7 +353,6 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _HALF = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _OTHERS = [np.array([j for j in range(_POOL_SIZE) if j != i]) for i in range(_POOL_SIZE)]
-_PCG64_WORDS = 8  # PCG64 seeds itself from generate_state(4, np.uint64)
 
 
 @cache
@@ -389,17 +397,6 @@ def _pools(entropy: np.ndarray) -> np.ndarray:
     return pool.T
 
 
-def _state_words(pools: np.ndarray, count: int) -> np.ndarray:
-    """``SeedSequence.generate_state(count)`` of each pool: ``count`` uint32 words."""
-    cycled = pools.take(np.arange(count) % _POOL_SIZE, axis=1)
-    return _hashed(cycled, _hash_constants(_INIT_B, _MULT_B, count))
-
-
-def _wide(words: np.ndarray) -> np.ndarray:
-    """uint32 state words as numpy reads them into uint64: little-endian pairs."""
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64)
-
-
 @cache
 def _block_seed_class() -> type:
     """The class of :func:`_seed_sequences`' seeds, made on first use: its base class
@@ -407,20 +404,17 @@ def _block_seed_class() -> type:
     from numpy.random.bit_generator import ISeedSequence
 
     class BlockSeed(ISeedSequence):
-        """One dataset's ``SeedSequence``: its pool, and the uint64 words PCG64 seeds
-        itself from, worked out with the whole block's; each call returns a new array."""
+        """One dataset's ``SeedSequence`` as PCG64 reads it: the four uint64 words of
+        ``generate_state(4, np.uint64)``, worked out with the whole block's; each call
+        returns a new array, and any other request raises ValueError."""
 
-        def __init__(self, pool: np.ndarray, wide: np.ndarray):
-            self.pool, self.wide = pool, wide
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            dtype = np.dtype(dtype)
-            if dtype.type not in (np.uint32, np.uint64):
-                raise ValueError("only support uint32 or uint64")
-            if dtype.itemsize == 8 and n_words <= len(self.wide):
-                return self.wide[:n_words].copy()
-            state = _state_words(self.pool[None], n_words * (dtype.itemsize // 4))[0]
-            return state if dtype.itemsize == 4 else _wide(state)
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a block seed gives only PCG64's generate_state(4, np.uint64)")
+            return self.words.copy()
 
     return BlockSeed
 
@@ -432,16 +426,18 @@ def _seed_sequences(seed: int,
     numpy reads that entropy as the little-endian 32-bit words of the seed (0
     is the one word 0), then 0 and the index. The words of the whole range are
     one uint32 array, a row per index, and numpy's hash runs down its columns:
-    one pass gives every row's pool and its PCG64 seed, four uint64 words, and
-    each row gets a light ``ISeedSequence`` that hands them out, the same words
-    as ``np.random.SeedSequence([seed, 0, index])`` gives.
+    one pass gives every row's PCG64 seed, four uint64 words, and each row gets
+    a light ``ISeedSequence`` that hands them out, the same words as
+    ``np.random.SeedSequence([seed, 0, index]).generate_state(4, np.uint64)``.
     """
     words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.zeros((len(indices), max(len(words) + 2, _POOL_SIZE)), dtype=np.uint32)
     entropy[:, :len(words) + 1] = [*words, 0]
     entropy[:, len(words) + 1] = indices
-    pools = _pools(entropy)
-    return list(map(_block_seed_class(), pools, _wide(_state_words(pools, _PCG64_WORDS))))
+    # Eight uint32 output words, the pool cycled twice, read as little-endian uint64 pairs.
+    state = _hashed(np.tile(_pools(entropy), 2), _hash_constants(_INIT_B, _MULT_B, 8))
+    return list(map(_block_seed_class(),
+                    state.astype("<u4", copy=False).view("<u8").astype(np.uint64)))
 
 
 def _fit(config: ExperimentConfig, setup: _Setup,
@@ -585,7 +581,7 @@ def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.
     hit_rho = dev_rho <= at_rho.margin
 
     # The certificate over every rho at once, decided exactly (Hoelder duality).
-    upper_side, lower_side = deviation_moments(true_values - fit.rn, setup.pi.weights, cfg.q)
+    upper_side, lower_side = deviation_moments(true_values - fit.rn, setup.pi, cfg.q)
     sup = np.maximum(upper_side, lower_side)
     hit_sup = sup <= cfg.budget
 

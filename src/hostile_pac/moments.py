@@ -292,4 +292,4 @@ def empirical_moment_estimate(tables: list[np.ndarray], true_values: np.ndarray,
     risks = np.stack([empirical_risk(table) for table in tables])
     if risks.shape[1:] != np.shape(true_values):
         raise ValueError("table and true-risk vector sizes do not match")
-    return float(np.mean(np.add(*deviation_moments(true_values - risks, pi.weights, q))))
+    return float(np.mean(np.add(*deviation_moments(true_values - risks, pi, q))))

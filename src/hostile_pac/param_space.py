@@ -66,7 +66,9 @@ class DiscreteDistribution:
             raise ValueError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
         object.__setattr__(self, "weights", w / total)
         self.weights.setflags(write=False)
-        object.__setattr__(self, "support", _weights_and_support(self.weights)[1])
+        positive = self.weights > 0
+        object.__setattr__(self, "support",
+                           slice(None) if positive.all() else np.flatnonzero(positive))
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -141,14 +143,6 @@ def _rows(values, size: int | None = None) -> np.ndarray:
         raise ValueError(f"expected rows of shape (rows, {atoms}), one per dataset; "
                          f"got shape {rows.shape}")
     return rows
-
-
-def _weights_and_support(
-        pi: DiscreteDistribution | np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
-    """A prior's weights and support, or bare weights and the index of the positive ones."""
-    if isinstance(pi, DiscreteDistribution):
-        return pi.weights, pi.support
-    return pi, slice(None) if (pi > 0).all() else np.flatnonzero(pi > 0)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

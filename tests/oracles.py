@@ -9,8 +9,8 @@ from hostile_pac.aggregation import (COMPLEXITY_CAP, COMPLEXITY_RESOLUTION, RBAR
                                      RBAR_MAX_ITER, RBAR_RESIDUAL_TOL, BoundConfig,
                                      ComplexityEstimate, SolverError, evaluate_bound, rho_hat,
                                      solve_rbar)
-from hostile_pac.datagen import (AR1, GaussianNoise, GeneratorSpec, _draw_noise, generate,
-                                 noise_moment)
+from hostile_pac.datagen import (AR1, GaussianNoise, GeneratorSpec, _scale_noise, _unscaled_noise,
+                                 generate, noise_moment)
 from hostile_pac.param_space import AtomSet, DiscreteDistribution, _row_dots
 from hostile_pac.risk import (Dataset, LossKind, SquaredLoss, ZeroOneLoss, compute_loss_table,
                               empirical_risk)
@@ -90,9 +90,9 @@ def stationary_pairs(spec: AR1, n: int, rng: np.random.Generator) -> Dataset:
         lag = np.zeros(n)
         coeff = 1.0
         for _ in range(depth):
-            lag += coeff * _draw_noise(spec.noise, n, rng)
+            lag += coeff * _scale_noise(spec.noise, _unscaled_noise(spec.noise, n, rng))
             coeff *= spec.a
-    y = spec.a * lag + _draw_noise(spec.noise, n, rng)
+    y = spec.a * lag + _scale_noise(spec.noise, _unscaled_noise(spec.noise, n, rng))
     return Dataset(x=np.column_stack([np.ones(n), lag]), y=y)
 
 

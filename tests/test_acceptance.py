@@ -41,7 +41,7 @@ def test_criterion_01_divergence_closed_form():
         p = float(rng.choice([1.5, 2.0, 3.0]))
         rho = DiscreteDistribution(rng.dirichlet(np.ones(size)))
         uniform = DiscreteDistribution.uniform(size)
-        value = power_divergence_plus_one(rho.weights[None], uniform.weights, p)[0]
+        value = power_divergence_plus_one(rho.weights[None], uniform, p)[0]
         closed = divergence_plus_one_uniform(rho, size, p)
         worst = max(worst, abs(value - closed) / closed)
     elapsed = time.perf_counter() - start
@@ -62,7 +62,7 @@ def test_criterion_02_hoelder_core():
         deltas = rng.uniform(0.0, 1.0, size)
         lhs = expectation(rho, deltas[None])[0]
         rhs = float(pi.weights @ deltas**q) ** (1.0 / q) * (
-            power_divergence_plus_one(rho.weights[None], pi.weights, p)[0]) ** (1.0 / p)
+            power_divergence_plus_one(rho.weights[None], pi, p)[0]) ** (1.0 / p)
         min_slack = min(min_slack, rhs - lhs)
     elapsed = time.perf_counter() - start
     _report(2, "deterministic certificate inequality",
@@ -111,7 +111,7 @@ def test_criterion_04_minimizer_identity():
         rbar = solve_rbar(rn[None], pi, q, budget)[0]
         rho = DiscreteDistribution(rho_hat(rn[None], pi, p, rbar)[0])
         objective = expectation(rho, rn[None])[0] + budget ** (1.0 / q) * (
-            power_divergence_plus_one(rho.weights[None], pi.weights, p)[0]) ** (1.0 / p)
+            power_divergence_plus_one(rho.weights[None], pi, p)[0]) ** (1.0 / p)
         worst_identity = max(worst_identity, abs(objective - rbar) / rbar)
         probes = rng.dirichlet(np.ones(size), size=1_000)
         div_rows = np.sum(probes**p * pi.weights ** (1.0 - p), axis=1)
@@ -251,7 +251,7 @@ def _estimate_runs(config: ExperimentConfig, runs: int = 50, reps: int = 500) ->
         data = generate(config.generator, config.n,
                         [np.random.SeedSequence([config.seed, run, i]) for i in range(reps)])
         upper, lower = deviation_moments(true_values - empirical_risks(data, atoms, config.loss),
-                                         pi.weights, cfg.q)
+                                         pi, cfg.q)
         last_estimate = float(np.mean(upper + lower))
         passed += last_estimate <= cfg.moment.value
     return passed, last_estimate, cfg.moment.value

@@ -82,8 +82,8 @@ _ONE_ROW = {
     "certified_oracle": lambda v: certified_oracle(v, _PI3, np.array([0.5]), 0.8, 0.1, 2.0),
     "erm_index": erm_index,
     "catoni_pi_gamma": lambda v: catoni_pi_gamma(v, _PI3, 0.2),
-    "deviation_moments": lambda v: deviation_moments(v, _PI3.weights, 2.0),
-    "power_divergence_plus_one": lambda v: power_divergence_plus_one(v, _PI3.weights, 2.0),
+    "deviation_moments": lambda v: deviation_moments(v, _PI3, 2.0),
+    "power_divergence_plus_one": lambda v: power_divergence_plus_one(v, _PI3, 2.0),
     "expectation": lambda v: expectation(_PI3, v),
 }
 
@@ -107,6 +107,11 @@ def test_solve_rbar_closed_forms():
     # A 1e-300 weight on the minimizer: the other atom alone spends the budget.
     tiny_floor = DiscreteDistribution(np.array([1e-300, 1.0 - 1e-300]))
     assert solve_rbar(rn, tiny_floor, 2.0, 0.01)[0] == pytest.approx(1.1, rel=1e-12)
+    # A +inf risk takes the masked mass and mean of the finite atoms; the bracket of
+    # the 1e-300 mass tied at the minimum alone starts too far away to converge.
+    tiny_two = DiscreteDistribution(np.array([1e-300, 1e-300, 1.0]))
+    assert solve_rbar(np.array([[0.0, np.inf, 1.0]]), tiny_two, 2.0, 1.0)[0] == pytest.approx(
+        2.0, rel=1e-12)
 
 
 def test_solve_rbar_errors():
@@ -249,9 +254,9 @@ def test_solve_rbar_starts_at_the_floor_bracket(q, target, rn, weights, level):
                                                            np.nextafter(rbar, -np.inf))
 
 
-def _hoelder_ratio(rho, gap, weights, p):
+def _hoelder_ratio(rho, gap, pi, p):
     """|E_rho gap| / (D(rho, pi) + 1)**(1/p); 0 when rho leaves pi's support."""
-    return abs(rho @ gap) / power_divergence_plus_one(rho[None], weights, p)[0] ** (1.0 / p)
+    return abs(rho @ gap) / power_divergence_plus_one(rho[None], pi, p)[0] ** (1.0 / p)
 
 
 @st.composite
@@ -267,15 +272,15 @@ def _gap_problems(draw):
     # q >= 1.015 keeps p <= 68, so D + 1 <= (min pi)**(1-p) <= (1e-3/12)**(-67) fits in a
     # double; below about q = 1.013 the D + 1 of a rho on the lightest atom overflows.
     q = draw(st.floats(1.015, 4.0))
-    return gap, weights / weights.sum(), q, draw(st.integers(0, 2**32 - 1))
+    return gap, DiscreteDistribution(weights / weights.sum()), q, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(problem=_gap_problems())
 def test_deviation_moments_decide_the_sup_over_every_rho(problem):
-    gap, weights, q, seed = problem
-    p = q / (q - 1.0)
-    upper_side, lower_side = (side[0] for side in deviation_moments(gap[None], weights, q))
+    gap, pi, q, seed = problem
+    weights, p = pi.weights, q / (q - 1.0)
+    upper_side, lower_side = (side[0] for side in deviation_moments(gap[None], pi, q))
     assert upper_side + lower_side == pytest.approx(weights @ np.abs(gap) ** q, rel=1e-12)
     sup = max(upper_side, lower_side) ** (1.0 / q)
     # Each side is attained at rho proportional to pi * gap_(+/-)**(q - 1).
@@ -283,7 +288,7 @@ def test_deviation_moments_decide_the_sup_over_every_rho(problem):
     for side, moment in ((np.maximum(gap, 0.0), upper_side), (np.maximum(-gap, 0.0), lower_side)):
         rho = weights * side ** (q - 1.0)
         if rho.sum() > 0:
-            ratio = _hoelder_ratio(rho / rho.sum(), gap, weights, p)
+            ratio = _hoelder_ratio(rho / rho.sum(), gap, pi, p)
             assert ratio == pytest.approx(moment ** (1.0 / q), rel=1e-9)
             attained.append(ratio)
     assert max(attained) == pytest.approx(sup, rel=1e-9, abs=0.0)
@@ -292,11 +297,11 @@ def test_deviation_moments_decide_the_sup_over_every_rho(problem):
     support = weights > 0
     rows = np.zeros((200, len(gap)))
     rows[:, support] = rng.dirichlet(np.ones(support.sum()), size=200)
-    assert all(_hoelder_ratio(row, gap, weights, p) <= sup * (1.0 + 1e-9) for row in rows)
+    assert all(_hoelder_ratio(row, gap, pi, p) <= sup * (1.0 + 1e-9) for row in rows)
     # A rho with mass off pi's support has an infinite divergence, so ratio 0.
     if not support.all():
         off = rng.dirichlet(np.ones(len(gap)))
-        assert _hoelder_ratio(off, gap, weights, p) == 0.0
+        assert _hoelder_ratio(off, gap, pi, p) == 0.0
 
 
 def test_spend_function_monotone():
@@ -363,7 +368,7 @@ def test_minimizer_beats_random_probes():
         for row in probes:
             probe = DiscreteDistribution(row)
             probe_objective = expectation(probe, rn[None])[0] + pac_margin(
-                cfg, power_divergence_plus_one(probe.weights[None], pi.weights, p)[0])
+                cfg, power_divergence_plus_one(probe.weights[None], pi, p)[0])
             assert probe_objective >= objective - 1e-9
 
 
@@ -471,16 +476,16 @@ def _sublevel_problems(draw):
         gammas = np.array(draw(st.lists(gamma, min_size=1, max_size=10)))
     else:
         gammas = np.array(draw(st.lists(gamma, min_size=rows, max_size=rows)))[:, None]
-    return risks, weights / weights.sum(), gammas
+    return risks, DiscreteDistribution(weights / weights.sum()), gammas
 
 
 @settings(max_examples=300, deadline=None)
 @given(problem=_sublevel_problems())
 def test_sublevel_masses_match_the_where_reference_bit_for_bit(problem):
     # Mask times weight is the weight or +0.0, so every sum keeps its bits.
-    risks, weights, gammas = problem
-    masses, full = _sublevel_masses(risks, weights, gammas)
-    expected_masses, expected_full = sublevel_masses_where(risks, weights, gammas)
+    risks, pi, gammas = problem
+    masses, full = _sublevel_masses(risks, pi, gammas)
+    expected_masses, expected_full = sublevel_masses_where(risks, pi.weights, gammas)
     assert masses.tobytes() == expected_masses.tobytes()
     assert np.array_equal(full, expected_full)
 
@@ -565,5 +570,5 @@ def test_hoelder_core_inequality(seed, p):
     deltas = rng.uniform(0, 1, size)
     lhs = expectation(rho, deltas[None])[0]
     rhs = float(pi.weights @ deltas**q) ** (1.0 / q) * (
-        power_divergence_plus_one(rho.weights[None], pi.weights, p)[0]) ** (1.0 / p)
+        power_divergence_plus_one(rho.weights[None], pi, p)[0]) ** (1.0 / p)
     assert rhs - lhs >= -1e-12

@@ -73,16 +73,25 @@ def test_block_seeds_are_those_of_numpy(seed, rows, data):
     assert len(block) == rows
     for index, got in enumerate(block, start):
         expected = np.random.SeedSequence([seed, 0, index])
-        for args in ((8,), (4, np.uint64), (3,), (13,), (5, np.uint64)):
-            words, numpy_words = got.generate_state(*args), expected.generate_state(*args)
-            assert words.dtype == numpy_words.dtype and np.array_equal(words, numpy_words)
-            # Each call returns a new array: writing into one leaves the next unchanged.
-            words += 1
-            assert np.array_equal(got.generate_state(*args), numpy_words)
+        words, numpy_words = got.generate_state(4, np.uint64), expected.generate_state(4, np.uint64)
+        assert words.dtype == numpy_words.dtype and np.array_equal(words, numpy_words)
         ours, numpys = np.random.default_rng(got), np.random.default_rng(expected)
         assert ours.standard_normal() == numpys.standard_normal()
         assert ours.standard_t(5.0) == numpys.standard_t(5.0)
         assert ours.random() == numpys.random()
+
+
+def test_a_block_seed_gives_only_the_words_pcg64_asks_for():
+    seed = _seed_sequences(7, range(3, 5))[1]
+    expected = np.random.SeedSequence([7, 0, 4]).generate_state(4, np.uint64)
+    for args in ((8,), (3,), (5, np.uint64), (4,), (4, np.uint32)):
+        with pytest.raises(ValueError, match="generate_state"):
+            seed.generate_state(*args)
+    # Each call returns a new array: writing into one leaves the next unchanged.
+    first = seed.generate_state(4, np.uint64)
+    first += 1
+    second = seed.generate_state(4, np.uint64)
+    assert second.dtype == np.uint64 and np.array_equal(second, expected)
 
 
 def test_seed_forms_of_generate():
@@ -215,8 +224,8 @@ def test_complexity_rows_match_one_dataset(problem):
     assert _same_bits(expectation(pi, block),
                       np.concatenate([expectation(pi, row[None]) for row in block]))
     gap = block - 1.0
-    assert _same_bits(np.array(deviation_moments(gap, pi.weights, 2.5)),
-                      np.hstack([deviation_moments(row[None], pi.weights, 2.5) for row in gap]))
+    assert _same_bits(np.array(deviation_moments(gap, pi, 2.5)),
+                      np.hstack([deviation_moments(row[None], pi, 2.5) for row in gap]))
     rho = pi.weights * (1.0 + block)
     rho /= rho.sum(axis=1, keepdims=True)
     cfg = BoundConfig(p=2.0, delta=0.1, moment=MomentBound(0.01, 2.0))

@@ -384,6 +384,28 @@ def test_override_on_empty_file_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--set", "experiment.n=[1"], "config error: --set experiment.n: '[1' is not "
+                                            "valid YAML"),
+    (["sweep", "--axis", "n", "--values", "100,[1"], "config error: sweep n: --values item: "
+                                                     "'[1' is not valid YAML"),
+], ids=["set", "sweep-values"])
+def test_value_that_is_not_yaml_fails_with_one_line(config_path, capsys, argv, message):
+    assert main([argv[0], "--config", str(config_path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "4"], ["--set", "experiment.n=50"]],
+                         ids=["plain", "seed", "set"])
+def test_override_keeps_yaml_dates_as_the_plain_load_sees_them(tmp_path, capsys, flags):
+    # A date is no JSON value; with or without an override the key is reported, not a traceback.
+    dated = tmp_path / "dated.yaml"
+    dated.write_text(CONFIG.replace("experiment:\n", "experiment:\n  note: 2020-01-01\n"))
+    assert main(["bound", "--config", str(dated), *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: unknown keys: experiment.note"]
+
+
 def test_assumption_violation_exit_code(tmp_path, capsys):
     cfg = """
 experiment:

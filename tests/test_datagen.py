@@ -9,8 +9,9 @@ from hostile_pac.datagen import (AR1, AR1_BURN_IN, BoundedClassification, Gaussi
                                  IidLinearRegression, IsotropicGaussianX,
                                  MixingBoundSpec, MomentDoesNotExistError,
                                  NoClosedFormError, StudentTNoise,
-                                 _ar1_path, _ar1_y_moments, _draw_noise, generate, kappa_moments,
-                                 noise_moment, residual_moments, true_risk_closed_form)
+                                 _ar1_path, _ar1_y_moments, _scale_noise, _unscaled_noise,
+                                 generate, kappa_moments, noise_moment, residual_moments,
+                                 true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
 from oracles import ar1_sign_risk_quad, ar1_y_moments_hand, stationary_pairs, true_risk_mc
@@ -83,13 +84,17 @@ def test_ar1_burn_in_is_the_last_value_of_the_recursion(a, chunks):
     # The burn-in runs whole chunks until a**(2 steps) <= 2**-53.
     spec = AR1(a=a, noise=StudentTNoise(dof=7.0, scale=0.5))
     rng = np.random.default_rng(9)
+
+    def draw(count):
+        return _scale_noise(spec.noise, _unscaled_noise(spec.noise, count, rng))
+
     y0 = 0.0
-    for e in _draw_noise(spec.noise, chunks * AR1_BURN_IN, rng):
+    for e in draw(chunks * AR1_BURN_IN):
         y0 = a * y0 + e
     data = generate(spec, 5, seed=9)
     assert data.x[0, 1] == pytest.approx(y0, rel=1e-12, abs=1e-14)
     # The path then continues the same stream.
-    assert data.y[0] == pytest.approx(a * y0 + _draw_noise(spec.noise, 1, rng)[0], rel=1e-12)
+    assert data.y[0] == pytest.approx(a * y0 + draw(1)[0], rel=1e-12)
 
 
 def test_student_t_ar1_starts_in_the_stationary_law():

@@ -15,7 +15,7 @@ def _dist(values):
 
 
 def _plus_one(rho: DiscreteDistribution, pi: DiscreteDistribution, p: float) -> float:
-    return float(power_divergence_plus_one(rho.weights[None], pi.weights, p)[0])
+    return float(power_divergence_plus_one(rho.weights[None], pi, p)[0])
 
 
 def test_zero_at_equality():
@@ -135,14 +135,14 @@ def test_power_divergence_plus_one_matches_references(raw_rho, raw_pi, p):
     # Mass off the support of pi is +inf.
     off = np.append(pi.weights[:-1], 0.0)
     off_pi = DiscreteDistribution(off / off.sum())
-    off_value = power_divergence_plus_one(rho.weights[None], off_pi.weights, p)[0]
+    off_value = power_divergence_plus_one(rho.weights[None], off_pi, p)[0]
     assert math.isinf(off_value) == (rho.weights[-1] > 0)
     assert math.isinf(_plus_one(pi, off_pi, p))
 
 
 def test_large_p_with_empty_atom_stays_finite():
     # p = 129 (q = 1.0078125): pi_0**(1-p) overflows while rho_0**p = 0.
-    pi = np.array([0.000999, 0.999001])
+    pi = DiscreteDistribution(np.array([0.000999, 0.999001]))
     value = power_divergence_plus_one(np.array([[0.0, 1.0]]), pi, 129.0)[0]
     assert value == 0.999001 ** (1.0 - 129.0)
     # A distribution whose D + 1 truly overflows.

@@ -635,11 +635,11 @@ def test_seed_sequences_are_those_of_the_seed_index_list(seed):
     for index in (0, 1, 2**32 - 1):
         block = _seed_sequences(seed, range(index, index + 1))
         assert len(block) == 1
-        assert np.array_equal(block[0].generate_state(8),
-                              np.random.SeedSequence([seed, 0, index]).generate_state(8))
+        assert np.array_equal(block[0].generate_state(4, np.uint64),
+                              np.random.SeedSequence([seed, 0, index]).generate_state(4, np.uint64))
     for got, index in zip(_seed_sequences(seed, range(5, 9)), range(5, 9)):
-        assert np.array_equal(got.generate_state(8),
-                              np.random.SeedSequence([seed, 0, index]).generate_state(8))
+        assert np.array_equal(got.generate_state(4, np.uint64),
+                              np.random.SeedSequence([seed, 0, index]).generate_state(4, np.uint64))
 
 
 def test_run_sweep_rows():

@@ -247,7 +247,7 @@ def test_empirical_moment_estimate_is_the_realized_moment(data, num_tables, rows
     estimate = empirical_moment_estimate(tables, target, pi, q)
     # Coverage's realized_moment: the mean of both deviation_moments sides added.
     gaps = target - np.stack([table.mean(axis=0) for table in tables])
-    realized = float(np.mean(np.add(*deviation_moments(gaps, pi.weights, q))))
+    realized = float(np.mean(np.add(*deviation_moments(gaps, pi, q))))
     assert estimate == pytest.approx(realized, rel=1e-12, abs=0.0)
     assert estimate == pytest.approx(moment_estimate_by_table(tables, target, pi, q),
                                      rel=1e-12, abs=0.0)
