@@ -68,7 +68,7 @@ def _emit(records: list[dict], summary: dict, out: str | None) -> None:
         return
     try:
         paths = harness.write_outputs(out, records, summary)
-    except OSError as exc:  # a prefix under a file, say
+    except (OSError, ValueError) as exc:  # a prefix under a file, or ending in a separator
         raise harness.ConfigError(f"--out {out}: {exc}") from exc
     print("wrote " + " and ".join(map(str, paths)))
 

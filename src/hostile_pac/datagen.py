@@ -6,6 +6,10 @@ noise, a first-order autoregression observed through the design x_i =
 closed forms for the moments and true risks that the guarantee chain needs,
 so coverage experiments never feed estimated constants back into a bound.
 
+Every command reads one dataset stream: dataset ``i`` of run ``seed`` draws from
+``SeedSequence([seed, 0, i])`` in any block of ``generate(spec, n, seed, indices)``;
+``_seed_sequences`` hashes a block's seeds in one pass, bit for bit as numpy does.
+
 Mixing envelopes (c1, c2) are configuration, not estimation: the generator
 records the assumed geometric bound on the alpha-mixing coefficients and
 every consumer reports it alongside results.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -139,6 +144,11 @@ class AR1:
     def __post_init__(self) -> None:
         if not abs(self.a) < 1:
             raise ValueError("autoregression coefficient must satisfy |a| < 1")
+        if (isinstance(self.noise, StudentTNoise)
+                and burn_in_chunks(self.a) > AR1_MAX_BURN_IN_CHUNKS):
+            raise ValueError(f"generator.a={self.a!r}: a Student-t AR(1) burns in over at most "
+                             f"{AR1_MAX_BURN_IN_CHUNKS} chunks of {AR1_BURN_IN} draws, so the "
+                             f"largest |a| accepted is {largest_burn_in_a()!r}")
 
     @property
     def dim(self) -> int:
@@ -215,13 +225,13 @@ def largest_burn_in_a() -> float:
     return a
 
 
-def _draw(spec: GeneratorSpec, n: int,
-          rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """One dataset per generator, as x of shape (rows, n, k) and y of shape (rows, n).
+def _draw(spec: GeneratorSpec, n: int, seeds: list) -> tuple[np.ndarray, np.ndarray]:
+    """One dataset per ``default_rng`` seed, as x of shape (rows, n, k) and y of shape (rows, n).
 
     Per row, the only work is the generator's fills, in its stream order; the
-    arithmetic on them runs once per block, in place where it can.
+    arithmetic on them and the validation run once per block, in place where they can.
     """
+    rngs = list(map(np.random.default_rng, seeds))
     rows = len(rngs)
     if isinstance(spec, (IidLinearRegression, BoundedClassification)):
         regression = isinstance(spec, IidLinearRegression)
@@ -266,25 +276,113 @@ def _draw(spec: GeneratorSpec, n: int,
     raise TypeError(f"unknown generator spec: {type(spec).__name__}")
 
 
-def generate(spec: GeneratorSpec, n: int, seed: int | list[int] | np.random.SeedSequence
-             | list[np.random.bit_generator.ISeedSequence]) -> Dataset:
+# numpy's SeedSequence hash (M. E. O'Neill's seed_seq, 2015) on uint32 words: a pool of
+# four words mixes the entropy in, and an output hash cycles the pool into state words.
+# A hash step XORs in a constant, multiplies by the next and folds the high half down;
+# the pool's constants run _INIT_A * _MULT_A**j, the output's _INIT_B * _MULT_B**j, and
+# two pool words meet as mix(x, y) = _MIX_L x - _MIX_R y, folded the same way.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _HALF = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHERS = [np.array([j for j in range(_POOL_SIZE) if j != i]) for i in range(_POOL_SIZE)]
+
+
+@cache
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """init * mult**j mod 2**32, j = 0..steps, for ``steps`` hash steps; read-only, shared."""
+    constants = np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(steps + 1)], np.uint32)
+    constants.flags.writeable = False
+    return constants
+
+
+def _hashed(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """One hash step per constant but the last, ``words`` broadcast against them."""
+    out = words ^ constants[:-1]
+    out *= constants[1:]
+    out ^= out >> _HALF
+    return out
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mix(x, y), computed in the two arrays, which the caller no longer needs."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> _HALF
+    return x
+
+
+def _pools(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.pool`` of each row of uint32 entropy words, the rows zero-padded to
+    at least four words: numpy's ``mix_entropy``, every row at once."""
+    width = entropy.shape[1]
+    steps = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width)[:, None]
+    words = entropy.T  # a row per word, a column per dataset
+    pool = _hashed(words[:_POOL_SIZE], steps[:_POOL_SIZE + 1])
+    for src, dst in enumerate(_OTHERS):  # every pool word into every other
+        step = _POOL_SIZE + (_POOL_SIZE - 1) * src
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], steps[step:step + _POOL_SIZE]))
+    for src in range(_POOL_SIZE, width):  # the words past the pool, into every pool word
+        step = _POOL_SIZE * src
+        pool = _mixed(pool, _hashed(words[src], steps[step:step + _POOL_SIZE + 1]))
+    return pool.T
+
+
+@cache
+def _block_seed_class() -> type:
+    """The class of the block seeds, made on first use: importing leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class BlockSeed(ISeedSequence):
+        """One dataset's ``SeedSequence`` as PCG64 reads it: ``generate_state(4, np.uint64)``
+        returns a new array of its four words, and any other request raises ValueError."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a block seed gives only PCG64's generate_state(4, np.uint64)")
+            return self.words.copy()
+
+    return BlockSeed
+
+
+def _seed_sequences(seed: int,
+                    indices: range | list[int]) -> list[np.random.bit_generator.ISeedSequence]:
+    """The seed sequence ``[seed, 0, index]`` of each dataset index, every index below 2**32.
+
+    numpy reads that entropy as the seed's little-endian 32-bit words (0 is the one
+    word 0), then 0 and the index: a uint32 row per index, down whose columns the
+    hash runs once. Each row gets a light ``ISeedSequence`` holding the four words
+    of ``SeedSequence([seed, 0, index]).generate_state(4, np.uint64)``.
+    """
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((len(indices), max(len(words) + 2, _POOL_SIZE)), dtype=np.uint32)
+    entropy[:, :len(words) + 1] = [*words, 0]
+    entropy[:, len(words) + 1] = indices
+    # Eight uint32 output words, the pool cycled twice, read as little-endian uint64 pairs.
+    state = _hashed(np.tile(_pools(entropy), 2), _hash_constants(_INIT_B, _MULT_B, 8))
+    return list(map(_block_seed_class(),
+                    state.astype("<u4", copy=False).view("<u8").astype(np.uint64)))
+
+
+def generate(spec: GeneratorSpec, n: int, seed: int | list[int] | np.random.SeedSequence,
+             indices: range | list[int] | None = None) -> Dataset:
     """Draw a dataset of length n; bit-reproducible for a fixed seed.
 
-    ``seed`` is anything ``np.random.default_rng`` takes (a list of ints is
-    one entropy seed), or a list of ``numpy.random.bit_generator.ISeedSequence``
-    objects, such as ``SeedSequence``s, which gives a stacked dataset with
-    one row per seed. Each row draws what a lone ``generate`` of its seed
-    draws, in the same order and with the same arithmetic: per row only the
-    generator's fills run, and the arithmetic on them and the validation run
-    once per block.
+    Without ``indices``, ``seed`` is anything ``np.random.default_rng`` takes (a list of
+    ints is one entropy seed). With ``indices``, the datasets of those indices in the
+    stream of run ``seed`` come stacked, a row each, bit for bit as drawn one by one.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if (isinstance(seed, (list, tuple)) and seed
-            and all(isinstance(s, np.random.bit_generator.ISeedSequence) for s in seed)):
-        return Dataset(*_draw(spec, n, [np.random.default_rng(s) for s in seed]))
-    x, y = _draw(spec, n, [np.random.default_rng(seed)])
-    return Dataset(x[0], y[0])
+    if indices is None:
+        x, y = _draw(spec, n, [seed])
+        return Dataset(x[0], y[0])
+    if seed < 0 or min(indices, default=-1) < 0 or max(indices) >= 2**32:
+        raise ValueError("a stacked draw takes a seed >= 0 and indices in [0, 2**32)")
+    return Dataset(*_draw(spec, n, _seed_sequences(seed, indices)))
 
 
 # ---------------------------------------------------------------------------

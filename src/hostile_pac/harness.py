@@ -8,17 +8,16 @@ keys, their defaults the defaults and their annotations the accepted values,
 and every error names the offending ``section.key``.
 
 ``bound``, ``aggregate`` and coverage share one path: ``_setup`` builds the
-prior and the moment constant of a configuration, and ``_fit`` draws a range
-of dataset indices as one stacked dataset and turns it into rows of r_n,
-their levels rbar and rho_hat weights;
-``_certify`` adds, for ``bound`` and coverage, the ERM, the sublevel-mass
-exponent, the certified oracle and the rho_hat, prior and ERM certificates,
-row by row. ``bound`` and ``aggregate`` take the one-row range of dataset 0;
-coverage takes fixed blocks of ``COVERAGE_BLOCK_VALUES // (K + n (k + 1))``
-rows (K atoms of dimension k, n observations), one after another in one
-process. Dataset ``index`` draws from the seed sequence ``[seed, 0, index]``,
-and every row sum reads its own row only, so no output depends on the block
-size.
+prior and the moment constant of a configuration, ``_fit`` draws a range of
+the run's datasets (``datagen.generate``) as one stacked dataset and turns it
+into rows of r_n, their levels rbar and rho_hat weights, and ``_certify`` adds,
+for ``bound`` and coverage, the ERM, the sublevel-mass exponent, the certified
+oracle and the rho_hat, prior and ERM certificates, row by row. ``bound`` and
+``aggregate`` take the one-row range of dataset 0; coverage takes fixed blocks
+of ``COVERAGE_BLOCK_VALUES // (K + n (k + 1))`` rows (K atoms of dimension k,
+n observations), one after another in one process. A dataset is the same in
+any block and every row sum reads its own row only, so no output depends on
+the block size.
 
 Each regime's load-time rules and moment constant live on its class in
 :mod:`hostile_pac.moments`, called by ``ExperimentConfig``'s load-time check and
@@ -34,6 +33,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, groupby, repeat
@@ -103,12 +103,6 @@ class ExperimentConfig:
             if not self.p / (self.p - 1.0) > 1:
                 raise ValueError(f"experiment.p={self.p!r} is so large that q = p/(p-1) "
                                  "rounds to 1")
-            if (isinstance(self.generator, AR1) and isinstance(self.generator.noise, StudentTNoise)
-                    and datagen.burn_in_chunks(self.generator.a) > datagen.AR1_MAX_BURN_IN_CHUNKS):
-                raise ValueError(
-                    f"generator.a={self.generator.a!r}: a Student-t AR(1) burns in over at most "
-                    f"{datagen.AR1_MAX_BURN_IN_CHUNKS} chunks of {datagen.AR1_BURN_IN} draws, "
-                    f"so the largest |a| accepted is {datagen.largest_burn_in_a()!r}")
             self.regime.check(self)
             for key, value in vars(self.regime).items():
                 if isinstance(value, float) and not value > 0:
@@ -237,8 +231,9 @@ def _build(cls, raw, where: str, **built):
         return cls(**kwargs)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    except (ValueError, TypeError) as exc:  # a message that names a key of ``where`` stands alone
+        named = str(exc).startswith(f"{where}.")
+        raise ConfigError(str(exc) if named else f"{where}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -344,110 +339,13 @@ def _setup(config: ExperimentConfig) -> _Setup:
     return _Setup(atoms, pi, cfg, constants)
 
 
-# numpy's SeedSequence hash (M. E. O'Neill's seed_seq, 2015) on uint32 words: a pool of
-# four words mixes the entropy in, and an output hash cycles the pool into state words.
-# A hash step XORs in a constant, multiplies by the next and folds the high half down;
-# the pool's constants run _INIT_A * _MULT_A**j, the output's _INIT_B * _MULT_B**j, and
-# two pool words meet as mix(x, y) = _MIX_L x - _MIX_R y, folded the same way.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _HALF = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_OTHERS = [np.array([j for j in range(_POOL_SIZE) if j != i]) for i in range(_POOL_SIZE)]
-
-
-@cache
-def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
-    """The constants init * mult**j mod 2**32, j = 0..steps, of ``steps`` hash steps,
-    read-only: every call with the same arguments shares them."""
-    constants = np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(steps + 1)], np.uint32)
-    constants.flags.writeable = False
-    return constants
-
-
-def _hashed(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
-    """One hash step per constant but the last, ``words`` broadcast against them."""
-    out = words ^ constants[:-1]
-    out *= constants[1:]
-    out ^= out >> _HALF
-    return out
-
-
-def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mix(x, y), computed in the two arrays, which the caller no longer needs."""
-    x *= _MIX_L
-    y *= _MIX_R
-    x -= y
-    x ^= x >> _HALF
-    return x
-
-
-def _pools(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence.pool`` of each row of uint32 entropy words, the rows zero-padded to
-    at least four words: numpy's ``mix_entropy``, every row at once."""
-    width = entropy.shape[1]
-    steps = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width)[:, None]
-    words = entropy.T  # a row per word, a column per dataset
-    pool = _hashed(words[:_POOL_SIZE], steps[:_POOL_SIZE + 1])
-    for src, dst in enumerate(_OTHERS):  # every pool word into every other
-        step = _POOL_SIZE + (_POOL_SIZE - 1) * src
-        pool[dst] = _mixed(pool[dst], _hashed(pool[src], steps[step:step + _POOL_SIZE]))
-    for src in range(_POOL_SIZE, width):  # the words past the pool, into every pool word
-        step = _POOL_SIZE * src
-        pool = _mixed(pool, _hashed(words[src], steps[step:step + _POOL_SIZE + 1]))
-    return pool.T
-
-
-@cache
-def _block_seed_class() -> type:
-    """The class of :func:`_seed_sequences`' seeds, made on first use: its base class
-    lives in ``numpy.random``, which importing this module leaves unloaded."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class BlockSeed(ISeedSequence):
-        """One dataset's ``SeedSequence`` as PCG64 reads it: the four uint64 words of
-        ``generate_state(4, np.uint64)``, worked out with the whole block's; each call
-        returns a new array, and any other request raises ValueError."""
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a block seed gives only PCG64's generate_state(4, np.uint64)")
-            return self.words.copy()
-
-    return BlockSeed
-
-
-def _seed_sequences(seed: int,
-                    indices: range) -> list[np.random.bit_generator.ISeedSequence]:
-    """The seed sequence ``[seed, 0, index]`` of each dataset index, every index below 2**32.
-
-    numpy reads that entropy as the little-endian 32-bit words of the seed (0
-    is the one word 0), then 0 and the index. The words of the whole range are
-    one uint32 array, a row per index, and numpy's hash runs down its columns:
-    one pass gives every row's PCG64 seed, four uint64 words, and each row gets
-    a light ``ISeedSequence`` that hands them out, the same words as
-    ``np.random.SeedSequence([seed, 0, index]).generate_state(4, np.uint64)``.
-    """
-    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((len(indices), max(len(words) + 2, _POOL_SIZE)), dtype=np.uint32)
-    entropy[:, :len(words) + 1] = [*words, 0]
-    entropy[:, len(words) + 1] = indices
-    # Eight uint32 output words, the pool cycled twice, read as little-endian uint64 pairs.
-    state = _hashed(np.tile(_pools(entropy), 2), _hash_constants(_INIT_B, _MULT_B, 8))
-    return list(map(_block_seed_class(),
-                    state.astype("<u4", copy=False).view("<u8").astype(np.uint64)))
-
-
 def _fit(config: ExperimentConfig, setup: _Setup,
          indices: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical risks r_n of datasets ``indices``, one row each, their
     levels rbar and rho_hat weights."""
-    seeds = _seed_sequences(config.seed, indices)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflows fail as non-finite values
-            rn = empirical_risks(datagen.generate(config.generator, config.n, seeds),
+            rn = empirical_risks(datagen.generate(config.generator, config.n, config.seed, indices),
                                  setup.atoms, config.loss)
     except ValueError as exc:  # non-finite data or risks
         raise ConfigError(f"the data overflow doubles ({exc}); lower "
@@ -632,12 +530,9 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     certificate hold. True risks come from the generator's closed form, so
     hit/miss decisions carry no oracle noise.
 
-    Replications are certified in fixed blocks of
-    ``max(1, COVERAGE_BLOCK_VALUES // (K + n (k + 1)))`` rows, K atoms of
-    dimension k and n observations each, one block after another. Each
-    dataset draws from its own seed sequence and every row sum reads its own
-    row only, so every record and summary field is the same at any block
-    size; the block size bounds memory only.
+    Replications are certified in fixed blocks (see the module docstring);
+    every record and summary field is the same at any block size, which
+    bounds memory only.
 
     The summary splits the slack of the moment constant M by layer:
     ``realized_moment`` m = mean E_pi |gap|**q, ``critical_moment``
@@ -861,6 +756,8 @@ def write_outputs(prefix: str | Path, records: list[dict], summary: dict) -> lis
     The suffixes are appended, so prefixes that differ after a dot
     (``run.w1``, ``run.w2``) never share a file.
     """
+    if os.path.basename(prefix) in ("", ".", ".."):  # "DIR/" would write DIR/.records.jsonl
+        raise ValueError("an output prefix must end in a file name")
     paths = [Path(f"{prefix}.records.jsonl"), Path(f"{prefix}.summary.json")]
     paths[0].parent.mkdir(parents=True, exist_ok=True)
     write_records(records, paths[0])

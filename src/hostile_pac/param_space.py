@@ -25,9 +25,9 @@ class AtomSet:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        if coords.size == 0:
-            raise ValueError("atom set must be nonempty")
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.ndim != 2 or coords.size == 0:
+            raise ValueError(f"atoms must be a nonempty (K, k) array, got shape {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise ValueError("atom coordinates must be finite")
         object.__setattr__(self, "coords", coords)

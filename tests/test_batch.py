@@ -1,11 +1,12 @@
 """Each row of a batched call against the one-dataset references in ``oracles``.
 
 Coverage draws and certifies its replications in blocks of rows; these
-properties pin every row of a block to a lone ``generate`` of its seed and to
-the per-dataset routines the blocks replaced.
+properties pin every row of a block to a lone ``generate`` of its seed sequence
+``[seed, 0, index]`` and to the per-dataset routines the blocks replaced.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from hostile_pac.aggregation import (BoundConfig, ComplexityEstimate, SolverErro
                                      deviation_moments, erm_index, evaluate_bound, solve_rbar,
                                      verify_complexity)
 from hostile_pac.datagen import (AR1, BoundedClassification, GaussianNoise, IidLinearRegression,
-                                 IsotropicGaussianX, StudentTNoise, generate)
-from hostile_pac.harness import _seed_sequences
+                                 IsotropicGaussianX, StudentTNoise, _seed_sequences, generate)
 from hostile_pac.moments import MomentBound
 from hostile_pac.param_space import AtomSet, DiscreteDistribution, expectation
 from hostile_pac.risk import Dataset, SquaredLoss, ZeroOneLoss, empirical_risks
@@ -46,14 +46,20 @@ _SEEDED_RISKS = np.random.default_rng(2016).uniform(0.0, 2.0, (40, 100))
 _UNIFORM_100 = DiscreteDistribution.uniform(100)
 
 
+# Index lists in any order, and ranges, anywhere in [0, 2**32).
+_INDICES = (st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5, unique=True)
+            | st.builds(lambda start, rows: range(start, start + rows),
+                        st.integers(0, 2**32 - 5), st.integers(1, 5)))
+
+
 @pytest.mark.parametrize("spec", _SPECS.values(), ids=_SPECS.keys())
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
-       indices=st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True))
+@given(seed=st.integers(0, 2**130 - 1), n=st.integers(2, 40), indices=_INDICES)
 @example(seed=0, n=2, indices=[0])
 @example(seed=1, n=7, indices=[9, 2, 400])
+@example(seed=2**64 + 7, n=3, indices=range(2**32 - 3, 2**32))
 def test_stacked_rows_match_one_generate(spec, seed, n, indices):
-    block = generate(spec, n, [np.random.SeedSequence([seed, 0, i]) for i in indices])
+    block = generate(spec, n, seed, indices)
     assert block.x.shape == (len(indices), n, spec.dim) and block.y.shape == (len(indices), n)
     assert len(block) == n and block.dim == spec.dim
     for row, index in enumerate(indices):
@@ -104,7 +110,17 @@ def test_seed_forms_of_generate():
     listed, entropy = generate(spec, 10, [5, 6]), generate(spec, 10, np.random.SeedSequence([5, 6]))
     assert _same_bits(listed.x, entropy.x) and _same_bits(listed.y, entropy.y)
     with pytest.raises(ValueError, match="AR"):
-        generate(spec, 1, [np.random.SeedSequence(5)])
+        generate(spec, 1, 5, [0])
+
+
+@pytest.mark.parametrize("seed, indices", [
+    (0, [2**32]), (0, [-1]), (0, [3, 2**32 + 3]), (0, range(2**32 - 1, 2**32 + 1)),
+    (0, [2**64]), (0, []), (0, range(0)), (-1, [0]),
+])
+def test_stacked_draw_takes_only_indices_below_2_32(seed, indices):
+    # A dataset index is one 32-bit word of its seed sequence; the run seed is nonnegative.
+    with pytest.raises(ValueError, match=re.escape("[0, 2**32)")):
+        generate(_SPECS["ar1-gaussian"], 3, seed, indices)
 
 
 @settings(max_examples=200, deadline=None)

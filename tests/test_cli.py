@@ -377,6 +377,31 @@ def test_unwritable_out_prefix_fails_with_one_line(config_path, tmp_path, capsys
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("suffix", ["/", "", "/."])
+def test_out_prefix_without_a_file_name_fails_with_one_line(config_path, tmp_path, capsys,
+                                                           suffix):
+    # "DIR/" would write the hidden files DIR/.records.jsonl and DIR/.summary.json.
+    prefix = "" if suffix == "" else f"{tmp_path / 'out'}{suffix}"
+    assert main(["bound", "--config", str(config_path), "--out", prefix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: --out {prefix}: ")
+    assert not (tmp_path / "out").exists() and not list(Path().glob(".*.json*"))
+
+
+@pytest.mark.parametrize("command, sets", [("bound", []), ("aggregate", ["regime.s2=1"])])
+def test_explicit_atoms_that_are_not_one_array_fail_with_one_line(command, sets, capsys):
+    # Atoms of shape (2, 2, 1): the bound died in the moment constant, and
+    # aggregate wrote risks of a mis-shaped product.
+    prior = '{"kind":"explicit","atoms":[[[0.5],[-0.3]],[[0.0],[0.0]]],"weights":[0.5,0.5]}'
+    args = [arg for item in [*sets, f"prior={prior}"] for arg in ("--set", item)]
+    assert main([command, "--config", str(ROOT / "configs" / "bound_demo.yaml"), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("config error: prior: ")
+
+
 def test_override_on_empty_file_is_a_config_error(tmp_path, capsys):
     empty = tmp_path / "empty.yaml"
     empty.write_text("")

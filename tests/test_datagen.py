@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hostile_pac.datagen import (AR1, AR1_BURN_IN, BoundedClassification, Gaussi
                                  MixingBoundSpec, MomentDoesNotExistError,
                                  NoClosedFormError, StudentTNoise,
                                  _ar1_path, _ar1_y_moments, _scale_noise, _unscaled_noise,
-                                 generate, kappa_moments, noise_moment, residual_moments,
-                                 true_risk_closed_form)
+                                 generate, kappa_moments, largest_burn_in_a, noise_moment,
+                                 residual_moments, true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
 from oracles import ar1_sign_risk_quad, ar1_y_moments_hand, stationary_pairs, true_risk_mc
@@ -101,11 +102,22 @@ def test_student_t_ar1_starts_in_the_stationary_law():
     # One 1,000-step burn-in would leave 1 - a**2000 = 0.865 of the stationary variance.
     spec = AR1(a=0.999, noise=StudentTNoise(dof=7.0, scale=0.5))
     datasets = 4000
-    seeds = [np.random.SeedSequence([2026, 0, i]) for i in range(datasets)]
-    y0 = generate(spec, 2, seeds).x[:, 0, 1]
+    y0 = generate(spec, 2, 2026, range(datasets)).x[:, 0, 1]
     squares = (y0 - y0.mean()) ** 2
     se = squares.std() / math.sqrt(datasets)
     assert abs(squares.mean() - _ar1_y_moments(spec, 2)) <= 4 * se
+
+
+def test_student_t_ar1_past_the_burn_in_cap_is_rejected_naming_generator_a():
+    largest = largest_burn_in_a()
+    for a in (largest, -largest):
+        assert AR1(a=a, noise=StudentTNoise(dof=7.0)).a == a
+    for a in (math.nextafter(largest, 1.0), -0.99999):
+        with pytest.raises(ValueError, match=re.escape(f"generator.a={a!r}")) as info:
+            AR1(a=a, noise=StudentTNoise(dof=7.0))
+        assert repr(largest) in str(info.value) and "\n" not in str(info.value)
+    # Gaussian innovations start in their closed-form stationary law, with no burn-in.
+    assert AR1(a=0.99999, noise=GaussianNoise(0.25)).a == 0.99999
 
 
 def test_ar1_design_is_intercept_and_lag():

@@ -13,8 +13,8 @@ from hostile_pac.harness import (AssumptionError, ConfigError,
                                  apply_overrides, config_from_dict,
                                  dump_record, fit_loglog_slope, load_config,
                                  resolve_moment, run_aggregate, run_bound,
-                                 run_coverage, run_sweep, _seed_sequences, _setup)
-from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
+                                 run_coverage, run_sweep, _setup)
+from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression, _seed_sequences,
                                  IsotropicGaussianX, MixingBoundSpec, StudentTNoise)
 from hostile_pac.moments import MixingUnboundedRegime, VarianceRegime
 from hostile_pac.param_space import ExplicitPrior, IidSamplePrior, build_prior

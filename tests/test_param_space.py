@@ -103,6 +103,10 @@ def test_atomset_validation():
         AtomSet(np.empty((0, 2)))
     with pytest.raises(ValueError):
         AtomSet(np.array([[np.nan]]))
+    # Coordinates are one (K, k) array: no vector, and no stack of arrays.
+    for coords in (np.array([1.0, 2.0]), np.zeros((2, 2, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"\(K, k\) array"):
+            AtomSet(coords)
     atoms = AtomSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert len(atoms) == 2 and atoms.dim == 2
     assert np.array_equal(atoms.coords[1], [3.0, 4.0])
