@@ -13,11 +13,11 @@ the run's datasets (``datagen.generate``) as one stacked dataset and turns it
 into rows of r_n, their levels rbar and rho_hat weights, and ``_certify`` adds,
 for ``bound`` and coverage, the ERM, the sublevel-mass exponent, the certified
 oracle and the rho_hat, prior and ERM certificates, row by row. ``bound`` and
-``aggregate`` take the one-row range of dataset 0; coverage takes fixed blocks
-of ``COVERAGE_BLOCK_VALUES // (K + n (k + 1))`` rows (K atoms of dimension k,
-n observations), one after another in one process. A dataset is the same in
-any block and every row sum reads its own row only, so no output depends on
-the block size.
+``aggregate`` take the one-row range of dataset 0; coverage runs the fewest
+contiguous blocks of at most ``COVERAGE_BLOCK_VALUES // (K + n (k + 1) / 2)``
+rows (K atoms of dimension k, n observations), sized within one of each other,
+in one process. A dataset is the same in any block and every row sum reads
+its own row only, so no output depends on the block size.
 
 Each regime's load-time rules and moment constant live on its class in
 :mod:`hostile_pac.moments`, called by ``ExperimentConfig``'s load-time check and
@@ -456,13 +456,19 @@ def run_aggregate(config: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 # Values per coverage block. A replication holds K values per atom-wide array and
-# n (k + 1) data values (x and y, and again in the stacked [x | y] of its QR), so a
-# block certifies max(1, COVERAGE_BLOCK_VALUES // (K + n (k + 1))) replications at
-# once, which bounds its memory at any K and n; one block of every replication
-# raised peak memory and ran slower at K = 10**4. Each block pays a fixed cost of
-# some 440 Python-level calls; 86,016 spreads it over 122 rows at K = 100, n = 200
-# and 3 at the scale point K = 10**4, n = 5000 (k = 2).
+# n (k + 1) data values, x and y, weighed by half since the QR copies only fixed chunks
+# of them (risk.QR_CHUNK_VALUES), so a block holds at most COVERAGE_BLOCK_VALUES //
+# (K + n (k + 1) / 2) replications, which bounds its memory at any K and n. Each block
+# pays a fixed cost of some 490 Python-level calls; 86,016 caps a block at 215 rows at
+# K = 100, n = 200 and 4 at the scale point K = 10**4, n = 5000 (k = 2).
 COVERAGE_BLOCK_VALUES = 86016
+
+
+def _even_blocks(total: int, cap: int) -> list[range]:
+    """range(total) in the fewest contiguous blocks of at most ``cap``, sizes within one."""
+    count = -(-total // cap)
+    edges = [total * i // count for i in range(count + 1)]
+    return [range(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.ndarray,
@@ -530,7 +536,7 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     certificate hold. True risks come from the generator's closed form, so
     hit/miss decisions carry no oracle noise.
 
-    Replications are certified in fixed blocks (see the module docstring);
+    Replications are certified in even blocks (see the module docstring);
     every record and summary field is the same at any block size, which
     bounds memory only.
 
@@ -574,10 +580,10 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
         true_values = datagen.true_risk_closed_form(config.generator, setup.atoms, config.loss)
     except NoClosedFormError as exc:
         raise ConfigError(f"{exc}; coverage requires a closed-form true risk") from exc
-    rows = max(1, COVERAGE_BLOCK_VALUES // (len(setup.atoms) + config.n * (setup.atoms.dim + 1)))
-    blocks = [range(start, min(start + rows, config.replications))
-              for start in range(0, config.replications, rows)]
-    done = [_replication_block(config, setup, true_values, block) for block in blocks]
+    cap = max(1, 2 * COVERAGE_BLOCK_VALUES  # over 2 (K + n (k + 1) / 2), in integers
+              // (2 * len(setup.atoms) + config.n * (setup.atoms.dim + 1)))
+    done = [_replication_block(config, setup, true_values, block)
+            for block in _even_blocks(config.replications, cap)]
     columns = {name: np.concatenate([block[name] for block in done]) for name in done[0]}
     sup, moment = columns.pop("sup"), float(np.mean(columns.pop("moment")))
 

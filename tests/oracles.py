@@ -192,6 +192,20 @@ def squared_risks_broadcast(x: np.ndarray, y: np.ndarray, coords: np.ndarray) ->
             + np.einsum("ijk,ijk->ij", fit, fit)) / x.shape[1]
 
 
+def squared_risks_one_qr(x: np.ndarray, y: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The squared-loss r_n of stacked datasets from one QR call on the whole
+    stacked [x | y], the form ``risk.empirical_risks`` had before it factored
+    a stack in chunks of rows; the fit is the same (rows, k, K) product."""
+    r, k = np.linalg.qr(np.concatenate([x, y[..., None]], axis=-1), mode="r"), coords.shape[1]
+    fit = r[:, :k, :k] @ coords.T
+    fit -= r[:, :k, k:]
+    rho = r[:, k:, k]
+    risks = np.einsum("ijk,ijk->ik", fit, fit)
+    risks += np.einsum("ij,ij->i", rho, rho)[:, None]
+    risks /= x.shape[1]
+    return risks
+
+
 def solve_rbar_one(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float) -> float:
     """The level solve on one risk vector: Newton from the lesser Jensen
     bracket of the finite supported atoms and of those tied at the minimum,

@@ -592,40 +592,79 @@ def test_run_coverage_reproducible_and_monotone_in_moment():
 
 
 def test_run_coverage_block_size_equivalence(monkeypatch):
-    # A replication counts K + n (k + 1) values. The 50 replications fit one
-    # block of the 30-atom prior; one-row blocks certify each alone, blocks of
-    # 7 rows leave a last block of 1, and blocks of 16 rows one of 2. At
-    # K = 3,000 the default block holds 23 rows at n = 200 and 14 at n = 1,000,
-    # and each is compared with one-row blocks. Each dataset draws from its
-    # own seed sequence and every row sum reads its own row only, so every
-    # field of every record and of the summary keeps its bytes.
+    # A replication counts K + n (k + 1) / 2 values: its data are held once, as
+    # the QR copies fixed chunks of a block only. The 50 replications fit one
+    # block of the 30-atom prior; a cap of one row certifies each alone, a cap
+    # of 7 rows splits them into 8 blocks of 6 and 7 rows, and a cap of 16 into
+    # 4 of 12 and 13. The uneven case, 51 replications under a cap of 16, takes
+    # blocks of 12, 13, 13 and 13. At K = 3,000 the default cap is 26 rows at
+    # n = 200 (2 blocks of 25) and 19 at n = 1,000 (16, 17 and 17), and each is
+    # compared with one-row blocks. Each dataset draws from its own seed
+    # sequence and every row sum reads its own row only, so every field of
+    # every record and of the summary keeps its bytes.
     def values(config):
-        return config.prior.count + config.n * (config.prior.dim + 1)
+        assert config.n * (config.prior.dim + 1) % 2 == 0
+        return config.prior.count + config.n * (config.prior.dim + 1) // 2
+
+    sizes = []
+    certify_block = harness._replication_block
+
+    def run_blocks(config):
+        sizes.clear()
+        monkeypatch.setattr(harness, "_replication_block",
+                            lambda *args: sizes.append(len(args[-1])) or certify_block(*args))
+        run = run_coverage(config)
+        monkeypatch.setattr(harness, "_replication_block", certify_block)
+        return run, list(sizes)
 
     default_values = harness.COVERAGE_BLOCK_VALUES
-    config = base_config(replications=50)
-    assert default_values // values(config) >= 50
-    one_block = run_coverage(config)
     compared = []
-    for rows in (1, 7, 16):
-        monkeypatch.setattr(harness, "COVERAGE_BLOCK_VALUES", rows * values(config))
-        compared.append((one_block, run_coverage(config)))
-    wide_prior = dataclasses.replace(config.prior, count=3000)
-    for n, default_rows in ((200, 23), (1000, 14)):
+    for replications, cases in ((50, ((1, [1] * 50), (7, [6, 6, 6, 7] * 2),
+                                      (16, [12, 13] * 2))),
+                                (51, ((16, [12, 13, 13, 13]),))):
+        config = base_config(replications=replications)
+        assert default_values // values(config) >= replications
+        one_block, one_sizes = run_blocks(config)
+        assert one_sizes == [replications]
+        for rows, expected_sizes in cases:
+            monkeypatch.setattr(harness, "COVERAGE_BLOCK_VALUES", rows * values(config))
+            run, run_sizes = run_blocks(config)
+            assert run_sizes == expected_sizes
+            compared.append((one_block, run))
+        monkeypatch.setattr(harness, "COVERAGE_BLOCK_VALUES", default_values)
+    wide_prior = dataclasses.replace(base_config().prior, count=3000)
+    for n, default_rows, default_sizes in ((200, 26, [25, 25]), (1000, 19, [16, 17, 17])):
         wide = base_config(replications=50, n=n, prior=wide_prior)
         assert default_values // values(wide) == default_rows
         monkeypatch.setattr(harness, "COVERAGE_BLOCK_VALUES", default_values)
-        default_blocks = run_coverage(wide)
+        default_blocks, run_sizes = run_blocks(wide)
+        assert run_sizes == default_sizes
         monkeypatch.setattr(harness, "COVERAGE_BLOCK_VALUES", values(wide))
-        compared.append((default_blocks, run_coverage(wide)))
+        one_row, run_sizes = run_blocks(wide)
+        assert run_sizes == [1] * 50
+        compared.append((default_blocks, one_row))
     for expected_run, run in compared:
         # The slack summary is built from values the blocks return beside the records.
         pairs = [*zip(expected_run.records, run.records), (expected_run.summary, run.summary)]
-        assert len(pairs) == 51
+        assert len(pairs) == len(run.records) + 1 == len(expected_run.records) + 1
         for expected, record in pairs:
             assert expected.keys() == record.keys()
             for key in expected:
                 assert dump_record(record[key]) == dump_record(expected[key]), key
+
+
+def test_even_blocks_split_in_order_within_one_row():
+    # The fewest blocks under the cap, contiguous and in order, covering every
+    # replication once, their sizes within one row of each other.
+    for total in range(1, 601):
+        for cap in range(1, total + 2):
+            blocks = harness._even_blocks(total, cap)
+            assert len(blocks) == -(-total // cap)
+            assert blocks[0].start == 0 and blocks[-1].stop == total
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            lengths = [len(block) for block in blocks]
+            assert 1 <= min(lengths) and max(lengths) <= min(cap, min(lengths) + 1)
+            assert all(block.step == 1 for block in blocks)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**64 + 7])

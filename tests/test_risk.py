@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from hostile_pac.datagen import (AR1, GaussianNoise, IidLinearRegression,
                                  IsotropicGaussianX, StudentTNoise, generate,
                                  true_risk_closed_form)
+from hostile_pac import risk
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import (Dataset, SquaredLoss, ZeroOneLoss, compute_loss_table,
                               empirical_risk, empirical_risks)
-from oracles import squared_risks_broadcast
+from oracles import squared_risks_broadcast, squared_risks_one_qr
+
+CHUNK = 32  # datasets per QR call at coverage_iid's n = 200, k = 2
 
 
 def test_loss_table_hand_examples():
@@ -162,6 +166,56 @@ def test_squared_risks_keep_the_bits_of_the_broadcast_fit(seed, rows, n, k, num_
         assert risks.tobytes() == expected.tobytes()
     else:
         np.testing.assert_allclose(risks, expected, rtol=1e-15, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.one_of(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1]),
+                   st.integers(min_value=1, max_value=100)),
+    n=st.integers(min_value=1, max_value=12),
+    k=st.integers(min_value=1, max_value=3),
+    num_atoms=st.integers(min_value=1, max_value=40),
+    collinear=st.booleans(),
+    chunk=st.sampled_from([0, 1, 2, 7, CHUNK]),
+    spare=st.integers(min_value=0, max_value=47),
+)
+def test_chunked_qr_keeps_the_bits_of_one_stacked_qr(seed, rows, n, k, num_atoms, collinear,
+                                                     chunk, spare):
+    # LAPACK factors each matrix of a stack on its own, so R, and every risk
+    # after it, has the same bits whether a stack is factored in one call or in
+    # chunks of rows, at any chunk edge, at n <= k and with collinear columns.
+    # A chunk holds QR_CHUNK_VALUES // (n (k + 1)) datasets, and one dataset
+    # when that is 0 (chunk 0: fewer values than one dataset).
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n, k))
+    if collinear:
+        x[..., -1] = 2.0 * x[..., 0]
+    y = rng.standard_normal((rows, n))
+    coords = rng.standard_normal((num_atoms, k))
+    values = chunk * n * (k + 1) + spare % (n * (k + 1))
+    with mock.patch.object(risk, "QR_CHUNK_VALUES", values):
+        risks = empirical_risks(Dataset(x=x, y=y), AtomSet(coords), SquaredLoss())
+    assert risks.tobytes() == squared_risks_one_qr(x, y, coords).tobytes()
+
+
+@pytest.mark.parametrize("rows, n", [(167, 200), (50, 1000)])
+def test_chunked_qr_holds_less_than_one_stacked_copy(rows, n):
+    # A coverage_iid block (167 rows, n = 200, k = 2, K = 100) peaked at 1,635,408 B
+    # with one stacked QR: its [x | y] and numpy's working copy of it, each
+    # 167 * 200 * 3 * 8 = 801,600 B. In chunks only a chunk is copied, and an
+    # oracle_rate_gaussian block (50 rows, n = 1,000) peaked at 2,411,499 B.
+    k = 2
+    rng = np.random.default_rng(3)
+    data = Dataset(x=rng.standard_normal((rows, n, k)), y=rng.standard_normal((rows, n)))
+    atoms = AtomSet(rng.standard_normal((100, k)))
+    tracemalloc.start()
+    try:
+        empirical_risks(data, atoms, SquaredLoss())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * n * (k + 1) * 8
 
 
 def test_empirical_risks_other_losses_average_the_table():
