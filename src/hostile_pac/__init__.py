@@ -13,8 +13,7 @@ from .aggregation import (BoundConfig, BoundReport, ComplexityEstimate,
                           verify_complexity)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, MixingBoundSpec,
-                      StudentTNoise, generate, kappa_moments,
-                      true_risk_closed_form)
+                      StudentTNoise, generate, true_risk_closed_form)
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, MomentBound, RegimeSpec,
                       SubGaussianRegime, VarianceRegime)
 from .param_space import (AtomSet, DiscreteDistribution, ExplicitPrior,

@@ -6,6 +6,11 @@ noise, a first-order autoregression observed through the design x_i =
 closed forms for the moments and true risks that the guarantee chain needs,
 so coverage experiments never feed estimated constants back into a bound.
 
+Each generator class is the one home of its law: its fields are its config keys,
+``fill(rngs, n)`` draws a block, ``true_risk(atoms, loss)`` is its closed-form risk, and
+``residual_moments`` and ``kappa_moments`` sit on the classes that have them. The plain
+class attributes ``min_n`` and ``independent_rows`` are its rules, not config keys.
+
 Every command reads one dataset stream: dataset ``i`` of run ``seed`` draws from
 ``SeedSequence([seed, 0, i])`` in any block of ``generate(spec, n, seed, indices)``;
 ``_seed_sequences`` hashes a block's seeds in one pass, bit for bit as numpy does.
@@ -41,6 +46,7 @@ class MomentDoesNotExistError(ValueError):
 @dataclass(frozen=True)
 class GaussianNoise:
     variance: float = 1.0
+    scale_key = "variance"
 
     def __post_init__(self) -> None:
         if not self.variance >= 0:
@@ -53,6 +59,7 @@ class StudentTNoise:
 
     dof: float
     scale: float = 1.0
+    scale_key = "scale"
 
     def __post_init__(self) -> None:
         if not self.dof > 2:
@@ -115,8 +122,30 @@ class MixingBoundSpec:
             raise ValueError("c2 must be finite and positive")
 
 
+class _GaussianDesign:
+    """Shared by the i.i.d. generators: x with coordinates N(0, scale**2), scored by theta_star."""
+
+    min_n = 1
+    independent_rows = True
+
+    @property
+    def dim(self) -> int:
+        return len(self.theta_star)
+
+    def _design(self, rngs: list[np.random.Generator], n: int,
+                fill_row) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x of shape (rows, n, dim), its scores x @ theta_star, and a row of n draws
+        per rng that ``fill_row(rng, row)`` writes after that rng's x."""
+        x, rows = np.empty((len(rngs), n, self.dim)), np.empty((len(rngs), n))
+        for rng, x_row, row in zip(rngs, x, rows):
+            rng.standard_normal(out=x_row)
+            fill_row(rng, row)
+        x *= self.x_law.scale
+        return x, x @ np.asarray(self.theta_star), rows
+
+
 @dataclass(frozen=True)
-class IidLinearRegression:
+class IidLinearRegression(_GaussianDesign):
     """y = <theta_star, x> + eps with i.i.d. rows."""
 
     theta_star: tuple[float, ...]
@@ -128,9 +157,36 @@ class IidLinearRegression:
         if len(self.theta_star) == 0:
             raise ValueError("theta_star must be nonempty")
 
-    @property
-    def dim(self) -> int:
-        return len(self.theta_star)
+    def fill(self, rngs: list[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
+        """One dataset per rng, x of shape (rows, n, dim) and y: its design, then its noise."""
+        x, score, noise = self._design(
+            rngs, n, lambda rng, row: np.copyto(row, _unscaled_noise(self.noise, n, rng)))
+        return x, np.add(_scale_noise(self.noise, noise), score, out=noise)
+
+    def true_risk(self, atoms: AtomSet, loss: LossKind) -> np.ndarray:
+        """E u**2 per atom under the squared loss, the one loss with a closed form here."""
+        if isinstance(loss, SquaredLoss):
+            return self.residual_moments(atoms, 2)[0]
+        raise _no_closed_form(self, loss)
+
+    def residual_moments(self, atoms: AtomSet, top: int) -> list[np.ndarray]:
+        """[E u**2, E u**4, ...] up to order ``top`` per atom, u = y - <theta, x> the score
+        <theta_star - theta, x> plus the noise: the moments E loss**k of the squared loss
+        u**2, whose variance is E u**4 - (E u**2)**2. Raises
+        :class:`MomentDoesNotExistError` when a noise moment up to ``top`` diverges."""
+        noise = _noise_moments(self, atoms, top)
+        # The score is N(0, m2) under the Gaussian design; np.float64 overflows to inf.
+        w = np.asarray(self.theta_star) - atoms.coords
+        m2 = np.float64(self.x_law.scale) ** 2 * np.sum(w**2, axis=1)
+        return _sum_moments([noise_moment(GaussianNoise(), k) * m2 ** (k // 2)
+                             for k in range(2, top + 1, 2)], noise)
+
+    def kappa_moments(self) -> tuple[float, float]:
+        """(E y**4, E ||X||**4), the data moments of kappa, y the residual of the zero
+        atom. Raises :class:`MomentDoesNotExistError` if the fourth noise moment diverges."""
+        k = self.dim
+        ex4 = float(np.float64(self.x_law.scale) ** 4 * k * (k + 2))  # overflows to inf
+        return float(self.residual_moments(AtomSet(np.zeros((1, k))), 4)[1][0]), ex4
 
 
 @dataclass(frozen=True)
@@ -140,6 +196,9 @@ class AR1:
     a: float
     noise: NoiseLaw
     mixing: MixingBoundSpec | None = None
+    dim = 2
+    min_n = 2
+    independent_rows = False
 
     def __post_init__(self) -> None:
         if not abs(self.a) < 1:
@@ -150,13 +209,70 @@ class AR1:
                              f"{AR1_MAX_BURN_IN_CHUNKS} chunks of {AR1_BURN_IN} draws, so the "
                              f"largest |a| accepted is {largest_burn_in_a()!r}")
 
-    @property
-    def dim(self) -> int:
-        return 2
+    def fill(self, rngs: list[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
+        """One dataset per rng, x of shape (rows, n, 2) and y: its start, then its noise."""
+        eps, y0 = np.empty((len(rngs), n)), np.zeros(len(rngs))
+        if isinstance(self.noise, GaussianNoise):
+            stationary_sd = math.sqrt(_ar1_y_moments(self, 2))
+            for i, rng in enumerate(rngs):
+                y0[i] = rng.normal(0.0, stationary_sd)
+                eps[i] = _unscaled_noise(self.noise, n, rng)
+        else:
+            # No closed-form stationary law for t innovations: burn in from 0,
+            # folding each chunk in as drawn by its pairwise sum_j a**j chunk_{-1-j}
+            # (Horner over the chunks).
+            chunks = burn_in_chunks(self.a)
+            powers = self.a ** np.arange(AR1_BURN_IN - 1, -1, -1)
+            for i, rng in enumerate(rngs):
+                for _ in range(chunks):
+                    chunk = _scale_noise(self.noise, _unscaled_noise(self.noise, AR1_BURN_IN, rng))
+                    y0[i] = self.a**AR1_BURN_IN * y0[i] + (chunk * powers).sum()
+                eps[i] = _unscaled_noise(self.noise, n, rng)
+        y = _ar1_path(self.a, y0, _scale_noise(self.noise, eps))
+        x = np.ones((len(rngs), n, 2))
+        x[:, 0, 1] = y0
+        x[:, 1:, 1] = y[:, :-1]
+        return x, y
+
+    def true_risk(self, atoms: AtomSet, loss: LossKind) -> np.ndarray:
+        """E u**2 per atom under the squared loss. Under the zero-one loss at any threshold,
+        with Gaussian innovations of positive variance: lag and y are N(0, lag_sd**2)
+        with correlation a. With h = (threshold -
+        theta0) / (|theta1| lag_sd) and rho = sign(theta1) a, the Drezner-Wesolowsky
+        orthant integral (Genz 2004, Stat. Comput. 14:251) turns the sign risk
+        P(Z1 >= h) + 1/2 - 2 P(Z1 >= h, Z2 >= 0) into
+        1/2 - (1/pi) int_0^{asin rho} exp(-h**2 / (2 cos(t)**2)) dt. Substituting
+        cos(t) = 1 / cosh(v) gives int_0^{atanh rho} exp(-(h cosh(v))**2 / 2) / cosh(v) dv,
+        whose features are O(1) wide in v however near |a| is to 1, so Gauss-Legendre
+        nodes in proportion to atanh|a| (at least 40) are exact to 1e-14 for every |a| < 1.
+        """
+        if isinstance(loss, SquaredLoss):
+            return self.residual_moments(atoms, 2)[0]
+        if not (isinstance(self.noise, GaussianNoise) and self.noise.variance > 0):
+            raise NoClosedFormError("generator.noise: the zero-one risk of AR1 has a closed "
+                                    "form only under Gaussian innovations of positive variance")
+        intercept, slope = atoms.coords[:, 0], atoms.coords[:, 1]
+        lag_sd = math.sqrt(_ar1_y_moments(self, 2))
+        h = np.divide(loss.threshold - intercept, np.abs(slope) * lag_sd,
+                      out=np.zeros(len(atoms)), where=slope != 0.0)
+        upper = math.atanh(self.a)
+        nodes, weights = np.polynomial.legendre.leggauss(max(40, math.ceil(12 * abs(upper))))
+        cosh = np.cosh(upper * (nodes + 1.0) / 2.0)  # even integrand: sign(rho) factors out
+        integral = upper / 2.0 * ((np.exp(-0.5 * (h[:, None] * cosh) ** 2) / cosh) @ weights)
+        return 0.5 - np.sign(slope) * integral / math.pi
+
+    def residual_moments(self, atoms: AtomSet, top: int) -> list[np.ndarray]:
+        """As :meth:`IidLinearRegression.residual_moments`, with u the lag term
+        (a - theta_1) y_lag plus the innovation, shifted by the constant -theta_0."""
+        noise = _noise_moments(self, atoms, top)
+        orders = range(2, top + 1, 2)
+        intercept, lag_w = atoms.coords[:, 0], atoms.coords[:, 1]
+        lag = [(self.a - lag_w) ** k * _ar1_y_moments(self, k) for k in orders]
+        return _sum_moments(_sum_moments(lag, noise), [intercept**k for k in orders])
 
 
 @dataclass(frozen=True)
-class BoundedClassification:
+class BoundedClassification(_GaussianDesign):
     """Labels sign(<theta_star, x>) flipped with probability flip_prob."""
 
     theta_star: tuple[float, ...]
@@ -170,9 +286,31 @@ class BoundedClassification:
         if not 0 <= self.flip_prob < 0.5:
             raise ValueError("flip_prob must lie in [0, 0.5)")
 
-    @property
-    def dim(self) -> int:
-        return len(self.theta_star)
+    def fill(self, rngs: list[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
+        """One dataset per rng, x of shape (rows, n, dim) and y: its design, then its flips."""
+        x, score, flips = self._design(rngs, n, lambda rng, row: rng.random(out=row))
+        return x, np.where((score >= 0.0) != (flips < self.flip_prob), 1.0, -1.0)
+
+    def true_risk(self, atoms: AtomSet, loss: LossKind) -> np.ndarray:
+        """R(theta) = eta + (1 - 2 eta) * angle(theta, theta_star) / pi, zero-one loss at 0.
+
+        Valid for isotropic Gaussian designs: the chance that two homogeneous
+        halfspaces disagree on a rotation-invariant draw is the angle between
+        their normals over pi. A zero atom predicts +1 everywhere and disagrees
+        with either sign half the time. At scale 0 every x is 0, so every atom
+        predicts +1 as theta_star does and misses the flipped labels only: R = eta.
+        """
+        if not (isinstance(loss, ZeroOneLoss) and loss.threshold == 0.0):
+            raise _no_closed_form(self, loss)
+        if self.x_law.scale == 0.0:
+            return np.full(len(atoms), self.flip_prob)
+        star = np.asarray(self.theta_star)
+        norms = np.linalg.norm(atoms.coords, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosine = (atoms.coords @ star) / (norms * np.linalg.norm(star))
+        angle = np.arccos(np.clip(cosine, -1.0, 1.0))
+        disagree = np.where(norms == 0.0, 0.5, angle / np.pi)
+        return self.flip_prob + (1.0 - 2.0 * self.flip_prob) * disagree
 
 
 GeneratorSpec = IidLinearRegression | AR1 | BoundedClassification
@@ -223,57 +361,6 @@ def largest_burn_in_a() -> float:
     while burn_in_chunks(a) > AR1_MAX_BURN_IN_CHUNKS:
         a = math.nextafter(a, 0.0)
     return a
-
-
-def _draw(spec: GeneratorSpec, n: int, seeds: list) -> tuple[np.ndarray, np.ndarray]:
-    """One dataset per ``default_rng`` seed, as x of shape (rows, n, k) and y of shape (rows, n).
-
-    Per row, the only work is the generator's fills, in its stream order; the
-    arithmetic on them and the validation run once per block, in place where they can.
-    """
-    rngs = list(map(np.random.default_rng, seeds))
-    rows = len(rngs)
-    if isinstance(spec, (IidLinearRegression, BoundedClassification)):
-        regression = isinstance(spec, IidLinearRegression)
-        x, draws = np.empty((rows, n, spec.dim)), np.empty((rows, n))
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=x[i])
-            if regression:
-                draws[i] = _unscaled_noise(spec.noise, n, rng)
-            else:
-                rng.random(out=draws[i])
-        x *= spec.x_law.scale
-        score = x @ np.asarray(spec.theta_star)
-        if regression:
-            return x, np.add(_scale_noise(spec.noise, draws), score, out=draws)
-        return x, np.where((score >= 0.0) != (draws < spec.flip_prob), 1.0, -1.0)
-    if isinstance(spec, AR1):
-        if n < 2:
-            raise ValueError("AR(1) needs n >= 2")
-        eps, y0 = np.empty((rows, n)), np.zeros(rows)
-        if isinstance(spec.noise, GaussianNoise):
-            stationary_sd = math.sqrt(_ar1_y_moments(spec, 2))
-            for i, rng in enumerate(rngs):
-                y0[i] = rng.normal(0.0, stationary_sd)
-                eps[i] = _unscaled_noise(spec.noise, n, rng)
-        else:
-            # No closed-form stationary law for t innovations: burn in from 0,
-            # folding each chunk in as drawn by its pairwise sum_j a**j chunk_{-1-j}
-            # (Horner over the chunks).
-            chunks = burn_in_chunks(spec.a)
-            powers = spec.a ** np.arange(AR1_BURN_IN - 1, -1, -1)
-            for i, rng in enumerate(rngs):
-                for _ in range(chunks):
-                    chunk = _scale_noise(spec.noise, _unscaled_noise(spec.noise, AR1_BURN_IN, rng))
-                    y0[i] = spec.a**AR1_BURN_IN * y0[i] + (chunk * powers).sum()
-                eps[i] = _unscaled_noise(spec.noise, n, rng)
-        y = _ar1_path(spec.a, y0, _scale_noise(spec.noise, eps))
-        x = np.empty((rows, n, 2))
-        x[:, :, 0] = 1.0
-        x[:, 0, 1] = y0
-        x[:, 1:, 1] = y[:, :-1]
-        return x, y
-    raise TypeError(f"unknown generator spec: {type(spec).__name__}")
 
 
 # numpy's SeedSequence hash (M. E. O'Neill's seed_seq, 2015) on uint32 words: a pool of
@@ -375,18 +462,19 @@ def generate(spec: GeneratorSpec, n: int, seed: int | list[int] | np.random.Seed
     ints is one entropy seed). With ``indices``, the datasets of those indices in the
     stream of run ``seed`` come stacked, a row each, bit for bit as drawn one by one.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < spec.min_n:
+        raise ValueError(f"n must be at least {spec.min_n} for {type(spec).__name__}")
     if indices is None:
-        x, y = _draw(spec, n, [seed])
+        x, y = spec.fill([np.random.default_rng(seed)], n)
         return Dataset(x[0], y[0])
     if seed < 0 or min(indices, default=-1) < 0 or max(indices) >= 2**32:
         raise ValueError("a stacked draw takes a seed >= 0 and indices in [0, 2**32)")
-    return Dataset(*_draw(spec, n, _seed_sequences(seed, indices)))
+    return Dataset(*spec.fill(list(map(np.random.default_rng, _seed_sequences(seed, indices))),
+                              n))
 
 
 # ---------------------------------------------------------------------------
-# Closed-form moments
+# Closed forms
 # ---------------------------------------------------------------------------
 
 def _ar1_y_moments(spec: AR1, order: int) -> float:
@@ -411,109 +499,21 @@ def _sum_moments(x: list, y: list) -> list:
             for m in range(1, len(x))]
 
 
-def residual_moments(spec: IidLinearRegression | AR1, atoms: AtomSet,
-                     top: int) -> list[np.ndarray]:
-    """[E u**2, E u**4, ...] up to order ``top`` per atom, u = y - <theta, x>.
-
-    The squared loss is u**2, so these are its moments E loss**k: the true
-    risk is E u**2, the loss variance E u**4 - (E u**2)**2 and the third loss
-    moment E u**6. For i.i.d. regression u is the score <theta_star - theta, x>
-    plus the noise; for AR(1) it is (a - theta_1) y_lag plus the innovation,
-    shifted by the constant -theta_0. Raises :class:`MomentDoesNotExistError`
-    when a noise moment up to ``top`` diverges.
-    """
+def _noise_moments(spec: IidLinearRegression | AR1, atoms: AtomSet, top: int) -> list[float]:
+    """[E eps**2, E eps**4, ...] up to order ``top``, for atoms of the generator's dimension."""
     if atoms.dim != spec.dim:
         raise ValueError("atom dimension does not match the generator")
-    orders = range(2, top + 1, 2)
-    noise = [noise_moment(spec.noise, k) for k in orders]
-    if isinstance(spec, IidLinearRegression):
-        # The score is N(0, m2) under the Gaussian design; np.float64 overflows to inf.
-        w = np.asarray(spec.theta_star) - atoms.coords
-        m2 = np.float64(spec.x_law.scale) ** 2 * np.sum(w**2, axis=1)
-        return _sum_moments([noise_moment(GaussianNoise(), k) * m2 ** (k // 2)
-                             for k in orders], noise)
-    intercept, lag_w = atoms.coords[:, 0], atoms.coords[:, 1]
-    lag = [(spec.a - lag_w) ** k * _ar1_y_moments(spec, k) for k in orders]
-    return _sum_moments(_sum_moments(lag, noise), [intercept**k for k in orders])
+    return [noise_moment(spec.noise, k) for k in range(2, top + 1, 2)]
 
 
-def kappa_moments(spec: IidLinearRegression) -> tuple[float, float]:
-    """(E y**4, E ||X||**4) of i.i.d. regression, the data moments of kappa.
-
-    y is the residual of the zero atom. Raises
-    :class:`MomentDoesNotExistError` when the fourth noise moment diverges.
-    """
-    zero = AtomSet(np.zeros((1, spec.dim)))
-    k = spec.dim
-    ex4 = float(np.float64(spec.x_law.scale) ** 4 * k * (k + 2))  # overflows to inf
-    return float(residual_moments(spec, zero, 4)[1][0]), ex4
-
-
-# ---------------------------------------------------------------------------
-# True risk
-# ---------------------------------------------------------------------------
-
-def _classification_risk(spec: BoundedClassification, atoms: AtomSet) -> np.ndarray:
-    """R(theta) = eta + (1 - 2 eta) * angle(theta, theta_star) / pi.
-
-    Valid for isotropic Gaussian designs with threshold 0: the chance that
-    two homogeneous halfspaces disagree on a rotation-invariant draw is the
-    angle between their normals over pi. A zero atom predicts +1 everywhere
-    and disagrees with either sign half the time.
-    """
-    star = np.asarray(spec.theta_star)
-    star_norm = np.linalg.norm(star)
-    norms = np.linalg.norm(atoms.coords, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosine = (atoms.coords @ star) / (norms * star_norm)
-    angle = np.arccos(np.clip(cosine, -1.0, 1.0))
-    disagree = np.where(norms == 0.0, 0.5, angle / np.pi)
-    return spec.flip_prob + (1.0 - 2.0 * spec.flip_prob) * disagree
-
-
-def _ar1_sign_risk(spec: AR1, atoms: AtomSet, threshold: float) -> np.ndarray:
-    """Sign-prediction risk for Gaussian AR(1), in closed form.
-
-    Lag and y are N(0, lag_sd**2) with correlation a. With h = (threshold -
-    theta0) / (|theta1| lag_sd) and rho = sign(theta1) a, the Drezner-Wesolowsky
-    orthant integral (Genz 2004, Stat. Comput. 14:251) turns the risk
-    P(Z1 >= h) + 1/2 - 2 P(Z1 >= h, Z2 >= 0) into
-    1/2 - (1/pi) int_0^{asin rho} exp(-h**2 / (2 cos(t)**2)) dt. Substituting
-    cos(t) = 1 / cosh(v) gives int_0^{atanh rho} exp(-(h cosh(v))**2 / 2) / cosh(v) dv,
-    whose features are O(1) wide in v however near |a| is to 1, so Gauss-Legendre
-    nodes in proportion to atanh|a| (at least 40) are exact to 1e-14 for every |a| < 1.
-    """
-    intercept, slope = atoms.coords[:, 0], atoms.coords[:, 1]
-    lag_sd = math.sqrt(_ar1_y_moments(spec, 2))
-    h = np.divide(threshold - intercept, np.abs(slope) * lag_sd,
-                  out=np.zeros(len(atoms)), where=slope != 0.0)
-    upper = math.atanh(spec.a)
-    nodes, weights = np.polynomial.legendre.leggauss(max(40, math.ceil(12 * abs(upper))))
-    cosh = np.cosh(upper * (nodes + 1.0) / 2.0)  # even integrand: sign(rho) factors out
-    integral = upper / 2.0 * ((np.exp(-0.5 * (h[:, None] * cosh) ** 2) / cosh) @ weights)
-    return 0.5 - np.sign(slope) * integral / math.pi
+def _no_closed_form(spec: GeneratorSpec, loss: LossKind) -> NoClosedFormError:
+    return NoClosedFormError(f"experiment.loss and generator.kind: no closed-form risk for "
+                             f"{type(spec).__name__} with {type(loss).__name__}")
 
 
 def true_risk_closed_form(spec: GeneratorSpec, atoms: AtomSet, loss: LossKind) -> np.ndarray:
-    """Exact expected risk per atom, when a closed form exists.
-
-    Regression generators support the squared loss; the classification
-    generator supports the zero-one loss at threshold 0; Gaussian AR(1)
-    additionally supports the zero-one loss at any threshold. Raises
-    :class:`NoClosedFormError` otherwise, naming the config key that rules
-    the closed form out.
-    """
+    """Exact expected risk per atom, the generator's ``true_risk``; raises
+    :class:`NoClosedFormError`, naming the config key at fault, where there is none."""
     if atoms.dim != spec.dim:
         raise ValueError("atom dimension does not match the generator")
-    if isinstance(spec, (IidLinearRegression, AR1)) and isinstance(loss, SquaredLoss):
-        return residual_moments(spec, atoms, 2)[0]
-    if (isinstance(spec, BoundedClassification) and isinstance(loss, ZeroOneLoss)
-            and loss.threshold == 0.0):
-        return _classification_risk(spec, atoms)
-    if isinstance(spec, AR1) and isinstance(loss, ZeroOneLoss):
-        if isinstance(spec.noise, GaussianNoise) and spec.noise.variance > 0:
-            return _ar1_sign_risk(spec, atoms, loss.threshold)
-        raise NoClosedFormError("generator.noise: the zero-one risk of AR1 has a closed form "
-                                "only under Gaussian innovations of positive variance")
-    raise NoClosedFormError(f"experiment.loss and generator.kind: no closed-form risk for "
-                            f"{type(spec).__name__} with {type(loss).__name__}")
+    return spec.true_risk(atoms, loss)

@@ -107,8 +107,9 @@ class ExperimentConfig:
             for key, value in vars(self.regime).items():
                 if isinstance(value, float) and not value > 0:
                     raise ValueError(f"regime.{key} must be positive, got {value}")
-            if isinstance(self.generator, AR1) and self.n < 2:
-                raise ValueError("experiment.n must be at least 2 for AR(1)")
+            if self.n < self.generator.min_n:
+                raise ValueError(f"experiment.n must be at least {self.generator.min_n} for "
+                                 f"{type(self.generator).__name__}")
             if self.prior.dim != self.generator.dim:
                 key = "atoms" if isinstance(self.prior, ExplicitPrior) else "dim"
                 raise ValueError(f"prior.{key}: the prior's atoms have dimension "

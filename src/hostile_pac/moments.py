@@ -49,9 +49,9 @@ class MomentBound:
 
 
 def _check_independent_rows(config: ExperimentConfig, kind: str) -> None:
-    if isinstance(config.generator, datagen.AR1):
+    if not config.generator.independent_rows:
         raise ValueError(f"generator.kind: the {kind} regime requires independent rows, "
-                         "not ar1")
+                         f"not {type(config.generator).__name__}")
 
 
 def scale_keys(config: ExperimentConfig) -> str:
@@ -80,9 +80,8 @@ def _check_noise_moment(config: ExperimentConfig, order: int, key: str) -> None:
         raise ValueError(f"{key} needs noise moments of order {order} ({exc}); "
                          "raise generator.noise.dof or supply a number") from exc
     if not math.isfinite(moment):
-        scale = "variance" if isinstance(noise, datagen.GaussianNoise) else "scale"
         raise ValueError(f"{key} needs noise moments of order {order}, which overflow "
-                         f"doubles; lower generator.noise.{scale} or supply a number")
+                         f"doubles; lower generator.noise.{noise.scale_key} or supply a number")
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class VarianceRegime:
         if config.p < 2:
             raise ValueError("experiment.p must be at least 2: the variance regime needs q <= 2")
         if self.s2 in ("kappa", "exact") and not (
-                isinstance(config.generator, datagen.IidLinearRegression)
+                hasattr(config.generator, "kappa_moments")
                 and isinstance(config.loss, SquaredLoss)):
             raise ValueError(f"regime.s2: {self.s2} applies to i.i.d. squared-loss regression "
                              "only; supply a numeric s2 otherwise")
@@ -113,12 +112,12 @@ class VarianceRegime:
     def resolve(self, config: ExperimentConfig, atoms: AtomSet,
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
         if self.s2 == "kappa":
-            ey4, ex4 = datagen.kappa_moments(config.generator)
+            ey4, ex4 = config.generator.kappa_moments()
             tau = float(pi.weights @ np.linalg.norm(atoms.coords, axis=1) ** 4)
             s2 = _closed_form(config, "regime.s2: kappa", 8.0 * (ey4 + tau * ex4))
             constants = {"s2": s2, "s2_mode": "kappa", "tau": tau, "ey4": ey4, "ex4": ex4}
         elif self.s2 == "exact":
-            eu2, eu4 = datagen.residual_moments(config.generator, atoms, 4)
+            eu2, eu4 = config.generator.residual_moments(atoms, 4)
             s2 = _closed_form(config, "regime.s2: exact", float(pi.weights @ (eu4 - eu2**2)))
             constants = {"s2": s2, "s2_mode": "exact"}
         else:
@@ -176,7 +175,7 @@ class _MixingRegime:
     """Shared by the mixing regimes: AR(1) rows, the assumed envelope (c1, c2), q = p = 2."""
 
     def _check_envelope(self, config: ExperimentConfig) -> None:
-        if not isinstance(config.generator, datagen.AR1):
+        if config.generator.independent_rows:
             raise ValueError("generator.kind: mixing regimes require the ar1 generator")
         if abs(config.p - 2.0) > 1e-12:
             raise ValueError("experiment.p must be 2: mixing regimes certify q = 2")
@@ -265,7 +264,7 @@ class MixingUnboundedRegime(_MixingRegime):
                 pi: DiscreteDistribution) -> tuple[float, MomentBound, dict]:
         alpha_frac_sum, constants = self._alpha_sum(config, self.r)
         if self.moment_integral == "analytic":
-            third = datagen.residual_moments(config.generator, atoms, 6)[2]
+            third = config.generator.residual_moments(atoms, 6)[2]
             moment_integral = _closed_form(config, "regime.moment_integral: analytic",
                                            float(pi.weights @ third ** (2.0 / 3.0)))
         else:

@@ -175,6 +175,10 @@ def test_config_error_exit_code(config_path, tmp_path, capsys):
     # The grid prior is gone; the retired workers key still takes only positive counts.
     ("bound_demo", "prior.kind=uniform_grid", ["prior.kind"]),
     ("bound_demo", "experiment.workers=0", ["experiment.workers"]),
+    # A generator's class attributes are not config keys.
+    ("coverage_ar1_t7", "generator.min_n=1", ["unknown keys: generator.min_n"]),
+    ("coverage_ar1_t7", "generator.independent_rows=false",
+     ["unknown keys: generator.independent_rows"]),
 ])
 def test_regime_value_errors_name_the_key(config, override, named, capsys):
     path = ROOT / "configs" / f"{config}.yaml"

@@ -11,8 +11,8 @@ from hostile_pac.datagen import (AR1, AR1_BURN_IN, BoundedClassification, Gaussi
                                  MixingBoundSpec, MomentDoesNotExistError,
                                  NoClosedFormError, StudentTNoise,
                                  _ar1_path, _ar1_y_moments, _scale_noise, _unscaled_noise,
-                                 generate, kappa_moments, largest_burn_in_a, noise_moment,
-                                 residual_moments, true_risk_closed_form)
+                                 generate, largest_burn_in_a, noise_moment,
+                                 true_risk_closed_form)
 from hostile_pac.param_space import AtomSet
 from hostile_pac.risk import SquaredLoss, ZeroOneLoss, compute_loss_table
 from oracles import ar1_sign_risk_quad, ar1_y_moments_hand, stationary_pairs, true_risk_mc
@@ -64,6 +64,8 @@ _X6 = [[0.1634492874214113, -0.17173632227869245], [0.8325494455762668, 0.136370
        [-0.9148558065490904, -1.6450479123598682], [-0.8102568012985579, 0.05372377315141668]]
 _AR6 = [0.15747063714437864, -0.2283876277921321, 0.7326827717431983, -0.4190524230994834,
         -0.18578055657153986, 0.45346683884222855, 0.8489063102399521]
+_ART6 = [-0.1810438830062679, 0.6796480875149612, 0.461507952826726, -0.117144725174959,
+         0.9319537208623404, 2.2145628121034795, 1.2282071359619329]
 
 
 @pytest.mark.parametrize("spec, x, y", [
@@ -73,7 +75,9 @@ _AR6 = [0.15747063714437864, -0.2283876277921321, 0.7326827717431983, -0.4190524
     (BoundedClassification((1.0, -0.5), IsotropicGaussianX(1.3), 0.3),
      _X6, [1.0, -1.0, -1.0, -1.0, -1.0, -1.0]),
     (AR1(a=-0.7, noise=GaussianNoise(0.8)), [[1.0, lag] for lag in _AR6[:-1]], _AR6[1:]),
-], ids=["iid", "classification", "ar1-gaussian"])
+    (AR1(a=0.6, noise=StudentTNoise(dof=5.0, scale=0.7)),
+     [[1.0, lag] for lag in _ART6[:-1]], _ART6[1:]),
+], ids=["iid", "classification", "ar1-gaussian", "ar1-student-t"])
 def test_generate_keeps_its_bits(spec, x, y):
     data = generate(spec, 6, seed=0)
     assert data.x.tolist() == x and data.y.tolist() == y
@@ -232,22 +236,22 @@ ZERO = AtomSet(np.zeros((1, 2)))  # the residual of the zero atom is y itself
 
 
 def test_analytic_moments_iid_regression():
-    ey2, ey4 = (float(m[0]) for m in residual_moments(IID_T5, ZERO, 4))
+    ey2, ey4 = (float(m[0]) for m in IID_T5.residual_moments(ZERO, 4))
     w2 = 0.5**2 + 0.3**2
     e2, e4 = 5.0 / 3.0, 25.0
     assert ey2 == pytest.approx(w2 + e2)
     assert ey4 == pytest.approx(3 * w2**2 + 6 * w2 * e2 + e4)
     with pytest.raises(MomentDoesNotExistError):  # sixth t(5) moment does not exist
-        residual_moments(IID_T5, ZERO, 6)
+        IID_T5.residual_moments(ZERO, 6)
     # k (k + 2) for unit-scale Gaussian in 2d
-    assert kappa_moments(IID_T5) == (ey4, pytest.approx(2 * 4))
+    assert IID_T5.kappa_moments() == (ey4, pytest.approx(2 * 4))
 
 
 def test_analytic_moments_iid_monte_carlo():
     spec = IidLinearRegression(theta_star=(0.4, 0.2), x_law=IsotropicGaussianX(1.5),
                                noise=GaussianNoise(variance=0.3))
-    ey2 = float(residual_moments(spec, ZERO, 2)[0][0])
-    ey4, ex4 = kappa_moments(spec)
+    ey2 = float(spec.residual_moments(ZERO, 2)[0][0])
+    ey4, ex4 = spec.kappa_moments()
     data = generate(spec, 2_000_000, seed=77)
     for value, xs in ((ey2, data.y**2), (ey4, data.y**4),
                       (ex4, np.sum(data.x**2, axis=1) ** 2)):
@@ -257,7 +261,7 @@ def test_analytic_moments_iid_monte_carlo():
 
 def test_ar1_moments_gaussian_closed_form():
     # Stationary Gaussian checks: m4 = 3 m2^2 and m6 = 15 m2^3.
-    ey2, ey4, ey6 = (float(m[0]) for m in residual_moments(AR_GAUSS, ZERO, 6))
+    ey2, ey4, ey6 = (float(m[0]) for m in AR_GAUSS.residual_moments(ZERO, 6))
     m2 = 1.0 / (1.0 - 0.25)
     assert ey2 == pytest.approx(m2)
     assert ey4 == pytest.approx(3 * m2**2, rel=1e-12)
@@ -267,7 +271,7 @@ def test_ar1_moments_gaussian_closed_form():
 def test_ar1_fourth_moment_matches_moving_average_formula():
     # Independent derivation through the MA representation:
     # m4 = 3 (E e^2)^2 [1/(1-a^2)^2 - 1/(1-a^4)] + E e^4 / (1 - a^4).
-    ey4 = float(residual_moments(AR_T7, ZERO, 4)[1][0])
+    ey4 = float(AR_T7.residual_moments(ZERO, 4)[1][0])
     a = 0.5
     e2 = noise_moment(AR_T7.noise, 2)
     e4 = noise_moment(AR_T7.noise, 4)
@@ -345,6 +349,10 @@ def test_classification_risk_special_values():
     assert risks[1] == pytest.approx(0.9)          # anti-aligned
     assert risks[2] == pytest.approx(0.5)          # orthogonal
     assert risks[3] == pytest.approx(0.5)          # zero predictor
+    # A point-mass design x = 0: every atom predicts +1, as theta_star does.
+    point_mass = BoundedClassification(theta_star=(1.0, 0.0), x_law=IsotropicGaussianX(0.0),
+                                       flip_prob=0.1)
+    assert np.all(true_risk_closed_form(point_mass, atoms, ZeroOneLoss()) == 0.1)
 
 
 def test_no_closed_form_paths():
@@ -360,7 +368,7 @@ def test_squared_loss_variance_closed_form_vs_monte_carlo():
     spec = IidLinearRegression(theta_star=(0.5, -0.3), x_law=IsotropicGaussianX(1.0),
                                noise=GaussianNoise(variance=0.5))
     atoms = AtomSet(np.array([[0.5, -0.3], [0.0, 0.0], [-0.4, 0.8]]))
-    eu2, eu4 = residual_moments(spec, atoms, 4)
+    eu2, eu4 = spec.residual_moments(atoms, 4)
     exact = eu4 - eu2**2
     data = generate(spec, 2_000_000, seed=55)
     table = compute_loss_table(data, atoms, SquaredLoss())
@@ -394,7 +402,7 @@ def test_residual_closed_forms_match_hand_expansion(spec):
     atoms = AtomSet(np.random.default_rng(3).normal(0.0, 0.8, (200, 2)))
     eu2, eu4, eu6 = np.array([_hand_expanded_residual_moments(spec, t) for t in atoms.coords]).T
     np.testing.assert_allclose(true_risk_closed_form(spec, atoms, SquaredLoss()), eu2, rtol=1e-13)
-    closed2, closed4, closed6 = residual_moments(spec, atoms, 6)
+    closed2, closed4, closed6 = spec.residual_moments(atoms, 6)
     np.testing.assert_allclose(closed6, eu6, rtol=1e-13)
     if isinstance(spec, IidLinearRegression):
         np.testing.assert_allclose(closed4 - closed2**2, eu4 - eu2**2, rtol=1e-13)
@@ -411,7 +419,7 @@ def test_ar1_y_moments_match_hand_expansion(a, noise):
 
 def test_squared_loss_third_moment_vs_monte_carlo():
     atoms = AtomSet(np.array([[0.0, 0.5], [0.2, 0.1], [-0.3, 0.7]]))
-    exact = residual_moments(AR_GAUSS, atoms, 6)[2]
+    exact = AR_GAUSS.residual_moments(atoms, 6)[2]
     data_spec = AR1(a=0.5, noise=GaussianNoise(variance=1.0))
     # Estimate E[loss^3] by raising per-draw losses to the third power:
     rng = np.random.default_rng(17)

@@ -170,8 +170,8 @@ MONOTONE_REGIMES = [
 def test_bounds_nonincreasing_in_n(n, scale):
     for build in MONOTONE_REGIMES:
         config = build(scale)
-        if n < 2 and isinstance(config.generator, AR1):
-            continue  # AR(1) needs n >= 2
+        if n < config.generator.min_n:
+            continue
         at_n = _resolve(dataclasses.replace(config, n=n))[0].value
         assert _resolve(dataclasses.replace(config, n=n + 1))[0].value <= at_n + 1e-18
 
