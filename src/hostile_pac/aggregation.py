@@ -219,7 +219,10 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
     below u. A level a hair above the lowest risks may meet only the second
     test; rounding can stop the iterate below that root, so such a row takes
     one more tangent step up, which lands at or past it, and then tries up to
-    ``RBAR_LAST_BIT_STEPS`` neighbouring doubles toward it.
+    ``RBAR_LAST_BIT_STEPS`` neighbouring doubles toward it. A row whose
+    starting spend overflows doubles raises ``SolverError``, although its root
+    may be finite: with risks 0 and 1e300 on weights 1e-310 and 1 and T = 100,
+    the minimum's bracket is +inf and the finite atoms' bracket spends +inf.
     """
     rows = _rows(rn, len(pi))
     if not 0 < budget < math.inf:
@@ -257,8 +260,8 @@ def solve_rbar(rn: np.ndarray, pi: DiscreteDistribution, q: float, budget: float
             live &= u - step < u
             if not live.any():
                 break
-    for i in np.flatnonzero(~(np.abs(spend - budget) <= RBAR_RESIDUAL_TOL * budget)):
-        u[i] = _last_bit_root(risks[i:i + 1], weights, q, budget, u[i], spend[i], step[i])
+        for i in np.flatnonzero(~(np.abs(spend - budget) <= RBAR_RESIDUAL_TOL * budget)):
+            u[i] = _last_bit_root(risks[i:i + 1], weights, q, budget, u[i], spend[i], step[i])
     return u
 
 

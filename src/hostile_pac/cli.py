@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load(args)
         if args.command == "sweep":
-            values = [harness.yaml_value(v, f"sweep {args.axis}: --values item")
+            values = [harness.yaml_value(v, f"sweep {args.axis}: --values item: {v!r}")
                       for v in args.values.split(",")]
             result = harness.run_sweep(config, args.axis, values)
         else:  # bound, aggregate and coverage

@@ -12,7 +12,7 @@ prior and the moment constant of a configuration, ``_fit`` draws a range of
 the run's datasets (``datagen.generate``) as one stacked dataset and turns it
 into rows of r_n, their levels rbar and rho_hat weights, and ``_certify`` adds,
 for ``bound`` and coverage, the ERM, the sublevel-mass exponent, the certified
-oracle and the rho_hat, prior and ERM certificates, row by row. ``bound`` and
+oracle and the rho_hat and ERM certificates, row by row. ``bound`` and
 ``aggregate`` take the one-row range of dataset 0; coverage runs the fewest
 contiguous blocks of at most ``COVERAGE_BLOCK_VALUES // (K + n (k + 1) / 2)``
 rows (K atoms of dimension k, n observations), sized within one of each other,
@@ -34,6 +34,7 @@ import dataclasses
 import json
 import math
 import os
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, groupby, repeat
@@ -48,7 +49,8 @@ import yaml
 from . import datagen
 from .aggregation import (CONJUGACY_TOL, BoundConfig, BoundReport, ComplexityEstimate,
                           catoni_pi_gamma, certificate, certified_oracle, deviation_moments,
-                          erm_index, evaluate_bound, optimal_gamma, rho_hat, solve_rbar)
+                          erm_index, evaluate_bound, optimal_gamma, pac_margin, rho_hat,
+                          solve_rbar)
 from .datagen import (AR1, BoundedClassification, GaussianNoise, GeneratorSpec,
                       IidLinearRegression, IsotropicGaussianX, NoClosedFormError, StudentTNoise)
 from .moments import (MixingBoundedRegime, MixingUnboundedRegime, RegimeSpec, SubGaussianRegime,
@@ -259,12 +261,44 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, exp, "experiment", **sections)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.safe_load``'s loader, except that a key given twice in one mapping
+    is an error, where PyYAML keeps the last value; a key that a merge
+    (``<<``) brings in may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        lines = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node)
+            if isinstance(key, Hashable):  # PyYAML itself rejects the others
+                if key in lines:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}, first at line {lines[key]}",
+                        key_node.start_mark)
+                lines[key] = key_node.start_mark.line + 1
+        return super().construct_mapping(node, deep)
+
+
+def _line_column(before: str) -> str:
+    """The line and column, from 1, of the character that follows the text ``before``."""
+    lines = before.split("\n")
+    return f"line {len(lines)}, column {len(lines[-1]) + 1}"
+
+
 def yaml_value(text: str, where: str):
-    """One command-line value read as YAML; ``where`` names its flag or key."""
+    """``text``, a config file or one command-line value, read as YAML by
+    :class:`_UniqueKeyLoader`; an error is one line naming ``where`` (the
+    file, or the flag or key and the value) and the line and column of the
+    fault."""
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{where}: {text!r} is not valid YAML") from exc
+        mark = getattr(exc, "problem_mark", None)  # a ReaderError has a position instead
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"{where}, {_line_column(text[:mark.index if mark else exc.position])}"
+                          f": {problem}") from exc
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -278,18 +312,19 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         node = _mapping(out, "config root")
         for depth, part in enumerate(path):
             node = _mapping(node.setdefault(part, {}), ".".join(path[:depth + 1]))
-        node[key] = yaml_value(value, f"--set {dotted}")
+        node[key] = yaml_value(value, f"--set {dotted}: {value!r}")
     return out
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}, {_line_column(exc.object[:exc.start].decode())}: byte "
+                          f"{exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})") from exc
+    raw = yaml_value(text, str(path))
     if overrides:
         raw = apply_overrides(raw, overrides)
     return config_from_dict(raw)
@@ -364,7 +399,7 @@ class _Certified(NamedTuple):
     erm: np.ndarray
     complexity: ComplexityEstimate
     oracle: np.ndarray  # the certified oracle bound on rbar, NaN where uncertified
-    reports: dict[str, BoundReport]  # rho_hat, prior and erm
+    reports: dict[str, BoundReport]  # rho_hat and erm
 
 
 def _evaluate_bound(rho, pi: DiscreteDistribution, rn: np.ndarray,
@@ -388,15 +423,11 @@ def _certify(config: ExperimentConfig, setup: _Setup, indices: range) -> _Certif
     erm = erm_index(rn)
     complexity, oracle = certified_oracle(rn, pi, np.asarray(config.gamma_grid), rbar,
                                           cfg.budget, cfg.q)
-    # D + 1 is exactly 1 at the prior; at the point mass on erm it is
-    # pi_erm**(1 - p), +inf off the support.
+    # D + 1 at the point mass on erm is pi_erm**(1 - p), +inf off the support.
     with np.errstate(divide="ignore", over="ignore"):
         erm_div = pi.weights[erm] ** (1.0 - cfg.p)
-    reports = {
-        "rho_hat": _evaluate_bound(rho, pi, rn, cfg),
-        "prior": certificate(expectation(pi, rn), np.ones(len(rn)), cfg),
-        "erm": certificate(rn[np.arange(len(rn)), erm], erm_div, cfg),
-    }
+    reports = {"rho_hat": _evaluate_bound(rho, pi, rn, cfg),
+               "erm": certificate(rn[np.arange(len(rn)), erm], erm_div, cfg)}
     return _Certified(rn, rbar, rho, erm, complexity, oracle, reports)
 
 
@@ -417,7 +448,9 @@ def run_bound(config: ExperimentConfig) -> RunResult:
         raise AssumptionError(
             "prior-mass exponent failed to certify on the configured gamma grid"
         )
-    reports = {name: report.row(0) for name, report in fit.reports.items()}
+    prior = certificate(expectation(pi, fit.rn), np.ones(1), cfg)  # D + 1 is exactly 1
+    reports = {name: report.row(0) for name, report in
+               [("rho_hat", fit.reports["rho_hat"]), ("prior", prior), ("erm", fit.reports["erm"])]}
     gamma_star = None
     if complexity.satisfied:
         gamma_star = optimal_gamma(complexity.d, cfg.p, cfg.budget)
@@ -482,15 +515,11 @@ def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.
     at_rho, at_erm = fit.reports["rho_hat"], fit.reports["erm"]
 
     rho_true = _row_dots(fit.rho, true_values)
-    dev_rho = np.abs(rho_true - at_rho.rn_integral)
-    hit_rho = dev_rho <= at_rho.margin
 
     # The certificate over every rho at once, decided exactly (Hoelder duality).
     upper_side, lower_side = deviation_moments(true_values - fit.rn, setup.pi, cfg.q)
     sup = np.maximum(upper_side, lower_side)
-    hit_sup = sup <= cfg.budget
 
-    certified = ~np.isnan(fit.oracle)
     hit_oracle_level = rho_true <= fit.rbar
     true_erm = true_values[fit.erm]
     columns = {
@@ -502,20 +531,17 @@ def _replication_block(config: ExperimentConfig, setup: _Setup, true_values: np.
         "rho_hat_true_integral": rho_true,
         "divergence_plus_one": at_rho.divergence_plus_one,
         "margin_rho_hat": at_rho.margin,
-        "margin_prior": fit.reports["prior"].margin,
         "margin_erm": at_erm.margin,
-        "slack_rho_hat": at_rho.margin - dev_rho,
-        "hit_rho_hat": hit_rho,
-        "hit_sup": hit_sup,
-        "hit_two_sided": hit_rho & hit_sup,
+        "hit_rho_hat": np.abs(rho_true - at_rho.rn_integral) <= at_rho.margin,
+        "hit_sup": sup <= cfg.budget,
         "sup_ratio": sup / cfg.budget,
         "hit_erm": true_erm <= at_erm.upper,
         "true_risk_erm": true_erm,
         "complexity_d": fit.complexity.d,
-        "complexity_certified": certified,
-        "oracle_dim_bound": np.where(certified, fit.oracle, None),
+        "oracle_dim_bound": fit.oracle,  # NaN where uncertified, written as null
         "hit_oracle_level": hit_oracle_level,
-        "hit_oracle": hit_oracle_level & (~certified | (rho_true <= fit.oracle)),
+        # An uncertified (NaN) oracle is never exceeded: a hit by the level alone.
+        "hit_oracle": hit_oracle_level & ~(rho_true > fit.oracle),
         "sup": sup,
         "moment": upper_side + lower_side,
     }
@@ -532,10 +558,10 @@ def run_coverage(config: ExperimentConfig) -> RunResult:
     Per replication the two-sided certificate is decided uniformly over all
     aggregation distributions: by Hoelder duality it holds for every rho
     exactly when S = max(E_pi gap_+**q, E_pi gap_-**q) <= M/delta, with
-    gap = R - r_n (``hit_sup``, ``sup_ratio`` = S/(M/delta)). A replication
-    is a two-sided hit when that event and the optimal weights' own
-    certificate hold. True risks come from the generator's closed form, so
-    hit/miss decisions carry no oracle noise.
+    gap = R - r_n (``hit_sup``, ``sup_ratio`` = S/(M/delta)), and so implies
+    the optimal weights' own certificate (``hit_rho_hat``). True risks come
+    from the generator's closed form, so hit/miss decisions carry no oracle
+    noise. The prior's margin (M/delta)**(1/q) is the summary's ``margin_prior``.
 
     Replications are certified in even blocks (see the module docstring);
     every record and summary field is the same at any block size, which
@@ -594,21 +620,25 @@ def _coverage(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], dict, di
                                                   pop_budget, cfg.q)
     pop_complexity, oracle_pop = pop_complexity.row(0), float(oracle_pop[0])
 
-    slack = columns["slack_rho_hat"]
+    slack = columns["margin_rho_hat"] - np.abs(columns["rho_hat_true_integral"]
+                                               - columns["rho_hat_rn_integral"])
     finite_slack = slack[np.isfinite(slack)]
-    certified = columns["complexity_certified"]
+    oracle = columns["oracle_dim_bound"]
+    certified = ~np.isnan(oracle)
+    columns["oracle_dim_bound"] = np.where(certified, oracle, None)
     certified_hits = columns["hit_oracle"][certified]
     critical = cfg.delta * float(np.quantile(sup, 1.0 - cfg.delta, method="higher"))
 
     summary = {
         "type": "summary", "command": "coverage",
         "replications": config.replications,
-        "coverage_two_sided": float(np.mean(columns["hit_two_sided"])),
+        "coverage_two_sided": float(np.mean(columns["hit_rho_hat"] & columns["hit_sup"])),
         "coverage_oracle": float(np.mean(columns["hit_oracle"])),
         "coverage_oracle_certified": (float(np.mean(certified_hits)) if certified_hits.size
                                       else None),
         "coverage_erm": float(np.mean(columns["hit_erm"])),
         "mean_slack": float(finite_slack.mean()) if finite_slack.size else math.inf,
+        "margin_prior": float(pac_margin(cfg, 1.0)),
         "certified_fraction": float(np.mean(certified)),
         "population_complexity_d": pop_complexity.d,
         "population_complexity_satisfied": pop_complexity.satisfied,
@@ -655,7 +685,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values: list) -> RunResult:
             **{key: summary[key] for key in SWEEP_AXES},  # the values the bound used
             "coverage_two_sided": summary["coverage_two_sided"],
             "coverage_oracle": summary["coverage_oracle"],
-            "median_margin": float(np.median(columns["margin_prior"])),
+            "median_margin": summary["margin_prior"],
             "median_margin_rho_hat": float(np.median(columns["margin_rho_hat"])),
             "mean_slack": summary["mean_slack"],
             "moment_bound": summary["moment_bound"],

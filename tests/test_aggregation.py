@@ -304,6 +304,42 @@ def test_deviation_moments_decide_the_sup_over_every_rho(problem):
         assert _hoelder_ratio(off, gap, pi, p) == 0.0
 
 
+@st.composite
+def _chain_problems(draw):
+    """Rows of r_n and one row of true risks R on at most 8 atoms, prior weights
+    with zeros, an exponent p and a budget T."""
+    size, rows = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    # Risks are 0 or at least 1e-3, so a nonzero gap is at least an ulp of 1e-3;
+    # p >= 1.1 keeps q <= 11, and such a gap's q-th power a normal double.
+    risk = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(1e-3, 1.0)
+    rn = np.array(draw(st.lists(st.lists(risk, min_size=size, max_size=size),
+                                min_size=rows, max_size=rows)))
+    true = np.array(draw(st.lists(risk, min_size=size, max_size=size)))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0]) | st.floats(1e-3, 1.0),
+                                     min_size=size, max_size=size)))
+    weights[0] = max(weights[0], 1e-3)  # atom 0 keeps the support nonempty
+    pi = DiscreteDistribution(weights / weights.sum())
+    return rn, true, pi, draw(st.floats(1.1, 8.0)), draw(st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_chain_problems())
+def test_hoelder_bounds_the_rho_hat_gap_by_its_side_of_the_sup(problem):
+    # Per row, |E_rho_hat gap| <= S_side**(1/q) (D + 1)**(1/p) for the gap
+    # R - r_n, with S_side the prior moment of the gap's part of E_rho_hat
+    # gap's sign. S = max of the sides at most M/delta (hit_sup) therefore
+    # implies the rho_hat certificate (hit_rho_hat).
+    rn, true, pi, p, budget = problem
+    q = p / (p - 1.0)
+    rho = rho_hat(rn, pi, p, solve_rbar(rn, pi, q, budget))
+    gap = true - rn
+    upper_side, lower_side = deviation_moments(gap, pi, q)
+    mean_gap = (rho * gap).sum(axis=1)
+    side = np.where(mean_gap >= 0.0, upper_side, lower_side)
+    bound = side ** (1.0 / q) * power_divergence_plus_one(rho, pi, p) ** (1.0 / p)
+    assert (np.abs(mean_gap) <= bound * (1.0 + 1e-12)).all()
+
+
 def test_spend_function_monotone():
     rng = np.random.default_rng(9)
     pi = DiscreteDistribution(rng.dirichlet(np.ones(10)))

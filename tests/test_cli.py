@@ -316,6 +316,20 @@ def test_sweep_over_a_p_the_regime_ignores_names_the_key(capsys):
     assert err.startswith("config error: regime.optimize_q ") and "experiment.p" in err
 
 
+def test_overflowing_spend_fails_with_one_line(capsys):
+    # The spend of the far atom overflows doubles before it reaches the budget,
+    # so the level solve fails, and nothing warns before its one line.
+    path = ROOT / "configs" / "oracle_rate_gaussian.yaml"
+    prior = '{"kind":"explicit","atoms":[[0.3,-0.2],[1.0e149,1.0e149]],"weights":[1.0e-310,1.0]}'
+    sets = ["generator.noise.variance=0", "regime.s2=100", f"prior={prior}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound", "--config", str(path), *(a for s in sets for a in ("--set", s))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure: level solve did not reach")
+
+
 def test_solver_failure_exit_code(config_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise SolverError("level solve did not reach residual tolerance")
@@ -413,16 +427,33 @@ def test_override_on_empty_file_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["bound", "--set", "experiment.n=[1"], "config error: --set experiment.n: '[1' is not "
-                                            "valid YAML"),
-    (["sweep", "--axis", "n", "--values", "100,[1"], "config error: sweep n: --values item: "
-                                                     "'[1' is not valid YAML"),
-], ids=["set", "sweep-values"])
-def test_value_that_is_not_yaml_fails_with_one_line(config_path, capsys, argv, message):
+@pytest.mark.parametrize("text, argv, message", [
+    (None, ["bound", "--set", "experiment.n=[1"],
+     "--set experiment.n: '[1', line 1, column 3: expected ',' or ']', but got '<stream end>'"),
+    (None, ["sweep", "--axis", "n", "--values", "100,[1"],
+     "sweep n: --values item: '[1', line 1, column 3: expected ',' or ']', but got "
+     "'<stream end>'"),
+    (b"experiment: {n: 3\n", ["bound"],
+     "FILE, line 2, column 1: expected ',' or '}', but got '<stream end>'"),
+    (b"\xff\xfe" + CONFIG.encode(), ["bound"],
+     "FILE, line 1, column 1: byte 0xff is not UTF-8 (invalid start byte)"),
+    (b"experiment:\n  seed: 3\n" + CONFIG.encode(), ["bound"],
+     "FILE, line 4, column 1: duplicate key 'experiment', first at line 1"),
+    (CONFIG.replace("  n: 100\n", "  n: 100\n  n: 7\n").encode(), ["bound"],
+     "FILE, line 5, column 3: duplicate key 'n', first at line 4"),
+    (None, ["bound", "--set", 'regime={"kind": "variance", "s2": 1, "s2": 2}'],
+     "--set regime: '{\"kind\": \"variance\", \"s2\": 1, \"s2\": 2}', line 1, column 31: "
+     "duplicate key 's2', first at line 1"),
+], ids=["set", "sweep-values", "file", "file-not-utf8", "file-duplicate-section",
+        "file-duplicate-key", "set-duplicate-key"])
+def test_value_that_is_not_yaml_fails_with_one_line(config_path, capsys, text, argv, message):
+    # A PyYAML error spans several lines, and PyYAML keeps the last of two equal keys.
+    if text is not None:
+        config_path.write_bytes(text)
     assert main([argv[0], "--config", str(config_path), *argv[1:]]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.splitlines() == [message]
+    expected = "config error: " + message.replace("FILE", str(config_path))
+    assert captured.out == "" and captured.err.splitlines() == [expected]
 
 
 @pytest.mark.parametrize("flags", [[], ["--seed", "4"], ["--set", "experiment.n=50"]],
